@@ -70,4 +70,4 @@ from .stationary import (
     stationary_density,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

@@ -322,7 +322,10 @@ def run_kinetic(cfg: dict, out: Path) -> int:
 def run_roots(cfg: dict, out: Path) -> int:
     g = build_freq_dist(cfg)
     k = _get(cfg, "model", "coupling", None, float)
-    result = self_consistency_roots(g, k, grid=_get(cfg, "roots", "grid", 4096, int))
+    try:
+        result = self_consistency_roots(g, k, grid=_get(cfg, "roots", "grid", 4096, int))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     write_series(out, [])
     write_summary(
         out,
@@ -339,7 +342,10 @@ def run_roots(cfg: dict, out: Path) -> int:
 
 def run_kc(cfg: dict, out: Path) -> int:
     g = build_freq_dist(cfg)
-    kc = critical_coupling(g, kc_tol=_get(cfg, "kc", "tol", 1e-6, float))
+    try:
+        kc = critical_coupling(g, kc_tol=_get(cfg, "kc", "tol", 1e-6, float))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     write_series(out, [])
     write_summary(out, {"mode": "kc", "k_c": kc})
     return EXIT_OK

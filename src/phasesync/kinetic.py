@@ -9,12 +9,11 @@ pushforward, so no grid density is ever built.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Union
 
 import numpy as np
 
-from . import rng
 from .core import R_MIN, OscillatorEnsemble, circle_distance, weighted_order_parameter
 from .freqdist import FrequencyDistribution
 from .integrate import NonFiniteStateError, SimConfig

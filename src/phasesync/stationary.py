@@ -1,29 +1,37 @@
 """Partially synchronized stationary states of the non-identical mean-field
 model: self-consistency roots, critical coupling, stationary densities.
 
-The self-consistency equation is K R^2 = int sqrt((K R)^2 - omega^2) g(omega)
-d omega, real only where K R covers the support of g, so the root search is
-restricted to R >= max|omega| / K.
+With a = K R the self-consistency equation K R^2 = I(K R), I(a) = int
+sqrt(a^2 - omega^2) g(omega) d omega, is real only for a >= max|omega| and
+reads K = h(a) = a^2 / I(a); I(a) <= a keeps R = a / K <= 1. K_c = min h
+(Strogatz, Physica D 143, 2000). omega = a sin t turns I into a^2 int
+cos^2 t g(a sin t) dt, smooth up to the support edge; atoms are summed.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import List, Optional
 
 import numpy as np
-from scipy.optimize import brentq
+from scipy.integrate import quad
+from scipy.optimize import brentq, minimize_scalar
+from scipy.special import roots_legendre
 
 from .freqdist import Dirac, FrequencyDistribution
 from .kinetic import AtomList
 
 ROOT_TOL = 1e-10  # residual bound for every reported root
 DEFAULT_GRID = 4096  # R-scan resolution; close root pairs near onset
-K_MAX = 100.0  # bracket cap for the critical-coupling search
-_FAST_NODES = 2048  # midpoint nodes for the vectorized scan residual
+K_MAX = 100.0  # cap on the critical coupling
+_LEGENDRE_NODES = 64  # first Gauss-Legendre order in t of the vectorized I(a)
+_MAX_LEGENDRE_NODES = 1024
+_legendre = lru_cache(maxsize=None)(roots_legendre)
 
 
 class BracketNotFoundError(RuntimeError):
-    """No supercritical coupling found below the K_MAX cap."""
+    """The critical coupling exceeds the k_max cap."""
 
 
 @dataclass(frozen=True)
@@ -58,110 +66,95 @@ def self_consistency_residual(g: FrequencyDistribution, k: float, r: float) -> f
     return generalized_residual(g, k, r)
 
 
-def _residual_on_grid(g: FrequencyDistribution, k: float, r_grid: np.ndarray) -> np.ndarray:
-    """Vectorized F on an R grid via a fixed midpoint rule (scan only;
-    every candidate root is re-polished with adaptive quadrature)."""
-    nodes, weights = g.quadrature(_FAST_NODES)
-    a2 = (k * r_grid) ** 2
-    sq = np.sqrt(np.maximum(a2[:, None] - nodes[None, :] ** 2, 0.0))
-    return sq @ weights - k * r_grid * r_grid
+def _integral_grid(g: FrequencyDistribution, a: np.ndarray) -> np.ndarray:
+    """I on an ascending array of a >= max|omega|: exact sum over atoms, else
+    a Gauss-Legendre rule in t, doubled until it matches the adaptive I at
+    both ends (where narrow features of g are resolved worst) to ROOT_TOL."""
+    if g.is_discrete:
+        w, p = g.atoms()
+        return np.sqrt(np.maximum(a[:, None] ** 2 - w * w, 0.0)) @ p
+    ref = np.array([_integral(g, a[0]), _integral(g, a[-1])])
+    t_lo, t_hi = np.arcsin(np.clip(np.divide.outer(g.support(), a), -1.0, 1.0))
+    mid, half = 0.5 * (t_hi + t_lo), 0.5 * (t_hi - t_lo)
+    n = _LEGENDRE_NODES
+    while True:
+        x, wx = _legendre(n)
+        s = np.sin(mid[:, None] + half[:, None] * x)
+        val = a * a * half * (((1.0 - s * s) * g.pdf(a[:, None] * s)) @ wx)
+        if n >= _MAX_LEGENDRE_NODES or max(abs(val[0] - ref[0]), abs(val[-1] - ref[1])) <= ROOT_TOL:
+            return val
+        n *= 2
 
 
-def self_consistency_roots(
-    g: FrequencyDistribution,
-    k: float,
-    grid: int = DEFAULT_GRID,
-) -> SelfConsistencyResult:
+def _integral(g: FrequencyDistribution, a: float) -> float:
+    """I at one a >= max|omega| by adaptive quadrature in t (atoms summed)."""
+    if g.is_discrete:
+        return float(_integral_grid(g, np.array([a]))[0])
+    t_lo, t_hi = np.arcsin(np.clip(np.divide(g.support(), a), -1.0, 1.0))
+    val, _ = quad(lambda t: math.cos(t) ** 2 * float(g.pdf(a * math.sin(t))), t_lo, t_hi,
+                  epsabs=1e-15, epsrel=1e-13, limit=200)
+    return a * a * val
+
+
+def self_consistency_roots(g: FrequencyDistribution, k: float,
+                           grid: int = DEFAULT_GRID) -> SelfConsistencyResult:
     """All roots R in (0, 1] of the self-consistency equation at coupling k.
 
-    Scans F on a uniform grid over [max|omega|/k, 1], bisects every sign
-    change, and verifies each root against the adaptive-quadrature residual.
+    Scans F(R) = I(K R) - K R^2 on a uniform grid over [max|omega|/k, 1],
+    polishes every sign change with Brent's method on the adaptive I, and
+    keeps a root only if the public residual is below ROOT_TOL there.
     An empty root list (subcritical k) is a normal outcome.
     """
     if k <= 0:
         raise ValueError("coupling must be > 0")
     wmax = g.max_abs_omega
-    r_lo = wmax / k
-    if r_lo > 1.0:
+    if wmax / k > 1.0:
         raise ValueError("support of g too wide: max|omega|/K > 1 admits no R")
-    r_lo = max(r_lo, 1e-12)
-    r_grid = np.linspace(r_lo, 1.0, grid)
-    f_grid = _residual_on_grid(g, k, r_grid)
+    r_grid = np.linspace(max(wmax / k, 1e-12), 1.0, grid)
+    sign = np.sign(_integral_grid(g, k * r_grid) - k * r_grid * r_grid)
+    f = lambda r: _integral(g, k * r) - k * r * r
 
     roots: List[float] = []
-
-    def polish(a: float, b: float) -> float:
-        return float(brentq(lambda r: self_consistency_residual(g, k, r), a, b, xtol=1e-14, rtol=1e-15))
-
-    sign = np.sign(f_grid)
-    for i in range(grid - 1):
-        if sign[i] == 0.0:
-            continue
-        if sign[i + 1] == 0.0 or sign[i] * sign[i + 1] < 0:
-            fa = self_consistency_residual(g, k, r_grid[i])
-            fb = self_consistency_residual(g, k, r_grid[i + 1])
-            if fa == 0.0:
-                roots.append(float(r_grid[i]))
-            elif fb == 0.0:
-                roots.append(float(r_grid[i + 1]))
-            elif fa * fb < 0:
-                roots.append(polish(r_grid[i], r_grid[i + 1]))
+    for i in np.flatnonzero((sign[:-1] != 0.0) & (sign[:-1] * sign[1:] <= 0.0)):
+        if f(r_grid[i]) * f(r_grid[i + 1]) <= 0.0:
+            roots.append(brentq(f, r_grid[i], r_grid[i + 1], xtol=1e-14, rtol=1e-15))
     # endpoint roots the sign scan cannot bracket (e.g. R = 1 for Dirac g);
     # the lower endpoint only counts when set by the support condition,
     # otherwise F ~ K R vanishes there spuriously as R -> 0
-    endpoints = [r_grid[-1]] if wmax / k < 1e-9 else [r_grid[0], r_grid[-1]]
-    for r_end in endpoints:
-        if abs(self_consistency_residual(g, k, r_end)) < ROOT_TOL:
-            if not any(abs(r_end - r) < 1e-9 for r in roots):
-                roots.append(float(r_end))
-
-    roots = sorted(r for r in roots if abs(self_consistency_residual(g, k, r)) < ROOT_TOL)
-    deduped: List[float] = []
-    for r in roots:
-        if not deduped or r - deduped[-1] > 1e-9:
-            deduped.append(r)
-    return SelfConsistencyResult(
-        roots=deduped,
-        largest=deduped[-1] if deduped else None,
-        k_supercritical=bool(deduped),
-    )
+    roots += [r_grid[-1]] if wmax / k < 1e-9 else [r_grid[0], r_grid[-1]]
+    roots = sorted(float(r) for r in roots if abs(self_consistency_residual(g, k, r)) < ROOT_TOL)
+    deduped = [r for i, r in enumerate(roots) if i == 0 or r - roots[i - 1] > 1e-9]
+    return SelfConsistencyResult(roots=deduped, largest=deduped[-1] if deduped else None,
+                                 k_supercritical=bool(deduped))
 
 
-def critical_coupling(
-    g: FrequencyDistribution,
-    kc_tol: float = 1e-6,
-    k_max: float = K_MAX,
-    grid: int = 1024,
-) -> float:
-    """Infimum coupling at which the self-consistency equation has a root.
-
-    Bisection in K between a verified subcritical and a verified
-    supercritical bracket. A Dirac law is supercritical for every K > 0.
+def critical_coupling(g: FrequencyDistribution, kc_tol: float = 1e-6, k_max: float = K_MAX,
+                      grid: int = 1024) -> float:
+    """Infimum coupling with a self-consistency root, K_c = min h(a) over
+    a >= max|omega|. As h(a) >= a, no minimiser exceeds h(2 max|omega|): h is
+    scanned on `grid` points up to there and the minimum polished by bounded
+    Brent to kc_tol in a. h(max|omega|), the minimum for the uniform law, is
+    always a candidate. A Dirac law is supercritical for every K > 0.
     """
-    if isinstance(g, Dirac):
+    if not kc_tol > 0:
+        raise ValueError("kc_tol must be > 0")
+    wmax = g.max_abs_omega
+    if isinstance(g, Dirac) or wmax == 0.0:
         return 0.0
 
-    def has_root(k: float) -> bool:
-        if g.max_abs_omega / k > 1.0:
-            return False
-        return self_consistency_roots(g, k, grid=grid).k_supercritical
+    def h(a: float) -> float:
+        i_a = _integral(g, a)
+        return a * a / i_a if i_a > 0.0 else math.inf
 
-    wmax = g.max_abs_omega
-    k_lo = max(wmax * (1.0 - 1e-9), 1e-12)  # roots need K R >= wmax with R <= 1
-    k_hi = min(max(2.0 * wmax, 1.0), k_max)
-    while not has_root(k_hi):
-        if k_hi >= k_max:
-            raise BracketNotFoundError(f"still subcritical at K={k_max:g}")
-        k_hi = min(2.0 * k_hi, k_max)
-    if has_root(k_lo):
-        return k_lo
-    while k_hi - k_lo > kc_tol:
-        mid = 0.5 * (k_lo + k_hi)
-        if has_root(mid):
-            k_hi = mid
-        else:
-            k_lo = mid
-    return 0.5 * (k_lo + k_hi)
+    a_grid = np.linspace(wmax, h(2.0 * wmax), grid)
+    with np.errstate(divide="ignore"):
+        i = int(np.argmin(a_grid * a_grid / _integral_grid(g, a_grid)))
+    polish = minimize_scalar(h, bounds=(a_grid[max(i - 1, 0)], a_grid[min(i + 1, grid - 1)]),
+                             method="bounded", options={"xatol": kc_tol})
+    kc = min(h(wmax), float(polish.fun))
+    if kc > k_max:
+        raise BracketNotFoundError(f"K_c = {kc:g} exceeds the cap k_max = {k_max:g}")
+    return kc
 
 
 @dataclass(frozen=True)

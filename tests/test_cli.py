@@ -100,6 +100,20 @@ class TestRootsAndKc:
         kc = read_summary(out)["k_c"]
         assert kc == pytest.approx(4 * 0.5 / np.pi, abs=1e-4)
 
+    @pytest.mark.parametrize("tol", ["0", "-1"])
+    def test_kc_nonpositive_tol_is_config_error(self, tmp_path, capsys, tol):
+        code = run_cli(["kc", "--preset", "kuramoto-uniform-g", "--set", f"kc.tol={tol}",
+                        "--out", str(tmp_path)])
+        assert code == 2
+        assert "config error:" in capsys.readouterr().err
+
+    def test_roots_support_too_wide_is_config_error(self, tmp_path, capsys):
+        # max|omega| / K = 0.5 / 0.3 > 1 admits no R
+        code = run_cli(["roots", "--preset", "kuramoto-uniform-g", "--set", "model.coupling=0.3",
+                        "--out", str(tmp_path)])
+        assert code == 2
+        assert "config error:" in capsys.readouterr().err
+
 
 class TestClassifyMode:
     def test_explicit_phases(self, tmp_path):

@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.optimize import brentq, minimize_scalar
 
 import phasesync as ps
 from phasesync.stationary import ROOT_TOL
@@ -18,6 +21,28 @@ def two_atom_roots(k, omega0):
     if disc < 0:
         return []
     return sorted(np.sqrt((1 + s * np.sqrt(disc)) / 2) for s in (-1, 1))
+
+
+def tgauss_kc_oracle(mean, sigma, cut):
+    """min over a >= max|omega| of a^2 / I(a), I by adaptive quad in omega."""
+    norm = math.erf(cut / (sigma * math.sqrt(2))) * sigma * math.sqrt(2 * math.pi)
+    wmax = abs(mean) + cut
+
+    def h(a):
+        f = lambda w: math.sqrt(max(a * a - w * w, 0.0)) * math.exp(-0.5 * ((w - mean) / sigma) ** 2) / norm
+        return a * a / quad(f, mean - cut, mean + cut, epsabs=1e-13, epsrel=1e-13, limit=200)[0]
+
+    res = minimize_scalar(h, bounds=(wmax, 4 * wmax), method="bounded", options={"xatol": 1e-12})
+    return min(h(wmax), res.fun)
+
+
+ONSET_LAWS = [
+    ps.Uniform(0, 0.5),
+    ps.TruncatedGaussian(0, 0.3, 0.6),
+    ps.TruncatedGaussian(0, 0.01, 0.3),
+    ps.Discrete((-0.3, 0.3), (0.5, 0.5)),
+    ps.Discrete((-0.3, 0.1, 0.3), (0.3, 0.3, 0.4)),
+]
 
 
 class TestFrequencyDistributions:
@@ -103,6 +128,20 @@ class TestSelfConsistencyRoots:
                 # support condition K R >= max|omega|
                 assert k * r >= g.max_abs_omega - 1e-12
 
+    def test_near_onset_uniform_root(self):
+        gamma, k = 0.5, (2 / np.pi) * (1 + 1e-6)
+        closed = lambda r: uniform_integral_closed_form(gamma, k * r) - k * r * r
+        oracle = brentq(closed, gamma / k, 0.79, xtol=1e-15, rtol=1e-15)
+        res = ps.self_consistency_roots(ps.Uniform(0, gamma), k)
+        assert oracle == pytest.approx(0.7854669192, abs=1e-10)
+        assert res.roots == [pytest.approx(oracle, abs=1e-10)]
+
+    @pytest.mark.parametrize("g", ONSET_LAWS, ids=repr)
+    def test_roots_appear_at_kc(self, g):
+        kc = ps.critical_coupling(g)
+        assert ps.self_consistency_roots(g, kc * (1 + 1e-6)).k_supercritical
+        assert ps.self_consistency_roots(g, kc * (1 - 1e-6)).roots == []
+
     def test_generalized_residual_specializes(self):
         g = ps.Uniform(0, 0.4)
         for r in (0.5, 0.8, 1.0):
@@ -143,6 +182,24 @@ class TestCriticalCoupling:
     def test_uniform_kc_monotone_in_width(self):
         kcs = [ps.critical_coupling(ps.Uniform(0, g)) for g in (0.1, 0.2, 0.4, 0.8)]
         assert all(b > a for a, b in zip(kcs, kcs[1:]))
+
+    @pytest.mark.parametrize("gamma", [0.1, 0.45, 0.5, 0.57])
+    def test_uniform_four_gamma_over_pi(self, gamma):
+        assert ps.critical_coupling(ps.Uniform(0, gamma)) == pytest.approx(4 * gamma / np.pi, abs=1e-9)
+
+    def test_truncated_gaussian_minimisation_oracle(self):
+        oracle = tgauss_kc_oracle(0.0, 0.3, 0.6)
+        assert oracle == pytest.approx(0.678297009, abs=1e-9)
+        assert ps.critical_coupling(ps.TruncatedGaussian(0, 0.3, 0.6)) == pytest.approx(oracle, abs=1e-9)
+
+    @pytest.mark.parametrize("w", [0.1, 0.3, 0.45])
+    def test_two_atoms_two_w(self, w):
+        assert ps.critical_coupling(ps.Discrete((-w, w), (0.5, 0.5))) == pytest.approx(2 * w, abs=1e-9)
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0])
+    def test_nonpositive_tol_rejected(self, tol):
+        with pytest.raises(ValueError):
+            ps.critical_coupling(ps.Uniform(0, 0.5), kc_tol=tol)
 
     def test_bracket_cap(self):
         with pytest.raises(ps.BracketNotFoundError):
