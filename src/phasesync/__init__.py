@@ -11,6 +11,7 @@ from .core import (
     OscillatorEnsemble,
     UndefinedPhaseError,
     circle_distance,
+    field,
     finite_n_rhs,
     mean_phase,
     order_parameter,
@@ -27,6 +28,7 @@ from .integrate import (
     SimConfig,
     Trajectory,
     detect_stationarity,
+    rk4_step,
     seeded_ensemble,
     simulate,
     step_rk4,
@@ -70,4 +72,4 @@ from .stationary import (
     stationary_density,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"

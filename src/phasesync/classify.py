@@ -17,6 +17,7 @@ from .core import (
     weighted_order_parameter,
     wrap_angle,
 )
+from .integrate import rk4_step
 
 CLASS_R_TOL = 1e-6  # below this coherence a state counts as incoherent
 ANGLE_TOL = 1e-3  # rad, default cluster half-width
@@ -129,11 +130,7 @@ def three_oscillator_limit(
     d = float(delta0)
     n_steps = int(round(t_max / dt))
     for _ in range(n_steps):
-        k1 = three_oscillator_rate(d)
-        k2 = three_oscillator_rate(d + 0.5 * dt * k1)
-        k3 = three_oscillator_rate(d + 0.5 * dt * k2)
-        k4 = three_oscillator_rate(d + dt * k3)
-        d += (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        d = rk4_step(three_oscillator_rate, d, dt)
     if abs(three_oscillator_rate(d)) > stationarity_tol:
         warnings.warn(
             f"horizon t_max={t_max:g} too short: |rate|="

@@ -125,7 +125,6 @@ def build_sim_config(cfg: dict) -> SimConfig:
         t_max=_get(cfg, "sim", "t_max", 100.0, float),
         record_every=_get(cfg, "sim", "record_every", 1, int),
         stationarity_tol=_get(cfg, "sim", "stationarity_tol", 1e-9, float),
-        seed=_get(cfg, "sim", "seed", 0, int),
     )
 
 
@@ -212,7 +211,7 @@ def write_manifest(out: Path, mode: str, cfg: dict):
         "artifact": "phasesync",
         "version": __version__,
         "mode": mode,
-        "seed": cfg.get("sim", {}).get("seed", cfg.get("model", {}).get("seed", "0")),
+        "seed": cfg.get("model", {}).get("seed", "0"),
         "config": cfg,
     }
     with open(out / "manifest.json", "w") as fh:
@@ -249,26 +248,18 @@ def _class_dict(cls) -> dict:
 # Mode runners
 
 
-def run_finite(cfg: dict, out: Path) -> int:
-    ens = build_ensemble(cfg)
-    sim_cfg = build_sim_config(cfg)
-    traj = simulate(ens, sim_cfg)
-    rows = [
-        {
-            "t": traj.times[i],
-            "R": traj.r_series[i],
-            "phi": traj.phi_series[i],
-            "U": traj.u_series[i],
-            "mean_phase": traj.mean_phase_series[i],
-        }
-        for i in range(len(traj.times))
-    ]
-    write_series(out, rows)
-    cls = classify_finite(traj.final, _get(cfg, "classify", "angle_tol", 1e-3, float))
+def _write_run(out: Path, mode: str, traj, columns: dict, cls) -> int:
+    """series.csv and summary.json of a simulation run; returns its exit code.
+
+    columns maps the mode's own series.csv columns to their series.
+    """
+    columns = {"t": traj.times, "R": traj.r_series, "phi": traj.phi_series,
+               "mean_phase": traj.mean_phase_series, **columns}
+    write_series(out, [{c: v[i] for c, v in columns.items()} for i in range(len(traj.times))])
     write_summary(
         out,
         {
-            "mode": "finite",
+            "mode": mode,
             "final_r": traj.r_series[-1],
             "final_phi": traj.phi_series[-1],
             "stopped_on": traj.stopped_on,
@@ -277,6 +268,14 @@ def run_finite(cfg: dict, out: Path) -> int:
         },
     )
     return EXIT_OK if traj.stopped_on == "stationary" else EXIT_HORIZON
+
+
+def run_finite(cfg: dict, out: Path) -> int:
+    ens = build_ensemble(cfg)
+    sim_cfg = build_sim_config(cfg)
+    traj = simulate(ens, sim_cfg)
+    cls = classify_finite(traj.final, _get(cfg, "classify", "angle_tol", 1e-3, float))
+    return _write_run(out, "finite", traj, {"U": traj.u_series}, cls)
 
 
 def run_kinetic(cfg: dict, out: Path) -> int:
@@ -288,44 +287,19 @@ def run_kinetic(cfg: dict, out: Path) -> int:
     )
     sim_cfg = build_sim_config(cfg)
     traj = kinetic_simulate(meas, sim_cfg)
-    rows = [
-        {
-            "t": traj.times[i],
-            "R": traj.r_series[i],
-            "phi": traj.phi_series[i],
-            "mean_phase": traj.mean_phase_series[i],
-            "H": traj.h_series[i],
-            "entropy_change": traj.entropy_series[i],
-        }
-        for i in range(len(traj.times))
-    ]
-    write_series(out, rows)
     cls = classify_measure(
         traj.final,
         _get(cfg, "classify", "angle_tol", 1e-3, float),
         _get(cfg, "classify", "mass_tol", 1e-3, float),
     )
-    write_summary(
-        out,
-        {
-            "mode": "kinetic",
-            "final_r": traj.r_series[-1],
-            "final_phi": traj.phi_series[-1],
-            "stopped_on": traj.stopped_on,
-            "t_final": traj.times[-1],
-            "class": _class_dict(cls),
-        },
-    )
-    return EXIT_OK if traj.stopped_on == "stationary" else EXIT_HORIZON
+    columns = {"H": traj.h_series, "entropy_change": traj.entropy_series}
+    return _write_run(out, "kinetic", traj, columns, cls)
 
 
 def run_roots(cfg: dict, out: Path) -> int:
     g = build_freq_dist(cfg)
     k = _get(cfg, "model", "coupling", None, float)
-    try:
-        result = self_consistency_roots(g, k, grid=_get(cfg, "roots", "grid", 4096, int))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    result = self_consistency_roots(g, k, grid=_get(cfg, "roots", "grid", 4096, int))
     write_series(out, [])
     write_summary(
         out,
@@ -342,10 +316,7 @@ def run_roots(cfg: dict, out: Path) -> int:
 
 def run_kc(cfg: dict, out: Path) -> int:
     g = build_freq_dist(cfg)
-    try:
-        kc = critical_coupling(g, kc_tol=_get(cfg, "kc", "tol", 1e-6, float))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    kc = critical_coupling(g, kc_tol=_get(cfg, "kc", "tol", 1e-6, float))
     write_series(out, [])
     write_summary(out, {"mode": "kc", "k_c": kc})
     return EXIT_OK
@@ -370,14 +341,12 @@ def run_sweep(cfg: dict, out: Path) -> int:
     for k in ks:
         if kind == "finite":
             ens = build_ensemble(cfg)
-            ens = OscillatorEnsemble(ens.phases, ens.freqs, float(k))
-            traj = simulate(ens, sim_cfg)
-            points.append((float(k), float(traj.r_series[-1])))
+            traj = simulate(OscillatorEnsemble(ens.phases, ens.freqs, float(k)), sim_cfg)
         else:
             spec = build_density_spec(cfg)
             meas = discretize(spec, m=_get(cfg, "model", "m", 256, int), coupling=float(k))
             traj = kinetic_simulate(meas, sim_cfg)
-            points.append((float(k), float(traj.r_series[-1])))
+        points.append((float(k), float(traj.r_series[-1])))
     with open(out / "sweep.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["K", "final_R"])
@@ -429,7 +398,8 @@ def main(argv=None) -> int:
         # manifest into a fresh directory reproduces every file bitwise
         write_manifest(out, args.mode, cfg)
         return RUNNERS[args.mode](cfg, out)
-    except ConfigError as exc:
+    except ValueError as exc:
+        # ConfigError, and every input a constructor or solver rejects
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NonFiniteStateError as exc:

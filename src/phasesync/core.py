@@ -12,7 +12,7 @@ from typing import Optional
 import numpy as np
 
 # Below this coherence the mean-field angle is genuinely undefined and
-# numerically ill-conditioned; callers fall back to pairwise forms.
+# numerically ill-conditioned; it is reported as None.
 R_MIN = 1e-8
 
 
@@ -101,26 +101,36 @@ def pairwise_rhs(ens: OscillatorEnsemble) -> np.ndarray:
     return ens.freqs - (ens.coupling / ens.n) * np.sum(np.sin(diff), axis=1)
 
 
-def finite_n_rhs(ens: OscillatorEnsemble) -> np.ndarray:
-    """Angular velocities theta_dot_i of the finite-N system.
+def field(thetas, omegas, weights, coupling):
+    """Velocity and log-Jacobian rate of weighted particles in their mean field.
 
-    Uses the O(N) mean-field form omega_i - K*r*sin(theta_i - phi) when the
-    angle is well defined, the pairwise sum otherwise; the two agree.
+    With z = sum_j w_j exp(i theta_j) = R exp(i phi), the velocity is
+    omega - K*R*sin(theta - phi) and the log-Jacobian rate is
+    -K*R*cos(theta - phi). Angle addition gives R sin(theta - phi) =
+    sin(theta) Re z - cos(theta) Im z (cos likewise), so one cos and one sin
+    per particle suffice and no angle phi is needed: the form is defined at
+    every R. A finite ensemble is the case weights = 1/N.
     """
-    op = order_parameter(ens)
-    if op.phi is None:
-        return pairwise_rhs(ens)
-    return ens.freqs - ens.coupling * op.r * np.sin(ens.phases - op.phi)
+    c = np.cos(thetas)
+    s = np.sin(thetas)
+    x = (weights * c).sum()
+    y = (weights * s).sum()
+    return omegas - coupling * (s * x - c * y), -coupling * (c * x + s * y)
+
+
+def finite_n_rhs(ens: OscillatorEnsemble) -> np.ndarray:
+    """Angular velocities theta_dot_i of the finite-N system: the mean-field
+    velocity of the equal-weight measure; equals pairwise_rhs."""
+    return field(ens.phases, ens.freqs, 1.0 / ens.n, ens.coupling)[0]
 
 
 def potential_u(ens: OscillatorEnsemble) -> float:
-    """Gradient potential U = (1/2N) sum_{h,j} cos(theta_h - theta_j).
+    """Gradient potential U = (1/2N) sum_{h,j} cos(theta_h - theta_j) = (N/2) r^2.
 
-    Equals (N/2) * r^2; with K=1 and identical frequencies the dynamics is
+    With K=1 and identical frequencies the dynamics is
     theta_dot_i = dU/dtheta_i (gradient ascent).
     """
-    diff = ens.phases[:, None] - ens.phases[None, :]
-    return float(np.sum(np.cos(diff)) / (2.0 * ens.n))
+    return ens.n * order_parameter(ens).r ** 2 / 2.0
 
 
 def mean_phase(ens: OscillatorEnsemble) -> float:

@@ -1,5 +1,6 @@
-"""Fixed-step RK4 integration of the finite-N system with diagnostic
-recording and stationarity detection.
+"""Fixed-step RK4 integration with diagnostic recording and stationarity
+detection: the one stepper and the one driver loop shared by the finite-N
+and the kinetic simulators, and the finite-N wrappers around them.
 
 Deterministic: identical (ensemble, config) inputs give bitwise-identical
 trajectories on a given platform.
@@ -14,6 +15,7 @@ import numpy as np
 from . import rng
 from .core import (
     OscillatorEnsemble,
+    field,
     finite_n_rhs,
     mean_phase,
     order_parameter,
@@ -35,7 +37,6 @@ class SimConfig:
     t_max: float = 100.0
     record_every: int = 1
     stationarity_tol: float = 1e-9
-    seed: int = 0
 
     def __post_init__(self):
         if not (self.dt > 0 and self.t_max > 0 and self.dt <= self.t_max):
@@ -61,18 +62,49 @@ class Trajectory:
         return self.states[-1]
 
 
-def _rhs_phases(phases: np.ndarray, ens: OscillatorEnsemble) -> np.ndarray:
-    return finite_n_rhs(ens.with_phases(phases))
+def rk4_step(rate, y, dt):
+    """One classical RK4 step of y' = rate(y); y is an array or a scalar."""
+    k1 = rate(y)
+    k2 = rate(y + 0.5 * dt * k1)
+    k3 = rate(y + 0.5 * dt * k2)
+    k4 = rate(y + dt * k3)
+    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def drive(rate, velocity, y, cfg: SimConfig, record, time: float = 0.0):
+    """The driver loop: RK4 steps of y' = rate(y) from t = time to t_max.
+
+    record(t, y) is called at the start and every record_every steps, always
+    including the last, with t = time + k*dt. A non-finite y raises
+    NonFiniteStateError at the step that produced it. At each recorded row
+    the run stops early once max|velocity(y)| < stationarity_tol.
+    Returns (final y, "stationary" or "t_max").
+    """
+    n_steps = int(round(cfg.t_max / cfg.dt))
+    record(time, y)
+    for k in range(1, n_steps + 1):
+        y = rk4_step(rate, y, cfg.dt)
+        t = time + k * cfg.dt
+        if not np.isfinite(y).all():
+            raise NonFiniteStateError(t)
+        if k % cfg.record_every == 0 or k == n_steps:
+            record(t, y)
+            if np.max(np.abs(velocity(y))) < cfg.stationarity_tol:
+                return y, "stationary"
+    return y, "t_max"
+
+
+def _phase_rate(ens: OscillatorEnsemble):
+    """Phase velocity of the ensemble's equal-weight measure, as a function
+    of the phases alone."""
+    w = 1.0 / ens.n
+    return lambda phases: field(phases, ens.freqs, w, ens.coupling)[0]
 
 
 def step_rk4(ens: OscillatorEnsemble, dt: float) -> OscillatorEnsemble:
-    """One classical RK4 step; frequencies and coupling unchanged."""
-    y = ens.phases
-    k1 = _rhs_phases(y, ens)
-    k2 = _rhs_phases(y + 0.5 * dt * k1, ens)
-    k3 = _rhs_phases(y + 0.5 * dt * k2, ens)
-    k4 = _rhs_phases(y + dt * k3, ens)
-    return ens.with_phases(y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+    """One classical RK4 step (dt may be negative); frequencies and coupling
+    unchanged."""
+    return ens.with_phases(rk4_step(_phase_rate(ens), ens.phases, dt))
 
 
 def detect_stationarity(ens: OscillatorEnsemble, tol: float = 1e-9) -> bool:
@@ -86,44 +118,23 @@ def simulate(ens: OscillatorEnsemble, cfg: SimConfig) -> Trajectory:
     Diagnostics (R, phi, U, mean phase) are recorded every record_every
     steps, always including the initial and final states.
     """
-    n_steps = int(round(cfg.t_max / cfg.dt))
-    times = [0.0]
-    states = [ens]
-    r_series = []
-    phi_series: List[Optional[float]] = []
-    u_series = []
-    mp_series = []
+    rows = []
 
-    def record(e: OscillatorEnsemble):
+    def record(t, phases):
+        e = ens.with_phases(phases)
         op = order_parameter(e)
-        r_series.append(op.r)
-        phi_series.append(op.phi)
-        u_series.append(potential_u(e))
-        mp_series.append(mean_phase(e))
+        rows.append((t, e, op.r, op.phi, potential_u(e), mean_phase(e)))
 
-    record(ens)
-    stopped_on = "t_max"
-    cur = ens
-    for k in range(1, n_steps + 1):
-        cur = step_rk4(cur, cfg.dt)
-        t = k * cfg.dt
-        if k % cfg.record_every == 0 or k == n_steps:
-            if not np.all(np.isfinite(cur.phases)):
-                raise NonFiniteStateError(t)
-            times.append(t)
-            states.append(cur)
-            record(cur)
-            if detect_stationarity(cur, cfg.stationarity_tol):
-                stopped_on = "stationary"
-                break
-
+    rate = _phase_rate(ens)
+    _, stopped_on = drive(rate, rate, ens.phases, cfg, record)
+    times, states, r, phi, u, mp = zip(*rows)
     return Trajectory(
         times=np.asarray(times),
-        states=states,
-        r_series=np.asarray(r_series),
-        phi_series=phi_series,
-        u_series=np.asarray(u_series),
-        mean_phase_series=np.asarray(mp_series),
+        states=list(states),
+        r_series=np.asarray(r),
+        phi_series=list(phi),
+        u_series=np.asarray(u),
+        mean_phase_series=np.asarray(mp),
         stopped_on=stopped_on,
     )
 

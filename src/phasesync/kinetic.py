@@ -9,14 +9,14 @@ pushforward, so no grid density is ever built.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Union
 
 import numpy as np
 
-from .core import R_MIN, OscillatorEnsemble, circle_distance, weighted_order_parameter
+from .core import OscillatorEnsemble, circle_distance, field, weighted_order_parameter
 from .freqdist import FrequencyDistribution
-from .integrate import NonFiniteStateError, SimConfig
+from .integrate import NonFiniteStateError, SimConfig, drive, rk4_step
 
 _WEIGHT_TOL = 1e-12
 
@@ -182,59 +182,31 @@ def discretize(spec: DensitySpec, m: int = 1024, coupling: float = 1.0) -> Phase
 # Transport
 
 
-def _field(thetas, omegas, weights, coupling):
-    """Stage velocity and log-Jacobian rate from the instantaneous mean field.
+def _rate(meas: PhaseMeasure):
+    """Rate of the stacked state [thetas, log_jacs]: the mean-field velocity
+    and log-Jacobian rate, with the mean field recomputed from the particle
+    positions at every RK stage (keeping the scheme 4th order for the
+    nonlocal system)."""
+    w, om, k = meas.weights, meas.omegas, meas.coupling
+    return lambda y: np.stack(field(y[0], om, w, k))
 
-    Velocity omega - K*R*sin(theta - phi); at R <= R_MIN the equivalent
-    complex-sum form is used, which stays defined when phi is not.
-    """
-    z = np.sum(weights * np.exp(1j * thetas))
-    r = abs(z)
-    if r > R_MIN:
-        phi = np.angle(z)
-        s = np.sin(thetas - phi)
-        c = np.cos(thetas - phi)
-        return omegas - coupling * r * s, -coupling * r * c
-    st = np.sin(thetas)
-    ct = np.cos(thetas)
-    # R sin(theta - phi) = Im(e^{i theta} conj z); R cos likewise with Re
-    return (
-        omegas - coupling * (st * z.real - ct * z.imag),
-        -coupling * (ct * z.real + st * z.imag),
-    )
+
+def _moved(meas: PhaseMeasure, y: np.ndarray, time: float) -> PhaseMeasure:
+    """meas at a later time, with characteristics and log-Jacobians from y."""
+    return replace(meas, thetas=y[0], log_jacs=y[1], time=time)
 
 
 def kinetic_step(meas: PhaseMeasure, dt: float) -> PhaseMeasure:
     """One RK4 step of the coupled characteristic/log-Jacobian system.
 
-    The mean field (R, phi) is recomputed from the particle positions at
-    every RK stage, keeping the scheme 4th order for the nonlocal system.
     Weights are untouched.
     """
     if dt <= 0:
         raise ValueError("dt must be > 0")
-    w, om, k = meas.weights, meas.omegas, meas.coupling
-    th, lj = meas.thetas, meas.log_jacs
-
-    v1, j1 = _field(th, om, w, k)
-    v2, j2 = _field(th + 0.5 * dt * v1, om, w, k)
-    v3, j3 = _field(th + 0.5 * dt * v2, om, w, k)
-    v4, j4 = _field(th + dt * v3, om, w, k)
-
-    new_th = th + (dt / 6.0) * (v1 + 2.0 * v2 + 2.0 * v3 + v4)
-    new_lj = lj + (dt / 6.0) * (j1 + 2.0 * j2 + 2.0 * j3 + j4)
-    if not (np.all(np.isfinite(new_th)) and np.all(np.isfinite(new_lj))):
+    y = rk4_step(_rate(meas), np.stack([meas.thetas, meas.log_jacs]), dt)
+    if not np.isfinite(y).all():
         raise NonFiniteStateError(meas.time + dt)
-    return PhaseMeasure(
-        weights=w,
-        thetas=new_th,
-        thetas0=meas.thetas0,
-        omegas=om,
-        log_jacs=new_lj,
-        coupling=k,
-        time=meas.time + dt,
-        has_atoms=meas.has_atoms,
-    )
+    return _moved(meas, y, meas.time + dt)
 
 
 @dataclass
@@ -252,39 +224,26 @@ class KineticTrajectory:
 def kinetic_simulate(meas: PhaseMeasure, cfg: SimConfig) -> KineticTrajectory:
     """Integrate the kinetic measure to t_max or until the velocity field
     is stationary, recording the scalar diagnostics."""
-    n_steps = int(round(cfg.t_max / cfg.dt))
-    times = [meas.time]
-    r_series, phi_series, h_series, s_series, mp_series = [], [], [], [], []
+    rows = []
 
-    def record(m: PhaseMeasure):
+    def record(t, y):
+        m = _moved(meas, y, t)
         op = weighted_order_parameter(m.weights, m.thetas)
-        r_series.append(op.r)
-        phi_series.append(op.phi)
-        h_series.append(h_functional(m))
-        s_series.append(-float(np.sum(m.weights * m.log_jacs)))
-        mp_series.append(float(np.sum(m.weights * m.thetas)))
+        entropy = -float(np.sum(m.weights * m.log_jacs))
+        rows.append((t, op.r, op.phi, h_functional(m), entropy, float(np.sum(m.weights * m.thetas))))
 
-    record(meas)
-    stopped_on = "t_max"
-    cur = meas
-    for k in range(1, n_steps + 1):
-        cur = kinetic_step(cur, cfg.dt)
-        if k % cfg.record_every == 0 or k == n_steps:
-            times.append(cur.time)
-            record(cur)
-            v, _ = _field(cur.thetas, cur.omegas, cur.weights, cur.coupling)
-            if np.max(np.abs(v)) < cfg.stationarity_tol:
-                stopped_on = "stationary"
-                break
-
+    rate = _rate(meas)
+    y0 = np.stack([meas.thetas, meas.log_jacs])
+    y, stopped_on = drive(rate, lambda y: rate(y)[0], y0, cfg, record, meas.time)
+    times, r, phi, h, s, mp = zip(*rows)
     return KineticTrajectory(
         times=np.asarray(times),
-        r_series=np.asarray(r_series),
-        phi_series=phi_series,
-        h_series=np.asarray(h_series),
-        entropy_series=np.asarray(s_series),
-        mean_phase_series=np.asarray(mp_series),
-        final=cur,
+        r_series=np.asarray(r),
+        phi_series=list(phi),
+        h_series=np.asarray(h),
+        entropy_series=np.asarray(s),
+        mean_phase_series=np.asarray(mp),
+        final=_moved(meas, y, times[-1]),
         stopped_on=stopped_on,
     )
 

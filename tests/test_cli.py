@@ -159,6 +159,22 @@ class TestConfigHandling:
         assert run_cli(["finite", "--preset", "three-osc",
                         "--set", "sim.dt=abc", "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["finite", "--preset", "three-osc", "--set", "sim.dt=-1"],
+        ["kinetic", "--preset", "uniform-arc", "--set", "model.m=0"],
+    ])
+    def test_rejected_value_is_config_error(self, tmp_path, capsys, argv):
+        assert run_cli(argv + ["--out", str(tmp_path)]) == 2
+        assert "config error:" in capsys.readouterr().err
+
+    def test_blow_up_is_numerical_abort(self, tmp_path, capsys):
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = run_cli(["finite", "--preset", "two-antipodal",
+                            "--set", "model.phases=0,1", "--set", "model.freqs=1e308,-1e308",
+                            "--set", "sim.dt=1", "--set", "sim.t_max=2", "--out", str(tmp_path)])
+        assert code == 1
+        assert "numerical abort:" in capsys.readouterr().err
+
     def test_env_var_default_out(self, tmp_path, monkeypatch):
         monkeypatch.setenv("PHASESYNC_OUT", str(tmp_path / "envout"))
         monkeypatch.chdir(tmp_path)

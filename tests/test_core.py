@@ -8,6 +8,12 @@ def rand_ensemble(seed, n=8, coupling=1.0, freq_halfwidth=0.0):
     return ps.seeded_ensemble(n, coupling=coupling, seed=seed, freq_halfwidth=freq_halfwidth)
 
 
+def pairwise_potential(ens):
+    """O(N^2) oracle: U = (1/2N) sum_{h,j} cos(theta_h - theta_j)."""
+    diff = ens.phases[:, None] - ens.phases[None, :]
+    return float(np.sum(np.cos(diff)) / (2.0 * ens.n))
+
+
 class TestOrderParameter:
     def test_identity_pair(self):
         op = ps.order_parameter(ps.OscillatorEnsemble([0.0, 0.0], [0.0, 0.0]))
@@ -95,6 +101,13 @@ class TestPotential:
         # frozen from a 50-digit double-sum evaluation
         ens = ps.OscillatorEnsemble([0.2, 1.1, -0.4], np.zeros(3))
         assert ps.potential_u(ens) == pytest.approx(1.0058942616160152, abs=1e-14)
+
+    def test_matches_pairwise_cos_sum(self):
+        for seed in range(30):
+            ens = rand_ensemble(seed, n=3 + seed, freq_halfwidth=0.5)
+            assert ps.potential_u(ens) == pytest.approx(pairwise_potential(ens), rel=1e-12, abs=1e-13)
+        antipodal = ps.OscillatorEnsemble([0.0, np.pi, 1.0, 1.0 + np.pi], np.zeros(4))
+        assert ps.potential_u(antipodal) == pytest.approx(pairwise_potential(antipodal), abs=1e-14)
 
     def test_equals_half_n_r_squared(self):
         for seed in range(30):

@@ -106,6 +106,12 @@ class TestSimulate:
         assert np.all(np.diff(traj.times) > 0)
         assert np.all((traj.r_series >= 0) & (traj.r_series <= 1 + 1e-12))
 
+    def test_blow_up_is_numerical_abort(self):
+        ens = ps.OscillatorEnsemble([0.0, 1.0], [1e308, -1e308])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ps.NonFiniteStateError):
+                ps.simulate(ens, ps.SimConfig(dt=1.0, t_max=4.0, record_every=2))
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ps.SimConfig(dt=0.0)

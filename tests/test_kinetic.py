@@ -78,10 +78,36 @@ class TestKineticStep:
                 cur_m = ps.kinetic_step(cur_m, 0.01)
             assert np.max(np.abs(cur_e.phases - cur_m.thetas)) < 1e-10
 
+    def test_finite_n_bitwise(self):
+        # the finite ensemble is the equal-weight measure: same field, same stepper
+        ens = ps.seeded_ensemble(12, coupling=1.3, seed=4, freq_halfwidth=0.5)
+        cur_e, cur_m = ens, ps.PhaseMeasure.from_ensemble(ens)
+        for _ in range(300):
+            cur_e = ps.step_rk4(cur_e, 0.01)
+            cur_m = ps.kinetic_step(cur_m, 0.01)
+        assert np.array_equal(cur_e.phases, cur_m.thetas)
+
     def test_dt_validation(self):
         meas = ps.discretize(ps.UniformArc(0, 1.0), 8)
         with pytest.raises(ValueError):
             ps.kinetic_step(meas, 0.0)
+
+
+class TestKineticSimulate:
+    def test_time_is_step_count_times_dt(self):
+        # a rotating arc is never stationary, so the run reaches t_max
+        meas = ps.discretize(ps.UniformArc(0.0, 2.5, omega=0.3), 16)
+        traj = ps.kinetic_simulate(meas, ps.SimConfig(dt=0.01, t_max=60, record_every=1000))
+        assert traj.stopped_on == "t_max"
+        assert traj.times[-1] == 6000 * 0.01
+        assert traj.final.time == 6000 * 0.01
+
+    def test_blow_up_is_numerical_abort(self):
+        ens = ps.OscillatorEnsemble([0.0, 1.0], [1e308, -1e308])
+        meas = ps.PhaseMeasure.from_ensemble(ens)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ps.NonFiniteStateError):
+                ps.kinetic_simulate(meas, ps.SimConfig(dt=1.0, t_max=4.0, record_every=2))
 
 
 class TestObservable:
