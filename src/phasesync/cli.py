@@ -45,6 +45,23 @@ EXIT_HORIZON = 3
 
 SERIES_HEADER = ["t", "R", "phi", "U", "mean_phase", "H", "entropy_change"]
 
+# every config key, by section, as documented in docs/config.md
+SCHEMA = {
+    "sim": {"dt", "t_max", "record_every", "stationarity_tol"},
+    "model": {
+        "coupling", "kind", "three_osc_delta0", "phases", "freqs", "n", "seed",
+        "freq_halfwidth", "zero_mean_freqs", "phase_spec", "phase_center",
+        "phase_halfwidth", "phase_sigma", "atoms", "m", "n_freq", "freq_dist",
+        "freq_omega0", "freq_center", "freq_halfwidth_g", "freq_omegas",
+        "freq_probs", "freq_mean", "freq_sigma", "freq_cut",
+    },
+    "classify": {"angle_tol", "mass_tol"},
+    "roots": {"grid"},
+    "kc": {"tol"},
+    "sweep": {"k_min", "k_max", "k_steps"},
+    "run": {"out"},
+}
+
 
 class ConfigError(ValueError):
     pass
@@ -58,6 +75,8 @@ def _load_ini(path: Path) -> dict:
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     with open(path) as fh:
         parser.read_file(fh)
+    if parser.defaults():
+        raise ConfigError("unknown section [DEFAULT]")
     return {sec: dict(parser.items(sec)) for sec in parser.sections()}
 
 
@@ -97,6 +116,16 @@ def apply_overrides(cfg: dict, overrides: list[str]) -> dict:
     return cfg
 
 
+def check_keys(cfg: dict):
+    """Reject any section or key that SCHEMA does not list."""
+    for section, kv in cfg.items():
+        if section not in SCHEMA:
+            raise ConfigError(f"unknown section [{section}]")
+        unknown = sorted(set(kv) - SCHEMA[section])
+        if unknown:
+            raise ConfigError(f"unknown key(s) in [{section}]: {', '.join(unknown)}")
+
+
 def _get(cfg: dict, section: str, key: str, default=None, cast=str):
     raw = cfg.get(section, {}).get(key)
     if raw is None:
@@ -132,6 +161,8 @@ def build_ensemble(cfg: dict) -> OscillatorEnsemble:
     coupling = _get(cfg, "model", "coupling", 1.0, float)
     model = cfg.get("model", {})
     if "three_osc_delta0" in model:
+        if "phases" in model:
+            raise ConfigError("[model] three_osc_delta0 and phases are mutually exclusive")
         d0 = float(model["three_osc_delta0"])
         return OscillatorEnsemble([d0, -d0, np.pi], np.zeros(3), coupling)
     if "phases" in model:
@@ -346,14 +377,15 @@ def run_sweep(cfg: dict, out: Path) -> int:
             spec = build_density_spec(cfg)
             meas = discretize(spec, m=_get(cfg, "model", "m", 256, int), coupling=float(k))
             traj = kinetic_simulate(meas, sim_cfg)
-        points.append((float(k), float(traj.r_series[-1])))
+        points.append({"K": float(k), "final_R": float(traj.r_series[-1]),
+                       "stopped_on": traj.stopped_on})
     with open(out / "sweep.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["K", "final_R"])
-        for k, r in points:
-            writer.writerow([_fmt(k), _fmt(r)])
+        for p in points:
+            writer.writerow([_fmt(p["K"]), _fmt(p["final_R"])])
     write_series(out, [])
-    write_summary(out, {"mode": "sweep", "points": [{"K": k, "final_R": r} for k, r in points]})
+    write_summary(out, {"mode": "sweep", "points": points})
     return EXIT_OK
 
 
@@ -390,6 +422,7 @@ def main(argv=None) -> int:
                 preset.setdefault(sec, {}).update(kv)
             cfg = preset
         cfg = apply_overrides(cfg, args.overrides)
+        check_keys(cfg)
         out_dir = args.out or cfg.get("run", {}).get("out") \
             or os.environ.get("PHASESYNC_OUT") or "phasesync-out"
         out = Path(out_dir)

@@ -101,27 +101,29 @@ def pairwise_rhs(ens: OscillatorEnsemble) -> np.ndarray:
     return ens.freqs - (ens.coupling / ens.n) * np.sum(np.sin(diff), axis=1)
 
 
-def field(thetas, omegas, weights, coupling):
+def field(thetas, omegas, weights, coupling, log_jac=True):
     """Velocity and log-Jacobian rate of weighted particles in their mean field.
 
-    With z = sum_j w_j exp(i theta_j) = R exp(i phi), the velocity is
-    omega - K*R*sin(theta - phi) and the log-Jacobian rate is
+    With z = sum_j w_j exp(i theta_j) = x + i y = R exp(i phi), the velocity
+    is omega - K*R*sin(theta - phi) and the log-Jacobian rate is
     -K*R*cos(theta - phi). Angle addition gives R sin(theta - phi) =
-    sin(theta) Re z - cos(theta) Im z (cos likewise), so one cos and one sin
-    per particle suffice and no angle phi is needed: the form is defined at
-    every R. A finite ensemble is the case weights = 1/N.
+    x sin(theta) - y cos(theta) (cos likewise), so one cos and one sin per
+    particle and two dot products suffice and no angle phi is needed: the
+    form is defined at every R. weights is an array; a finite ensemble is the
+    case weights = 1/N. With log_jac=False only the velocity is returned.
     """
     c = np.cos(thetas)
     s = np.sin(thetas)
-    x = (weights * c).sum()
-    y = (weights * s).sum()
-    return omegas - coupling * (s * x - c * y), -coupling * (c * x + s * y)
+    kx = coupling * c.dot(weights)
+    ky = coupling * s.dot(weights)
+    v = omegas + ky * c - kx * s
+    return (v, -kx * c - ky * s) if log_jac else v
 
 
 def finite_n_rhs(ens: OscillatorEnsemble) -> np.ndarray:
     """Angular velocities theta_dot_i of the finite-N system: the mean-field
     velocity of the equal-weight measure; equals pairwise_rhs."""
-    return field(ens.phases, ens.freqs, 1.0 / ens.n, ens.coupling)[0]
+    return field(ens.phases, ens.freqs, np.full(ens.n, 1.0 / ens.n), ens.coupling, False)
 
 
 def potential_u(ens: OscillatorEnsemble) -> float:

@@ -19,7 +19,6 @@ from .core import (
     finite_n_rhs,
     mean_phase,
     order_parameter,
-    potential_u,
 )
 
 
@@ -64,11 +63,12 @@ class Trajectory:
 
 def rk4_step(rate, y, dt):
     """One classical RK4 step of y' = rate(y); y is an array or a scalar."""
+    h = 0.5 * dt
     k1 = rate(y)
-    k2 = rate(y + 0.5 * dt * k1)
-    k3 = rate(y + 0.5 * dt * k2)
+    k2 = rate(y + h * k1)
+    k3 = rate(y + h * k2)
     k4 = rate(y + dt * k3)
-    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return y + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
 
 
 def drive(rate, velocity, y, cfg: SimConfig, record, time: float = 0.0):
@@ -97,8 +97,8 @@ def drive(rate, velocity, y, cfg: SimConfig, record, time: float = 0.0):
 def _phase_rate(ens: OscillatorEnsemble):
     """Phase velocity of the ensemble's equal-weight measure, as a function
     of the phases alone."""
-    w = 1.0 / ens.n
-    return lambda phases: field(phases, ens.freqs, w, ens.coupling)[0]
+    w, om, k = np.full(ens.n, 1.0 / ens.n), ens.freqs, ens.coupling
+    return lambda phases: field(phases, om, w, k, False)
 
 
 def step_rk4(ens: OscillatorEnsemble, dt: float) -> OscillatorEnsemble:
@@ -123,7 +123,8 @@ def simulate(ens: OscillatorEnsemble, cfg: SimConfig) -> Trajectory:
     def record(t, phases):
         e = ens.with_phases(phases)
         op = order_parameter(e)
-        rows.append((t, e, op.r, op.phi, potential_u(e), mean_phase(e)))
+        # U = N R^2/2 from this row's R; potential_u would recompute R
+        rows.append((t, e, op.r, op.phi, e.n * op.r**2 / 2.0, mean_phase(e)))
 
     rate = _phase_rate(ens)
     _, stopped_on = drive(rate, rate, ens.phases, cfg, record)

@@ -230,11 +230,13 @@ def kinetic_simulate(meas: PhaseMeasure, cfg: SimConfig) -> KineticTrajectory:
         m = _moved(meas, y, t)
         op = weighted_order_parameter(m.weights, m.thetas)
         entropy = -float(np.sum(m.weights * m.log_jacs))
-        rows.append((t, op.r, op.phi, h_functional(m), entropy, float(np.sum(m.weights * m.thetas))))
+        rows.append((t, op.r, op.phi, _h(m, op.r), entropy, float(np.sum(m.weights * m.thetas))))
 
-    rate = _rate(meas)
+    def velocity(y):
+        return field(y[0], meas.omegas, meas.weights, meas.coupling, False)
+
     y0 = np.stack([meas.thetas, meas.log_jacs])
-    y, stopped_on = drive(rate, lambda y: rate(y)[0], y0, cfg, record, meas.time)
+    y, stopped_on = drive(_rate(meas), velocity, y0, cfg, record, meas.time)
     times, r, phi, h, s, mp = zip(*rows)
     return KineticTrajectory(
         times=np.asarray(times),
@@ -272,8 +274,12 @@ def entropy_change(meas: PhaseMeasure) -> float:
 
 def h_functional(meas: PhaseMeasure) -> float:
     """sum w * theta * omega + K * R^2 / 2, non-decreasing along solutions."""
-    op = weighted_order_parameter(meas.weights, meas.thetas)
-    return float(np.sum(meas.weights * meas.thetas * meas.omegas)) + meas.coupling * op.r**2 / 2.0
+    return _h(meas, weighted_order_parameter(meas.weights, meas.thetas).r)
+
+
+def _h(meas: PhaseMeasure, r: float) -> float:
+    """h_functional of meas, given its coherence r."""
+    return float(np.sum(meas.weights * meas.thetas * meas.omegas)) + meas.coupling * r**2 / 2.0
 
 
 def fourier_moment(meas: PhaseMeasure, k: int) -> complex:

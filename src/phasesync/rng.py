@@ -8,20 +8,19 @@ from __future__ import annotations
 import numpy as np
 
 _MASK = (1 << 64) - 1
-_GAMMA = 0x9E3779B97F4A7C15
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
 
 
 def splitmix64(seed: int, n: int) -> np.ndarray:
-    """First n outputs of the splitmix64 stream for the given seed (uint64)."""
-    out = np.empty(n, dtype=np.uint64)
-    state = int(seed) & _MASK
-    for i in range(n):
-        state = (state + _GAMMA) & _MASK
-        z = state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-        out[i] = z ^ (z >> 31)
-    return out
+    """First n outputs of the splitmix64 stream for the given seed (uint64).
+
+    The i-th state is seed + (i+1)*gamma mod 2**64; uint64 array arithmetic
+    wraps mod 2**64, so the whole stream is computed at once.
+    """
+    z = np.uint64(int(seed) & _MASK) + np.arange(1, n + 1, dtype=np.uint64) * _GAMMA
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
 
 
 def uniform(seed: int, n: int, low: float = 0.0, high: float = 1.0) -> np.ndarray:

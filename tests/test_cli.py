@@ -143,6 +143,18 @@ class TestSweepMode:
         assert all(r < 0.25 for k, r in zip(ks, rs) if k < kc - 0.15)
         assert all(r > 0.5 for k, r in zip(ks, rs) if k > kc + 0.3)
 
+    def test_points_record_stopped_on(self, tmp_path):
+        out = tmp_path / "run"
+        # at K = 0.2 the run reaches t_max; at K = 3 it locks and stops early
+        code = run_cli(["sweep", "--preset", "kuramoto-uniform-g",
+                        "--set", "sweep.k_min=0.2", "--set", "sweep.k_max=3.0",
+                        "--set", "sweep.k_steps=2", "--set", "model.m=32",
+                        "--set", "model.n_freq=4", "--set", "sim.t_max=40",
+                        "--set", "sim.stationarity_tol=1e-6", "--out", str(out)])
+        assert code == 0
+        points = read_summary(out)["points"]
+        assert [p["stopped_on"] for p in points] == ["t_max", "stationary"]
+
 
 class TestConfigHandling:
     def test_missing_config_is_config_error(self):
@@ -162,10 +174,40 @@ class TestConfigHandling:
     @pytest.mark.parametrize("argv", [
         ["finite", "--preset", "three-osc", "--set", "sim.dt=-1"],
         ["kinetic", "--preset", "uniform-arc", "--set", "model.m=0"],
+        ["finite", "--preset", "three-osc", "--set", "sim.dtt=0.5"],
+        ["finite", "--preset", "three-osc", "--set", "modle.coupling=1"],
+        ["finite", "--preset", "three-osc", "--set", "model.Coupling=1"],
+        # three_osc_delta0 would silently shadow phases
+        ["finite", "--preset", "three-osc", "--set", "model.phases=0,1,2"],
     ])
     def test_rejected_value_is_config_error(self, tmp_path, capsys, argv):
         assert run_cli(argv + ["--out", str(tmp_path)]) == 2
         assert "config error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text,bad", [
+        ("[model]\nn = 4\n\n[sim]\nt_max = 1\nrecord_evry = 5\n", "record_evry"),
+        ("[DEFAULT]\nt_max = 1\n\n[model]\nn = 4\n", "[DEFAULT]"),
+        ("[model]\nn = 4\n\n[simulation]\nt_max = 1\n", "[simulation]"),
+    ], ids=["key", "default-section", "section"])
+    def test_unknown_key_in_config_file_is_config_error(self, tmp_path, capsys, text, bad):
+        ini = tmp_path / "run.ini"
+        ini.write_text(text)
+        assert run_cli(["finite", "--config", str(ini), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "config error:" in err and bad in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("preset,mode", [
+        ("three-osc", "finite"), ("three-osc", "classify"),
+        ("two-antipodal", "finite"), ("two-antipodal", "classify"),
+        ("uniform-arc", "kinetic"),
+        ("kuramoto-uniform-g", "kinetic"), ("kuramoto-uniform-g", "roots"),
+        ("kuramoto-uniform-g", "kc"), ("kuramoto-uniform-g", "sweep"),
+    ])
+    def test_presets_run_in_every_mode_they_serve(self, tmp_path, preset, mode):
+        short = ["--set", "sim.t_max=0.1", "--set", "sweep.k_steps=2", "--set", "model.m=32"]
+        code = run_cli([mode, "--preset", preset, *short, "--out", str(tmp_path)])
+        assert code in (0, 3)
 
     def test_blow_up_is_numerical_abort(self, tmp_path, capsys):
         with np.errstate(over="ignore", invalid="ignore"):

@@ -82,6 +82,12 @@ class TestFiniteNRhs:
             if ps.order_parameter(ens).r > ps.R_MIN:
                 assert np.max(np.abs(ps.finite_n_rhs(ens) - ps.pairwise_rhs(ens))) < 1e-12
 
+    @pytest.mark.parametrize("n", [1, 2, 10, 257])
+    @pytest.mark.parametrize("coupling", [0.0, 0.8])
+    def test_matches_pairwise_rhs(self, n, coupling):
+        ens = rand_ensemble(40 + n, n=n, coupling=coupling, freq_halfwidth=0.5)
+        assert np.max(np.abs(ps.finite_n_rhs(ens) - ps.pairwise_rhs(ens))) < 1e-13
+
     def test_rhs_sum_equals_freq_sum(self):
         for seed in range(20):
             ens = rand_ensemble(seed, n=9, freq_halfwidth=1.0)

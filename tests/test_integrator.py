@@ -3,6 +3,36 @@ import pytest
 
 import phasesync as ps
 
+_MASK = (1 << 64) - 1
+
+
+def splitmix64_reference(seed, n):
+    """Scalar splitmix64 on Python integers, one output at a time."""
+    out = np.empty(n, dtype=np.uint64)
+    state = int(seed) & _MASK
+    for i in range(n):
+        state = (state + 0x9E3779B97F4A7C15) & _MASK
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+        out[i] = z ^ (z >> 31)
+    return out
+
+
+def pairwise_rk4(phases, freqs, coupling, dt, steps):
+    """Classical RK4 on the O(N^2) pairwise vector field."""
+    def rate(th):
+        return ps.pairwise_rhs(ps.OscillatorEnsemble(th, freqs, coupling))
+
+    y = np.array(phases, dtype=float)
+    for _ in range(steps):
+        k1 = rate(y)
+        k2 = rate(y + dt / 2 * k1)
+        k3 = rate(y + dt / 2 * k2)
+        k4 = rate(y + dt * k3)
+        y = y + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    return y
+
 
 class TestStepRK4:
     def test_free_flow_exact(self):
@@ -92,6 +122,20 @@ class TestSimulate:
         assert np.array_equal(a.final.phases, b.final.phases)
         assert np.array_equal(a.r_series, b.r_series)
 
+    @pytest.mark.parametrize("n", [10, 257])
+    def test_matches_pairwise_reference_rk4(self, n):
+        ens = ps.seeded_ensemble(n, coupling=0.8, seed=31, freq_halfwidth=0.5)
+        traj = ps.simulate(ens, ps.SimConfig(dt=0.01, t_max=5.0, record_every=500))
+        assert traj.times[-1] == 500 * 0.01
+        ref = pairwise_rk4(ens.phases, ens.freqs, ens.coupling, 0.01, 500)
+        assert np.max(np.abs(traj.final.phases - ref)) <= 1e-12
+
+    def test_u_series_is_potential_of_recorded_states(self):
+        ens = ps.seeded_ensemble(11, coupling=0.9, seed=32, freq_halfwidth=0.3)
+        traj = ps.simulate(ens, ps.SimConfig(dt=0.01, t_max=2.0, record_every=20))
+        expect = np.array([ps.potential_u(e) for e in traj.states])
+        assert np.allclose(traj.u_series, expect, rtol=1e-14, atol=0.0)
+
     def test_stops_on_stationarity(self):
         ens = ps.seeded_ensemble(5, seed=27)
         traj = ps.simulate(ens, ps.SimConfig(dt=0.01, t_max=500, record_every=10))
@@ -150,3 +194,15 @@ class TestSeededEnsemble:
     def test_phases_in_range(self):
         a = ps.seeded_ensemble(1000, seed=3)
         assert np.all((a.phases >= -np.pi) & (a.phases < np.pi))
+
+
+class TestSplitmix64:
+    @pytest.mark.parametrize("seed", [0, 1, 12345, 2**63 + 7, 2**64 - 1])
+    def test_matches_scalar_reference(self, seed):
+        out = ps.rng.splitmix64(seed, 5000)
+        assert out.dtype == np.uint64
+        assert np.array_equal(out, splitmix64_reference(seed, 5000))
+
+    def test_empty(self):
+        out = ps.rng.splitmix64(7, 0)
+        assert out.dtype == np.uint64 and out.shape == (0,)

@@ -166,6 +166,18 @@ class TestHFunctional:
         growth = traj.h_series[-1] - traj.h_series[0]
         assert growth == pytest.approx(traj.times[-1] * omega2, abs=1e-10)
 
+    def test_h_series_is_h_of_recorded_states(self):
+        # recorded rows are the states kinetic_step reaches after k*record_every steps
+        meas = ps.discretize(ps.ProductSpec(ps.UniformArc(0.3, 2.2), ps.Uniform(0.1, 0.4), 8), 16, coupling=1.2)
+        traj = ps.kinetic_simulate(meas, ps.SimConfig(dt=0.01, t_max=0.5, record_every=10))
+        cur, expect = meas, [ps.h_functional(meas)]
+        for _ in range(len(traj.times) - 1):
+            for _ in range(10):
+                cur = ps.kinetic_step(cur, 0.01)
+            expect.append(ps.h_functional(cur))
+        assert np.array_equal(cur.thetas, traj.final.thetas)
+        assert np.allclose(traj.h_series, expect, rtol=1e-14, atol=0.0)
+
     def test_monotone_along_nonidentical_runs(self):
         for seed in (0, 1, 2):
             hw = 0.2 + 0.15 * seed
