@@ -43,6 +43,8 @@ EXIT_NUMERICAL = 1
 EXIT_CONFIG = 2
 EXIT_HORIZON = 3
 
+DEFAULT_M = 1024  # phase nodes of a discretised density, in kinetic and sweep
+
 SERIES_HEADER = ["t", "R", "phi", "U", "mean_phase", "H", "entropy_change"]
 
 # every config key, by section, as documented in docs/config.md
@@ -313,7 +315,7 @@ def run_kinetic(cfg: dict, out: Path) -> int:
     spec = build_density_spec(cfg)
     meas = discretize(
         spec,
-        m=_get(cfg, "model", "m", 1024, int),
+        m=_get(cfg, "model", "m", DEFAULT_M, int),
         coupling=_get(cfg, "model", "coupling", 1.0, float),
     )
     sim_cfg = build_sim_config(cfg)
@@ -375,7 +377,7 @@ def run_sweep(cfg: dict, out: Path) -> int:
             traj = simulate(OscillatorEnsemble(ens.phases, ens.freqs, float(k)), sim_cfg)
         else:
             spec = build_density_spec(cfg)
-            meas = discretize(spec, m=_get(cfg, "model", "m", 256, int), coupling=float(k))
+            meas = discretize(spec, m=_get(cfg, "model", "m", DEFAULT_M, int), coupling=float(k))
             traj = kinetic_simulate(meas, sim_cfg)
         points.append({"K": float(k), "final_R": float(traj.r_series[-1]),
                        "stopped_on": traj.stopped_on})

@@ -85,14 +85,18 @@ class Uniform(FrequencyDistribution):
     def __post_init__(self):
         if self.halfwidth <= 0:
             raise ValueError("halfwidth must be > 0")
+        # constants outside the fields: ==, hash, repr skip them; replace recomputes
+        vars(self).update(_lo=self.center - self.halfwidth, _hi=self.center + self.halfwidth,
+                          _height=1.0 / (2.0 * self.halfwidth))
 
     def pdf(self, omega):
+        if isinstance(omega, float):  # a quad node
+            return self._height if self._lo <= omega <= self._hi else 0.0
         omega = np.asarray(omega)
-        inside = (omega >= self.center - self.halfwidth) & (omega <= self.center + self.halfwidth)
-        return np.where(inside, 1.0 / (2.0 * self.halfwidth), 0.0)
+        return np.where((omega >= self._lo) & (omega <= self._hi), self._height, 0.0)
 
     def support(self):
-        return (self.center - self.halfwidth, self.center + self.halfwidth)
+        return (self._lo, self._hi)
 
     def quadrature(self, n: int):
         lo, hi = self.support()
@@ -144,21 +148,26 @@ class TruncatedGaussian(FrequencyDistribution):
     def __post_init__(self):
         if self.sigma <= 0 or self.cut <= 0:
             raise ValueError("sigma and cut must be > 0")
-
-    @property
-    def _norm(self) -> float:
-        # mass of the untruncated Gaussian inside the cut
-        return math.erf(self.cut / (self.sigma * math.sqrt(2.0)))
+        # as in Uniform; norm is the untruncated mass inside the cut
+        norm = math.erf(self.cut / (self.sigma * math.sqrt(2.0)))
+        vars(self).update(_lo=self.mean - self.cut, _hi=self.mean + self.cut,
+                          _height=1.0 / (self.sigma * math.sqrt(2.0 * math.pi) * norm),
+                          _scale=-0.5 / (self.sigma * self.sigma))
 
     def pdf(self, omega):
+        # np.exp, not math.exp, on a quad node too: numpy's SIMD exp may
+        # differ from libm's by an ulp, and the two paths agree bitwise
+        if isinstance(omega, float):
+            d = omega - self.mean
+            inside = self._lo <= omega <= self._hi
+            return float(np.exp(self._scale * d * d)) * self._height if inside else 0.0
         omega = np.asarray(omega)
-        z = (omega - self.mean) / self.sigma
-        base = np.exp(-0.5 * z * z) / (self.sigma * math.sqrt(2.0 * math.pi))
-        inside = np.abs(omega - self.mean) <= self.cut
-        return np.where(inside, base / self._norm, 0.0)
+        d = omega - self.mean
+        inside = (omega >= self._lo) & (omega <= self._hi)
+        return np.where(inside, np.exp(self._scale * d * d) * self._height, 0.0)
 
     def support(self):
-        return (self.mean - self.cut, self.mean + self.cut)
+        return (self._lo, self._hi)
 
     def quadrature(self, n: int):
         lo, hi = self.support()

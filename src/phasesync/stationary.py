@@ -90,8 +90,9 @@ def _integral(g: FrequencyDistribution, a: float) -> float:
     """I at one a >= max|omega| by adaptive quadrature in t (atoms summed)."""
     if g.is_discrete:
         return float(_integral_grid(g, np.array([a]))[0])
+    a = float(a)
     t_lo, t_hi = np.arcsin(np.clip(np.divide(g.support(), a), -1.0, 1.0))
-    val, _ = quad(lambda t: math.cos(t) ** 2 * float(g.pdf(a * math.sin(t))), t_lo, t_hi,
+    val, _ = quad(lambda t: math.cos(t) ** 2 * g.pdf(a * math.sin(t)), t_lo, t_hi,
                   epsabs=1e-15, epsrel=1e-13, limit=200)
     return a * a * val
 
@@ -189,6 +190,8 @@ class StationaryDensity:
         """Phase marginal K R |cos(theta - phi*)| g(K R sin(theta - phi*))
         on |theta - phi*| < pi/2, zero outside (atoms excluded)."""
         theta = np.asarray(theta, dtype=float)
+        if self.is_atomic:
+            return np.zeros_like(theta)
         d = (theta - self.phi_star + np.pi) % (2.0 * np.pi) - np.pi
         kr = self.k * self.r
         inside = np.abs(d) < np.pi / 2.0

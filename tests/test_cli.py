@@ -155,6 +155,19 @@ class TestSweepMode:
         points = read_summary(out)["points"]
         assert [p["stopped_on"] for p in points] == ["t_max", "stationary"]
 
+    def test_default_m_matches_kinetic(self, tmp_path):
+        # without [model] m, a one-point sweep and a kinetic run at the same
+        # coupling discretise the same measure and end on the same R
+        ini = tmp_path / "run.ini"
+        ini.write_text("[model]\nkind = kinetic\nphase_spec = uniform_arc\nphase_halfwidth = 2.5\n"
+                       "freq_dist = uniform\nfreq_halfwidth_g = 0.5\nn_freq = 2\ncoupling = 1.5\n\n"
+                       "[sim]\nt_max = 0.5\nrecord_every = 10\n\n"
+                       "[sweep]\nk_min = 1.5\nk_max = 1.5\nk_steps = 1\n")
+        assert run_cli(["kinetic", "--config", str(ini), "--out", str(tmp_path / "kinetic")]) in (0, 3)
+        assert run_cli(["sweep", "--config", str(ini), "--out", str(tmp_path / "sweep")]) == 0
+        [point] = read_summary(tmp_path / "sweep")["points"]
+        assert point["final_R"] == read_summary(tmp_path / "kinetic")["final_r"]
+
 
 class TestConfigHandling:
     def test_missing_config_is_config_error(self):

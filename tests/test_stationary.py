@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -36,6 +37,22 @@ def tgauss_kc_oracle(mean, sigma, cut):
     return min(h(wmax), res.fun)
 
 
+def pdf_v040(g, omega):
+    """The densities as v0.4.0 evaluated them, kept as the oracle."""
+    omega = np.asarray(omega)
+    if isinstance(g, ps.Uniform):
+        inside = (omega >= g.center - g.halfwidth) & (omega <= g.center + g.halfwidth)
+        return np.where(inside, 1.0 / (2.0 * g.halfwidth), 0.0)
+    z = (omega - g.mean) / g.sigma
+    base = np.exp(-0.5 * z * z) / (g.sigma * math.sqrt(2.0 * math.pi))
+    inside = np.abs(omega - g.mean) <= g.cut
+    return np.where(inside, base / math.erf(g.cut / (g.sigma * math.sqrt(2.0))), 0.0)
+
+
+# off-centre laws with cut/sigma <= 2: the oracle's exponent stays O(1), so
+# the two formulas agree to rounding in the last bits
+PDF_LAWS = [ps.Uniform(0.3, 0.45), ps.TruncatedGaussian(0.1, 0.3, 0.6), ps.TruncatedGaussian(-0.2, 0.25, 0.5)]
+
 ONSET_LAWS = [
     ps.Uniform(0, 0.5),
     ps.TruncatedGaussian(0, 0.3, 0.6),
@@ -59,6 +76,44 @@ class TestFrequencyDistributions:
         nodes, weights = g.quadrature(200)
         assert weights.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(np.abs(nodes) <= 0.8)
+
+    @pytest.mark.parametrize("g", PDF_LAWS, ids=repr)
+    def test_pdf_scalar_path_matches_array_path(self, g):
+        lo, hi = g.support()
+        ends = [lo, hi]
+        outside = [np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf), lo - 10.0, hi + 10.0]
+        interior = list(np.linspace(lo, hi, 201)[1:-1])
+        for x in interior + ends + outside:
+            want = g.pdf(np.array([x]))[0]
+            for scalar in (float(x), np.float64(x)):
+                got = g.pdf(scalar)
+                assert type(got) is float
+                assert got == want, (x, got, want)
+            assert (want > 0.0) == (x not in outside)
+
+    @pytest.mark.parametrize("g", PDF_LAWS, ids=repr)
+    def test_pdf_matches_v040_formula(self, g):
+        lo, hi = g.support()
+        omega = np.linspace(lo - 0.2, hi + 0.2, 10_000)
+        want = pdf_v040(g, omega)
+        for got in (g.pdf(omega), np.array([g.pdf(float(w)) for w in omega])):
+            assert np.array_equal(got > 0.0, want > 0.0)
+            assert np.all(np.abs(got - want) <= 1e-15 * want)
+
+    def test_cached_constants_leave_equality_hash_and_replace(self):
+        g = ps.TruncatedGaussian(0.1, 0.3, 0.6)
+        twin = ps.TruncatedGaussian(0.1, 0.3, 0.6)
+        assert g == twin and hash(g) == hash(twin) and {g: 1}[twin] == 1
+        assert repr(g) == "TruncatedGaussian(mean=0.1, sigma=0.3, cut=0.6)"
+        assert [f.name for f in dataclasses.fields(g)] == ["mean", "sigma", "cut"]
+        assert g != ps.TruncatedGaussian(0.1, 0.3, 0.7)
+        omega = np.linspace(-1.0, 1.0, 101)
+        for law, change in ((g, {"sigma": 0.2, "cut": 0.4}), (ps.Uniform(0.3, 0.45), {"halfwidth": 0.2})):
+            moved = dataclasses.replace(law, **change)
+            fresh = type(law)(**{**dataclasses.asdict(law), **change})
+            assert moved == fresh and moved.support() == fresh.support() != law.support()
+            assert np.array_equal(moved.pdf(omega), fresh.pdf(omega))
+            assert moved.pdf(0.3) == fresh.pdf(0.3) != law.pdf(0.3)
 
     def test_discrete_expect(self):
         g = ps.Discrete((-0.3, 0.3), (0.5, 0.5))
@@ -215,6 +270,15 @@ class TestStationaryDensity:
         sd = ps.stationary_density(ps.Dirac(0.0), 1.0, 1.0, phi_star=0.4)
         assert sd.is_atomic
         assert sd.theta_plus(0.0) == pytest.approx(0.4)
+
+    @pytest.mark.parametrize("g", [ps.Dirac(0.0), ps.Discrete((-0.3, 0.3), (0.5, 0.5))], ids=["dirac", "discrete"])
+    def test_atomic_marginal_is_zero(self, g):
+        # the marginal excludes atoms, so an atomic law has none to give
+        sd = ps.stationary_density(g, 1.0, 1.0)
+        theta = np.linspace(-np.pi, np.pi, 12).reshape(3, 4)
+        got = sd.marginal(theta)
+        assert got.shape == theta.shape and not np.any(got)
+        assert sd.marginal(0.25).shape == ()
 
     def test_marginal_integrates_to_one(self):
         g = ps.Uniform(0, 0.3)
