@@ -12,6 +12,8 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import dataclasses
+import inspect
 import json
 import os
 import sys
@@ -21,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .classify import classify_finite, classify_measure
+from .classify import ANGLE_TOL, MASS_TOL, classify_finite, classify_measure
 from .core import OscillatorEnsemble
 from .freqdist import Dirac, Discrete, TruncatedGaussian, Uniform
 from .integrate import NonFiniteStateError, SimConfig, seeded_ensemble, simulate
@@ -33,9 +35,8 @@ from .kinetic import (
     discretize,
     kinetic_simulate,
 )
-from .stationary import BracketNotFoundError, critical_coupling, self_consistency_roots
+from .stationary import DEFAULT_GRID, BracketNotFoundError, critical_coupling, self_consistency_roots
 
-MODES = ("finite", "kinetic", "roots", "kc", "classify", "sweep")
 PRESETS = ("three-osc", "two-antipodal", "uniform-arc", "kuramoto-uniform-g")
 
 EXIT_OK = 0
@@ -43,26 +44,7 @@ EXIT_NUMERICAL = 1
 EXIT_CONFIG = 2
 EXIT_HORIZON = 3
 
-DEFAULT_M = 1024  # phase nodes of a discretised density, in kinetic and sweep
-
 SERIES_HEADER = ["t", "R", "phi", "U", "mean_phase", "H", "entropy_change"]
-
-# every config key, by section, as documented in docs/config.md
-SCHEMA = {
-    "sim": {"dt", "t_max", "record_every", "stationarity_tol"},
-    "model": {
-        "coupling", "kind", "three_osc_delta0", "phases", "freqs", "n", "seed",
-        "freq_halfwidth", "zero_mean_freqs", "phase_spec", "phase_center",
-        "phase_halfwidth", "phase_sigma", "atoms", "m", "n_freq", "freq_dist",
-        "freq_omega0", "freq_center", "freq_halfwidth_g", "freq_omegas",
-        "freq_probs", "freq_mean", "freq_sigma", "freq_cut",
-    },
-    "classify": {"angle_tol", "mass_tol"},
-    "roots": {"grid"},
-    "kc": {"tol"},
-    "sweep": {"k_min", "k_max", "k_steps"},
-    "run": {"out"},
-}
 
 
 class ConfigError(ValueError):
@@ -70,13 +52,122 @@ class ConfigError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Config loading
+# Config: the table of every key's parser and default, loading, resolving
 
 
-def _load_ini(path: Path) -> dict:
+def _default(owner, name: str):
+    """The library's own default of parameter `name` of a function or class."""
+    return inspect.signature(owner).parameters[name].default
+
+
+_BOOLS = {**dict.fromkeys(("1", "true", "yes", "on"), True),
+          **dict.fromkeys(("0", "false", "no", "off"), False)}
+
+
+def _choice(*words):
+    def parse(raw) -> str:
+        word = str(raw).strip().lower()
+        if word not in words:
+            raise ValueError(f"not one of {', '.join(words)}")
+        return word
+    return parse
+
+
+def _bool(raw) -> bool:
+    return _BOOLS[_choice(*_BOOLS)(raw)]
+
+
+def _floats(raw) -> list:
+    """"a, b; c" (or an already parsed list) as a list of floats."""
+    items = raw if isinstance(raw, list) else str(raw).replace(";", ",").split(",")
+    return [float(x) for x in items if str(x).strip()]
+
+
+def _atoms(raw) -> list:
+    """"w:theta[:omega]; ..." (or an already parsed list) as [w, theta, omega]
+    triples; omega defaults to 0."""
+    items = raw if isinstance(raw, list) else [t.split(":") for t in str(raw).split(";") if t.strip()]
+    if any(len(t) not in (2, 3) for t in items):
+        raise ValueError("each atom is w:theta or w:theta:omega")
+    return [[float(x) for x in t] + [0.0] * (3 - len(t)) for t in items]
+
+
+# SCHEMA[section][key] = (parser, default), as documented in docs/config.md.
+# A None default leaves the key unset unless given; the parser also accepts
+# its own output, so resolving a resolved config changes nothing.
+SCHEMA = {
+    "sim": {f.name: (type(f.default), f.default) for f in dataclasses.fields(SimConfig)},
+    "model": {
+        "coupling": (float, _default(OscillatorEnsemble, "coupling")),
+        "kind": (_choice("kinetic", "finite"), "kinetic"),
+        "three_osc_delta0": (float, None),
+        "phases": (_floats, None),
+        "freqs": (_floats, None),
+        "n": (int, None),
+        "seed": (int, _default(seeded_ensemble, "seed")),
+        "freq_halfwidth": (float, _default(seeded_ensemble, "freq_halfwidth")),
+        "zero_mean_freqs": (_bool, _default(seeded_ensemble, "zero_mean")),
+        "phase_spec": (_choice("uniform_arc", "tgauss_arc", "atoms"), "uniform_arc"),
+        "phase_center": (float, _default(UniformArc, "center")),
+        "phase_halfwidth": (float, _default(UniformArc, "halfwidth")),
+        "phase_sigma": (float, None),
+        "atoms": (_atoms, None),
+        "m": (int, _default(discretize, "m")),
+        "n_freq": (int, _default(ProductSpec, "n_freq")),
+        "freq_dist": (_choice("dirac", "uniform", "discrete", "tgauss", "none"), "dirac"),
+        "freq_omega0": (float, _default(Dirac, "omega0")),
+        "freq_center": (float, _default(Uniform, "center")),
+        "freq_halfwidth_g": (float, None),
+        "freq_omegas": (_floats, None),
+        "freq_probs": (_floats, None),
+        "freq_mean": (float, _default(TruncatedGaussian, "mean")),
+        "freq_sigma": (float, None),
+        "freq_cut": (float, None),
+    },
+    "classify": {"angle_tol": (float, ANGLE_TOL), "mass_tol": (float, MASS_TOL)},
+    "roots": {"grid": (int, DEFAULT_GRID)},
+    "kc": {"tol": (float, _default(critical_coupling, "kc_tol"))},
+    "sweep": {"k_min": (float, None), "k_max": (float, None), "k_steps": (int, 11)},
+    "run": {"out": (str, None)},
+}
+
+
+def resolve(cfg: dict) -> dict:
+    """Every SCHEMA key of every section, parsed, with defaults filled in.
+
+    Unknown sections and keys, and values their parser rejects, raise
+    ConfigError.
+    """
+    resolved = {section: {} for section in SCHEMA}
+    for section, kv in cfg.items():
+        if section not in SCHEMA:
+            raise ConfigError(f"unknown section [{section}]")
+        unknown = sorted(set(kv) - set(SCHEMA[section]))
+        if unknown:
+            raise ConfigError(f"unknown key(s) in [{section}]: {', '.join(unknown)}")
+    for section, keys in SCHEMA.items():
+        for key, (parse, default) in keys.items():
+            raw = cfg.get(section, {}).get(key)
+            try:
+                resolved[section][key] = default if raw is None else parse(raw)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"bad value for [{section}] {key}: {raw!r}") from exc
+    return resolved
+
+
+def _need(section: dict, key: str):
+    """A key of a resolved section that has no default and must be given."""
+    if section[key] is None:
+        raise ConfigError(f"missing required key [{next(s for s in SCHEMA if key in SCHEMA[s])}] {key}")
+    return section[key]
+
+
+def _parse_ini(text: str, source: str) -> dict:
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    with open(path) as fh:
-        parser.read_file(fh)
+    try:
+        parser.read_string(text, source=source)
+    except configparser.Error as exc:
+        raise ConfigError(str(exc)) from exc
     if parser.defaults():
         raise ConfigError("unknown section [DEFAULT]")
     return {sec: dict(parser.items(sec)) for sec in parser.sections()}
@@ -88,22 +179,18 @@ def load_config(path: str) -> dict:
     if not p.exists():
         raise ConfigError(f"config file not found: {path}")
     if p.suffix == ".json":
-        with open(p) as fh:
-            manifest = json.load(fh)
-        cfg = manifest.get("config")
+        cfg = json.loads(p.read_text()).get("config")
         if not isinstance(cfg, dict):
             raise ConfigError(f"{path} is not a phasesync manifest")
         return {sec: dict(kv) for sec, kv in cfg.items()}
-    return _load_ini(p)
+    return _parse_ini(p.read_text(), path)
 
 
 def load_preset(name: str) -> dict:
     if name not in PRESETS:
         raise ConfigError(f"unknown preset {name!r}; choose from {', '.join(PRESETS)}")
     ref = resources.files("phasesync").joinpath(f"presets/{name}.ini")
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    parser.read_string(ref.read_text())
-    return {sec: dict(parser.items(sec)) for sec in parser.sections()}
+    return _parse_ini(ref.read_text(), f"preset {name}")
 
 
 def apply_overrides(cfg: dict, overrides: list[str]) -> dict:
@@ -118,277 +205,145 @@ def apply_overrides(cfg: dict, overrides: list[str]) -> dict:
     return cfg
 
 
-def check_keys(cfg: dict):
-    """Reject any section or key that SCHEMA does not list."""
-    for section, kv in cfg.items():
-        if section not in SCHEMA:
-            raise ConfigError(f"unknown section [{section}]")
-        unknown = sorted(set(kv) - SCHEMA[section])
-        if unknown:
-            raise ConfigError(f"unknown key(s) in [{section}]: {', '.join(unknown)}")
-
-
-def _get(cfg: dict, section: str, key: str, default=None, cast=str):
-    raw = cfg.get(section, {}).get(key)
-    if raw is None:
-        if default is None:
-            raise ConfigError(f"missing required key [{section}] {key}")
-        return default
-    try:
-        if cast is bool:
-            return str(raw).strip().lower() in ("1", "true", "yes", "on")
-        return cast(raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad value for [{section}] {key}: {raw!r}") from exc
-
-
-def _floats(raw: str) -> np.ndarray:
-    return np.array([float(x) for x in str(raw).replace(";", ",").split(",") if x.strip() != ""])
-
-
 # ---------------------------------------------------------------------------
-# Model construction
+# Model construction; each builder accepts a raw or a resolved config
 
 
 def build_sim_config(cfg: dict) -> SimConfig:
-    return SimConfig(
-        dt=_get(cfg, "sim", "dt", 0.01, float),
-        t_max=_get(cfg, "sim", "t_max", 100.0, float),
-        record_every=_get(cfg, "sim", "record_every", 1, int),
-        stationarity_tol=_get(cfg, "sim", "stationarity_tol", 1e-9, float),
-    )
+    return SimConfig(**resolve(cfg)["sim"])
 
 
 def build_ensemble(cfg: dict) -> OscillatorEnsemble:
-    coupling = _get(cfg, "model", "coupling", 1.0, float)
-    model = cfg.get("model", {})
-    if "three_osc_delta0" in model:
-        if "phases" in model:
+    model = resolve(cfg)["model"]
+    d0, phases = model["three_osc_delta0"], model["phases"]
+    if d0 is not None:
+        if phases is not None:
             raise ConfigError("[model] three_osc_delta0 and phases are mutually exclusive")
-        d0 = float(model["three_osc_delta0"])
-        return OscillatorEnsemble([d0, -d0, np.pi], np.zeros(3), coupling)
-    if "phases" in model:
-        phases = _floats(model["phases"])
-        freqs = _floats(model["freqs"]) if "freqs" in model else np.zeros(phases.size)
-        return OscillatorEnsemble(phases, freqs, coupling)
-    n = _get(cfg, "model", "n", None, int)
+        return OscillatorEnsemble([d0, -d0, np.pi], np.zeros(3), model["coupling"])
+    if phases is not None:
+        freqs = np.zeros(len(phases)) if model["freqs"] is None else model["freqs"]
+        return OscillatorEnsemble(phases, freqs, model["coupling"])
     return seeded_ensemble(
-        n,
-        coupling=coupling,
-        seed=_get(cfg, "model", "seed", 0, int),
-        freq_halfwidth=_get(cfg, "model", "freq_halfwidth", 0.0, float),
-        zero_mean=_get(cfg, "model", "zero_mean_freqs", False, bool),
+        _need(model, "n"),
+        coupling=model["coupling"],
+        seed=model["seed"],
+        freq_halfwidth=model["freq_halfwidth"],
+        zero_mean=model["zero_mean_freqs"],
     )
 
 
 def build_freq_dist(cfg: dict):
-    kind = _get(cfg, "model", "freq_dist", "dirac").strip().lower()
-    if kind == "dirac":
-        return Dirac(_get(cfg, "model", "freq_omega0", 0.0, float))
-    if kind == "uniform":
-        return Uniform(
-            center=_get(cfg, "model", "freq_center", 0.0, float),
-            halfwidth=_get(cfg, "model", "freq_halfwidth_g", None, float),
-        )
-    if kind == "discrete":
-        omegas = _floats(_get(cfg, "model", "freq_omegas"))
-        probs = _floats(_get(cfg, "model", "freq_probs"))
-        return Discrete(tuple(omegas), tuple(probs))
-    if kind == "tgauss":
-        return TruncatedGaussian(
-            mean=_get(cfg, "model", "freq_mean", 0.0, float),
-            sigma=_get(cfg, "model", "freq_sigma", None, float),
-            cut=_get(cfg, "model", "freq_cut", None, float),
-        )
-    raise ConfigError(f"unknown freq_dist {kind!r}")
+    model = resolve(cfg)["model"]
+    if model["freq_dist"] == "dirac":
+        return Dirac(model["freq_omega0"])
+    if model["freq_dist"] == "uniform":
+        return Uniform(model["freq_center"], _need(model, "freq_halfwidth_g"))
+    if model["freq_dist"] == "discrete":
+        return Discrete(_need(model, "freq_omegas"), _need(model, "freq_probs"))
+    if model["freq_dist"] == "tgauss":
+        return TruncatedGaussian(model["freq_mean"], _need(model, "freq_sigma"),
+                                 _need(model, "freq_cut"))
+    raise ConfigError("[model] freq_dist = none names no frequency law")
 
 
 def build_density_spec(cfg: dict):
-    kind = _get(cfg, "model", "phase_spec", "uniform_arc").strip().lower()
-    if kind == "atoms":
-        triples = [t for t in _get(cfg, "model", "atoms").split(";") if t.strip()]
-        w, th, om = [], [], []
-        for t in triples:
-            parts = [float(x) for x in t.split(":")]
-            if len(parts) == 2:
-                parts.append(0.0)
-            w.append(parts[0])
-            th.append(parts[1])
-            om.append(parts[2])
-        return AtomList(tuple(w), tuple(th), tuple(om))
-    center = _get(cfg, "model", "phase_center", 0.0, float)
-    halfwidth = _get(cfg, "model", "phase_halfwidth", np.pi, float)
-    if kind == "uniform_arc":
-        phase = UniformArc(center, halfwidth)
-    elif kind == "tgauss_arc":
-        phase = TruncatedGaussianArc(center, _get(cfg, "model", "phase_sigma", None, float), halfwidth)
+    model = resolve(cfg)["model"]
+    if model["phase_spec"] == "atoms":
+        atoms = _need(model, "atoms")
+        return AtomList(*(tuple(a[i] for a in atoms) for i in range(3)))
+    if model["phase_spec"] == "uniform_arc":
+        phase = UniformArc(model["phase_center"], model["phase_halfwidth"])
     else:
-        raise ConfigError(f"unknown phase_spec {kind!r}")
-    if _get(cfg, "model", "freq_dist", "none").strip().lower() != "none":
-        return ProductSpec(phase, build_freq_dist(cfg), n_freq=_get(cfg, "model", "n_freq", 64, int))
-    return phase
+        phase = TruncatedGaussianArc(model["phase_center"], _need(model, "phase_sigma"),
+                                     model["phase_halfwidth"])
+    if model["freq_dist"] == "none":
+        return phase
+    return ProductSpec(phase, build_freq_dist(cfg), n_freq=model["n_freq"])
 
 
 # ---------------------------------------------------------------------------
 # Output writers
 
 
-def _fmt(x) -> str:
-    if x is None:
-        return ""
-    return format(float(x), ".17g")
-
-
-def write_manifest(out: Path, mode: str, cfg: dict):
-    manifest = {
-        "artifact": "phasesync",
-        "version": __version__,
-        "mode": mode,
-        "seed": cfg.get("model", {}).get("seed", "0"),
-        "config": cfg,
-    }
-    with open(out / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def write_series(out: Path, rows: list[dict]):
-    with open(out / "series.csv", "w", newline="") as fh:
+def write_csv(path: Path, header: list[str], rows: list[dict]):
+    """One row per dict, the header's columns only, floats as %.17g."""
+    with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(SERIES_HEADER)
+        writer.writerow(header)
         for row in rows:
-            writer.writerow([_fmt(row.get(col)) for col in SERIES_HEADER])
+            writer.writerow(["" if row.get(c) is None else format(float(row[c]), ".17g") for c in header])
 
 
-def write_summary(out: Path, summary: dict):
-    with open(out / "summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
+def write_json(path: Path, record: dict):
+    with open(path, "w") as fh:
+        json.dump(record, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _class_dict(cls) -> dict:
-    return {
-        "kind": cls.kind,
-        "phi_star": cls.phi_star,
-        "n_at_phi": cls.n_at_phi,
-        "k": cls.k,
-        "c1": cls.c1,
-        "c2": cls.c2,
-    }
 
 
 # ---------------------------------------------------------------------------
-# Mode runners
+# Mode runners: each takes a resolved config and returns the series.csv rows
+# and the summary.json record of its run
 
 
-def _write_run(out: Path, mode: str, traj, columns: dict, cls) -> int:
-    """series.csv and summary.json of a simulation run; returns its exit code.
-
-    columns maps the mode's own series.csv columns to their series.
-    """
+def _simulation(traj, columns: dict, cls) -> tuple[list, dict]:
+    """Rows and summary of a simulation run; columns maps the mode's own
+    series.csv columns to their series."""
     columns = {"t": traj.times, "R": traj.r_series, "phi": traj.phi_series,
                "mean_phase": traj.mean_phase_series, **columns}
-    write_series(out, [{c: v[i] for c, v in columns.items()} for i in range(len(traj.times))])
-    write_summary(
-        out,
-        {
-            "mode": mode,
-            "final_r": traj.r_series[-1],
-            "final_phi": traj.phi_series[-1],
-            "stopped_on": traj.stopped_on,
-            "t_final": traj.times[-1],
-            "class": _class_dict(cls),
-        },
-    )
-    return EXIT_OK if traj.stopped_on == "stationary" else EXIT_HORIZON
+    rows = [{c: v[i] for c, v in columns.items()} for i in range(len(traj.times))]
+    return rows, {
+        "final_r": traj.r_series[-1],
+        "final_phi": traj.phi_series[-1],
+        "stopped_on": traj.stopped_on,
+        "t_final": traj.times[-1],
+        "class": dataclasses.asdict(cls),
+    }
 
 
-def run_finite(cfg: dict, out: Path) -> int:
-    ens = build_ensemble(cfg)
+def run_finite(cfg: dict, out: Path):
+    traj = simulate(build_ensemble(cfg), build_sim_config(cfg))
+    cls = classify_finite(traj.final, cfg["classify"]["angle_tol"])
+    return _simulation(traj, {"U": traj.u_series}, cls)
+
+
+def run_kinetic(cfg: dict, out: Path):
+    meas = discretize(build_density_spec(cfg), m=cfg["model"]["m"], coupling=cfg["model"]["coupling"])
+    traj = kinetic_simulate(meas, build_sim_config(cfg))
+    cls = classify_measure(traj.final, **cfg["classify"])
+    return _simulation(traj, {"H": traj.h_series, "entropy_change": traj.entropy_series}, cls)
+
+
+def run_roots(cfg: dict, out: Path):
+    k = cfg["model"]["coupling"]
+    result = self_consistency_roots(build_freq_dist(cfg), k, grid=cfg["roots"]["grid"])
+    return [], {"coupling": k, "roots": result.roots, "largest": result.largest,
+                "k_supercritical": result.k_supercritical}
+
+
+def run_kc(cfg: dict, out: Path):
+    return [], {"k_c": critical_coupling(build_freq_dist(cfg), kc_tol=cfg["kc"]["tol"])}
+
+
+def run_classify(cfg: dict, out: Path):
+    cls = classify_finite(build_ensemble(cfg), cfg["classify"]["angle_tol"])
+    return [], {"class": dataclasses.asdict(cls)}
+
+
+def run_sweep(cfg: dict, out: Path):
+    """Also writes sweep.csv (K, final_R)."""
+    sweep = cfg["sweep"]
+    ks = [float(k) for k in np.linspace(_need(sweep, "k_min"), _need(sweep, "k_max"), sweep["k_steps"])]
     sim_cfg = build_sim_config(cfg)
-    traj = simulate(ens, sim_cfg)
-    cls = classify_finite(traj.final, _get(cfg, "classify", "angle_tol", 1e-3, float))
-    return _write_run(out, "finite", traj, {"U": traj.u_series}, cls)
-
-
-def run_kinetic(cfg: dict, out: Path) -> int:
-    spec = build_density_spec(cfg)
-    meas = discretize(
-        spec,
-        m=_get(cfg, "model", "m", DEFAULT_M, int),
-        coupling=_get(cfg, "model", "coupling", 1.0, float),
-    )
-    sim_cfg = build_sim_config(cfg)
-    traj = kinetic_simulate(meas, sim_cfg)
-    cls = classify_measure(
-        traj.final,
-        _get(cfg, "classify", "angle_tol", 1e-3, float),
-        _get(cfg, "classify", "mass_tol", 1e-3, float),
-    )
-    columns = {"H": traj.h_series, "entropy_change": traj.entropy_series}
-    return _write_run(out, "kinetic", traj, columns, cls)
-
-
-def run_roots(cfg: dict, out: Path) -> int:
-    g = build_freq_dist(cfg)
-    k = _get(cfg, "model", "coupling", None, float)
-    result = self_consistency_roots(g, k, grid=_get(cfg, "roots", "grid", 4096, int))
-    write_series(out, [])
-    write_summary(
-        out,
-        {
-            "mode": "roots",
-            "coupling": k,
-            "roots": result.roots,
-            "largest": result.largest,
-            "k_supercritical": result.k_supercritical,
-        },
-    )
-    return EXIT_OK
-
-
-def run_kc(cfg: dict, out: Path) -> int:
-    g = build_freq_dist(cfg)
-    kc = critical_coupling(g, kc_tol=_get(cfg, "kc", "tol", 1e-6, float))
-    write_series(out, [])
-    write_summary(out, {"mode": "kc", "k_c": kc})
-    return EXIT_OK
-
-
-def run_classify(cfg: dict, out: Path) -> int:
-    ens = build_ensemble(cfg)
-    cls = classify_finite(ens, _get(cfg, "classify", "angle_tol", 1e-3, float))
-    write_series(out, [])
-    write_summary(out, {"mode": "classify", "class": _class_dict(cls)})
-    return EXIT_OK
-
-
-def run_sweep(cfg: dict, out: Path) -> int:
-    k_min = _get(cfg, "sweep", "k_min", None, float)
-    k_max = _get(cfg, "sweep", "k_max", None, float)
-    k_steps = _get(cfg, "sweep", "k_steps", 11, int)
-    kind = _get(cfg, "model", "kind", "kinetic")
-    sim_cfg = build_sim_config(cfg)
-    ks = np.linspace(k_min, k_max, k_steps)
-    points = []
-    for k in ks:
-        if kind == "finite":
-            ens = build_ensemble(cfg)
-            traj = simulate(OscillatorEnsemble(ens.phases, ens.freqs, float(k)), sim_cfg)
-        else:
-            spec = build_density_spec(cfg)
-            meas = discretize(spec, m=_get(cfg, "model", "m", DEFAULT_M, int), coupling=float(k))
-            traj = kinetic_simulate(meas, sim_cfg)
-        points.append({"K": float(k), "final_R": float(traj.r_series[-1]),
-                       "stopped_on": traj.stopped_on})
-    with open(out / "sweep.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["K", "final_R"])
-        for p in points:
-            writer.writerow([_fmt(p["K"]), _fmt(p["final_R"])])
-    write_series(out, [])
-    write_summary(out, {"mode": "sweep", "points": points})
-    return EXIT_OK
+    if cfg["model"]["kind"] == "finite":
+        ens = build_ensemble(cfg)
+        trajs = (simulate(OscillatorEnsemble(ens.phases, ens.freqs, k), sim_cfg) for k in ks)
+    else:
+        spec = build_density_spec(cfg)
+        trajs = (kinetic_simulate(discretize(spec, m=cfg["model"]["m"], coupling=k), sim_cfg) for k in ks)
+    points = [{"K": k, "final_R": float(traj.r_series[-1]), "stopped_on": traj.stopped_on}
+              for k, traj in zip(ks, trajs)]
+    write_csv(out / "sweep.csv", ["K", "final_R"], points)
+    return [], {"points": points}
 
 
 RUNNERS = {
@@ -403,7 +358,7 @@ RUNNERS = {
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="phasesync", description=__doc__)
-    parser.add_argument("mode", choices=MODES)
+    parser.add_argument("mode", choices=RUNNERS)
     parser.add_argument("--config", help="INI config file or emitted manifest.json")
     parser.add_argument("--preset", choices=PRESETS, help="built-in config to start from")
     parser.add_argument("--set", dest="overrides", action="append", default=[],
@@ -412,27 +367,28 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        if args.config:
-            cfg = load_config(args.config)
-        elif args.preset:
-            cfg = {}
-        else:
+        if not (args.config or args.preset):
             raise ConfigError("one of --config or --preset is required")
-        if args.preset:
-            preset = load_preset(args.preset)
-            for sec, kv in cfg.items():
-                preset.setdefault(sec, {}).update(kv)
-            cfg = preset
+        cfg = load_preset(args.preset) if args.preset else {}
+        for sec, kv in (load_config(args.config) if args.config else {}).items():
+            cfg.setdefault(sec, {}).update(kv)
         cfg = apply_overrides(cfg, args.overrides)
-        check_keys(cfg)
-        out_dir = args.out or cfg.get("run", {}).get("out") \
-            or os.environ.get("PHASESYNC_OUT") or "phasesync-out"
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
+        if args.mode == "roots" and cfg.get("model", {}).get("coupling") is None:
+            # the default coupling serves the dynamics; a root needs a chosen K
+            raise ConfigError("missing required key [model] coupling")
+        cfg = resolve(cfg)
         # the output path stays out of the manifest so a rerun from the
         # manifest into a fresh directory reproduces every file bitwise
-        write_manifest(out, args.mode, cfg)
-        return RUNNERS[args.mode](cfg, out)
+        run = cfg.pop("run")
+        out = Path(args.out or run["out"] or os.environ.get("PHASESYNC_OUT") or "phasesync-out")
+        out.mkdir(parents=True, exist_ok=True)
+        write_json(out / "manifest.json", {"artifact": "phasesync", "version": __version__,
+                                           "mode": args.mode, "seed": cfg["model"]["seed"],
+                                           "config": cfg})
+        rows, summary = RUNNERS[args.mode](cfg, out)
+        write_csv(out / "series.csv", SERIES_HEADER, rows)
+        write_json(out / "summary.json", {"mode": args.mode, **summary})
+        return EXIT_HORIZON if summary.get("stopped_on") == "t_max" else EXIT_OK
     except ValueError as exc:
         # ConfigError, and every input a constructor or solver rejects
         print(f"config error: {exc}", file=sys.stderr)

@@ -149,12 +149,14 @@ def seeded_ensemble(
 ) -> OscillatorEnsemble:
     """Reproducible random ensemble from a splitmix64 seed.
 
-    Phases uniform on [-pi, pi); frequencies uniform on
-    [-freq_halfwidth, freq_halfwidth), optionally shifted to zero mean.
+    Phases uniform on [-pi, pi) from the stream of seed; frequencies uniform
+    on [-freq_halfwidth, freq_halfwidth), optionally shifted to zero mean,
+    from the stream seeded by the first output of that stream, so they are
+    not the phases of seed + 1.
     """
     phases = rng.uniform(seed, n, -np.pi, np.pi)
     if freq_halfwidth > 0:
-        freqs = rng.uniform(seed + 1, n, -freq_halfwidth, freq_halfwidth)
+        freqs = rng.uniform(int(rng.splitmix64(seed, 1)[0]), n, -freq_halfwidth, freq_halfwidth)
         if zero_mean:
             freqs = freqs - np.mean(freqs)
     else:

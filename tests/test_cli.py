@@ -1,10 +1,25 @@
 import csv
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from phasesync.cli import SERIES_HEADER, main
+from phasesync.cli import SCHEMA, SERIES_HEADER, apply_overrides, load_preset, main
+
+DOCS = Path(__file__).resolve().parents[1] / "docs" / "config.md"
+
+# the preset x mode pairs and short overrides of
+# test_presets_run_in_every_mode_they_serve
+PRESET_MODES = [
+    ("three-osc", "finite"), ("three-osc", "classify"),
+    ("two-antipodal", "finite"), ("two-antipodal", "classify"),
+    ("uniform-arc", "kinetic"),
+    ("kuramoto-uniform-g", "kinetic"), ("kuramoto-uniform-g", "roots"),
+    ("kuramoto-uniform-g", "kc"), ("kuramoto-uniform-g", "sweep"),
+]
+SHORT = ["--set", "sim.t_max=0.1", "--set", "sweep.k_steps=2", "--set", "model.m=32"]
 
 
 def run_cli(args):
@@ -61,11 +76,43 @@ class TestFiniteMode:
         assert code == 3
         assert read_summary(out)["stopped_on"] == "t_max"
 
-    def test_manifest_rerun_bitwise(self, tmp_path):
+    @pytest.mark.parametrize("preset,mode", PRESET_MODES)
+    def test_manifest_rerun_bitwise(self, tmp_path, preset, mode):
         a, b = tmp_path / "a", tmp_path / "b"
-        run_cli(["finite", "--preset", "three-osc", "--out", str(a)])
-        run_cli(["finite", "--config", str(a / "manifest.json"), "--out", str(b)])
+        code = run_cli([mode, "--preset", preset, *SHORT, "--out", str(a)])
+        assert run_cli([mode, "--config", str(a / "manifest.json"), "--out", str(b)]) == code
+        for name in ("manifest.json", "series.csv", "summary.json", "sweep.csv"):
+            if (a / name).exists():
+                assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    def test_manifest_never_stores_run_out(self, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        ini = tmp_path / "run.ini"
+        ini.write_text(f"[model]\nphases = 0, 1\n\n[sim]\nt_max = 0.1\n\n[run]\nout = {a}\n")
+        code = run_cli(["finite", "--config", str(ini)])
+        manifest = json.loads((a / "manifest.json").read_text())
+        assert "out" not in manifest["config"].get("run", {})
+        assert run_cli(["finite", "--config", str(a / "manifest.json"), "--out", str(b)]) == code
         for name in ("manifest.json", "series.csv", "summary.json"):
+            assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    @pytest.mark.parametrize("preset,mode", [
+        ("uniform-arc", "kinetic"), ("kuramoto-uniform-g", "kinetic"), ("three-osc", "finite"),
+    ])
+    def test_v050_manifest_replays_bitwise(self, tmp_path, preset, mode):
+        # v0.5.0 stored the merged input: strings, no defaults, and a phase
+        # spec standing alone either as freq_dist = none or without freq_dist
+        sets = ["sim.t_max=0.1", "model.m=32"]
+        cfg = apply_overrides(load_preset(preset), sets)
+        if cfg["model"].get("freq_dist") == "none":
+            del cfg["model"]["freq_dist"]
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"artifact": "phasesync", "version": "0.5.0", "mode": mode,
+                                        "seed": "0", "config": cfg}))
+        a, b = tmp_path / "a", tmp_path / "b"
+        code = run_cli([mode, "--preset", preset, *(x for s in sets for x in ("--set", s)), "--out", str(a)])
+        assert run_cli([mode, "--config", str(manifest), "--out", str(b)]) == code
+        for name in ("series.csv", "summary.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
@@ -105,6 +152,12 @@ class TestRootsAndKc:
         code = run_cli(["kc", "--preset", "kuramoto-uniform-g", "--set", f"kc.tol={tol}",
                         "--out", str(tmp_path)])
         assert code == 2
+        assert "config error:" in capsys.readouterr().err
+
+    def test_roots_without_coupling_is_config_error(self, tmp_path, capsys):
+        ini = tmp_path / "run.ini"
+        ini.write_text("[model]\nfreq_dist = uniform\nfreq_halfwidth_g = 0.5\n")
+        assert run_cli(["roots", "--config", str(ini), "--out", str(tmp_path / "out")]) == 2
         assert "config error:" in capsys.readouterr().err
 
     def test_roots_support_too_wide_is_config_error(self, tmp_path, capsys):
@@ -192,6 +245,7 @@ class TestConfigHandling:
         ["finite", "--preset", "three-osc", "--set", "model.Coupling=1"],
         # three_osc_delta0 would silently shadow phases
         ["finite", "--preset", "three-osc", "--set", "model.phases=0,1,2"],
+        ["finite", "--preset", "three-osc", "--set", "model.zero_mean_freqs=ture"],
     ])
     def test_rejected_value_is_config_error(self, tmp_path, capsys, argv):
         assert run_cli(argv + ["--out", str(tmp_path)]) == 2
@@ -201,7 +255,8 @@ class TestConfigHandling:
         ("[model]\nn = 4\n\n[sim]\nt_max = 1\nrecord_evry = 5\n", "record_evry"),
         ("[DEFAULT]\nt_max = 1\n\n[model]\nn = 4\n", "[DEFAULT]"),
         ("[model]\nn = 4\n\n[simulation]\nt_max = 1\n", "[simulation]"),
-    ], ids=["key", "default-section", "section"])
+        ("t_max = 1\n", "no section headers"),
+    ], ids=["key", "default-section", "section", "no-section"])
     def test_unknown_key_in_config_file_is_config_error(self, tmp_path, capsys, text, bad):
         ini = tmp_path / "run.ini"
         ini.write_text(text)
@@ -236,3 +291,27 @@ class TestConfigHandling:
         code = run_cli(["classify", "--preset", "two-antipodal"])
         assert code == 0
         assert (tmp_path / "envout" / "summary.json").exists()
+
+
+def doc_key_tables() -> dict:
+    """{section: {key: default cell}} from the key tables of docs/config.md."""
+    tables, rows = {}, None
+    for line in DOCS.read_text().splitlines():
+        head = re.match(r"## `\[(\w+)\]`", line)
+        if head or line.startswith("## "):
+            rows = tables.setdefault(head.group(1), {}) if head else None
+            continue
+        row = re.match(r"\| `(\w+)` \| (`[^`]*`|unset) \|", line)
+        if row and rows is not None:
+            assert row.group(1) not in rows, f"{row.group(1)} documented twice"
+            rows[row.group(1)] = row.group(2).strip("`")
+    return tables
+
+
+def test_doc_key_tables_match_schema():
+    docs = doc_key_tables()
+    assert {s: sorted(kv) for s, kv in docs.items()} == {s: sorted(kv) for s, kv in SCHEMA.items()}
+    for section, keys in SCHEMA.items():
+        for key, (parse, default) in keys.items():
+            cell = docs[section][key]
+            assert (None if cell == "unset" else parse(cell)) == default, f"[{section}] {key} = {cell}"

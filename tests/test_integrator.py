@@ -195,6 +195,14 @@ class TestSeededEnsemble:
         a = ps.seeded_ensemble(1000, seed=3)
         assert np.all((a.phases >= -np.pi) & (a.phases < np.pi))
 
+    def test_freq_stream_is_not_next_phase_stream(self):
+        # with freq_halfwidth = pi, phases and frequencies map their streams
+        # onto [-pi, pi) alike, so a shared stream shows as shared values
+        for seed in range(5):
+            ens = ps.seeded_ensemble(64, seed=seed, freq_halfwidth=np.pi)
+            assert np.array_equal(ens.phases, ps.rng.uniform(seed, 64, -np.pi, np.pi))
+            assert np.intersect1d(ens.freqs, ps.seeded_ensemble(64, seed=seed + 1).phases).size == 0
+
 
 class TestSplitmix64:
     @pytest.mark.parametrize("seed", [0, 1, 12345, 2**63 + 7, 2**64 - 1])

@@ -41,6 +41,16 @@ class TestDiscretize:
         with pytest.raises(ValueError):
             ps.discretize(ps.AtomList((0.5, 0.4), (0.0, 1.0), (0.0, 0.0)))
 
+    @pytest.mark.parametrize("phase", [ps.UniformArc(0.3, 2.5), ps.TruncatedGaussianArc(-0.2, 0.7, 2.9)],
+                             ids=["uniform", "tgauss"])
+    def test_dirac_product_is_phase_spec_bitwise(self, phase):
+        # the CLI's default frequency law: crossing with Dirac(0) changes no bit
+        a = ps.discretize(ps.ProductSpec(phase, ps.Dirac(0.0)), 1024, coupling=1.3)
+        b = ps.discretize(phase, 1024, coupling=1.3)
+        for name in ("weights", "thetas", "thetas0", "omegas", "log_jacs"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+        assert (a.coupling, a.has_atoms) == (b.coupling, b.has_atoms)
+
 
 class TestKineticStep:
     def test_single_atom_fixed_log_jac_rate(self):
