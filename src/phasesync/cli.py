@@ -179,8 +179,9 @@ def load_config(path: str) -> dict:
     if not p.exists():
         raise ConfigError(f"config file not found: {path}")
     if p.suffix == ".json":
-        cfg = json.loads(p.read_text()).get("config")
-        if not isinstance(cfg, dict):
+        doc = json.loads(p.read_text())
+        cfg = doc.get("config") if isinstance(doc, dict) else None
+        if not (isinstance(cfg, dict) and all(isinstance(kv, dict) for kv in cfg.values())):
             raise ConfigError(f"{path} is not a phasesync manifest")
         return {sec: dict(kv) for sec, kv in cfg.items()}
     return _parse_ini(p.read_text(), path)

@@ -38,8 +38,8 @@ class SimConfig:
     stationarity_tol: float = 1e-9
 
     def __post_init__(self):
-        if not (self.dt > 0 and self.t_max > 0 and self.dt <= self.t_max):
-            raise ValueError("need 0 < dt <= t_max")
+        if not (0 < self.dt <= self.t_max < np.inf):
+            raise ValueError("need 0 < dt <= t_max, both finite")
         if self.record_every < 1:
             raise ValueError("record_every must be a positive integer")
         if self.stationarity_tol <= 0:
@@ -68,11 +68,16 @@ def rk4_step(rate, y, dt):
     k2 = rate(y + h * k1)
     k3 = rate(y + h * k2)
     k4 = rate(y + dt * k3)
+    return rk4_combine(y, dt, k1, k2, k3, k4)
+
+
+def rk4_combine(y, dt, k1, k2, k3, k4):
+    """y advanced by dt with the classical RK4 weights on the stage rates."""
     return y + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
 
 
-def drive(rate, velocity, y, cfg: SimConfig, record, time: float = 0.0):
-    """The driver loop: RK4 steps of y' = rate(y) from t = time to t_max.
+def drive(step, velocity, y, cfg: SimConfig, record, time: float = 0.0):
+    """The driver loop: steps y = step(y, dt) from t = time to t_max.
 
     record(t, y) is called at the start and every record_every steps, always
     including the last, with t = time + k*dt. A non-finite y raises
@@ -83,7 +88,7 @@ def drive(rate, velocity, y, cfg: SimConfig, record, time: float = 0.0):
     n_steps = int(round(cfg.t_max / cfg.dt))
     record(time, y)
     for k in range(1, n_steps + 1):
-        y = rk4_step(rate, y, cfg.dt)
+        y = step(y, cfg.dt)
         t = time + k * cfg.dt
         if not np.isfinite(y).all():
             raise NonFiniteStateError(t)
@@ -127,7 +132,7 @@ def simulate(ens: OscillatorEnsemble, cfg: SimConfig) -> Trajectory:
         rows.append((t, e, op.r, op.phi, e.n * op.r**2 / 2.0, mean_phase(e)))
 
     rate = _phase_rate(ens)
-    _, stopped_on = drive(rate, rate, ens.phases, cfg, record)
+    _, stopped_on = drive(lambda y, dt: rk4_step(rate, y, dt), rate, ens.phases, cfg, record)
     times, states, r, phi, u, mp = zip(*rows)
     return Trajectory(
         times=np.asarray(times),

@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import OscillatorEnsemble, circle_distance, field, weighted_order_parameter
 from .freqdist import FrequencyDistribution
-from .integrate import NonFiniteStateError, SimConfig, drive, rk4_step
+from .integrate import NonFiniteStateError, SimConfig, drive, rk4_combine, rk4_step
 
 _WEIGHT_TOL = 1e-12
 
@@ -182,13 +182,24 @@ def discretize(spec: DensitySpec, m: int = 1024, coupling: float = 1.0) -> Phase
 # Transport
 
 
-def _rate(meas: PhaseMeasure):
-    """Rate of the stacked state [thetas, log_jacs]: the mean-field velocity
-    and log-Jacobian rate, with the mean field recomputed from the particle
-    positions at every RK stage (keeping the scheme 4th order for the
-    nonlocal system)."""
+def _step(meas: PhaseMeasure):
+    """The RK4 step (y, dt) -> y of the stacked state [thetas, log_jacs]: the
+    mean field is recomputed at every stage (keeping the scheme 4th order for
+    the nonlocal system), and the log-Jacobian rate, a function of the phases
+    alone, is taken from the same field calls; bitwise the stacked RK4 step."""
     w, om, k = meas.weights, meas.omegas, meas.coupling
-    return lambda y: np.stack(field(y[0], om, w, k))
+
+    def step(y, dt):
+        jac_rates = []
+
+        def rate(thetas):
+            v, jac_rate = field(thetas, om, w, k)
+            jac_rates.append(jac_rate)
+            return v
+        thetas = rk4_step(rate, y[0], dt)
+        return np.stack([thetas, rk4_combine(y[1], dt, *jac_rates)])
+
+    return step
 
 
 def _moved(meas: PhaseMeasure, y: np.ndarray, time: float) -> PhaseMeasure:
@@ -203,7 +214,7 @@ def kinetic_step(meas: PhaseMeasure, dt: float) -> PhaseMeasure:
     """
     if dt <= 0:
         raise ValueError("dt must be > 0")
-    y = rk4_step(_rate(meas), np.stack([meas.thetas, meas.log_jacs]), dt)
+    y = _step(meas)(np.stack([meas.thetas, meas.log_jacs]), dt)
     if not np.isfinite(y).all():
         raise NonFiniteStateError(meas.time + dt)
     return _moved(meas, y, meas.time + dt)
@@ -236,7 +247,7 @@ def kinetic_simulate(meas: PhaseMeasure, cfg: SimConfig) -> KineticTrajectory:
         return field(y[0], meas.omegas, meas.weights, meas.coupling, False)
 
     y0 = np.stack([meas.thetas, meas.log_jacs])
-    y, stopped_on = drive(_rate(meas), velocity, y0, cfg, record, meas.time)
+    y, stopped_on = drive(_step(meas), velocity, y0, cfg, record, meas.time)
     times, r, phi, h, s, mp = zip(*rows)
     return KineticTrajectory(
         times=np.asarray(times),

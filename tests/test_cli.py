@@ -246,6 +246,7 @@ class TestConfigHandling:
         # three_osc_delta0 would silently shadow phases
         ["finite", "--preset", "three-osc", "--set", "model.phases=0,1,2"],
         ["finite", "--preset", "three-osc", "--set", "model.zero_mean_freqs=ture"],
+        ["finite", "--preset", "three-osc", "--set", "sim.t_max=inf"],
     ])
     def test_rejected_value_is_config_error(self, tmp_path, capsys, argv):
         assert run_cli(argv + ["--out", str(tmp_path)]) == 2
@@ -263,6 +264,15 @@ class TestConfigHandling:
         assert run_cli(["finite", "--config", str(ini), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert "config error:" in err and bad in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("doc", [[], {"config": []}, {"config": {"sim": 5}}],
+                             ids=["top-list", "config-list", "section-int"])
+    def test_malformed_json_config_is_config_error(self, tmp_path, capsys, doc):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(doc))
+        assert run_cli(["finite", "--config", str(manifest), "--out", str(tmp_path / "out")]) == 2
+        assert "config error:" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("preset,mode", [

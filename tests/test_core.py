@@ -224,3 +224,58 @@ class TestEnsembleValidation:
         ens = ps.OscillatorEnsemble([0.1, 0.2], [1.0, 3.0])
         shifted = ps.zero_mean_frequencies(ens)
         assert np.mean(shifted.freqs) == pytest.approx(0.0, abs=1e-15)
+
+
+def cos_sin_field(thetas, omegas, weights, coupling):
+    """field with np.cos/np.sin at every particle count: the oracle of the
+    half-angle path."""
+    c = np.cos(thetas)
+    s = np.sin(thetas)
+    kx = coupling * c.dot(weights)
+    ky = coupling * s.dot(weights)
+    return omegas + ky * c - kx * s, -kx * c - ky * s
+
+
+def half_angle_inputs(n, seed):
+    """n phases: kpi/2 and its neighbours one ulp away, then an arc of width 1
+    shifted by random multiples of 2pi over [-1e3, 1e3], so that R > 0.7 and
+    an error in cos or sin reaches the velocity undamped; frequencies and
+    positive weights summing to 1."""
+    k = np.arange(-20, 21) * (np.pi / 2)
+    edge = np.concatenate([k, np.nextafter(k, np.inf), np.nextafter(k, -np.inf)])
+    rng = np.random.default_rng(seed)
+    m = n - edge.size
+    arc = rng.uniform(-0.5, 0.5, m) + 2 * np.pi * rng.integers(-159, 160, m)
+    thetas = np.concatenate([edge, arc])
+    w = rng.uniform(0.5, 1.5, n)
+    return thetas, rng.uniform(-1.0, 1.0, n), w / w.sum()
+
+
+class TestHalfAngleField:
+    CUT = ps.core.HALF_ANGLE_MIN
+
+    @pytest.mark.parametrize("n", [CUT, 4096])
+    def test_matches_cos_sin_oracle(self, n):
+        args = half_angle_inputs(n, n)
+        for got, want in zip(ps.field(*args, 1.0), cos_sin_field(*args, 1.0)):
+            assert np.max(np.abs(got - want)) <= 1e-14
+
+    def test_below_cut_is_cos_sin_bitwise(self):
+        args = half_angle_inputs(self.CUT - 1, 7)
+        for got, want in zip(ps.field(*args, 1.0), cos_sin_field(*args, 1.0)):
+            assert np.array_equal(got, want)
+
+    def test_both_sides_of_cut_agree(self):
+        # one zero-weight particle more takes the same phases across the cut
+        thetas, omegas, w = half_angle_inputs(self.CUT, 11)
+        below = ps.field(thetas[:-1], omegas[:-1], w[:-1] / w[:-1].sum(), 1.0)
+        at = ps.field(thetas, omegas, np.append(w[:-1] / w[:-1].sum(), 0.0), 1.0)
+        for lo, hi in zip(below, at):
+            assert np.max(np.abs(lo - hi[:-1])) <= 1e-14
+
+    def test_non_finite_phase_gives_nan(self):
+        thetas = np.linspace(-3.0, 3.0, self.CUT)
+        thetas[[0, 1, 2]] = [np.inf, -np.inf, np.nan]
+        with np.errstate(invalid="ignore"):
+            v = ps.field(thetas, np.zeros(self.CUT), np.full(self.CUT, 1.0 / self.CUT), 1.0, False)
+        assert np.isnan(v).all()

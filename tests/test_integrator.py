@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -155,6 +157,18 @@ class TestSimulate:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ps.NonFiniteStateError):
                 ps.simulate(ens, ps.SimConfig(dt=1.0, t_max=4.0, record_every=2))
+
+    def test_blow_up_is_numerical_abort_above_half_angle_cut(self):
+        n = ps.core.HALF_ANGLE_MIN
+        ens = ps.OscillatorEnsemble(np.linspace(0.0, 1.0, n), np.tile([1e308, -1e308], n // 2))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ps.NonFiniteStateError):
+                ps.simulate(ens, ps.SimConfig(dt=1.0, t_max=4.0, record_every=2))
+
+    @pytest.mark.parametrize("kwargs", [{"t_max": math.inf}, {"dt": math.inf}, {"t_max": math.nan}])
+    def test_config_rejects_non_finite_times(self, kwargs):
+        with pytest.raises(ValueError):
+            ps.SimConfig(**kwargs)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

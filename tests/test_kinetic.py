@@ -119,6 +119,37 @@ class TestKineticSimulate:
             with pytest.raises(ps.NonFiniteStateError):
                 ps.kinetic_simulate(meas, ps.SimConfig(dt=1.0, t_max=4.0, record_every=2))
 
+    def test_blow_up_is_numerical_abort_above_half_angle_cut(self):
+        n = ps.core.HALF_ANGLE_MIN
+        ens = ps.OscillatorEnsemble(np.linspace(0.0, 1.0, n), np.tile([1e308, -1e308], n // 2))
+        meas = ps.PhaseMeasure.from_ensemble(ens)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ps.NonFiniteStateError):
+                ps.kinetic_simulate(meas, ps.SimConfig(dt=1.0, t_max=4.0, record_every=2))
+
+    @pytest.mark.parametrize("m,n_freq", [(8, 8), (64, 64)])
+    def test_matches_stacked_rk4_bitwise(self, m, n_freq):
+        # oracle: one RK4 step of the stacked state [thetas, log_jacs] with the
+        # stacked rate [velocity, log-Jacobian rate]
+        spec = ps.ProductSpec(ps.UniformArc(0.3, 2.0), ps.Uniform(0.25, 0.5), n_freq)
+        meas = ps.discretize(spec, m, coupling=1.5)
+        cfg = ps.SimConfig(dt=0.05, t_max=2.0, record_every=5)
+        rate = lambda y: np.stack(ps.field(y[0], meas.omegas, meas.weights, meas.coupling))
+        y = np.stack([meas.thetas, meas.log_jacs])
+        r, entropy = [], []
+        for k in range(int(round(cfg.t_max / cfg.dt)) + 1):
+            if k:
+                y = ps.rk4_step(rate, y, cfg.dt)
+            if k % cfg.record_every == 0:
+                r.append(ps.weighted_order_parameter(meas.weights, y[0]).r)
+                entropy.append(-float(np.sum(meas.weights * y[1])))
+        traj = ps.kinetic_simulate(meas, cfg)
+        assert traj.stopped_on == "t_max" and meas.n_particles == m * n_freq
+        assert np.array_equal(traj.final.thetas, y[0])
+        assert np.array_equal(traj.final.log_jacs, y[1])
+        assert np.array_equal(traj.r_series, r)
+        assert np.array_equal(traj.entropy_series, entropy)
+
 
 class TestObservable:
     def test_mass_is_one(self):
