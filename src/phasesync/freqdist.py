@@ -36,6 +36,14 @@ class FrequencyDistribution:
     def quadrature(self, n: int) -> Tuple[np.ndarray, np.ndarray]:  # pragma: no cover
         raise NotImplementedError
 
+    def _cells(self, n: int) -> Tuple[np.ndarray, float]:
+        """Midpoints of n equal cells of the support, and the cell width."""
+        if n < 1:
+            raise ValueError("quadrature needs n >= 1 nodes")
+        lo, hi = self.support()
+        edges = np.linspace(lo, hi, n + 1)
+        return 0.5 * (edges[:-1] + edges[1:]), edges[1] - edges[0]
+
     def expect(self, fn: Callable[[np.ndarray], np.ndarray], tol: float = 1e-12) -> float:
         """Adaptive integral of fn against the law (exact sum when discrete)."""
         lo, hi = self.support()
@@ -62,6 +70,10 @@ class Dirac(FrequencyDistribution):
     omega0: float = 0.0
     is_discrete: bool = field(default=True, init=False)
 
+    def __post_init__(self):
+        if not math.isfinite(self.omega0):
+            raise ValueError("omega0 must be finite")
+
     def support(self):
         return (self.omega0, self.omega0)
 
@@ -83,8 +95,8 @@ class Uniform(FrequencyDistribution):
     halfwidth: float = 0.5
 
     def __post_init__(self):
-        if self.halfwidth <= 0:
-            raise ValueError("halfwidth must be > 0")
+        if not (math.isfinite(self.center) and 0.0 < self.halfwidth < math.inf):
+            raise ValueError("center must be finite and halfwidth finite and > 0")
         # constants outside the fields: ==, hash, repr skip them; replace recomputes
         vars(self).update(_lo=self.center - self.halfwidth, _hi=self.center + self.halfwidth,
                           _height=1.0 / (2.0 * self.halfwidth))
@@ -99,9 +111,7 @@ class Uniform(FrequencyDistribution):
         return (self._lo, self._hi)
 
     def quadrature(self, n: int):
-        lo, hi = self.support()
-        edges = np.linspace(lo, hi, n + 1)
-        nodes = 0.5 * (edges[:-1] + edges[1:])
+        nodes, _ = self._cells(n)
         return nodes, np.full(n, 1.0 / n)
 
 
@@ -118,6 +128,8 @@ class Discrete(FrequencyDistribution):
         p = np.asarray(self.probs, dtype=float)
         if w.shape != p.shape or w.ndim != 1 or w.size < 1:
             raise ValueError("omegas and probs must be 1-d and the same length")
+        if not (np.isfinite(w).all() and np.isfinite(p).all()):
+            raise ValueError("omegas and probs must be finite")
         if np.any(p < 0) or abs(p.sum() - 1.0) > 1e-12:
             raise ValueError("probs must be nonnegative and sum to 1")
         object.__setattr__(self, "omegas", tuple(float(x) for x in w))
@@ -146,8 +158,8 @@ class TruncatedGaussian(FrequencyDistribution):
     cut: float = 2.0
 
     def __post_init__(self):
-        if self.sigma <= 0 or self.cut <= 0:
-            raise ValueError("sigma and cut must be > 0")
+        if not (math.isfinite(self.mean) and 0.0 < self.sigma < math.inf and 0.0 < self.cut < math.inf):
+            raise ValueError("mean must be finite and sigma and cut finite and > 0")
         # as in Uniform; norm is the untruncated mass inside the cut
         norm = math.erf(self.cut / (self.sigma * math.sqrt(2.0)))
         vars(self).update(_lo=self.mean - self.cut, _hi=self.mean + self.cut,
@@ -170,8 +182,6 @@ class TruncatedGaussian(FrequencyDistribution):
         return (self._lo, self._hi)
 
     def quadrature(self, n: int):
-        lo, hi = self.support()
-        edges = np.linspace(lo, hi, n + 1)
-        nodes = 0.5 * (edges[:-1] + edges[1:])
-        weights = self.pdf(nodes) * (edges[1] - edges[0])
+        nodes, width = self._cells(n)
+        weights = self.pdf(nodes) * width
         return nodes, weights / weights.sum()

@@ -9,7 +9,7 @@ pushforward, so no grid density is ever built.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Union
 
 import numpy as np
@@ -48,7 +48,7 @@ class PhaseMeasure:
         for arr in (self.thetas, self.thetas0, self.omegas, self.log_jacs):
             if arr.shape != (n,):
                 raise ValueError("all particle arrays must share one length")
-        if np.any(self.weights <= 0):
+        if not np.all(self.weights > 0):  # NaN fails too
             raise ValueError("weights must be positive")
         if abs(self.weights.sum() - 1.0) > _WEIGHT_TOL:
             raise ValueError("weights must sum to 1 within 1e-12")
@@ -132,6 +132,10 @@ class ProductSpec:
     freqs: FrequencyDistribution
     n_freq: int = 64
 
+    def __post_init__(self):
+        if self.n_freq < 1:
+            raise ValueError("n_freq must be >= 1")
+
 
 DensitySpec = Union[AtomList, UniformArc, TruncatedGaussianArc, ProductSpec]
 
@@ -203,8 +207,12 @@ def _step(meas: PhaseMeasure):
 
 
 def _moved(meas: PhaseMeasure, y: np.ndarray, time: float) -> PhaseMeasure:
-    """meas at a later time, with characteristics and log-Jacobians from y."""
-    return replace(meas, thetas=y[0], log_jacs=y[1], time=time)
+    """meas at a later time, with characteristics and log-Jacobians from y.
+    Built without __post_init__: the weights, frequencies and coupling are
+    those of a measure already checked, and y is the float state of a step."""
+    moved = object.__new__(type(meas))
+    vars(moved).update(vars(meas), thetas=y[0], log_jacs=y[1], time=time)
+    return moved
 
 
 def kinetic_step(meas: PhaseMeasure, dt: float) -> PhaseMeasure:

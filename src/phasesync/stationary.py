@@ -25,8 +25,9 @@ from .kinetic import AtomList
 ROOT_TOL = 1e-10  # residual bound for every reported root
 DEFAULT_GRID = 4096  # R-scan resolution; close root pairs near onset
 K_MAX = 100.0  # cap on the critical coupling
-_LEGENDRE_NODES = 64  # first Gauss-Legendre order in t of the vectorized I(a)
+_LEGENDRE_NODES = 16  # first Gauss-Legendre order in t of the vectorized I(a)
 _MAX_LEGENDRE_NODES = 1024
+_GRID_TOL = 1e-12  # end-point match that sets that order; below ROOT_TOL
 _legendre = lru_cache(maxsize=None)(roots_legendre)
 
 
@@ -68,22 +69,27 @@ def self_consistency_residual(g: FrequencyDistribution, k: float, r: float) -> f
 
 def _integral_grid(g: FrequencyDistribution, a: np.ndarray) -> np.ndarray:
     """I on an ascending array of a >= max|omega|: exact sum over atoms, else
-    a Gauss-Legendre rule in t, doubled until it matches the adaptive I at
-    both ends (where narrow features of g are resolved worst) to ROOT_TOL."""
+    a Gauss-Legendre rule in t. Its order, doubled from _LEGENDRE_NODES, is
+    the first to match the adaptive I to _GRID_TOL at both ends of a (where
+    narrow features of g are resolved worst); only then is all of a evaluated."""
     if g.is_discrete:
         w, p = g.atoms()
         return np.sqrt(np.maximum(a[:, None] ** 2 - w * w, 0.0)) @ p
-    ref = np.array([_integral(g, a[0]), _integral(g, a[-1])])
+    ends = a[[0, -1]]
+    ref = np.array([_integral(g, x) for x in ends])
+    n = _LEGENDRE_NODES
+    while n < _MAX_LEGENDRE_NODES and np.max(np.abs(_legendre_integral(g, ends, n) - ref)) > _GRID_TOL:
+        n *= 2
+    return _legendre_integral(g, a, n)
+
+
+def _legendre_integral(g: FrequencyDistribution, a: np.ndarray, n: int) -> np.ndarray:
+    """The n-node Gauss-Legendre rule in t for I at each a >= max|omega|."""
     t_lo, t_hi = np.arcsin(np.clip(np.divide.outer(g.support(), a), -1.0, 1.0))
     mid, half = 0.5 * (t_hi + t_lo), 0.5 * (t_hi - t_lo)
-    n = _LEGENDRE_NODES
-    while True:
-        x, wx = _legendre(n)
-        s = np.sin(mid[:, None] + half[:, None] * x)
-        val = a * a * half * (((1.0 - s * s) * g.pdf(a[:, None] * s)) @ wx)
-        if n >= _MAX_LEGENDRE_NODES or max(abs(val[0] - ref[0]), abs(val[-1] - ref[1])) <= ROOT_TOL:
-            return val
-        n *= 2
+    x, wx = _legendre(n)
+    s = np.sin(mid[:, None] + half[:, None] * x)
+    return a * a * half * (((1.0 - s * s) * g.pdf(a[:, None] * s)) @ wx)
 
 
 def _integral(g: FrequencyDistribution, a: float) -> float:
@@ -106,8 +112,10 @@ def self_consistency_roots(g: FrequencyDistribution, k: float,
     keeps a root only if the public residual is below ROOT_TOL there.
     An empty root list (subcritical k) is a normal outcome.
     """
-    if k <= 0:
-        raise ValueError("coupling must be > 0")
+    if not 0.0 < k < math.inf:
+        raise ValueError("coupling must be finite and > 0")
+    if grid < 2:
+        raise ValueError("grid must be >= 2")
     wmax = g.max_abs_omega
     if wmax / k > 1.0:
         raise ValueError("support of g too wide: max|omega|/K > 1 admits no R")
@@ -137,8 +145,10 @@ def critical_coupling(g: FrequencyDistribution, kc_tol: float = 1e-6, k_max: flo
     Brent to kc_tol in a. h(max|omega|), the minimum for the uniform law, is
     always a candidate. A Dirac law is supercritical for every K > 0.
     """
-    if not kc_tol > 0:
-        raise ValueError("kc_tol must be > 0")
+    if not 0.0 < kc_tol < math.inf:
+        raise ValueError("kc_tol must be finite and > 0")
+    if grid < 2:
+        raise ValueError("grid must be >= 2")
     wmax = g.max_abs_omega
     if isinstance(g, Dirac) or wmax == 0.0:
         return 0.0

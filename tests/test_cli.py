@@ -147,7 +147,7 @@ class TestRootsAndKc:
         kc = read_summary(out)["k_c"]
         assert kc == pytest.approx(4 * 0.5 / np.pi, abs=1e-4)
 
-    @pytest.mark.parametrize("tol", ["0", "-1"])
+    @pytest.mark.parametrize("tol", ["0", "-1", "inf", "nan"])  # non-finite too
     def test_kc_nonpositive_tol_is_config_error(self, tmp_path, capsys, tol):
         code = run_cli(["kc", "--preset", "kuramoto-uniform-g", "--set", f"kc.tol={tol}",
                         "--out", str(tmp_path)])
@@ -247,6 +247,13 @@ class TestConfigHandling:
         ["finite", "--preset", "three-osc", "--set", "model.phases=0,1,2"],
         ["finite", "--preset", "three-osc", "--set", "model.zero_mean_freqs=ture"],
         ["finite", "--preset", "three-osc", "--set", "sim.t_max=inf"],
+        # a ZeroDivisionError in the frequency quadrature
+        ["kinetic", "--preset", "kuramoto-uniform-g", "--set", "model.n_freq=0"],
+        # an IndexError; an empty root list at K = 1.5 > K_c; NaN and
+        # Infinity (not JSON) in summary.json; non-finite frequency laws
+        *(["roots", "--preset", "kuramoto-uniform-g", "--set", "model.coupling=1.5", "--set", bad]
+          for bad in ("roots.grid=0", "roots.grid=1", "model.coupling=nan", "model.coupling=inf",
+                      "model.freq_halfwidth_g=nan", "model.freq_halfwidth_g=inf")),
     ])
     def test_rejected_value_is_config_error(self, tmp_path, capsys, argv):
         assert run_cli(argv + ["--out", str(tmp_path)]) == 2

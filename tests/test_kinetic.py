@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -36,6 +39,12 @@ class TestDiscretize:
         # mass concentrates near the center
         inner = meas.weights[np.abs(meas.thetas) < 0.4].sum()
         assert inner > 0.6
+
+    @pytest.mark.parametrize("n_freq", [0, -3])
+    @pytest.mark.parametrize("law", [ps.Uniform(0, 0.5), ps.Dirac(0.0)], ids=["uniform", "dirac"])
+    def test_product_needs_a_frequency_node(self, law, n_freq):
+        with pytest.raises(ValueError):
+            ps.ProductSpec(ps.UniformArc(), law, n_freq)
 
     def test_bad_mass_rejected(self):
         with pytest.raises(ValueError):
@@ -101,6 +110,21 @@ class TestKineticStep:
         meas = ps.discretize(ps.UniformArc(0, 1.0), 8)
         with pytest.raises(ValueError):
             ps.kinetic_step(meas, 0.0)
+
+    def test_moved_measure_matches_validated_rebuild(self):
+        # oracle: the step as v0.7.0 built it, through dataclasses.replace
+        # and so through every check of __post_init__
+        spec = ps.ProductSpec(ps.TruncatedGaussianArc(0.2, 0.8, 2.5), ps.Uniform(0.1, 0.4), 16)
+        cur = ref = ps.discretize(spec, 64, coupling=1.7)
+        for _ in range(20):
+            cur = ps.kinetic_step(cur, 0.03)
+            y = np.stack(ps.rk4_step(lambda y: np.stack(ps.field(y[0], ref.omegas, ref.weights, ref.coupling)),
+                                     np.stack([ref.thetas, ref.log_jacs]), 0.03))
+            ref = dataclasses.replace(ref, thetas=y[0], log_jacs=y[1], time=ref.time + 0.03)
+        assert type(cur) is ps.PhaseMeasure
+        for f in dataclasses.fields(ps.PhaseMeasure):
+            got, want = getattr(cur, f.name), getattr(ref, f.name)
+            assert np.array_equal(got, want) and np.asarray(got).dtype == np.asarray(want).dtype, f.name
 
 
 class TestKineticSimulate:
@@ -297,6 +321,13 @@ class TestKineticInvariants:
         cls = ps.classify_measure(traj.final)
         assert cls.kind == "clustered"
         assert cls.c2 < ps.MASS_TOL
+
+    @pytest.mark.parametrize("weights", [[0.5, 0.4], [1.2, -0.2], [1.0, 0.0], [0.5, math.nan]])
+    def test_constructor_rejects_bad_weights(self, weights):
+        # kinetic_step skips these checks; the public constructor keeps them
+        z = np.zeros(2)
+        with pytest.raises(ValueError):
+            ps.PhaseMeasure(weights=np.array(weights), thetas=z, thetas0=z, omegas=z, log_jacs=z)
 
     def test_measure_validation(self):
         with pytest.raises(ValueError):

@@ -7,7 +7,8 @@ from scipy.integrate import quad
 from scipy.optimize import brentq, minimize_scalar
 
 import phasesync as ps
-from phasesync.stationary import ROOT_TOL
+import phasesync.stationary as st
+from phasesync.stationary import DEFAULT_GRID, ROOT_TOL
 
 
 def uniform_integral_closed_form(gamma, a):
@@ -48,6 +49,55 @@ def pdf_v040(g, omega):
     inside = np.abs(omega - g.mean) <= g.cut
     return np.where(inside, base / math.erf(g.cut / (g.sigma * math.sqrt(2.0))), 0.0)
 
+
+def integral_grid_v070(g, a):
+    """The vectorised I(a) as v0.7.0 computed it, kept as the oracle: the
+    whole grid at every order from 64 nodes, doubled until both ends match
+    the adaptive I to ROOT_TOL."""
+    if g.is_discrete:
+        w, p = g.atoms()
+        return np.sqrt(np.maximum(a[:, None] ** 2 - w * w, 0.0)) @ p
+    ref = np.array([st._integral(g, a[0]), st._integral(g, a[-1])])
+    t_lo, t_hi = np.arcsin(np.clip(np.divide.outer(g.support(), a), -1.0, 1.0))
+    mid, half = 0.5 * (t_hi + t_lo), 0.5 * (t_hi - t_lo)
+    n = 64
+    while True:
+        x, wx = st._legendre(n)
+        s = np.sin(mid[:, None] + half[:, None] * x)
+        val = a * a * half * (((1.0 - s * s) * g.pdf(a[:, None] * s)) @ wx)
+        if n >= 1024 or max(abs(val[0] - ref[0]), abs(val[-1] - ref[1])) <= ROOT_TOL:
+            return val
+        n *= 2
+
+
+# the stationary-kc laws (the seeded ones at bench seed 1)
+BENCH_LAWS = [
+    ps.Uniform(0, 0.5),
+    ps.Uniform(0, 0.4175),
+    ps.TruncatedGaussian(0, 0.3, 0.6),
+    ps.Discrete((-0.3583, 0.3583), (0.5, 0.5)),
+    ps.Dirac(0.0),
+]
+
+# laws whose end points need from 16 to 256 Legendre nodes; on the
+# off-centre Gaussians an end-point match of 1e-10 stops at 16 nodes,
+# too few for the interior
+GRID_LAWS = [
+    ps.Uniform(0, 0.5),
+    ps.TruncatedGaussian(0, 0.3, 0.6),
+    ps.TruncatedGaussian(0.1, 0.3, 0.6),
+    ps.TruncatedGaussian(-0.2, 0.25, 0.5),
+    ps.TruncatedGaussian(0, 0.01, 0.3),
+]
+
+NON_FINITE_LAWS = [
+    (ps.Uniform, (0, math.nan)), (ps.Uniform, (0, math.inf)), (ps.Uniform, (math.nan, 0.5)),
+    (ps.Uniform, (-math.inf, 0.5)), (ps.TruncatedGaussian, (math.nan, 0.3, 0.6)),
+    (ps.TruncatedGaussian, (0, math.nan, 0.6)), (ps.TruncatedGaussian, (0, math.inf, 0.6)),
+    (ps.TruncatedGaussian, (0, 0.3, math.nan)), (ps.TruncatedGaussian, (0, 0.3, math.inf)),
+    (ps.Dirac, (math.nan,)), (ps.Discrete, ((-0.3, math.inf), (0.5, 0.5))),
+    (ps.Discrete, ((-0.3, 0.3), (math.nan, 0.5))),
+]
 
 # off-centre laws with cut/sigma <= 2: the oracle's exponent stays O(1), so
 # the two formulas agree to rounding in the last bits
@@ -129,6 +179,17 @@ class TestFrequencyDistributions:
         assert g.expect(lambda w: w) == pytest.approx(0.2)
         assert g.max_abs_omega == 0.2
 
+    @pytest.mark.parametrize("law,args", NON_FINITE_LAWS, ids=[f"{law.__name__}{args}" for law, args in NON_FINITE_LAWS])
+    def test_non_finite_parameters_rejected(self, law, args):
+        with pytest.raises(ValueError):
+            law(*args)
+
+    @pytest.mark.parametrize("g", [ps.Uniform(0, 0.5), ps.TruncatedGaussian(0, 0.3, 0.6)], ids=repr)
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_quadrature_needs_a_node(self, g, n):
+        with pytest.raises(ValueError):
+            g.quadrature(n)
+
 
 class TestSelfConsistencyRoots:
     def test_dirac_root_is_one(self):
@@ -171,6 +232,25 @@ class TestSelfConsistencyRoots:
         with pytest.raises(ValueError):
             ps.self_consistency_roots(ps.Uniform(0, 2.0), 1.0)
 
+    @pytest.mark.parametrize("k", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_non_finite_or_nonpositive_coupling_rejected(self, k):
+        with pytest.raises(ValueError):
+            ps.self_consistency_roots(ps.Uniform(0, 0.5), k)
+
+    @pytest.mark.parametrize("grid", [0, 1])
+    def test_grid_below_two_rejected(self, grid):
+        # grid=1 scanned no interval, and so missed the root at K = 1.5 > K_c
+        with pytest.raises(ValueError):
+            ps.self_consistency_roots(ps.Uniform(0, 0.5), 1.5, grid=grid)
+        with pytest.raises(ValueError):
+            ps.critical_coupling(ps.Uniform(0, 0.5), grid=grid)
+
+    def test_two_point_grid_brackets_the_root(self):
+        g, k = ps.Uniform(0, 0.5), 1.5
+        want = ps.self_consistency_roots(g, k).roots
+        assert len(want) == 1
+        assert ps.self_consistency_roots(g, k, grid=2).roots == [pytest.approx(want[0], abs=1e-14)]
+
     def test_residual_bound_invariant(self):
         for g, k in [
             (ps.Uniform(0, 0.4), 1.0),
@@ -209,6 +289,49 @@ class TestSelfConsistencyRoots:
         # g+ mass 0.8 minus g- mass 0.2 scales the integral by 0.6
         integral = full + 1.0 * 0.81
         assert mixed == pytest.approx(0.6 * integral - 0.81, abs=1e-12)
+
+
+class TestIntegralGrid:
+    """The vectorised I(a) picks brackets and the argmin cell only; every
+    reported number is polished on the adaptive I."""
+
+    @pytest.mark.parametrize("g", BENCH_LAWS, ids=repr)
+    def test_roots_and_kc_bitwise_as_with_v070_grid(self, g, monkeypatch):
+        kc = ps.critical_coupling(g)
+        ks = [(kc or 0.5) * f for f in (1 + 1e-6, 1.01, 1.3, 2.0)] + [0.8, 1.2, 2.0]
+        got = [ps.self_consistency_roots(g, k).roots for k in ks]
+        signs = []
+        for k in ks:
+            r = np.linspace(max(g.max_abs_omega / k, 1e-12), 1.0, DEFAULT_GRID)
+            signs.append([np.sign(grid(g, k * r) - k * r * r) for grid in (st._integral_grid, integral_grid_v070)])
+        monkeypatch.setattr(st, "_integral_grid", integral_grid_v070)
+        assert ps.critical_coupling(g) == kc
+        assert [ps.self_consistency_roots(g, k).roots for k in ks] == got
+        assert any(got)
+        for new, old in signs:
+            assert np.array_equal(new, old)
+
+    @pytest.mark.parametrize("g", GRID_LAWS, ids=repr)
+    def test_grid_matches_adaptive_integral_inside(self, g):
+        # the roots scan at K = 1.2 and the K_c scan up to h(2 max|omega|)
+        wmax = g.max_abs_omega
+        for a_hi in (1.2, (2 * wmax) ** 2 / st._integral(g, 2 * wmax)):
+            a = np.linspace(wmax, a_hi, DEFAULT_GRID)
+            val = st._integral_grid(g, a)
+            for i in np.linspace(0, a.size - 1, 43).round().astype(int)[1:-1]:
+                assert abs(val[i] - st._integral(g, a[i])) <= 1e-12, (a_hi, a[i])
+
+    @pytest.mark.parametrize("g,nodes", [(ps.Uniform(0, 0.5), 16), (ps.TruncatedGaussian(0, 0.3, 0.6), 32),
+                                         (ps.TruncatedGaussian(0, 0.01, 0.3), 256)], ids=repr)
+    def test_order_chosen_on_end_points_only(self, g, nodes, monkeypatch):
+        calls = []
+        rule = st._legendre_integral
+        monkeypatch.setattr(st, "_legendre_integral", lambda g_, a, n: (calls.append((a.size, n)), rule(g_, a, n))[1])
+        a = np.linspace(g.max_abs_omega, 1.2, 1000)
+        st._integral_grid(g, a)
+        assert calls[-1] == (1000, nodes)
+        assert all(size == 2 for size, _ in calls[:-1])
+        assert [n for _, n in calls[:-1]] == [16 * 2**i for i in range(len(calls) - 1)]
 
 
 class TestCriticalCoupling:
@@ -251,7 +374,7 @@ class TestCriticalCoupling:
     def test_two_atoms_two_w(self, w):
         assert ps.critical_coupling(ps.Discrete((-w, w), (0.5, 0.5))) == pytest.approx(2 * w, abs=1e-9)
 
-    @pytest.mark.parametrize("tol", [0.0, -1.0])
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.inf, math.nan])  # non-finite too
     def test_nonpositive_tol_rejected(self, tol):
         with pytest.raises(ValueError):
             ps.critical_coupling(ps.Uniform(0, 0.5), kc_tol=tol)
