@@ -105,6 +105,11 @@ def pairwise_rhs(ens: OscillatorEnsemble) -> np.ndarray:
     return ens.freqs - (ens.coupling / ens.n) * np.sum(np.sin(diff), axis=1)
 
 
+def trig_scale(n: int) -> float:
+    """What field_into takes per radian of phase: 1/2 on the half-angle path."""
+    return 0.5 if n >= HALF_ANGLE_MIN else 1.0
+
+
 def field(thetas, omegas, weights, coupling, log_jac=True):
     """Velocity and log-Jacobian rate of weighted particles in their mean field.
 
@@ -119,17 +124,33 @@ def field(thetas, omegas, weights, coupling, log_jac=True):
     From HALF_ANGLE_MIN particles on, t = tan(theta/2) gives cos = (1 - t^2)
     / (1 + t^2) and sin = 2t / (1 + t^2), within 2.2e-16 of np.cos/np.sin.
     """
-    if thetas.size < HALF_ANGLE_MIN:
-        c, s = np.cos(thetas), np.sin(thetas)
+    n = thetas.size
+    v, c, s = np.empty(n), np.empty(n), np.empty(n)
+    jac = np.empty(n) if log_jac else None
+    field_into(thetas if n < HALF_ANGLE_MIN else 0.5 * thetas, omegas, weights, coupling, c, s, v, jac)
+    return (v, jac) if log_jac else v
+
+
+def field_into(u, omegas, weights, coupling, c, s, v, jac=None):
+    """field at the phases u / trig_scale(u.size), written into v (returned)
+    and, unless None, jac; c and s are scratch, so a stepper
+    can reuse all four. On the half-angle path s holds sin/2 and the scalars
+    carry the factor 2, an exact rescaling: bitwise the form above."""
+    if u.size < HALF_ANGLE_MIN:
+        np.cos(u, c)
+        np.sin(u, s)
+        f = 1.0
     else:
-        t = np.tan(0.5 * thetas)
-        q = t * t
-        d = 1.0 / (1.0 + q)
-        c, s = (1.0 - q) * d, (t + t) * d
+        np.tan(u, s)  # t
+        np.divide(1.0, np.add(np.multiply(s, s, c), 1.0, v), v)  # t^2 in c, 1/(1 + t^2) in v
+        np.multiply(np.subtract(1.0, c, c), v, c)  # cos
+        np.multiply(s, v, s)  # sin/2
+        f = 2.0
     kx = coupling * c.dot(weights)
-    ky = coupling * s.dot(weights)
-    v = omegas + ky * c - kx * s
-    return (v, -kx * c - ky * s) if log_jac else v
+    ky = f * coupling * s.dot(weights)
+    if jac is not None:  # jac = -kx*cos - ky*sin, then v = omega + ky*cos - kx*sin
+        np.subtract(np.multiply(c, -kx, jac), np.multiply(s, f * ky, v), jac)
+    return np.subtract(np.add(omegas, np.multiply(c, ky, c), v), np.multiply(s, f * kx, s), v)
 
 
 def finite_n_rhs(ens: OscillatorEnsemble) -> np.ndarray:

@@ -16,9 +16,11 @@ from . import rng
 from .core import (
     OscillatorEnsemble,
     field,
+    field_into,
     finite_n_rhs,
     mean_phase,
     order_parameter,
+    trig_scale,
 )
 
 
@@ -68,12 +70,45 @@ def rk4_step(rate, y, dt):
     k2 = rate(y + h * k1)
     k3 = rate(y + h * k2)
     k4 = rate(y + dt * k3)
-    return rk4_combine(y, dt, k1, k2, k3, k4)
+    return y + rk4_increment(k1, k2 + k3, k4, dt)
 
 
-def rk4_combine(y, dt, k1, k2, k3, k4):
-    """y advanced by dt with the classical RK4 weights on the stage rates."""
-    return y + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+def rk4_increment(k1, k23, k4, dt):
+    """The RK4 increment dt/6 (k1 + 2 (k2 + k3) + k4), given k23 = k2 + k3;
+    computed in place in k23 when that is an array."""
+    k23 *= 2.0
+    k23 += k1
+    k23 += k4
+    k23 *= dt / 6.0
+    return k23
+
+
+class Stepper:
+    """The RK4 step of weighted particles in their mean field, recomputed at
+    every stage (4th order for the nonlocal system). Built once per run, it
+    owns its stage and state buffers, and every ufunc writes into them. y is
+    (rows, n): the phases, and with log_jac their log-Jacobians, whose rates
+    come from the same field calls. A step returns the state buffer y is not,
+    overwritten two steps later. Stage inputs are field_into's a*y + (a*h)*k,
+    a = trig_scale(n), equal to a*(y + h*k) as scaling by 1/2 is exact."""
+
+    def __init__(self, omegas, weights, coupling, log_jac=False):
+        n, rows = omegas.size, 2 if log_jac else 1
+        self._a = trig_scale(n)
+        self._states = [np.empty((rows, n)), np.empty((rows, n))]
+        self._k = tuple(np.empty((3, rows, n)))
+        self._u, self._ay, c, s = np.empty((4, n))
+        self._args = [(omegas, weights, coupling, c, s, k[0], k[1] if log_jac else None) for k in self._k]
+
+    def __call__(self, y, dt):
+        (k1, k2, k3), (f1, f2, f3), u, a, h = self._k, self._args, self._u, self._a, 0.5 * dt
+        ay = y[0] if a == 1.0 else np.multiply(y[0], a, self._ay)
+        np.add(ay, np.multiply(field_into(ay, *f1), a * h, u), u)
+        np.add(ay, np.multiply(field_into(u, *f2), a * h, u), u)
+        np.add(ay, np.multiply(field_into(u, *f3), a * dt, u), u)
+        np.add(k2, k3, k2)
+        field_into(u, *f3)
+        return np.add(y, rk4_increment(k1, k2, k3, dt), self._states[y is self._states[0]])
 
 
 def drive(step, velocity, y, cfg: SimConfig, record, time: float = 0.0):
@@ -99,17 +134,22 @@ def drive(step, velocity, y, cfg: SimConfig, record, time: float = 0.0):
     return y, "t_max"
 
 
-def _phase_rate(ens: OscillatorEnsemble):
-    """Phase velocity of the ensemble's equal-weight measure, as a function
-    of the phases alone."""
-    w, om, k = np.full(ens.n, 1.0 / ens.n), ens.freqs, ens.coupling
-    return lambda phases: field(phases, om, w, k, False)
+def _trusted(obj, **fields):
+    """obj with some fields replaced, built without __post_init__: the others
+    were checked when obj was built, and the new ones are a step's finite
+    float state."""
+    moved = object.__new__(type(obj))
+    vars(moved).update(vars(obj), **fields)
+    return moved
 
 
 def step_rk4(ens: OscillatorEnsemble, dt: float) -> OscillatorEnsemble:
     """One classical RK4 step (dt may be negative); frequencies and coupling
     unchanged."""
-    return ens.with_phases(rk4_step(_phase_rate(ens), ens.phases, dt))
+    y = Stepper(ens.freqs, np.full(ens.n, 1.0 / ens.n), ens.coupling)(ens.phases[None], dt)
+    if not np.isfinite(y).all():
+        raise ValueError("the step made the phases non-finite")
+    return _trusted(ens, phases=y[0], freqs=ens.freqs.copy())
 
 
 def detect_stationarity(ens: OscillatorEnsemble, tol: float = 1e-9) -> bool:
@@ -124,15 +164,17 @@ def simulate(ens: OscillatorEnsemble, cfg: SimConfig) -> Trajectory:
     steps, always including the initial and final states.
     """
     rows = []
+    freqs, w = ens.freqs.copy(), np.full(ens.n, 1.0 / ens.n)
+    freqs.flags.writeable = False  # one copy, shared by every row
 
-    def record(t, phases):
-        e = ens.with_phases(phases)
+    def record(t, y):
+        e = _trusted(ens, phases=y[0].copy(), freqs=freqs)
         op = order_parameter(e)
         # U = N R^2/2 from this row's R; potential_u would recompute R
         rows.append((t, e, op.r, op.phi, e.n * op.r**2 / 2.0, mean_phase(e)))
 
-    rate = _phase_rate(ens)
-    _, stopped_on = drive(lambda y, dt: rk4_step(rate, y, dt), rate, ens.phases, cfg, record)
+    velocity = lambda y: field(y[0], freqs, w, ens.coupling, False)
+    _, stopped_on = drive(Stepper(freqs, w, ens.coupling), velocity, ens.phases[None], cfg, record)
     times, states, r, phi, u, mp = zip(*rows)
     return Trajectory(
         times=np.asarray(times),

@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import OscillatorEnsemble, circle_distance, field, weighted_order_parameter
 from .freqdist import FrequencyDistribution
-from .integrate import NonFiniteStateError, SimConfig, drive, rk4_combine, rk4_step
+from .integrate import NonFiniteStateError, SimConfig, Stepper, _trusted, drive
 
 _WEIGHT_TOL = 1e-12
 
@@ -186,35 +186,6 @@ def discretize(spec: DensitySpec, m: int = 1024, coupling: float = 1.0) -> Phase
 # Transport
 
 
-def _step(meas: PhaseMeasure):
-    """The RK4 step (y, dt) -> y of the stacked state [thetas, log_jacs]: the
-    mean field is recomputed at every stage (keeping the scheme 4th order for
-    the nonlocal system), and the log-Jacobian rate, a function of the phases
-    alone, is taken from the same field calls; bitwise the stacked RK4 step."""
-    w, om, k = meas.weights, meas.omegas, meas.coupling
-
-    def step(y, dt):
-        jac_rates = []
-
-        def rate(thetas):
-            v, jac_rate = field(thetas, om, w, k)
-            jac_rates.append(jac_rate)
-            return v
-        thetas = rk4_step(rate, y[0], dt)
-        return np.stack([thetas, rk4_combine(y[1], dt, *jac_rates)])
-
-    return step
-
-
-def _moved(meas: PhaseMeasure, y: np.ndarray, time: float) -> PhaseMeasure:
-    """meas at a later time, with characteristics and log-Jacobians from y.
-    Built without __post_init__: the weights, frequencies and coupling are
-    those of a measure already checked, and y is the float state of a step."""
-    moved = object.__new__(type(meas))
-    vars(moved).update(vars(meas), thetas=y[0], log_jacs=y[1], time=time)
-    return moved
-
-
 def kinetic_step(meas: PhaseMeasure, dt: float) -> PhaseMeasure:
     """One RK4 step of the coupled characteristic/log-Jacobian system.
 
@@ -222,10 +193,10 @@ def kinetic_step(meas: PhaseMeasure, dt: float) -> PhaseMeasure:
     """
     if dt <= 0:
         raise ValueError("dt must be > 0")
-    y = _step(meas)(np.stack([meas.thetas, meas.log_jacs]), dt)
+    y = Stepper(meas.omegas, meas.weights, meas.coupling, True)(np.stack([meas.thetas, meas.log_jacs]), dt)
     if not np.isfinite(y).all():
         raise NonFiniteStateError(meas.time + dt)
-    return _moved(meas, y, meas.time + dt)
+    return _trusted(meas, thetas=y[0], log_jacs=y[1], time=meas.time + dt)
 
 
 @dataclass
@@ -246,7 +217,7 @@ def kinetic_simulate(meas: PhaseMeasure, cfg: SimConfig) -> KineticTrajectory:
     rows = []
 
     def record(t, y):
-        m = _moved(meas, y, t)
+        m = _trusted(meas, thetas=y[0], log_jacs=y[1], time=t)
         op = weighted_order_parameter(m.weights, m.thetas)
         entropy = -float(np.sum(m.weights * m.log_jacs))
         rows.append((t, op.r, op.phi, _h(m, op.r), entropy, float(np.sum(m.weights * m.thetas))))
@@ -254,8 +225,9 @@ def kinetic_simulate(meas: PhaseMeasure, cfg: SimConfig) -> KineticTrajectory:
     def velocity(y):
         return field(y[0], meas.omegas, meas.weights, meas.coupling, False)
 
+    step = Stepper(meas.omegas, meas.weights, meas.coupling, log_jac=True)
     y0 = np.stack([meas.thetas, meas.log_jacs])
-    y, stopped_on = drive(_step(meas), velocity, y0, cfg, record, meas.time)
+    y, stopped_on = drive(step, velocity, y0, cfg, record, meas.time)
     times, r, phi, h, s, mp = zip(*rows)
     return KineticTrajectory(
         times=np.asarray(times),
@@ -264,7 +236,7 @@ def kinetic_simulate(meas: PhaseMeasure, cfg: SimConfig) -> KineticTrajectory:
         h_series=np.asarray(h),
         entropy_series=np.asarray(s),
         mean_phase_series=np.asarray(mp),
-        final=_moved(meas, y, times[-1]),
+        final=_trusted(meas, thetas=y[0], log_jacs=y[1], time=times[-1]),
         stopped_on=stopped_on,
     )
 

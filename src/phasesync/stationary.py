@@ -71,14 +71,17 @@ def _integral_grid(g: FrequencyDistribution, a: np.ndarray) -> np.ndarray:
     """I on an ascending array of a >= max|omega|: exact sum over atoms, else
     a Gauss-Legendre rule in t. Its order, doubled from _LEGENDRE_NODES, is
     the first to match the adaptive I to _GRID_TOL at both ends of a (where
-    narrow features of g are resolved worst); only then is all of a evaluated."""
+    narrow features of g are resolved worst); only then is all of a evaluated.
+    If no order up to _MAX_LEGENDRE_NODES matches, the adaptive I is used."""
     if g.is_discrete:
         w, p = g.atoms()
         return np.sqrt(np.maximum(a[:, None] ** 2 - w * w, 0.0)) @ p
     ends = a[[0, -1]]
     ref = np.array([_integral(g, x) for x in ends])
     n = _LEGENDRE_NODES
-    while n < _MAX_LEGENDRE_NODES and np.max(np.abs(_legendre_integral(g, ends, n) - ref)) > _GRID_TOL:
+    while np.max(np.abs(_legendre_integral(g, ends, n) - ref)) > _GRID_TOL:
+        if n == _MAX_LEGENDRE_NODES:  # no rule resolves g: the adaptive I at each a
+            return np.array([_integral(g, x) for x in a])
         n *= 2
     return _legendre_integral(g, a, n)
 
@@ -147,6 +150,8 @@ def critical_coupling(g: FrequencyDistribution, kc_tol: float = 1e-6, k_max: flo
     """
     if not 0.0 < kc_tol < math.inf:
         raise ValueError("kc_tol must be finite and > 0")
+    if not 0.0 < k_max < math.inf:
+        raise ValueError("k_max must be finite and > 0")
     if grid < 2:
         raise ValueError("grid must be >= 2")
     wmax = g.max_abs_omega

@@ -321,6 +321,18 @@ class TestIntegralGrid:
             for i in np.linspace(0, a.size - 1, 43).round().astype(int)[1:-1]:
                 assert abs(val[i] - st._integral(g, a[i])) <= 1e-12, (a_hi, a[i])
 
+    def test_unresolved_law_scans_the_adaptive_integral(self, monkeypatch):
+        # 1024 Legendre nodes still miss I at the scan's ends by 0.056 and
+        # 0.008, and that grid's signs hid the root; F > 0 at R = 0.99999
+        g, k = ps.TruncatedGaussian(0, 0.0005, 0.3), 1.2
+        assert ps.self_consistency_residual(g, k, 0.99999) > 0 > ps.self_consistency_residual(g, k, 1.0)
+        sizes = []
+        rule = st._legendre_integral
+        monkeypatch.setattr(st, "_legendre_integral", lambda g_, a, n: (sizes.append(a.size), rule(g_, a, n))[1])
+        res = ps.self_consistency_roots(g, k)
+        assert len(res.roots) == 1 and 0.99999 < res.roots[0] <= 1.0
+        assert set(sizes) == {2}  # no rule is evaluated on the whole grid
+
     @pytest.mark.parametrize("g,nodes", [(ps.Uniform(0, 0.5), 16), (ps.TruncatedGaussian(0, 0.3, 0.6), 32),
                                          (ps.TruncatedGaussian(0, 0.01, 0.3), 256)], ids=repr)
     def test_order_chosen_on_end_points_only(self, g, nodes, monkeypatch):
@@ -378,6 +390,12 @@ class TestCriticalCoupling:
     def test_nonpositive_tol_rejected(self, tol):
         with pytest.raises(ValueError):
             ps.critical_coupling(ps.Uniform(0, 0.5), kc_tol=tol)
+
+    @pytest.mark.parametrize("k_max", [math.nan, math.inf, 0.0, -1.0])
+    def test_non_finite_or_nonpositive_k_max_rejected(self, k_max):
+        # k_max = nan made the cap test kc > k_max false, so the cap was off
+        with pytest.raises(ValueError):
+            ps.critical_coupling(ps.Uniform(0, 0.5), k_max=k_max)
 
     def test_bracket_cap(self):
         with pytest.raises(ps.BracketNotFoundError):
