@@ -333,6 +333,8 @@ def run_classify(cfg: dict, out: Path):
 def run_sweep(cfg: dict, out: Path):
     """Also writes sweep.csv (K, final_R)."""
     sweep = cfg["sweep"]
+    if sweep["k_steps"] < 1:
+        raise ConfigError("[sweep] k_steps must be >= 1")
     ks = [float(k) for k in np.linspace(_need(sweep, "k_min"), _need(sweep, "k_max"), sweep["k_steps"])]
     sim_cfg = build_sim_config(cfg)
     if cfg["model"]["kind"] == "finite":

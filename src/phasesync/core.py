@@ -6,6 +6,7 @@ are reduced mod 2*pi only inside trig calls.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -61,13 +62,17 @@ class OscillatorEnsemble:
 
 @dataclass(frozen=True)
 class OrderParameter:
-    """Coherence r in [0,1] and mean-field angle phi in [-pi, pi).
-
-    phi is None when r <= R_MIN (undefined at incoherence).
-    """
+    """Coherence r in [0,1] and mean-field angle phi in [-pi, pi); phi is None
+    when r <= R_MIN (undefined at incoherence)."""
 
     r: float
     phi: Optional[float]
+
+    @classmethod
+    def from_dots(cls, x, y) -> "OrderParameter":
+        """R exp(i phi) = x + i y, from the dots that field_into returns."""
+        r = math.hypot(x, y)
+        return cls(r, float(wrap_angle(math.atan2(y, x))) if r > R_MIN else None)
 
 
 def wrap_angle(x):
@@ -80,23 +85,17 @@ def circle_distance(a, b):
     return np.abs(wrap_angle(np.asarray(a) - np.asarray(b)))
 
 
-def _order_parameter_from_z(z: complex) -> OrderParameter:
-    r = float(abs(z))
-    if r > R_MIN:
-        return OrderParameter(r, float(wrap_angle(np.angle(z))))
-    return OrderParameter(r, None)
-
-
 def order_parameter(ens: OscillatorEnsemble) -> OrderParameter:
-    """Modulus and argument of (1/N) sum_j exp(i theta_j)."""
-    z = np.mean(np.exp(1j * ens.phases))
-    return _order_parameter_from_z(z)
+    """Modulus and argument of (1/N) sum_j exp(i theta_j): equal weights."""
+    return weighted_order_parameter(np.full(ens.n, 1.0 / ens.n), ens.phases)
 
 
 def weighted_order_parameter(weights: np.ndarray, thetas: np.ndarray) -> OrderParameter:
-    """Order parameter of a weighted phase measure sum_j w_j exp(i theta_j)."""
-    z = np.sum(np.asarray(weights) * np.exp(1j * np.asarray(thetas)))
-    return _order_parameter_from_z(z)
+    """Order parameter of a weighted phase measure sum_j w_j exp(i theta_j), from
+    field_into's trig kernel: bitwise what a simulation records for the state."""
+    u = trig_scale(np.size(thetas)) * np.asarray(thetas, dtype=float)
+    c, s, scratch = np.empty((3, u.size))
+    return OrderParameter.from_dots(*_trig_dots(u, np.asarray(weights, dtype=float), c, s, scratch)[1:])
 
 
 def pairwise_rhs(ens: OscillatorEnsemble) -> np.ndarray:
@@ -120,9 +119,6 @@ def field(thetas, omegas, weights, coupling, log_jac=True):
     particle and two dot products suffice and no angle phi is needed: the
     form is defined at every R. thetas and weights are arrays; a finite
     ensemble is weights = 1/N. With log_jac=False only the velocity is returned.
-
-    From HALF_ANGLE_MIN particles on, t = tan(theta/2) gives cos = (1 - t^2)
-    / (1 + t^2) and sin = 2t / (1 + t^2), within 2.2e-16 of np.cos/np.sin.
     """
     n = thetas.size
     v, c, s = np.empty(n), np.empty(n), np.empty(n)
@@ -131,26 +127,34 @@ def field(thetas, omegas, weights, coupling, log_jac=True):
     return (v, jac) if log_jac else v
 
 
-def field_into(u, omegas, weights, coupling, c, s, v, jac=None):
-    """field at the phases u / trig_scale(u.size), written into v (returned)
-    and, unless None, jac; c and s are scratch, so a stepper
-    can reuse all four. On the half-angle path s holds sin/2 and the scalars
-    carry the factor 2, an exact rescaling: bitwise the form above."""
+def _trig_dots(u, weights, c, s, scratch):
+    """cos and sin of the phases u / trig_scale(u.size) into c and s/f, and the
+    dots (f, x = sum w cos, y = sum w sin). From HALF_ANGLE_MIN particles on,
+    f = 2 and t = tan(theta/2) gives cos = (1 - t^2) / (1 + t^2) and sin = 2t /
+    (1 + t^2), within 2.2e-16 of np.cos/np.sin; below it, f = 1."""
     if u.size < HALF_ANGLE_MIN:
         np.cos(u, c)
         np.sin(u, s)
-        f = 1.0
-    else:
-        np.tan(u, s)  # t
-        np.divide(1.0, np.add(np.multiply(s, s, c), 1.0, v), v)  # t^2 in c, 1/(1 + t^2) in v
-        np.multiply(np.subtract(1.0, c, c), v, c)  # cos
-        np.multiply(s, v, s)  # sin/2
-        f = 2.0
-    kx = coupling * c.dot(weights)
-    ky = f * coupling * s.dot(weights)
+        return 1.0, c.dot(weights), s.dot(weights)
+    np.tan(u, s)  # t
+    np.divide(1.0, np.add(np.multiply(s, s, c), 1.0, scratch), scratch)  # t^2 in c, 1/(1 + t^2) in scratch
+    np.multiply(np.subtract(1.0, c, c), scratch, c)  # cos
+    np.multiply(s, scratch, s)  # sin/2
+    return 2.0, c.dot(weights), 2.0 * s.dot(weights)
+
+
+def field_into(u, omegas, weights, coupling, c, s, v, jac=None):
+    """field at the phases u / trig_scale(u.size), written into v and, unless
+    None, jac; c and s are scratch, so a stepper can reuse all four. Returns
+    (v, x, y): the dots x + i y = R exp(i phi) are taken before the factor K,
+    so one call gives a recorded row its velocity and its order parameter. The
+    half-angle factor 2 rides on the scalars, exactly: bitwise the form above."""
+    f, x, y = _trig_dots(u, weights, c, s, v)
+    kx, ky = coupling * x, coupling * y
     if jac is not None:  # jac = -kx*cos - ky*sin, then v = omega + ky*cos - kx*sin
         np.subtract(np.multiply(c, -kx, jac), np.multiply(s, f * ky, v), jac)
-    return np.subtract(np.add(omegas, np.multiply(c, ky, c), v), np.multiply(s, f * kx, s), v)
+    np.subtract(np.add(omegas, np.multiply(c, ky, c), v), np.multiply(s, f * kx, s), v)
+    return v, x, y
 
 
 def finite_n_rhs(ens: OscillatorEnsemble) -> np.ndarray:

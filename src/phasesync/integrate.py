@@ -13,15 +13,7 @@ from typing import List, Optional
 import numpy as np
 
 from . import rng
-from .core import (
-    OscillatorEnsemble,
-    field,
-    field_into,
-    finite_n_rhs,
-    mean_phase,
-    order_parameter,
-    trig_scale,
-)
+from .core import OrderParameter, OscillatorEnsemble, field_into, finite_n_rhs, mean_phase, trig_scale
 
 
 class NonFiniteStateError(RuntimeError):
@@ -44,8 +36,8 @@ class SimConfig:
             raise ValueError("need 0 < dt <= t_max, both finite")
         if self.record_every < 1:
             raise ValueError("record_every must be a positive integer")
-        if self.stationarity_tol <= 0:
-            raise ValueError("stationarity_tol must be > 0")
+        if not 0 < self.stationarity_tol < np.inf:  # NaN fails too
+            raise ValueError("stationarity_tol must be finite and > 0")
 
 
 @dataclass
@@ -103,34 +95,38 @@ class Stepper:
     def __call__(self, y, dt):
         (k1, k2, k3), (f1, f2, f3), u, a, h = self._k, self._args, self._u, self._a, 0.5 * dt
         ay = y[0] if a == 1.0 else np.multiply(y[0], a, self._ay)
-        np.add(ay, np.multiply(field_into(ay, *f1), a * h, u), u)
-        np.add(ay, np.multiply(field_into(u, *f2), a * h, u), u)
-        np.add(ay, np.multiply(field_into(u, *f3), a * dt, u), u)
+        np.add(ay, np.multiply(field_into(ay, *f1)[0], a * h, u), u)
+        np.add(ay, np.multiply(field_into(u, *f2)[0], a * h, u), u)
+        np.add(ay, np.multiply(field_into(u, *f3)[0], a * dt, u), u)
         np.add(k2, k3, k2)
         field_into(u, *f3)
         return np.add(y, rk4_increment(k1, k2, k3, dt), self._states[y is self._states[0]])
 
+    def observe(self, y):
+        """field_into's (v, x, y) at the state y, velocity only, into k1's v."""
+        ay = y[0] if self._a == 1.0 else np.multiply(y[0], self._a, self._ay)
+        return field_into(ay, *self._args[0][:-1])
 
-def drive(step, velocity, y, cfg: SimConfig, record, time: float = 0.0):
+
+def drive(step, y, cfg: SimConfig, observe, time: float = 0.0):
     """The driver loop: steps y = step(y, dt) from t = time to t_max.
 
-    record(t, y) is called at the start and every record_every steps, always
-    including the last, with t = time + k*dt. A non-finite y raises
-    NonFiniteStateError at the step that produced it. At each recorded row
-    the run stops early once max|velocity(y)| < stationarity_tol.
-    Returns (final y, "stationary" or "t_max").
+    observe(t, y) records a row, at the cost of one Stepper.observe plus its
+    Python, and returns the stop residual max|v| of the velocity at y. It is
+    called at the start and every record_every steps, always including the
+    last, with t = time + k*dt; after the start the run stops once a residual is
+    below stationarity_tol. A non-finite y raises NonFiniteStateError at the
+    step that produced it. Returns (final y, "stationary" or "t_max").
     """
     n_steps = int(round(cfg.t_max / cfg.dt))
-    record(time, y)
+    observe(time, y)
     for k in range(1, n_steps + 1):
         y = step(y, cfg.dt)
         t = time + k * cfg.dt
         if not np.isfinite(y).all():
             raise NonFiniteStateError(t)
-        if k % cfg.record_every == 0 or k == n_steps:
-            record(t, y)
-            if np.max(np.abs(velocity(y))) < cfg.stationarity_tol:
-                return y, "stationary"
+        if (k % cfg.record_every == 0 or k == n_steps) and observe(t, y) < cfg.stationarity_tol:
+            return y, "stationary"
     return y, "t_max"
 
 
@@ -166,15 +162,16 @@ def simulate(ens: OscillatorEnsemble, cfg: SimConfig) -> Trajectory:
     rows = []
     freqs, w = ens.freqs.copy(), np.full(ens.n, 1.0 / ens.n)
     freqs.flags.writeable = False  # one copy, shared by every row
+    step = Stepper(freqs, w, ens.coupling)
 
-    def record(t, y):
+    def observe(t, y):
+        v, x, z = step.observe(y)
+        op = OrderParameter.from_dots(x, z)
         e = _trusted(ens, phases=y[0].copy(), freqs=freqs)
-        op = order_parameter(e)
-        # U = N R^2/2 from this row's R; potential_u would recompute R
         rows.append((t, e, op.r, op.phi, e.n * op.r**2 / 2.0, mean_phase(e)))
+        return np.max(np.abs(v))
 
-    velocity = lambda y: field(y[0], freqs, w, ens.coupling, False)
-    _, stopped_on = drive(Stepper(freqs, w, ens.coupling), velocity, ens.phases[None], cfg, record)
+    _, stopped_on = drive(step, ens.phases[None], cfg, observe)
     times, states, r, phi, u, mp = zip(*rows)
     return Trajectory(
         times=np.asarray(times),

@@ -14,7 +14,7 @@ from typing import Callable, List, Optional, Union
 
 import numpy as np
 
-from .core import OscillatorEnsemble, circle_distance, field, weighted_order_parameter
+from .core import OrderParameter, OscillatorEnsemble, circle_distance, weighted_order_parameter
 from .freqdist import FrequencyDistribution
 from .integrate import NonFiniteStateError, SimConfig, Stepper, _trusted, drive
 
@@ -215,19 +215,16 @@ def kinetic_simulate(meas: PhaseMeasure, cfg: SimConfig) -> KineticTrajectory:
     """Integrate the kinetic measure to t_max or until the velocity field
     is stationary, recording the scalar diagnostics."""
     rows = []
-
-    def record(t, y):
-        m = _trusted(meas, thetas=y[0], log_jacs=y[1], time=t)
-        op = weighted_order_parameter(m.weights, m.thetas)
-        entropy = -float(np.sum(m.weights * m.log_jacs))
-        rows.append((t, op.r, op.phi, _h(m, op.r), entropy, float(np.sum(m.weights * m.thetas))))
-
-    def velocity(y):
-        return field(y[0], meas.omegas, meas.weights, meas.coupling, False)
-
     step = Stepper(meas.omegas, meas.weights, meas.coupling, log_jac=True)
-    y0 = np.stack([meas.thetas, meas.log_jacs])
-    y, stopped_on = drive(step, velocity, y0, cfg, record, meas.time)
+
+    def observe(t, y):
+        v, x, z = step.observe(y)
+        op = OrderParameter.from_dots(x, z)
+        w = meas.weights
+        rows.append((t, op.r, op.phi, _h(meas, y[0], op.r), -float(np.sum(w * y[1])), float(np.sum(w * y[0]))))
+        return np.max(np.abs(v))
+
+    y, stopped_on = drive(step, np.stack([meas.thetas, meas.log_jacs]), cfg, observe, meas.time)
     times, r, phi, h, s, mp = zip(*rows)
     return KineticTrajectory(
         times=np.asarray(times),
@@ -265,12 +262,12 @@ def entropy_change(meas: PhaseMeasure) -> float:
 
 def h_functional(meas: PhaseMeasure) -> float:
     """sum w * theta * omega + K * R^2 / 2, non-decreasing along solutions."""
-    return _h(meas, weighted_order_parameter(meas.weights, meas.thetas).r)
+    return _h(meas, meas.thetas, weighted_order_parameter(meas.weights, meas.thetas).r)
 
 
-def _h(meas: PhaseMeasure, r: float) -> float:
-    """h_functional of meas, given its coherence r."""
-    return float(np.sum(meas.weights * meas.thetas * meas.omegas)) + meas.coupling * r**2 / 2.0
+def _h(meas: PhaseMeasure, thetas: np.ndarray, r: float) -> float:
+    """h_functional of meas at the phases thetas, given their coherence r."""
+    return float(np.sum(meas.weights * thetas * meas.omegas)) + meas.coupling * r**2 / 2.0
 
 
 def fourier_moment(meas: PhaseMeasure, k: int) -> complex:

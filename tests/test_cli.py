@@ -332,3 +332,21 @@ def test_doc_key_tables_match_schema():
         for key, (parse, default) in keys.items():
             cell = docs[section][key]
             assert (None if cell == "unset" else parse(cell)) == default, f"[{section}] {key} = {cell}"
+
+
+class TestSweepRejectedBeforeRunning:
+    SWEEP = ["sweep", "--preset", "kuramoto-uniform-g", *SHORT]
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0"])
+    def test_bad_stationarity_tol_is_config_error(self, tmp_path, capsys, tol):
+        out = tmp_path / "run"
+        assert run_cli(self.SWEEP + ["--set", f"sim.stationarity_tol={tol}", "--out", str(out)]) == 2
+        assert "config error:" in capsys.readouterr().err
+        assert not (out / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("steps", ["0", "-1"])
+    def test_k_steps_below_one_is_config_error(self, tmp_path, capsys, steps):
+        out = tmp_path / "run"
+        assert run_cli(self.SWEEP + ["--set", f"sweep.k_steps={steps}", "--out", str(out)]) == 2
+        assert "k_steps" in capsys.readouterr().err
+        assert not (out / "sweep.csv").exists()

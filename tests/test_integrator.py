@@ -228,3 +228,15 @@ class TestSplitmix64:
     def test_empty(self):
         out = ps.rng.splitmix64(7, 0)
         assert out.dtype == np.uint64 and out.shape == (0,)
+
+
+class TestStationarityTolerance:
+    def test_default_tolerance_stops_this_run(self):
+        # the run a NaN tolerance would silently carry on to t_max
+        traj = ps.simulate(ps.seeded_ensemble(10, seed=2), ps.SimConfig(dt=0.1, t_max=400.0))
+        assert traj.stopped_on == "stationary"
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -1e-9])
+    def test_non_finite_or_non_positive_tolerance_rejected(self, tol):
+        with pytest.raises(ValueError, match="stationarity_tol"):
+            ps.SimConfig(stationarity_tol=tol)
