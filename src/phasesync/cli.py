@@ -369,6 +369,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out", help="output directory (default $PHASESYNC_OUT or ./phasesync-out)")
     args = parser.parse_args(argv)
 
+    manifest = None
     try:
         if not (args.config or args.preset):
             raise ConfigError("one of --config or --preset is required")
@@ -385,15 +386,18 @@ def main(argv=None) -> int:
         run = cfg.pop("run")
         out = Path(args.out or run["out"] or os.environ.get("PHASESYNC_OUT") or "phasesync-out")
         out.mkdir(parents=True, exist_ok=True)
-        write_json(out / "manifest.json", {"artifact": "phasesync", "version": __version__,
-                                           "mode": args.mode, "seed": cfg["model"]["seed"],
-                                           "config": cfg})
+        manifest = out / "manifest.json"
+        write_json(manifest, {"artifact": "phasesync", "version": __version__,
+                              "mode": args.mode, "seed": cfg["model"]["seed"], "config": cfg})
         rows, summary = RUNNERS[args.mode](cfg, out)
         write_csv(out / "series.csv", SERIES_HEADER, rows)
         write_json(out / "summary.json", {"mode": args.mode, **summary})
         return EXIT_HORIZON if summary.get("stopped_on") == "t_max" else EXIT_OK
     except ValueError as exc:
-        # ConfigError, and every input a constructor or solver rejects
+        # ConfigError, and every input a constructor or solver rejects: the
+        # manifest of a run that never ran is not left behind
+        if manifest is not None:
+            manifest.unlink(missing_ok=True)
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NonFiniteStateError as exc:

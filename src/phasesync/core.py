@@ -127,20 +127,26 @@ def field(thetas, omegas, weights, coupling, log_jac=True):
     return (v, jac) if log_jac else v
 
 
-def _trig_dots(u, weights, c, s, scratch):
-    """cos and sin of the phases u / trig_scale(u.size) into c and s/f, and the
-    dots (f, x = sum w cos, y = sum w sin). From HALF_ANGLE_MIN particles on,
-    f = 2 and t = tan(theta/2) gives cos = (1 - t^2) / (1 + t^2) and sin = 2t /
-    (1 + t^2), within 2.2e-16 of np.cos/np.sin; below it, f = 1."""
+def _trig(u, c, s, scratch):
+    """cos and sin of the phases u / trig_scale(u.size) into c and s/f; returns
+    f. From HALF_ANGLE_MIN particles on, f = 2 and t = tan(theta/2) gives cos =
+    (1 - t^2) / (1 + t^2) and sin = 2t / (1 + t^2), within 2.2e-16 of
+    np.cos/np.sin; below it, f = 1."""
     if u.size < HALF_ANGLE_MIN:
         np.cos(u, c)
         np.sin(u, s)
-        return 1.0, c.dot(weights), s.dot(weights)
+        return 1.0
     np.tan(u, s)  # t
     np.divide(1.0, np.add(np.multiply(s, s, c), 1.0, scratch), scratch)  # t^2 in c, 1/(1 + t^2) in scratch
     np.multiply(np.subtract(1.0, c, c), scratch, c)  # cos
     np.multiply(s, scratch, s)  # sin/2
-    return 2.0, c.dot(weights), 2.0 * s.dot(weights)
+    return 2.0
+
+
+def _trig_dots(u, weights, c, s, scratch):
+    """_trig, and the dots (f, x = sum w cos, y = sum w sin)."""
+    f = _trig(u, c, s, scratch)
+    return f, c.dot(weights), f * s.dot(weights)
 
 
 def field_into(u, omegas, weights, coupling, c, s, v, jac=None):

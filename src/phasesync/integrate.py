@@ -7,13 +7,14 @@ trajectories on a given platform.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
 
 from . import rng
-from .core import OrderParameter, OscillatorEnsemble, field_into, finite_n_rhs, mean_phase, trig_scale
+from .core import OrderParameter, OscillatorEnsemble, _trig, field_into, finite_n_rhs, mean_phase, trig_scale
 
 
 class NonFiniteStateError(RuntimeError):
@@ -77,35 +78,85 @@ def rk4_increment(k1, k23, k4, dt):
 
 class Stepper:
     """The RK4 step of weighted particles in their mean field, recomputed at
-    every stage (4th order for the nonlocal system). Built once per run, it
-    owns its stage and state buffers, and every ufunc writes into them. y is
-    (rows, n): the phases, and with log_jac their log-Jacobians, whose rates
-    come from the same field calls. A step returns the state buffer y is not,
-    overwritten two steps later. Stage inputs are field_into's a*y + (a*h)*k,
-    a = trig_scale(n), equal to a*(y + h*k) as scaling by 1/2 is exact."""
+    every stage (4th order for the nonlocal system), in coefficient space.
+
+    Stage s keeps only its cos and sin/f, in rows 2s and 2s + 1 of one (8, n)
+    buffer C (_trig, a = trig_scale(n) = 1/f), and their two dots d_s = (x_s,
+    y_s / f) with the weights, in D[2s:2s + 2]. Its velocity is omega plus
+    (K d_s G_v) . C[2s:2s + 2] and its log-Jacobian rate (K d_s G_j) .
+    C[2s:2s + 2], for the 2x2 maps G of _coefficients, so no stage rate is
+    built: the next stage input is a (theta + h omega), formed once per step,
+    plus a 2-row dot, and the new state row r is its old value plus M[r] . C
+    (plus dt omega on the phases), where M = D . P holds the four stages'
+    RK4-weighted coefficients. Each state row is its own dot, so the phases
+    are computed by the same calls with and without log_jac.
+
+    Built once per run, it owns its buffers, and every call writes into them.
+    y is (rows, n): the phases, and with log_jac their log-Jacobians. A step
+    returns the state buffer y is not, overwritten two steps later.
+    """
 
     def __init__(self, omegas, weights, coupling, log_jac=False):
         n, rows = omegas.size, 2 if log_jac else 1
-        self._a = trig_scale(n)
+        self._omegas, self._w, self._coupling, self._a = omegas, weights, coupling, trig_scale(n)
         self._states = [np.empty((rows, n)), np.empty((rows, n))]
-        self._k = tuple(np.empty((3, rows, n)))
-        self._u, self._ay, c, s = np.empty((4, n))
-        self._args = [(omegas, weights, coupling, c, s, k[0], k[1] if log_jac else None) for k in self._k]
+        self._C, self._D, self._M = np.empty((8, n)), np.empty(8), np.empty((rows, 8))
+        self._u, self._au, self._ph, self._pd, self._q, self._scratch = np.empty((6, n))
+        self._coef, self._maps = np.empty(2), np.empty((2, 2, 2))
+        self._dt = None
+        C, D, (ph, pd), (mh, mdt) = self._C, self._D, (self._ph, self._pd), self._maps
+        # stage s: its cos and sin rows, their pair, its dots, then the base and map of stage s + 1's input
+        self._stages = [(C[2 * s], C[2 * s + 1], C[2 * s:2 * s + 2], D[2 * s:2 * s + 2], base, m)
+                        for s, (base, m) in enumerate([(ph, mh), (ph, mh), (pd, mdt), (None, None)])]
+        self._rows = [list(zip(self._M, out)) for out in self._states]  # (M[r], new state row r)
+        self._m_flat = self._M.reshape(-1)
 
     def __call__(self, y, dt):
-        (k1, k2, k3), (f1, f2, f3), u, a, h = self._k, self._args, self._u, self._a, 0.5 * dt
-        ay = y[0] if a == 1.0 else np.multiply(y[0], a, self._ay)
-        np.add(ay, np.multiply(field_into(ay, *f1)[0], a * h, u), u)
-        np.add(ay, np.multiply(field_into(u, *f2)[0], a * h, u), u)
-        np.add(ay, np.multiply(field_into(u, *f3)[0], a * dt, u), u)
-        np.add(k2, k3, k2)
-        field_into(u, *f3)
-        return np.add(y, rk4_increment(k1, k2, k3, dt), self._states[y is self._states[0]])
+        if dt != self._dt:
+            self._dt, a, om = dt, self._a, self._omegas
+            self._ahw, self._adw, self._dw = (a * 0.5 * dt) * om, (a * dt) * om, dt * om
+            self._maps[...], self._P = _coefficients(dt, self._coupling, a, self._M.shape[0])
+        theta, w, u, coef, scratch = y[0], self._w, self._u, self._coef, self._scratch
+        stage_u = theta if self._a == 1.0 else np.multiply(theta, self._a, self._au)
+        np.add(stage_u, self._ahw, self._ph)  # a (theta + h omega): base of stages 2 and 3
+        q = np.add(stage_u, self._adw, self._pd)  # a (theta + dt omega): base of stage 4
+        if self._a != 1.0:  # and, unscaled, of the new phases
+            q = np.add(theta, self._dw, self._q)
+        for c, s, cs, d, base, m in self._stages:
+            _trig(stage_u, c, s, scratch)
+            cs.dot(w, d)
+            if base is not None:
+                stage_u = np.add(d.dot(m, coef).dot(cs, u), base, u)
+        self._D.dot(self._P, self._m_flat)
+        i = y is self._states[0]
+        for (m, out), base in zip(self._rows[i], (q, y[-1])):  # y[-1]: the log-Jacobians, if any
+            np.add(m.dot(self._C, out), base, out)
+        return self._states[i]
 
     def observe(self, y):
-        """field_into's (v, x, y) at the state y, velocity only, into k1's v."""
-        ay = y[0] if self._a == 1.0 else np.multiply(y[0], self._a, self._ay)
-        return field_into(ay, *self._args[0][:-1])
+        """field_into's (v, x, y) at the state y, velocity only."""
+        ay = y[0] if self._a == 1.0 else np.multiply(y[0], self._a, self._au)
+        return field_into(ay, self._omegas, self._w, self._coupling, self._C[0], self._C[1], self._u)
+
+
+@functools.lru_cache(maxsize=64)
+def _coefficients(dt, coupling, a, rows):
+    """For a stage's dots d = (x, y/f), f = 1/a, K d G_v = (K y, -K f x) are
+    the velocity's coefficients on its (cos, sin/f) rows and K d G_j = (-K x,
+    -K f y) the log-Jacobian rate's. Returns the stage-input maps (a h K G_v,
+    a dt K G_v), h = dt/2, and the (8, 8 * rows) matrix P with D . P = M: row r
+    of M holds dt b_s times stage s's coefficients of state row r, b = (1, 2,
+    2, 1)/6. Each entry of M is one product, so M's rows do not depend on
+    rows. Read-only: the arrays are shared by every stepper with these keys."""
+    f = 1.0 / a
+    g = coupling * np.array([[[0.0, -f], [f, 0.0]], [[-1.0, 0.0], [0.0, -f * f]]])[:rows]
+    p = np.zeros((8, rows, 8))
+    for s, b in enumerate((1.0, 2.0, 2.0, 1.0)):
+        p[2 * s:2 * s + 2, :, 2 * s:2 * s + 2] = (dt * b / 6.0) * g.transpose(1, 0, 2)
+    maps = np.stack([(a * 0.5 * dt) * g[0], (a * dt) * g[0]])
+    for arr in (maps, p):
+        arr.flags.writeable = False
+    return maps, p.reshape(8, 8 * rows)
 
 
 def drive(step, y, cfg: SimConfig, observe, time: float = 0.0):
@@ -119,11 +170,12 @@ def drive(step, y, cfg: SimConfig, observe, time: float = 0.0):
     step that produced it. Returns (final y, "stationary" or "t_max").
     """
     n_steps = int(round(cfg.t_max / cfg.dt))
+    zeros = np.zeros(y.shape)  # y . 0 is 0 iff y is finite: 0 * inf and 0 * nan are nan
     observe(time, y)
     for k in range(1, n_steps + 1):
         y = step(y, cfg.dt)
         t = time + k * cfg.dt
-        if not np.isfinite(y).all():
+        if np.vdot(y, zeros) != 0.0:
             raise NonFiniteStateError(t)
         if (k % cfg.record_every == 0 or k == n_steps) and observe(t, y) < cfg.stationarity_tol:
             return y, "stationary"

@@ -344,6 +344,13 @@ class TestSweepRejectedBeforeRunning:
         assert "config error:" in capsys.readouterr().err
         assert not (out / "sweep.csv").exists()
 
+    @pytest.mark.parametrize("sets", [["sweep.k_steps=0"], ["sim.stationarity_tol=nan"], ["sim.dt=-1"]])
+    def test_rejected_config_leaves_no_manifest(self, tmp_path, sets):
+        # these pass the schema and are rejected once the run starts
+        out = tmp_path / "run"
+        assert run_cli(self.SWEEP + [x for s in sets for x in ("--set", s)] + ["--out", str(out)]) == 2
+        assert not out.exists() or not any(out.iterdir())
+
     @pytest.mark.parametrize("steps", ["0", "-1"])
     def test_k_steps_below_one_is_config_error(self, tmp_path, capsys, steps):
         out = tmp_path / "run"

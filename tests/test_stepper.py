@@ -1,10 +1,17 @@
-"""The allocation-free RK4 stepper against the v0.7.0 stepper it replaced.
+"""The coefficient-space RK4 stepper against the v0.7.0 stepper it replaced.
 
 The oracle is the v0.7.0 code path kept here verbatim: a closure over the
 allocating field, the classical rk4_step, and (kinetic) the log-Jacobian
-stage rates combined with the same weights and stacked with np.stack.
+stage rates combined with the same weights and stacked with np.stack. Since
+v0.9.0 the stepper sums each stage's terms in another order, so states and
+series match the oracle to TOL, while times, stop reasons and stop rows
+match exactly; public steps, runs and reruns still match each other bitwise.
 """
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -95,25 +102,60 @@ FINITE_NS = [10, 511, 512, 2000]
 KINETIC_NS = [64, 511, 512, 4096]  # 512 is the first half-angle size
 CASES = [(1.3, 0.25), (0.0, 0.25), (0.9, 0.0)]  # (K, mean frequency)
 
+# Largest difference from the v0.7.0 oracle over every case in this file:
+# 2.2e-14 in a state and 2.8e-14 in a series (U = N R^2/2 at N = 2000).
+TOL = 1e-13
+
+
+def assert_close(got, want):
+    """Element-wise within TOL; None (an undefined phi) only where want has it."""
+    got, want = list(np.ravel(got)), list(np.ravel(want))
+    assert len(got) == len(want)
+    assert [g is None for g in got] == [w is None for w in want]
+    pairs = np.array([(g, w) for g, w in zip(got, want) if w is not None], dtype=float).reshape(-1, 2)
+    assert np.max(np.abs(pairs[:, 0] - pairs[:, 1]), initial=0.0) <= TOL
+
+
+def recorded(cfg, n_rows):
+    """The step numbers of the first n_rows recorded rows."""
+    n_steps = int(round(cfg.t_max / cfg.dt))
+    return [k for k in range(n_steps + 1) if k % cfg.record_every == 0 or k == n_steps][:n_rows]
+
+
+def step_chain(step, cur, dt, ks):
+    """cur after each step count in ks, by chained public steps."""
+    out = []
+    for k in range(ks[-1] + 1):
+        if k:
+            cur = step(cur, dt)
+        if k in ks:
+            out.append(cur)
+    return out
+
 
 class TestFiniteMatchesV070:
     @pytest.mark.parametrize("n", FINITE_NS)
     @pytest.mark.parametrize("k,mean", CASES)
     def test_simulate_bitwise(self, n, k, mean):
+        # bitwise against a step_rk4 chain and a rerun; to TOL against v0.7.0
         ens = ensemble(n, k, mean)
         cfg = ps.SimConfig(dt=0.05, t_max=3.0, record_every=7)
         rows, stopped_on = drive_v070(*finite_step_v070(ens), ens.phases, cfg)
         traj = ps.simulate(ens, cfg)
         assert traj.stopped_on == stopped_on
         assert np.array_equal(traj.times, [t for t, _ in rows])
-        for state, (_, y) in zip(traj.states, rows, strict=True):
-            assert np.array_equal(state.phases, y)
+        assert_close([s.phases for s in traj.states], [y for _, y in rows])
         refs = [ps.OscillatorEnsemble(y, ens.freqs, k) for _, y in rows]
         ops = [ps.order_parameter(e) for e in refs]
-        assert np.array_equal(traj.r_series, [op.r for op in ops])
-        assert traj.phi_series == [op.phi for op in ops]
-        assert np.array_equal(traj.u_series, [n * op.r**2 / 2.0 for op in ops])
-        assert np.array_equal(traj.mean_phase_series, [ps.mean_phase(e) for e in refs])
+        assert_close(traj.r_series, [op.r for op in ops])
+        assert_close(traj.phi_series, [op.phi for op in ops])
+        assert_close(traj.u_series, [n * op.r**2 / 2.0 for op in ops])
+        assert_close(traj.mean_phase_series, [ps.mean_phase(e) for e in refs])
+        chain = step_chain(ps.step_rk4, ens, cfg.dt, recorded(cfg, len(rows)))
+        assert all(np.array_equal(s.phases, c.phases) for s, c in zip(traj.states, chain, strict=True))
+        again = ps.simulate(ens, cfg)
+        assert all(np.array_equal(a.phases, b.phases) for a, b in zip(traj.states, again.states, strict=True))
+        assert np.array_equal(traj.r_series, again.r_series) and traj.phi_series == again.phi_series
 
     def test_simulate_bitwise_stationary_stop(self):
         ens = ps.seeded_ensemble(10, coupling=1.0, seed=2)
@@ -122,22 +164,28 @@ class TestFiniteMatchesV070:
         traj = ps.simulate(ens, cfg)
         assert stopped_on == traj.stopped_on == "stationary"
         assert np.array_equal(traj.times, [t for t, _ in rows])
-        assert np.array_equal(traj.final.phases, rows[-1][1])
+        assert_close(traj.final.phases, rows[-1][1])
+        chain = step_chain(ps.step_rk4, ens, cfg.dt, recorded(cfg, len(rows))[-1:])
+        assert np.array_equal(traj.final.phases, chain[0].phases)
 
     @pytest.mark.parametrize("n", FINITE_NS)
     def test_step_rk4_bitwise(self, n):
+        # to TOL against v0.7.0's step, bitwise against simulate's states
         ens = ensemble(n, 1.1, 0.25)
         step, _ = finite_step_v070(ens)
         cur, y = ens, ens.phases
-        for _ in range(10):
+        states = ps.simulate(ens, ps.SimConfig(dt=0.04, t_max=0.4)).states
+        for state in states[1:]:
             cur, y = ps.step_rk4(cur, 0.04), step(y, 0.04)
-            assert np.array_equal(cur.phases, y)
+            assert_close(cur.phases, y)
+            assert np.array_equal(cur.phases, state.phases)
 
 
 class TestKineticMatchesV070:
     @pytest.mark.parametrize("n", KINETIC_NS)
     @pytest.mark.parametrize("k,mean", CASES)
     def test_kinetic_simulate_bitwise(self, n, k, mean):
+        # bitwise against a kinetic_step chain and a rerun; to TOL against v0.7.0
         meas = measure(n, k, mean)
         cfg = ps.SimConfig(dt=0.05, t_max=3.0, record_every=7)
         rows, stopped_on = drive_v070(*kinetic_step_v070(meas), np.stack([meas.thetas, meas.log_jacs]), cfg)
@@ -146,24 +194,81 @@ class TestKineticMatchesV070:
         assert np.array_equal(traj.times, [t for t, _ in rows])
         w = meas.weights
         ops = [ps.weighted_order_parameter(w, y[0]) for _, y in rows]
-        assert np.array_equal(traj.r_series, [op.r for op in ops])
-        assert traj.phi_series == [op.phi for op in ops]
-        assert np.array_equal(traj.entropy_series, [-float(np.sum(w * y[1])) for _, y in rows])
-        assert np.array_equal(traj.mean_phase_series, [float(np.sum(w * y[0])) for _, y in rows])
-        assert np.array_equal(traj.h_series, [float(np.sum(w * y[0] * meas.omegas)) + k * op.r**2 / 2.0
-                                              for (_, y), op in zip(rows, ops)])
-        assert np.array_equal(traj.final.thetas, rows[-1][1][0])
-        assert np.array_equal(traj.final.log_jacs, rows[-1][1][1])
+        assert_close(traj.r_series, [op.r for op in ops])
+        assert_close(traj.phi_series, [op.phi for op in ops])
+        assert_close(traj.entropy_series, [-float(np.sum(w * y[1])) for _, y in rows])
+        assert_close(traj.mean_phase_series, [float(np.sum(w * y[0])) for _, y in rows])
+        assert_close(traj.h_series, [float(np.sum(w * y[0] * meas.omegas)) + k * op.r**2 / 2.0
+                                     for (_, y), op in zip(rows, ops)])
+        assert_close(traj.final.thetas, rows[-1][1][0])
+        assert_close(traj.final.log_jacs, rows[-1][1][1])
         assert traj.final.time == rows[-1][0]
+        last = step_chain(ps.kinetic_step, meas, cfg.dt, recorded(cfg, len(rows))[-1:])[0]
+        again = ps.kinetic_simulate(meas, cfg)
+        for other in (last, again.final):
+            assert np.array_equal(traj.final.thetas, other.thetas)
+            assert np.array_equal(traj.final.log_jacs, other.log_jacs)
+        assert np.array_equal(traj.r_series, again.r_series) and np.array_equal(traj.h_series, again.h_series)
 
     @pytest.mark.parametrize("n", KINETIC_NS)
     def test_kinetic_step_bitwise(self, n):
+        # to TOL against v0.7.0's step, bitwise against kinetic_simulate
         meas = measure(n, 1.4, 0.25)
         step, _ = kinetic_step_v070(meas)
         cur, y = meas, np.stack([meas.thetas, meas.log_jacs])
         for _ in range(10):
             cur, y = ps.kinetic_step(cur, 0.04), step(y, 0.04)
-            assert np.array_equal(cur.thetas, y[0]) and np.array_equal(cur.log_jacs, y[1])
+            assert_close(cur.thetas, y[0])
+            assert_close(cur.log_jacs, y[1])
+        final = ps.kinetic_simulate(meas, ps.SimConfig(dt=0.04, t_max=0.4)).final
+        assert np.array_equal(cur.thetas, final.thetas) and np.array_equal(cur.log_jacs, final.log_jacs)
+
+
+class TestRK4Order:
+    """Halving dt divides the error against a dt/8 run by about 2^4 = 16."""
+
+    T = 2.0  # lab-frame drift (mean frequency 0.25) keeps every run off the stationary stop
+
+    @staticmethod
+    def ratio(final):
+        err = [np.max(np.abs(final(dt) - final(dt / 8))) for dt in (0.04, 0.02)]
+        return err[0] / err[1]
+
+    @pytest.mark.parametrize("n", [10, 512])  # 512: the half-angle path
+    def test_finite(self, n):
+        ens = ensemble(n, 1.3, 0.25)
+        final = lambda dt: ps.simulate(ens, ps.SimConfig(dt=dt, t_max=self.T, record_every=10**6)).final.phases
+        assert 12.0 <= self.ratio(final) <= 20.0
+
+    def test_kinetic_with_log_jacobian(self):
+        meas = measure(512, 1.3, 0.25)
+
+        def final(dt):
+            end = ps.kinetic_simulate(meas, ps.SimConfig(dt=dt, t_max=self.T, record_every=10**6)).final
+            assert np.max(np.abs(end.log_jacs)) > 0.1
+            return np.stack([end.thetas, end.log_jacs])
+        assert 12.0 <= self.ratio(final) <= 20.0
+
+
+def test_blas_thread_count_leaves_states_bytewise():
+    # the step's dots run in BLAS, whose threads could split a sum; a replay
+    # must not depend on the thread count
+    script = (
+        "import hashlib, phasesync as ps\n"
+        "spec = ps.ProductSpec(ps.UniformArc(0.3, 2.0), ps.Uniform(0.25, 0.4), 64)\n"
+        "meas = ps.discretize(spec, 64, coupling=1.3)\n"
+        "end = ps.kinetic_simulate(meas, ps.SimConfig(dt=0.01, t_max=0.5, record_every=50)).final\n"
+        "assert end.n_particles == 4096 and end.time == 0.5\n"
+        "print(hashlib.sha256(end.thetas.tobytes() + end.log_jacs.tobytes()).hexdigest())\n"
+    )
+    src = str(Path(ps.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
+        run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        digests.append(run.stdout.strip())
+    assert digests[0] == digests[1] and len(digests[0]) == 64
 
 
 class TestResultsOutliveTheStepper:
@@ -262,7 +367,8 @@ class TestTrustedEnsembles:
         assert stepped.freqs is not ens.freqs and np.array_equal(stepped.freqs, ens.freqs)
 
     def test_step_rk4_blow_up_still_rejected(self):
-        ens = ps.OscillatorEnsemble([0.0, 1.0], [1e308, -1e308])
+        # the exact step, theta + dt*omega = 2e308, overflows
+        ens = ps.OscillatorEnsemble([1e308, 1e308], [1e308, 1e308])
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ValueError):
                 ps.step_rk4(ens, 1.0)
