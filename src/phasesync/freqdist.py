@@ -104,8 +104,8 @@ class Uniform(FrequencyDistribution):
     def pdf(self, omega):
         if isinstance(omega, float):  # a quad node
             return self._height if self._lo <= omega <= self._hi else 0.0
-        omega = np.asarray(omega)
-        return np.where((omega >= self._lo) & (omega <= self._hi), self._height, 0.0)
+        inside = np.greater_equal(omega, self._lo) & np.less_equal(omega, self._hi)
+        return np.multiply(inside, self._height, out=np.empty(inside.shape))
 
     def support(self):
         return (self._lo, self._hi)
@@ -175,8 +175,11 @@ class TruncatedGaussian(FrequencyDistribution):
             return float(np.exp(self._scale * d * d)) * self._height if inside else 0.0
         omega = np.asarray(omega)
         d = omega - self.mean
-        inside = (omega >= self._lo) & (omega <= self._hi)
-        return np.where(inside, np.exp(self._scale * d * d) * self._height, 0.0)
+        out = np.multiply(self._scale, d, out=np.empty(omega.shape))
+        np.exp(np.multiply(out, d, out=out), out=out)
+        out *= self._height
+        np.copyto(out, 0.0, where=~((omega >= self._lo) & (omega <= self._hi)))
+        return out
 
     def support(self):
         return (self._lo, self._hi)

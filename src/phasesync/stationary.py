@@ -28,6 +28,7 @@ K_MAX = 100.0  # cap on the critical coupling
 _LEGENDRE_NODES = 16  # first Gauss-Legendre order in t of the vectorized I(a)
 _MAX_LEGENDRE_NODES = 1024
 _GRID_TOL = 1e-12  # end-point match that sets that order; below ROOT_TOL
+_EDGE_ULPS = 4  # a support end this close to +-a is a square-root end
 _legendre = lru_cache(maxsize=None)(roots_legendre)
 
 
@@ -49,22 +50,41 @@ def generalized_residual(
     g_minus: Optional[FrequencyDistribution] = None,
     minus_mass: float = 0.0,
 ) -> float:
-    """Residual int sqrt((KR)^2 - omega^2) (g+ - g-) - K R^2.
+    """Residual int sqrt((KR)^2 - omega^2) (g+ - g-) - K R^2, each integral
+    taken in omega by _omega_integral (QUADPACK's QAWS at a square-root end).
 
     g+ carries mass (1 - minus_mass) and g- carries minus_mass; with
     g_minus=None this is the stable-branch equation.
     """
-    a2 = (k * r) ** 2
-    integrand = lambda w: np.sqrt(np.maximum(a2 - w * w, 0.0))
-    val = (1.0 - minus_mass) * g_plus.expect(integrand)
+    a = abs(k * r)
+    val = (1.0 - minus_mass) * _omega_integral(g_plus, a)
     if g_minus is not None and minus_mass > 0.0:
-        val -= minus_mass * g_minus.expect(integrand)
+        val -= minus_mass * _omega_integral(g_minus, a)
     return val - k * r * r
 
 
 def self_consistency_residual(g: FrequencyDistribution, k: float, r: float) -> float:
-    """Stable-branch residual F(R) under adaptive quadrature."""
+    """Stable-branch residual F(R) = I(K R) - K R^2, I in omega as in
+    generalized_residual."""
     return generalized_residual(g, k, r)
+
+
+def _omega_integral(g: FrequencyDistribution, a: float) -> float:
+    """I(a) in omega on the support clipped to [-a, a], a >= 0; it shares no code
+    with the t-form it checks. Atoms are summed; else quad takes the smooth factor,
+    and an end within _EDGE_ULPS ulps of -+a gives its square root, measured from
+    that end, to QAWS's weight (omega - lo)^(1/2) or (hi - omega)^(1/2)."""
+    if g.is_discrete:
+        w, p = g.atoms()
+        return float(np.sum(p * np.sqrt(np.maximum(a ** 2 - w * w, 0.0))))
+    lo, hi = g.support()
+    lo, hi = max(lo, -a), min(hi, a)
+    if lo >= hi:
+        return 0.0
+    left, right = lo + a <= _EDGE_ULPS * math.ulp(a), a - hi <= _EDGE_ULPS * math.ulp(a)
+    f = lambda w: (1.0 if left else math.sqrt(a + w)) * (1.0 if right else math.sqrt(a - w)) * g.pdf(w)
+    weight = {"weight": "alg", "wvar": (0.5 * left, 0.5 * right)} if left or right else {}
+    return quad(f, lo, hi, epsabs=1e-12, epsrel=1e-12, limit=200, **weight)[0]
 
 
 def _integral_grid(g: FrequencyDistribution, a: np.ndarray) -> np.ndarray:
@@ -91,8 +111,11 @@ def _legendre_integral(g: FrequencyDistribution, a: np.ndarray, n: int) -> np.nd
     t_lo, t_hi = np.arcsin(np.clip(np.divide.outer(g.support(), a), -1.0, 1.0))
     mid, half = 0.5 * (t_hi + t_lo), 0.5 * (t_hi - t_lo)
     x, wx = _legendre(n)
-    s = np.sin(mid[:, None] + half[:, None] * x)
-    return a * a * half * (((1.0 - s * s) * g.pdf(a[:, None] * s)) @ wx)
+    s = np.multiply.outer(half, x)  # s = sin(mid + half x), then 1 - s^2 and
+    np.sin(np.add(s, mid[:, None], out=s), out=s)  # its product with g(a s)
+    dens = g.pdf(a[:, None] * s)  # in the same buffer
+    np.subtract(1.0, np.multiply(s, s, out=s), out=s)
+    return a * a * half * (np.multiply(s, dens, out=s) @ wx)
 
 
 def _integral(g: FrequencyDistribution, a: float) -> float:

@@ -11,10 +11,17 @@ import phasesync.stationary as st
 from phasesync.stationary import DEFAULT_GRID, ROOT_TOL
 
 
-def uniform_integral_closed_form(gamma, a):
-    """int sqrt(a^2 - w^2) on [-gamma, gamma] against the uniform pdf,
-    from the antiderivative (w sqrt(a^2-w^2) + a^2 arcsin(w/a))/2."""
-    return (gamma * np.sqrt(a * a - gamma * gamma) + a * a * np.arcsin(gamma / a)) / (2 * gamma)
+def uniform_integral_closed_form(gamma, a, center=0.0):
+    """int sqrt(a^2 - w^2) on [center - gamma, center + gamma] against the
+    uniform pdf, from the antiderivative F(w) = (w sqrt(a^2-w^2) + a^2
+    arcsin(w/a))/2 on the support clipped to [-a, a]. arcsin(w/a) is taken
+    as arctan2(w, sqrt((a-w)(a+w))), which stays accurate an ulp from +-a."""
+
+    def F(w):
+        s = np.sqrt((a - w) * (a + w))
+        return 0.5 * (w * s + a * a * np.arctan2(w, s))
+
+    return (F(np.minimum(center + gamma, a)) - F(np.maximum(center - gamma, -a))) / (2 * gamma)
 
 
 def two_atom_roots(k, omega0):
@@ -140,6 +147,13 @@ class TestFrequencyDistributions:
                 assert type(got) is float
                 assert got == want, (x, got, want)
             assert (want > 0.0) == (x not in outside)
+        # the whole array at once, with non-finite points: zero off the
+        # support, as the scalar path's test lo <= omega <= hi says
+        points = interior + ends + outside + [math.nan, math.inf, -math.inf]
+        got = g.pdf(np.array(points).reshape(-1, 1))
+        assert got.shape == (len(points), 1)
+        assert got[:, 0].tolist() == [g.pdf(float(x)) for x in points]
+        assert got[-3:].tolist() == [[0.0]] * 3
 
     @pytest.mark.parametrize("g", PDF_LAWS, ids=repr)
     def test_pdf_matches_v040_formula(self, g):
@@ -289,6 +303,66 @@ class TestSelfConsistencyRoots:
         # g+ mass 0.8 minus g- mass 0.2 scales the integral by 0.6
         integral = full + 1.0 * 0.81
         assert mixed == pytest.approx(0.6 * integral - 0.81, abs=1e-12)
+
+
+class TestResidual:
+    """The public residual integrates in omega, with a square root at an
+    end that meets +-K R as QAWS's weight; it is the independent check of
+    the t-form I, so it must not call it."""
+
+    @pytest.mark.parametrize("center,gamma,k,r", [
+        (0.0, 0.5, 1.0, 0.5),  # K R exactly at max|omega|
+        (0.0, 0.5, 1.0, np.nextafter(0.5, 1.0)),  # one ulp outside
+        (0.0, 0.5, 1.0, np.nextafter(0.5, 0.0)),  # one ulp inside
+        (0.0, 0.5, 1.2, 0.5 / 1.2),  # the roots scan's first point
+        (0.1, 0.4, 1.0, 0.5),  # off-centre: only the upper end singular
+        (0.1, 0.4, 1.3, 0.5 / 1.3),
+        (0.0, 0.5, 1.2, 0.8),  # support inside (-K R, K R): plain quad
+        (-0.21804, 0.40682, 2.1229, 0.128908),  # K R inside the support: the old
+        (0.11, 0.5, 1.0, 0.032),  # residual erred by 2.1e-14 and 1.6e-3
+        (0.2, 0.5, 1.5, 0.2),  # inside, the lower end an ulp inside -K R
+    ])
+    def test_uniform_matches_closed_form(self, center, gamma, k, r):
+        want = uniform_integral_closed_form(gamma, k * r, center) - k * r * r
+        assert abs(ps.self_consistency_residual(ps.Uniform(center, gamma), k, r) - want) <= 1e-14
+
+    def test_truncated_gaussian_inside_support(self):
+        # the old residual, blind to the kink at -K R, erred by 1.3e-6 here
+        mean, sigma, cut, k, r = -0.15195, 0.043757, 0.090924, 2.1480, 0.028546
+        a = k * r
+        norm = math.erf(cut / (sigma * math.sqrt(2))) * sigma * math.sqrt(2 * math.pi)
+        f = lambda w: math.sqrt(a * a - w * w) * math.exp(-0.5 * ((w - mean) / sigma) ** 2) / norm
+        assert mean - cut < -a < mean + cut < a
+        # g vanishes below mean - cut, the integrand below -a: split there
+        want = quad(f, -a, mean + cut, epsabs=1e-16, epsrel=1e-14, limit=500)[0] - k * r * r
+        got = ps.self_consistency_residual(ps.TruncatedGaussian(mean, sigma, cut), k, r)
+        assert abs(got - want) <= 1e-14
+
+    @pytest.mark.parametrize("g", BENCH_LAWS + [ps.TruncatedGaussian(0.1, 0.3, 0.6)], ids=repr)
+    def test_independent_of_the_t_form(self, g, monkeypatch):
+        k = 1.5
+        want = [ps.self_consistency_residual(g, k, r) for r in (g.max_abs_omega / k, 0.2, 0.7, 1.0)]
+
+        def forbidden(*args):
+            raise AssertionError("the residual used the t-form I")
+
+        monkeypatch.setattr(st, "_integral", forbidden)
+        monkeypatch.setattr(st, "_legendre_integral", forbidden)
+        assert [ps.self_consistency_residual(g, k, r) for r in (g.max_abs_omega / k, 0.2, 0.7, 1.0)] == want
+
+    @pytest.mark.parametrize("g", [ps.Uniform(0, 0.5), ps.TruncatedGaussian(0, 0.3, 0.6)], ids=repr)
+    @pytest.mark.parametrize("k", [1.0, 1.2])
+    @pytest.mark.parametrize("ulps", [0, 1])
+    def test_few_density_calls_at_the_support_edge(self, g, k, ulps, monkeypatch):
+        # K R = max|omega| (or an ulp above), the filter's lower end point:
+        # 567 calls under the old residual, 50 under QAWS
+        r = g.max_abs_omega / k
+        r = np.nextafter(r, 1.0) if ulps else r
+        calls = []
+        pdf = type(g).pdf
+        monkeypatch.setattr(type(g), "pdf", lambda self, w: (calls.append(w), pdf(self, w))[1])
+        ps.self_consistency_residual(g, k, r)
+        assert 0 < len(calls) <= 100
 
 
 class TestIntegralGrid:
