@@ -20,6 +20,10 @@ R_MIN = 1e-8
 # (AVX-512); below it, cos + sin cost less than the extra ufunc calls.
 HALF_ANGLE_MIN = 512
 
+# _trig's scalar operands: a ufunc takes a 0-d array faster than a Python float
+_ONE, _TWO = np.array(1.0), np.array(2.0)
+_ONE.flags.writeable = _TWO.flags.writeable = False
+
 
 class UndefinedPhaseError(ValueError):
     """An operation required the mean-field angle but R <= R_MIN."""
@@ -94,8 +98,8 @@ def weighted_order_parameter(weights: np.ndarray, thetas: np.ndarray) -> OrderPa
     """Order parameter of a weighted phase measure sum_j w_j exp(i theta_j), from
     field_into's trig kernel: bitwise what a simulation records for the state."""
     u = trig_scale(np.size(thetas)) * np.asarray(thetas, dtype=float)
-    c, s, scratch = np.empty((3, u.size))
-    return OrderParameter.from_dots(*_trig_dots(u, np.asarray(weights, dtype=float), c, s, scratch)[1:])
+    c, s = np.empty((2, u.size))
+    return OrderParameter.from_dots(*_trig_dots(u, np.asarray(weights, dtype=float), c, s))
 
 
 def pairwise_rhs(ens: OscillatorEnsemble) -> np.ndarray:
@@ -127,39 +131,36 @@ def field(thetas, omegas, weights, coupling, log_jac=True):
     return (v, jac) if log_jac else v
 
 
-def _trig(u, c, s, scratch):
-    """cos and sin of the phases u / trig_scale(u.size) into c and s/f; returns
-    f. From HALF_ANGLE_MIN particles on, f = 2 and t = tan(theta/2) gives cos =
-    (1 - t^2) / (1 + t^2) and sin = 2t / (1 + t^2), within 2.2e-16 of
-    np.cos/np.sin; below it, f = 1."""
+def _trig(u, c, s):
+    """cos and sin of the phases u / trig_scale(u.size) into c and s. From
+    HALF_ANGLE_MIN particles on, t = tan(theta/2) and x = 2 / (1 + t^2) = 1 +
+    cos(theta) give cos = x - 1 and sin = t x, within 1e-15 of np.cos/np.sin."""
     if u.size < HALF_ANGLE_MIN:
         np.cos(u, c)
         np.sin(u, s)
-        return 1.0
+        return
     np.tan(u, s)  # t
-    np.divide(1.0, np.add(np.multiply(s, s, c), 1.0, scratch), scratch)  # t^2 in c, 1/(1 + t^2) in scratch
-    np.multiply(np.subtract(1.0, c, c), scratch, c)  # cos
-    np.multiply(s, scratch, s)  # sin/2
-    return 2.0
+    np.divide(_TWO, np.add(np.multiply(s, s, c), _ONE, c), c)  # x
+    np.multiply(s, c, s)
+    np.subtract(c, _ONE, c)
 
 
-def _trig_dots(u, weights, c, s, scratch):
-    """_trig, and the dots (f, x = sum w cos, y = sum w sin)."""
-    f = _trig(u, c, s, scratch)
-    return f, c.dot(weights), f * s.dot(weights)
+def _trig_dots(u, weights, c, s):
+    """_trig, and the dots (x = sum w cos, y = sum w sin)."""
+    _trig(u, c, s)
+    return c.dot(weights), s.dot(weights)
 
 
 def field_into(u, omegas, weights, coupling, c, s, v, jac=None):
     """field at the phases u / trig_scale(u.size), written into v and, unless
     None, jac; c and s are scratch, so a stepper can reuse all four. Returns
     (v, x, y): the dots x + i y = R exp(i phi) are taken before the factor K,
-    so one call gives a recorded row its velocity and its order parameter. The
-    half-angle factor 2 rides on the scalars, exactly: bitwise the form above."""
-    f, x, y = _trig_dots(u, weights, c, s, v)
+    so one call gives a recorded row its velocity and its order parameter."""
+    x, y = _trig_dots(u, weights, c, s)
     kx, ky = coupling * x, coupling * y
     if jac is not None:  # jac = -kx*cos - ky*sin, then v = omega + ky*cos - kx*sin
-        np.subtract(np.multiply(c, -kx, jac), np.multiply(s, f * ky, v), jac)
-    np.subtract(np.add(omegas, np.multiply(c, ky, c), v), np.multiply(s, f * kx, s), v)
+        np.subtract(np.multiply(c, -kx, jac), np.multiply(s, ky, v), jac)
+    np.subtract(np.add(omegas, np.multiply(c, ky, c), v), np.multiply(s, kx, s), v)
     return v, x, y
 
 

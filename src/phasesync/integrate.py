@@ -63,33 +63,29 @@ def rk4_step(rate, y, dt):
     k2 = rate(y + h * k1)
     k3 = rate(y + h * k2)
     k4 = rate(y + dt * k3)
-    return y + rk4_increment(k1, k2 + k3, k4, dt)
+    return y + (2.0 * (k2 + k3) + k1 + k4) * (dt / 6.0)
 
 
-def rk4_increment(k1, k23, k4, dt):
-    """The RK4 increment dt/6 (k1 + 2 (k2 + k3) + k4), given k23 = k2 + k3;
-    computed in place in k23 when that is an array."""
-    k23 *= 2.0
-    k23 += k1
-    k23 += k4
-    k23 *= dt / 6.0
-    return k23
+# Stepper's buffer C: the cos row of stages 1-4 (the sin row follows), and the rows of ph and pd
+_COS_ROWS, _PH_ROW, _PD_ROW = (3, 0, 6, 8), 2, 5
 
 
 class Stepper:
     """The RK4 step of weighted particles in their mean field, recomputed at
     every stage (4th order for the nonlocal system), in coefficient space.
 
-    Stage s keeps only its cos and sin/f, in rows 2s and 2s + 1 of one (8, n)
-    buffer C (_trig, a = trig_scale(n) = 1/f), and their two dots d_s = (x_s,
-    y_s / f) with the weights, in D[2s:2s + 2]. Its velocity is omega plus
-    (K d_s G_v) . C[2s:2s + 2] and its log-Jacobian rate (K d_s G_j) .
-    C[2s:2s + 2], for the 2x2 maps G of _coefficients, so no stage rate is
-    built: the next stage input is a (theta + h omega), formed once per step,
-    plus a 2-row dot, and the new state row r is its old value plus M[r] . C
-    (plus dt omega on the phases), where M = D . P holds the four stages'
-    RK4-weighted coefficients. Each state row is its own dot, so the phases
-    are computed by the same calls with and without log_jac.
+    Stage s keeps only its cos and sin (_trig, a = trig_scale(n)), two rows of
+    one (10, n) buffer C laid out c2 s2 | ph | c1 s1 | pd | c3 s3 | c4 s4, and
+    their dots d_s = (x_s, y_s) with the weights, in D[2s:2s + 2]. Its velocity
+    is omega plus (K d_s G_v) . (cos, sin) and its log-Jacobian rate (K d_s
+    G_j) . (cos, sin), for the 2x2 maps G of _coefficients, so no stage rate is
+    built. The bases ph = a (theta + h omega) and pd = a (theta + dt omega),
+    formed once per step, sit next to the rows they are added to, so the next
+    stage input is one 3-row dot with 1 on its base. The new state row r is
+    M[r] . C (plus the old log-Jacobians), where M = D . P holds the stages'
+    RK4-weighted coefficients and 1/a on pd (exact: a is 1 or 1/2). Each state
+    row is its own dot, so the phases are computed by the same calls with and
+    without log_jac.
 
     Built once per run, it owns its buffers, and every call writes into them.
     y is (rows, n): the phases, and with log_jac their log-Jacobians. A step
@@ -100,38 +96,43 @@ class Stepper:
         n, rows = omegas.size, 2 if log_jac else 1
         self._omegas, self._w, self._coupling, self._a = omegas, weights, coupling, trig_scale(n)
         self._states = [np.empty((rows, n)), np.empty((rows, n))]
-        self._C, self._D, self._M = np.empty((8, n)), np.empty(8), np.empty((rows, 8))
-        self._u, self._au, self._ph, self._pd, self._q, self._scratch = np.empty((6, n))
-        self._coef, self._maps = np.empty(2), np.empty((2, 2, 2))
-        self._dt = None
-        C, D, (ph, pd), (mh, mdt) = self._C, self._D, (self._ph, self._pd), self._maps
-        # stage s: its cos and sin rows, their pair, its dots, then the base and map of stage s + 1's input
-        self._stages = [(C[2 * s], C[2 * s + 1], C[2 * s:2 * s + 2], D[2 * s:2 * s + 2], base, m)
-                        for s, (base, m) in enumerate([(ph, mh), (ph, mh), (pd, mdt), (None, None)])]
-        self._rows = [list(zip(self._M, out)) for out in self._states]  # (M[r], new state row r)
-        self._m_flat = self._M.reshape(-1)
+        C, D, M = self._C, self._D, self._M = np.empty((10, n)), np.empty(9), np.empty((rows, 10))
+        self._u, self._au, self._maps = np.empty(n), np.empty(n), np.empty((2, 2, 2))
+        coef, D[8], self._dt = np.array([1.0, 0.0, 0.0, 1.0]), 1.0, None  # a map writes coef[1:3]
+        trig = [(C[r], C[r + 1], C[r:r + 2]) for r in _COS_ROWS]
+        head, mapped, mh, mdt = coef[:3], coef[1:3], self._maps[0], self._maps[1]
+        # stage s: its cos and sin rows, their pair and dots; then the 3-row window of C that stage
+        # s + 1's input dots, that dot's coefficients (1 on the base), the two the map sets, the map
+        self._stages = [trig[0] + (D[0:2], C[2:5], head, mapped, mh),  # ph + (c1 s1)
+                        trig[1] + (D[2:4], C[0:3], coef[1:], mapped, mh),  # (c2 s2) + ph
+                        trig[2] + (D[4:6], C[5:8], head, mapped, mdt),  # pd + (c3 s3)
+                        trig[3] + (D[6:8], None, None, None, None)]
+        self._ph, self._pd, self._m_flat = C[_PH_ROW], C[_PD_ROW], M.reshape(-1)
+        self._rows = [list(zip(M, out)) for out in self._states]  # (M[r], new state row r)
 
     def __call__(self, y, dt):
         if dt != self._dt:
             self._dt, a, om = dt, self._a, self._omegas
-            self._ahw, self._adw, self._dw = (a * 0.5 * dt) * om, (a * dt) * om, dt * om
+            self._ahw, self._adw = (a * 0.5 * dt) * om, (a * dt) * om
             self._maps[...], self._P = _coefficients(dt, self._coupling, a, self._M.shape[0])
-        theta, w, u, coef, scratch = y[0], self._w, self._u, self._coef, self._scratch
-        stage_u = theta if self._a == 1.0 else np.multiply(theta, self._a, self._au)
-        np.add(stage_u, self._ahw, self._ph)  # a (theta + h omega): base of stages 2 and 3
-        q = np.add(stage_u, self._adw, self._pd)  # a (theta + dt omega): base of stage 4
-        if self._a != 1.0:  # and, unscaled, of the new phases
-            q = np.add(theta, self._dw, self._q)
-        for c, s, cs, d, base, m in self._stages:
-            _trig(stage_u, c, s, scratch)
+        w, u = self._w, self._u
+        stage_u = y[0] if self._a == 1.0 else np.multiply(y[0], self._a, self._au)
+        np.add(stage_u, self._ahw, self._ph)
+        np.add(stage_u, self._adw, self._pd)
+        for c, s, cs, d, window, coef, mapped, m in self._stages:
+            _trig(stage_u, c, s)
             cs.dot(w, d)
-            if base is not None:
-                stage_u = np.add(d.dot(m, coef).dot(cs, u), base, u)
+            if window is not None:
+                d.dot(m, mapped)
+                stage_u = coef.dot(window, u)
         self._D.dot(self._P, self._m_flat)
         i = y is self._states[0]
-        for (m, out), base in zip(self._rows[i], (q, y[-1])):  # y[-1]: the log-Jacobians, if any
-            np.add(m.dot(self._C, out), base, out)
-        return self._states[i]
+        for m, row in self._rows[i]:
+            m.dot(self._C, row)
+        out = self._states[i]
+        if len(out) == 2:  # the log-Jacobians add their old values
+            np.add(out[1], y[1], out[1])
+        return out
 
     def observe(self, y):
         """field_into's (v, x, y) at the state y, velocity only."""
@@ -141,22 +142,23 @@ class Stepper:
 
 @functools.lru_cache(maxsize=64)
 def _coefficients(dt, coupling, a, rows):
-    """For a stage's dots d = (x, y/f), f = 1/a, K d G_v = (K y, -K f x) are
-    the velocity's coefficients on its (cos, sin/f) rows and K d G_j = (-K x,
-    -K f y) the log-Jacobian rate's. Returns the stage-input maps (a h K G_v,
-    a dt K G_v), h = dt/2, and the (8, 8 * rows) matrix P with D . P = M: row r
-    of M holds dt b_s times stage s's coefficients of state row r, b = (1, 2,
-    2, 1)/6. Each entry of M is one product, so M's rows do not depend on
-    rows. Read-only: the arrays are shared by every stepper with these keys."""
-    f = 1.0 / a
-    g = coupling * np.array([[[0.0, -f], [f, 0.0]], [[-1.0, 0.0], [0.0, -f * f]]])[:rows]
-    p = np.zeros((8, rows, 8))
-    for s, b in enumerate((1.0, 2.0, 2.0, 1.0)):
-        p[2 * s:2 * s + 2, :, 2 * s:2 * s + 2] = (dt * b / 6.0) * g.transpose(1, 0, 2)
+    """For a stage's dots d = (x, y), K d G_v = (K y, -K x) are the velocity's
+    coefficients on its (cos, sin) rows and K d G_j = (-K x, -K y) the
+    log-Jacobian rate's. Returns the stage-input maps (a h K G_v, a dt K G_v),
+    h = dt/2, and the (9, 10 * rows) matrix P with D . P = M, D = (d_1, ..,
+    d_4, 1): row r of M holds dt b_s times stage s's coefficients of state row
+    r, b = (1, 2, 2, 1)/6, in the columns of its rows in Stepper's C, and the
+    phase row 1/a on pd. Each entry of M is one product, so M's rows do not
+    depend on rows. Read-only: every stepper with these keys shares them."""
+    g = coupling * np.array([[[0.0, -1.0], [1.0, 0.0]], [[-1.0, 0.0], [0.0, -1.0]]])[:rows]
+    p = np.zeros((9, rows, 10))
+    for s, (b, col) in enumerate(zip((1.0, 2.0, 2.0, 1.0), _COS_ROWS)):
+        p[2 * s:2 * s + 2, :, col:col + 2] = (dt * b / 6.0) * g.transpose(1, 0, 2)
+    p[8, 0, _PD_ROW] = 1.0 / a
     maps = np.stack([(a * 0.5 * dt) * g[0], (a * dt) * g[0]])
     for arr in (maps, p):
         arr.flags.writeable = False
-    return maps, p.reshape(8, 8 * rows)
+    return maps, p.reshape(9, 10 * rows)
 
 
 def drive(step, y, cfg: SimConfig, observe, time: float = 0.0):
@@ -169,15 +171,15 @@ def drive(step, y, cfg: SimConfig, observe, time: float = 0.0):
     below stationarity_tol. A non-finite y raises NonFiniteStateError at the
     step that produced it. Returns (final y, "stationary" or "t_max").
     """
-    n_steps = int(round(cfg.t_max / cfg.dt))
+    dt, every, tol = cfg.dt, cfg.record_every, cfg.stationarity_tol
+    n_steps = int(round(cfg.t_max / dt))
     zeros = np.zeros(y.shape)  # y . 0 is 0 iff y is finite: 0 * inf and 0 * nan are nan
     observe(time, y)
     for k in range(1, n_steps + 1):
-        y = step(y, cfg.dt)
-        t = time + k * cfg.dt
+        y = step(y, dt)
         if np.vdot(y, zeros) != 0.0:
-            raise NonFiniteStateError(t)
-        if (k % cfg.record_every == 0 or k == n_steps) and observe(t, y) < cfg.stationarity_tol:
+            raise NonFiniteStateError(time + k * dt)
+        if (k % every == 0 or k == n_steps) and observe(time + k * dt, y) < tol:
             return y, "stationary"
     return y, "t_max"
 

@@ -151,8 +151,10 @@ def self_consistency_roots(g: FrequencyDistribution, k: float,
 
     roots: List[float] = []
     for i in np.flatnonzero((sign[:-1] != 0.0) & (sign[:-1] * sign[1:] <= 0.0)):
-        if f(r_grid[i]) * f(r_grid[i + 1]) <= 0.0:
-            roots.append(brentq(f, r_grid[i], r_grid[i + 1], xtol=1e-14, rtol=1e-15))
+        lo, hi = float(r_grid[i]), float(r_grid[i + 1])
+        ends = {lo: f(lo), hi: f(hi)}
+        if ends[lo] * ends[hi] <= 0.0:  # brentq's first two calls take the ends from here
+            roots.append(brentq(lambda r: ends[r] if r in ends else f(r), lo, hi, xtol=1e-14, rtol=1e-15))
     # endpoint roots the sign scan cannot bracket (e.g. R = 1 for Dirac g);
     # the lower endpoint only counts when set by the support condition,
     # otherwise F ~ K R vanishes there spuriously as R -> 0

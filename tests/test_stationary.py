@@ -291,6 +291,48 @@ class TestSelfConsistencyRoots:
         assert ps.self_consistency_roots(g, kc * (1 + 1e-6)).k_supercritical
         assert ps.self_consistency_roots(g, kc * (1 - 1e-6)).roots == []
 
+    @pytest.mark.parametrize("g", [ps.TruncatedGaussian(0, 0.3, 0.6), ps.Dirac(0.0)], ids=repr)
+    def test_bracket_ends_evaluated_once(self, g, monkeypatch):
+        # brentq's first two calls take the end values the bracket check
+        # computed, 0.0 included (Dirac: F(1) = 0), so a bracket runs the
+        # adaptive I once per brentq call, where v0.9.1 ran it 2 more times
+        calls, scanned, brent_calls = [], [], []
+        integral, grid, brent = st._integral, st._integral_grid, st.brentq
+
+        def scan(g_, a):
+            val = grid(g_, a)
+            scanned.append(len(calls))
+            return val
+
+        def counted(f, lo, hi, **kw):
+            root, info = brent(f, lo, hi, full_output=True, **kw)
+            brent_calls.append(info.function_calls)
+            return root
+
+        monkeypatch.setattr(st, "_integral", lambda g_, a: (calls.append(a), integral(g_, a))[1])
+        monkeypatch.setattr(st, "_integral_grid", scan)
+        monkeypatch.setattr(st, "brentq", counted)
+        ps.self_consistency_roots(g, 1.2)
+        assert len(brent_calls) == 1
+        assert len(calls) - scanned[0] == brent_calls[0]
+
+    @pytest.mark.parametrize("g", BENCH_LAWS, ids=repr)
+    def test_cached_bracket_ends_leave_roots_bitwise(self, g, monkeypatch):
+        # the stationary-kc laws: brentq on the cached-end F returns, as a
+        # repr, the root it returns on F itself
+        brent, pairs = st.brentq, []
+
+        def both(f, lo, hi, **kw):
+            plain = lambda r: st._integral(g, k * r) - k * r * r
+            pairs.append((brent(f, lo, hi, **kw), brent(plain, lo, hi, **kw)))
+            return pairs[-1][0]
+
+        monkeypatch.setattr(st, "brentq", both)
+        kc = ps.critical_coupling(g)
+        for k in [(kc or 0.5) * f for f in (1 + 1e-6, 1.01, 1.3, 2.0)] + [0.8, 1.2, 2.0]:
+            ps.self_consistency_roots(g, k)
+        assert pairs and all(repr(new) == repr(old) for new, old in pairs)
+
     def test_generalized_residual_specializes(self):
         g = ps.Uniform(0, 0.4)
         for r in (0.5, 0.8, 1.0):

@@ -250,6 +250,18 @@ class TestRK4Order:
         assert 12.0 <= self.ratio(final) <= 20.0
 
 
+def blas_thread_digests(script):
+    """What script prints, run in a subprocess with one and with two BLAS threads."""
+    src = str(Path(ps.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
+        run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        digests.append(run.stdout.strip())
+    return digests
+
+
 def test_blas_thread_count_leaves_states_bytewise():
     # the step's dots run in BLAS, whose threads could split a sum; a replay
     # must not depend on the thread count
@@ -261,13 +273,21 @@ def test_blas_thread_count_leaves_states_bytewise():
         "assert end.n_particles == 4096 and end.time == 0.5\n"
         "print(hashlib.sha256(end.thetas.tobytes() + end.log_jacs.tobytes()).hexdigest())\n"
     )
-    src = str(Path(ps.__file__).resolve().parents[1])
-    digests = []
-    for threads in ("1", "2"):
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
-        run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
-        assert run.returncode == 0, run.stderr
-        digests.append(run.stdout.strip())
+    digests = blas_thread_digests(script)
+    assert digests[0] == digests[1] and len(digests[0]) == 64
+
+
+def test_blas_thread_count_leaves_finite_states_bytewise():
+    # N = 2000, the finite-large-n size, where each new phase row is one
+    # 10-row dot: a replay must not depend on the thread count there either
+    script = (
+        "import hashlib, numpy as np, phasesync as ps\n"
+        "ens = ps.seeded_ensemble(2000, coupling=1.3, seed=3, freq_halfwidth=0.5)\n"
+        "traj = ps.simulate(ens, ps.SimConfig(dt=0.01, t_max=0.5, record_every=10))\n"
+        "assert len(traj.states) == 6 and traj.stopped_on == 't_max'\n"
+        "print(hashlib.sha256(np.stack([s.phases for s in traj.states]).tobytes()).hexdigest())\n"
+    )
+    digests = blas_thread_digests(script)
     assert digests[0] == digests[1] and len(digests[0]) == 64
 
 
