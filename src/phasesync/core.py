@@ -98,8 +98,7 @@ def weighted_order_parameter(weights: np.ndarray, thetas: np.ndarray) -> OrderPa
     """Order parameter of a weighted phase measure sum_j w_j exp(i theta_j), from
     field_into's trig kernel: bitwise what a simulation records for the state."""
     u = trig_scale(np.size(thetas)) * np.asarray(thetas, dtype=float)
-    c, s = np.empty((2, u.size))
-    return OrderParameter.from_dots(*_trig_dots(u, np.asarray(weights, dtype=float), c, s))
+    return OrderParameter.from_dots(*_trig_dots(u, np.asarray(weights, dtype=float), np.empty((2, u.size))))
 
 
 def pairwise_rhs(ens: OscillatorEnsemble) -> np.ndarray:
@@ -125,9 +124,9 @@ def field(thetas, omegas, weights, coupling, log_jac=True):
     ensemble is weights = 1/N. With log_jac=False only the velocity is returned.
     """
     n = thetas.size
-    v, c, s = np.empty(n), np.empty(n), np.empty(n)
+    cs, v, tmp = np.empty((2, n)), np.empty(n), np.empty(n)
     jac = np.empty(n) if log_jac else None
-    field_into(thetas if n < HALF_ANGLE_MIN else 0.5 * thetas, omegas, weights, coupling, c, s, v, jac)
+    field_into(thetas if n < HALF_ANGLE_MIN else 0.5 * thetas, omegas, weights, coupling, cs, v, tmp, jac=jac)
     return (v, jac) if log_jac else v
 
 
@@ -145,22 +144,22 @@ def _trig(u, c, s):
     np.subtract(c, _ONE, c)
 
 
-def _trig_dots(u, weights, c, s):
-    """_trig, and the dots (x = sum w cos, y = sum w sin)."""
-    _trig(u, c, s)
-    return c.dot(weights), s.dot(weights)
+def _trig_dots(u, weights, cs, d=None):
+    """_trig into cs (2, n), and its dots (x, y) = (sum w cos, sum w sin), into d if given."""
+    _trig(u, cs[0], cs[1])
+    return cs.dot(weights, d)
 
 
-def field_into(u, omegas, weights, coupling, c, s, v, jac=None):
+def field_into(u, omegas, weights, coupling, cs, v, tmp, d=None, jac=None):
     """field at the phases u / trig_scale(u.size), written into v and, unless
-    None, jac; c and s are scratch, so a stepper can reuse all four. Returns
-    (v, x, y): the dots x + i y = R exp(i phi) are taken before the factor K,
-    so one call gives a recorded row its velocity and its order parameter."""
-    x, y = _trig_dots(u, weights, c, s)
-    kx, ky = coupling * x, coupling * y
+    None, jac; cos/sin stay in cs (2, n), their dots in d, and tmp is scratch.
+    Returns (v, x, y): the dots x + i y = R exp(i phi) are taken before the
+    factor K, so one call gives a recorded row its velocity and its R and phi."""
+    x, y = _trig_dots(u, weights, cs, d)
+    (c, s), kx, ky = cs, coupling * x, coupling * y
     if jac is not None:  # jac = -kx*cos - ky*sin, then v = omega + ky*cos - kx*sin
         np.subtract(np.multiply(c, -kx, jac), np.multiply(s, ky, v), jac)
-    np.subtract(np.add(omegas, np.multiply(c, ky, c), v), np.multiply(s, kx, s), v)
+    np.subtract(np.add(omegas, np.multiply(c, ky, tmp), v), np.multiply(s, kx, tmp), v)
     return v, x, y
 
 

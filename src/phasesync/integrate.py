@@ -35,6 +35,9 @@ class SimConfig:
     def __post_init__(self):
         if not (0 < self.dt <= self.t_max < np.inf):
             raise ValueError("need 0 < dt <= t_max, both finite")
+        steps = self.t_max / self.dt  # inf if dt is tiny: NaN below fails too
+        if not min(steps % 1.0, -steps % 1.0) <= 1e-9 * steps:
+            raise ValueError(f"t_max = {self.t_max!r} is not a whole number of steps dt = {self.dt!r}")
         if self.record_every < 1:
             raise ValueError("record_every must be a positive integer")
         if not 0 < self.stationarity_tol < np.inf:  # NaN fails too
@@ -81,84 +84,90 @@ class Stepper:
     G_j) . (cos, sin), for the 2x2 maps G of _coefficients, so no stage rate is
     built. The bases ph = a (theta + h omega) and pd = a (theta + dt omega),
     formed once per step, sit next to the rows they are added to, so the next
-    stage input is one 3-row dot with 1 on its base. The new state row r is
-    M[r] . C (plus the old log-Jacobians), where M = D . P holds the stages'
-    RK4-weighted coefficients and 1/a on pd (exact: a is 1 or 1/2). Each state
-    row is its own dot, so the phases are computed by the same calls with and
-    without log_jac.
+    stage input is one 3-row dot with 1 on its base. Both new state rows are
+    one gemm M . C (plus the old log-Jacobians), where M = D . P (2, 10) holds
+    the stages' RK4-weighted coefficients and 1/a on pd (exact: a is 1 or 1/2).
+    Without log_jac the phase row of the same gemm is kept, bitwise as with it.
 
     Built once per run, it owns its buffers, and every call writes into them.
     y is (rows, n): the phases, and with log_jac their log-Jacobians. A step
-    returns the state buffer y is not, overwritten two steps later.
+    returns the state buffer y is not, overwritten two steps later; a step of
+    the very y that observe last saw starts from the stage 1 it left.
     """
 
     def __init__(self, omegas, weights, coupling, log_jac=False):
-        n, rows = omegas.size, 2 if log_jac else 1
+        n = omegas.size
         self._omegas, self._w, self._coupling, self._a = omegas, weights, coupling, trig_scale(n)
-        self._states = [np.empty((rows, n)), np.empty((rows, n))]
-        C, D, M = self._C, self._D, self._M = np.empty((10, n)), np.empty(9), np.empty((rows, 10))
+        self._states = [np.empty((2, n)), np.empty((2, n))]
+        self._outs = self._states if log_jac else [out[:1] for out in self._states]  # what a step returns
+        C, D, M = self._C, self._D, self._M = np.empty((10, n)), np.empty(9), np.empty((2, 10))
         self._u, self._au, self._maps = np.empty(n), np.empty(n), np.empty((2, 2, 2))
-        coef, D[8], self._dt = np.array([1.0, 0.0, 0.0, 1.0]), 1.0, None  # a map writes coef[1:3]
+        coef, D[8], self._dt, self._seen = np.array([1.0, 0.0, 0.0, 1.0]), 1.0, None, None
         trig = [(C[r], C[r + 1], C[r:r + 2]) for r in _COS_ROWS]
-        head, mapped, mh, mdt = coef[:3], coef[1:3], self._maps[0], self._maps[1]
-        # stage s: its cos and sin rows, their pair and dots; then the 3-row window of C that stage
-        # s + 1's input dots, that dot's coefficients (1 on the base), the two the map sets, the map
-        self._stages = [trig[0] + (D[0:2], C[2:5], head, mapped, mh),  # ph + (c1 s1)
-                        trig[1] + (D[2:4], C[0:3], coef[1:], mapped, mh),  # (c2 s2) + ph
-                        trig[2] + (D[4:6], C[5:8], head, mapped, mdt),  # pd + (c3 s3)
-                        trig[3] + (D[6:8], None, None, None, None)]
+        head, self._mapped, mh, mdt = coef[:3], coef[1:3], self._maps[0], self._maps[1]  # a map writes coef[1:3]
+        self._first = trig[0] + (D[0:2],)  # stage 1: its cos and sin rows, their pair and dots
+        # then per stage s + 1: stage s's dots and map, the 3-row window of C that stage s + 1's input
+        # dots and that dot's coefficients (1 on the base), and stage s + 1's rows, pair and dots
+        self._stages = [(D[0:2], mh, C[2:5], head) + trig[1] + (D[2:4],),  # ph + (c1 s1)
+                        (D[2:4], mh, C[0:3], coef[1:]) + trig[2] + (D[4:6],),  # (c2 s2) + ph
+                        (D[4:6], mdt, C[5:8], head) + trig[3] + (D[6:8],)]  # pd + (c3 s3)
         self._ph, self._pd, self._m_flat = C[_PH_ROW], C[_PD_ROW], M.reshape(-1)
-        self._rows = [list(zip(M, out)) for out in self._states]  # (M[r], new state row r)
 
     def __call__(self, y, dt):
         if dt != self._dt:
             self._dt, a, om = dt, self._a, self._omegas
             self._ahw, self._adw = (a * 0.5 * dt) * om, (a * dt) * om
-            self._maps[...], self._P = _coefficients(dt, self._coupling, a, self._M.shape[0])
-        w, u = self._w, self._u
+            self._maps[...], self._P = _coefficients(dt, self._coupling, a)
+        w, u, mapped = self._w, self._u, self._mapped
         stage_u = y[0] if self._a == 1.0 else np.multiply(y[0], self._a, self._au)
         np.add(stage_u, self._ahw, self._ph)
         np.add(stage_u, self._adw, self._pd)
-        for c, s, cs, d, window, coef, mapped, m in self._stages:
+        if y is not self._seen:
+            c, s, cs, d = self._first
             _trig(stage_u, c, s)
             cs.dot(w, d)
-            if window is not None:
-                d.dot(m, mapped)
-                stage_u = coef.dot(window, u)
+        self._seen = None
+        for d, m, window, coef, c, s, cs, d_next in self._stages:
+            d.dot(m, mapped)
+            stage_u = coef.dot(window, u)
+            _trig(stage_u, c, s)
+            cs.dot(w, d_next)
         self._D.dot(self._P, self._m_flat)
-        i = y is self._states[0]
-        for m, row in self._rows[i]:
-            m.dot(self._C, row)
+        i = y is self._outs[0]
         out = self._states[i]
-        if len(out) == 2:  # the log-Jacobians add their old values
+        np.dot(self._M, self._C, out)
+        if self._outs is self._states:  # the log-Jacobians add their old values
             np.add(out[1], y[1], out[1])
-        return out
+        return self._outs[i]
 
     def observe(self, y):
-        """field_into's (v, x, y) at the state y, velocity only."""
+        """field_into's (v, x, y) at the state y, whose cos/sin and dots stay as
+        stage 1 of a next step of y (so y must not change in between)."""
         ay = y[0] if self._a == 1.0 else np.multiply(y[0], self._a, self._au)
-        return field_into(ay, self._omegas, self._w, self._coupling, self._C[0], self._C[1], self._u)
+        _, _, cs, d = self._first
+        self._seen = y
+        return field_into(ay, self._omegas, self._w, self._coupling, cs, self._u, self._C[0], d)
 
 
 @functools.lru_cache(maxsize=64)
-def _coefficients(dt, coupling, a, rows):
+def _coefficients(dt, coupling, a):
     """For a stage's dots d = (x, y), K d G_v = (K y, -K x) are the velocity's
     coefficients on its (cos, sin) rows and K d G_j = (-K x, -K y) the
     log-Jacobian rate's. Returns the stage-input maps (a h K G_v, a dt K G_v),
-    h = dt/2, and the (9, 10 * rows) matrix P with D . P = M, D = (d_1, ..,
-    d_4, 1): row r of M holds dt b_s times stage s's coefficients of state row
-    r, b = (1, 2, 2, 1)/6, in the columns of its rows in Stepper's C, and the
-    phase row 1/a on pd. Each entry of M is one product, so M's rows do not
-    depend on rows. Read-only: every stepper with these keys shares them."""
-    g = coupling * np.array([[[0.0, -1.0], [1.0, 0.0]], [[-1.0, 0.0], [0.0, -1.0]]])[:rows]
-    p = np.zeros((9, rows, 10))
+    h = dt/2, and the (9, 20) matrix P with D . P = M, D = (d_1, .., d_4, 1):
+    row r of M holds dt b_s times stage s's coefficients of state row r (phase,
+    log-Jacobian), b = (1, 2, 2, 1)/6, in the columns of its rows in Stepper's
+    C, and the phase row 1/a on pd. Read-only: every stepper with these keys
+    shares them."""
+    g = coupling * np.array([[[0.0, -1.0], [1.0, 0.0]], [[-1.0, 0.0], [0.0, -1.0]]])
+    p = np.zeros((9, 2, 10))
     for s, (b, col) in enumerate(zip((1.0, 2.0, 2.0, 1.0), _COS_ROWS)):
         p[2 * s:2 * s + 2, :, col:col + 2] = (dt * b / 6.0) * g.transpose(1, 0, 2)
     p[8, 0, _PD_ROW] = 1.0 / a
     maps = np.stack([(a * 0.5 * dt) * g[0], (a * dt) * g[0]])
     for arr in (maps, p):
         arr.flags.writeable = False
-    return maps, p.reshape(9, 10 * rows)
+    return maps, p.reshape(9, 20)
 
 
 def drive(step, y, cfg: SimConfig, observe, time: float = 0.0):

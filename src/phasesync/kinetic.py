@@ -215,13 +215,14 @@ def kinetic_simulate(meas: PhaseMeasure, cfg: SimConfig) -> KineticTrajectory:
     """Integrate the kinetic measure to t_max or until the velocity field
     is stationary, recording the scalar diagnostics."""
     rows = []
-    step = Stepper(meas.omegas, meas.weights, meas.coupling, log_jac=True)
+    w, wo = meas.weights, meas.weights * meas.omegas
+    step = Stepper(meas.omegas, w, meas.coupling, log_jac=True)
 
     def observe(t, y):
         v, x, z = step.observe(y)
         op = OrderParameter.from_dots(x, z)
-        w = meas.weights
-        rows.append((t, op.r, op.phi, _h(meas, y[0], op.r), -float(np.sum(w * y[1])), float(np.sum(w * y[0]))))
+        mp, lj = y.dot(w)
+        rows.append((t, op.r, op.phi, _h(meas, wo, y[0], op.r), -float(lj), float(mp)))
         return np.max(np.abs(v))
 
     y, stopped_on = drive(step, np.stack([meas.thetas, meas.log_jacs]), cfg, observe, meas.time)
@@ -257,17 +258,18 @@ def entropy_change(meas: PhaseMeasure) -> float:
     """
     if meas.has_atoms:
         warnings.warn("entropy_change on an atomic measure is not meaningful", stacklevel=2)
-    return -float(np.sum(meas.weights * meas.log_jacs))
+    # row 1 of the state's 2-row dot with the weights: the form kinetic_simulate records
+    return -float(np.stack([meas.thetas, meas.log_jacs]).dot(meas.weights)[1])
 
 
 def h_functional(meas: PhaseMeasure) -> float:
     """sum w * theta * omega + K * R^2 / 2, non-decreasing along solutions."""
-    return _h(meas, meas.thetas, weighted_order_parameter(meas.weights, meas.thetas).r)
+    return _h(meas, meas.weights * meas.omegas, meas.thetas, weighted_order_parameter(meas.weights, meas.thetas).r)
 
 
-def _h(meas: PhaseMeasure, thetas: np.ndarray, r: float) -> float:
-    """h_functional of meas at the phases thetas, given their coherence r."""
-    return float(np.sum(meas.weights * thetas * meas.omegas)) + meas.coupling * r**2 / 2.0
+def _h(meas: PhaseMeasure, wo: np.ndarray, thetas: np.ndarray, r: float) -> float:
+    """h_functional of meas at the phases thetas, given wo = w * omega and their coherence r."""
+    return float(thetas.dot(wo)) + meas.coupling * r**2 / 2.0
 
 
 def fourier_moment(meas: PhaseMeasure, k: int) -> complex:

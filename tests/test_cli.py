@@ -351,6 +351,12 @@ class TestSweepRejectedBeforeRunning:
         assert run_cli(self.SWEEP + [x for s in sets for x in ("--set", s)] + ["--out", str(out)]) == 2
         assert not out.exists() or not any(out.iterdir())
 
+    def test_horizon_between_steps_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run_cli(self.SWEEP + ["--set", "sim.dt=0.03", "--out", str(out)]) == 2  # t_max = 0.1
+        assert "whole number of steps" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
     @pytest.mark.parametrize("steps", ["0", "-1"])
     def test_k_steps_below_one_is_config_error(self, tmp_path, capsys, steps):
         out = tmp_path / "run"

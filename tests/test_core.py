@@ -228,11 +228,10 @@ class TestEnsembleValidation:
 
 def cos_sin_field(thetas, omegas, weights, coupling):
     """field with np.cos/np.sin at every particle count: the oracle of the
-    half-angle path."""
+    half-angle path. Its dots are one 2-row dot, the form field takes them in."""
     c = np.cos(thetas)
     s = np.sin(thetas)
-    kx = coupling * c.dot(weights)
-    ky = coupling * s.dot(weights)
+    kx, ky = coupling * np.stack([c, s]).dot(weights)
     return omegas + ky * c - kx * s, -kx * c - ky * s
 
 

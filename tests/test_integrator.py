@@ -170,6 +170,19 @@ class TestSimulate:
         with pytest.raises(ValueError):
             ps.SimConfig(**kwargs)
 
+    @pytest.mark.parametrize("dt,t_max", [(0.6, 1.0), (0.4, 1.0), (0.01, 0.105), (1e-300, 1e10)])
+    def test_config_rejects_a_horizon_between_steps(self, dt, t_max):
+        # the driver runs round(t_max/dt) steps: dt = 0.6 would end at t = 1.2, dt = 0.4 at 0.8;
+        # with t_max/dt = inf that round raised OverflowError
+        with pytest.raises(ValueError, match="whole number of steps"):
+            ps.SimConfig(dt=dt, t_max=t_max)
+
+    @pytest.mark.parametrize("dt,t_max", [(0.01, 100.0), (0.05, 3.0), (0.1, 0.3), (0.05, 7 * 0.05), (0.6, 1.2)])
+    def test_config_accepts_a_whole_number_of_steps(self, dt, t_max):
+        ens = ps.seeded_ensemble(3, coupling=0.0, seed=4, freq_halfwidth=1.0)  # free flow: never stationary
+        traj = ps.simulate(ens, ps.SimConfig(dt=dt, t_max=t_max, record_every=10**6))
+        assert traj.times[-1] == pytest.approx(t_max, rel=1e-12)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ps.SimConfig(dt=0.0)

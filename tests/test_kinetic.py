@@ -227,6 +227,16 @@ class TestEntropyChange:
         kr2 = meas.coupling * r[1:-1] ** 2
         assert np.max(np.abs(ds - kr2) / kr2) < 1e-4
 
+    @pytest.mark.parametrize("n", [64, 4096])
+    def test_rows_are_the_functionals_of_their_states(self, n):
+        # a run's last entropy and H are entropy_change and h_functional of its final state, bitwise
+        spec = ps.ProductSpec(ps.UniformArc(0.3, 2.0), ps.Uniform(0.25, 0.4), n // 8)
+        meas = ps.discretize(spec, 8, coupling=1.3)
+        for k in (1, 4, 7):
+            traj = ps.kinetic_simulate(meas, ps.SimConfig(dt=0.05, t_max=k * 0.05, record_every=3))
+            assert traj.entropy_series[-1] == ps.entropy_change(traj.final) != 0.0
+            assert traj.h_series[-1] == ps.h_functional(traj.final)
+
     def test_atoms_warn(self):
         meas = ps.discretize(ps.AtomList((1.0,), (0.1,), (0.0,)))
         with pytest.warns(UserWarning):

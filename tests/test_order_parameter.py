@@ -73,8 +73,28 @@ def test_dots_are_the_fields(n):
     # field_into's dots, before the factor K, give the same order parameter
     thetas = clustered_phases(n, 4, 0.3, 10.0)
     w, omegas = weights_of(n, 4, False), np.linspace(-0.5, 0.5, n)
-    c, s, v = np.empty((3, n))
+    cs, v, tmp = np.empty((2, n)), np.empty(n), np.empty(n)
     for coupling in (0.0, 1.7):
-        _, x, y = ps.core.field_into(ps.core.trig_scale(n) * thetas, omegas, w, coupling, c, s, v)
+        _, x, y = ps.core.field_into(ps.core.trig_scale(n) * thetas, omegas, w, coupling, cs, v, tmp)
         assert ps.OrderParameter.from_dots(x, y) == ps.weighted_order_parameter(w, thetas)
     assert np.array_equal(v, ps.field(thetas, omegas, w, 1.7, False))
+
+
+@pytest.mark.parametrize("n", [10, 511, 512, 2000])
+def test_recorded_rows_are_the_order_parameter_finite(n):
+    # the docstring's promise: a run's R and phi are bitwise those of its states
+    ens = ps.seeded_ensemble(n, coupling=1.3, seed=n, freq_halfwidth=0.5)
+    traj = ps.simulate(ens, ps.SimConfig(dt=0.05, t_max=1.0, record_every=3))
+    ops = [ps.weighted_order_parameter(np.full(n, 1.0 / n), s.phases) for s in traj.states]
+    assert list(traj.r_series) == [op.r for op in ops] and traj.phi_series == [op.phi for op in ops]
+
+
+@pytest.mark.parametrize("n", [64, 4096])
+def test_recorded_rows_are_the_order_parameter_kinetic(n):
+    # each run's last row is its final state's, at horizons of 1 to 7 steps
+    spec = ps.ProductSpec(ps.UniformArc(0.3, 2.0), ps.Uniform(0.25, 0.4), n // 8)
+    meas = ps.discretize(spec, 8, coupling=1.3)
+    for k in range(1, 8):
+        traj = ps.kinetic_simulate(meas, ps.SimConfig(dt=0.05, t_max=k * 0.05, record_every=3))
+        op = ps.weighted_order_parameter(meas.weights, traj.final.thetas)
+        assert (traj.r_series[-1], traj.phi_series[-1]) == (op.r, op.phi)

@@ -334,6 +334,55 @@ class TestResultsOutliveTheStepper:
         assert np.array_equal(m1.thetas, kept[0]) and np.array_equal(m1.log_jacs, kept[1])
 
 
+class TestRecordedRowReuse:
+    """A recorded row's observe leaves the state's stage-1 cos/sin and dots
+    for the next step, which skips them only if it steps that same object.
+    Runs that record every step, or every third (the stepper's own buffers
+    then come back with other contents), equal chains of public steps."""
+
+    @pytest.mark.parametrize("every", [1, 3])
+    @pytest.mark.parametrize("n", [10, 512, 2000])
+    def test_finite_runs_equal_step_chains(self, n, every):
+        ens = ensemble(n, 1.3, 0.25)
+        cfg = ps.SimConfig(dt=0.05, t_max=0.6, record_every=every)
+        traj = ps.simulate(ens, cfg)
+        chain = step_chain(ps.step_rk4, ens, cfg.dt, recorded(cfg, len(traj.states)))
+        assert len(traj.states) == (13 if every == 1 else 5)
+        assert all(np.array_equal(s.phases, c.phases) for s, c in zip(traj.states, chain, strict=True))
+
+    @pytest.mark.parametrize("every", [1, 3])
+    @pytest.mark.parametrize("n", [64, 4096])
+    def test_kinetic_runs_equal_step_chains(self, n, every):
+        meas = measure(n, 1.3, 0.25)
+        chain = step_chain(ps.kinetic_step, meas, 0.05, list(range(1, 8)))
+        for k, cur in enumerate(chain, start=1):
+            end = ps.kinetic_simulate(meas, ps.SimConfig(dt=0.05, t_max=k * 0.05, record_every=every)).final
+            assert np.max(np.abs(end.log_jacs)) > 0.0
+            assert np.array_equal(end.thetas, cur.thetas) and np.array_equal(end.log_jacs, cur.log_jacs)
+
+    @pytest.mark.parametrize("log_jac,n", [(False, 10), (False, 2000), (True, 64), (True, 4096)])
+    def test_observe_then_step_another_state(self, log_jac, n):
+        if log_jac:
+            meas = measure(n, 1.3, 0.25)
+            args, a = (meas.omegas, meas.weights, 1.3, True), np.stack([meas.thetas, meas.log_jacs])
+        else:
+            ens = ensemble(n, 1.3, 0.25)
+            args, a = (ens.freqs, np.full(n, 1.0 / n), 1.3), ens.phases[None].copy()
+        b = 1.5 * a + 0.5  # not a rotation of a: that would keep its stage-1 velocity
+        fresh = ps.integrate.Stepper(*args)(b, 0.05).copy()
+        st = ps.integrate.Stepper(*args)
+        st.observe(a)
+        assert np.array_equal(st(b, 0.05), fresh)
+        # a step of the observed object reuses its stage 1 and clears the
+        # mark, so a later step of that object with other contents does not
+        st.observe(b)
+        st(b, 0.05)
+        b_again = b.copy()
+        b[...] = a
+        assert np.array_equal(st(b, 0.05), ps.integrate.Stepper(*args)(a, 0.05))
+        assert np.array_equal(st(b_again, 0.05), fresh)
+
+
 class TestBlowUp:
     @pytest.mark.parametrize("n", [10, 512])
     def test_raises_at_the_step_that_produced_it(self, n):
