@@ -35,9 +35,9 @@ class SimConfig:
     def __post_init__(self):
         if not (0 < self.dt <= self.t_max < np.inf):
             raise ValueError("need 0 < dt <= t_max, both finite")
-        steps = self.t_max / self.dt  # inf if dt is tiny: NaN below fails too
-        if not min(steps % 1.0, -steps % 1.0) <= 1e-9 * steps:
-            raise ValueError(f"t_max = {self.t_max!r} is not a whole number of steps dt = {self.dt!r}")
+        steps = self.t_max / self.dt  # past 2**53 (or inf) every float is whole: no check
+        if not (steps <= 2.0**53 and min(steps % 1.0, -steps % 1.0) <= min(1e-9 * steps, 1e-3)):
+            raise ValueError(f"t_max = {self.t_max!r} is not a whole number of steps dt = {self.dt!r} (<= 2**53)")
         if self.record_every < 1:
             raise ValueError("record_every must be a positive integer")
         if not 0 < self.stationarity_tol < np.inf:  # NaN fails too

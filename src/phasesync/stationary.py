@@ -28,6 +28,8 @@ K_MAX = 100.0  # cap on the critical coupling
 _LEGENDRE_NODES = 16  # first Gauss-Legendre order in t of the vectorized I(a)
 _MAX_LEGENDRE_NODES = 1024
 _GRID_TOL = 1e-12  # end-point match that sets that order; below ROOT_TOL
+_PRUNE_TOL = 1e-9  # how far a cell's bound must clear the answer; far above the rule's error
+_SCAN_STRIDE = 32  # every _SCAN_STRIDE-th grid point (and the last) bounds a cell
 _EDGE_ULPS = 4  # a support end this close to +-a is a square-root end
 _legendre = lru_cache(maxsize=None)(roots_legendre)
 
@@ -87,23 +89,40 @@ def _omega_integral(g: FrequencyDistribution, a: float) -> float:
     return quad(f, lo, hi, epsabs=1e-12, epsrel=1e-12, limit=200, **weight)[0]
 
 
-def _integral_grid(g: FrequencyDistribution, a: np.ndarray) -> np.ndarray:
-    """I on an ascending array of a >= max|omega|: exact sum over atoms, else
-    a Gauss-Legendre rule in t. Its order, doubled from _LEGENDRE_NODES, is
-    the first to match the adaptive I to _GRID_TOL at both ends of a (where
-    narrow features of g are resolved worst); only then is all of a evaluated.
-    If no order up to _MAX_LEGENDRE_NODES matches, the adaptive I is used."""
+def _integral_rule(g: FrequencyDistribution, a: np.ndarray):
+    """The rule for I on an ascending array of a >= max|omega|, as a function
+    of indices into a: exact sum over atoms, else a Gauss-Legendre rule in t.
+    Its order, doubled from _LEGENDRE_NODES, is the first to match the adaptive
+    I to _GRID_TOL at both ends of a (where narrow features of g are resolved
+    worst). If no order up to _MAX_LEGENDRE_NODES matches, the adaptive I."""
     if g.is_discrete:
         w, p = g.atoms()
-        return np.sqrt(np.maximum(a[:, None] ** 2 - w * w, 0.0)) @ p
+        return lambda i: np.sqrt(np.maximum(a[i, None] ** 2 - w * w, 0.0)) @ p
     ends = a[[0, -1]]
     ref = np.array([_integral(g, x) for x in ends])
     n = _LEGENDRE_NODES
     while np.max(np.abs(_legendre_integral(g, ends, n) - ref)) > _GRID_TOL:
         if n == _MAX_LEGENDRE_NODES:  # no rule resolves g: the adaptive I at each a
-            return np.array([_integral(g, x) for x in a])
+            return lambda i: np.array([_integral(g, x) for x in a[i]])
         n *= 2
-    return _legendre_integral(g, a, n)
+    return lambda i: _legendre_integral(g, a[i], n)
+
+
+def _integral_grid(g: FrequencyDistribution, a: np.ndarray) -> np.ndarray:
+    """_integral_rule at every a (the scans below use _pruned_integral)."""
+    return _integral_rule(g, a)(slice(None))
+
+
+def _pruned_integral(g: FrequencyDistribution, a: np.ndarray, cell) -> np.ndarray:
+    """_integral_rule at every _SCAN_STRIDE-th a, the last, and inside the cells where cell(ends, I there)
+    is NaN; the rest take its value. I increases with a: a cell's end values bound it inside."""
+    rule, ends = _integral_rule(g, a), np.append(np.arange(0, a.size - 1, _SCAN_STRIDE), a.size - 1)
+    val = rule(ends)
+    out = np.append(np.repeat(cell(ends, val), np.diff(ends)), 0.0)
+    out[ends] = val
+    todo = np.flatnonzero(np.isnan(out))
+    out[todo] = rule(todo)
+    return out
 
 
 def _legendre_integral(g: FrequencyDistribution, a: np.ndarray, n: int) -> np.ndarray:
@@ -133,10 +152,12 @@ def self_consistency_roots(g: FrequencyDistribution, k: float,
                            grid: int = DEFAULT_GRID) -> SelfConsistencyResult:
     """All roots R in (0, 1] of the self-consistency equation at coupling k.
 
-    Scans F(R) = I(K R) - K R^2 on a uniform grid over [max|omega|/k, 1],
-    polishes every sign change with Brent's method on the adaptive I, and
-    keeps a root only if the public residual is below ROOT_TOL there.
-    An empty root list (subcritical k) is a normal outcome.
+    Takes the signs of F(R) = I(K R) - K R^2 on a uniform grid over
+    [max|omega|/k, 1], polishes every sign change with Brent's method on the
+    adaptive I, and keeps a root only if the public residual is below ROOT_TOL
+    there. An empty root list (subcritical k) is a normal outcome. In a cell
+    (R_i, R_j), F lies in [I_i - K R_j^2, I_j - K R_i^2]: only cells where that
+    range is not clear of 0 by _PRUNE_TOL are evaluated (_pruned_integral).
     """
     if not 0.0 < k < math.inf:
         raise ValueError("coupling must be finite and > 0")
@@ -146,7 +167,10 @@ def self_consistency_roots(g: FrequencyDistribution, k: float,
     if wmax / k > 1.0:
         raise ValueError("support of g too wide: max|omega|/K > 1 admits no R")
     r_grid = np.linspace(max(wmax / k, 1e-12), 1.0, grid)
-    sign = np.sign(_integral_grid(g, k * r_grid) - k * r_grid * r_grid)
+    a, kr2 = k * r_grid, k * r_grid * r_grid
+    cell = lambda e, v: np.select([v[1:] - kr2[e[:-1]] < -_PRUNE_TOL, v[:-1] - kr2[e[1:]] > _PRUNE_TOL],
+                                  [-np.inf, np.inf], np.nan)
+    sign = np.sign(_pruned_integral(g, a, cell) - kr2)
     f = lambda r: _integral(g, k * r) - k * r * r
 
     roots: List[float] = []
@@ -171,7 +195,9 @@ def critical_coupling(g: FrequencyDistribution, kc_tol: float = 1e-6, k_max: flo
     a >= max|omega|. As h(a) >= a, no minimiser exceeds h(2 max|omega|): h is
     scanned on `grid` points up to there and the minimum polished by bounded
     Brent to kc_tol in a. h(max|omega|), the minimum for the uniform law, is
-    always a candidate. A Dirac law is supercritical for every K > 0.
+    always a candidate. A Dirac law is supercritical for every K > 0. In a cell
+    (a_i, a_j), h >= a_i^2 / I_j: only cells where that bound is within
+    _PRUNE_TOL (relative) of the least h at the cell ends are evaluated.
     """
     if not 0.0 < kc_tol < math.inf:
         raise ValueError("kc_tol must be finite and > 0")
@@ -188,8 +214,10 @@ def critical_coupling(g: FrequencyDistribution, kc_tol: float = 1e-6, k_max: flo
         return a * a / i_a if i_a > 0.0 else math.inf
 
     a_grid = np.linspace(wmax, h(2.0 * wmax), grid)
+    a2 = a_grid * a_grid
+    cell = lambda e, v: np.where(a2[e[:-1]] / v[1:] <= np.min(a2[e] / v) * (1.0 + _PRUNE_TOL), np.nan, 0.0)
     with np.errstate(divide="ignore"):
-        i = int(np.argmin(a_grid * a_grid / _integral_grid(g, a_grid)))
+        i = int(np.argmin(a2 / _pruned_integral(g, a_grid, cell)))
     polish = minimize_scalar(h, bounds=(a_grid[max(i - 1, 0)], a_grid[min(i + 1, grid - 1)]),
                              method="bounded", options={"xatol": kc_tol})
     kc = min(h(wmax), float(polish.fun))

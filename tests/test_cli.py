@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import phasesync.cli as cli
 from phasesync.cli import SCHEMA, SERIES_HEADER, apply_overrides, load_preset, main
 
 DOCS = Path(__file__).resolve().parents[1] / "docs" / "config.md"
@@ -354,6 +355,19 @@ class TestSweepRejectedBeforeRunning:
     def test_horizon_between_steps_is_config_error(self, tmp_path, capsys):
         out = tmp_path / "run"
         assert run_cli(self.SWEEP + ["--set", "sim.dt=0.03", "--out", str(out)]) == 2  # t_max = 0.1
+        assert "whole number of steps" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("sets", [["sim.dt=1e-300"], ["sim.t_max=10000000.005", "sim.dt=0.01"]])
+    def test_step_count_floats_cannot_check_is_config_error(self, tmp_path, capsys, monkeypatch, sets):
+        # 1e299 and 1e9 + 0.5 steps: a run that starts fails here at once, not after hours
+        def never(*args):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(cli, "simulate", never)
+        monkeypatch.setattr(cli, "kinetic_simulate", never)
+        out = tmp_path / "run"
+        assert run_cli(self.SWEEP + [x for s in sets for x in ("--set", s)] + ["--out", str(out)]) == 2
         assert "whole number of steps" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
 

@@ -177,6 +177,17 @@ class TestSimulate:
         with pytest.raises(ValueError, match="whole number of steps"):
             ps.SimConfig(dt=dt, t_max=t_max)
 
+    @pytest.mark.parametrize("dt,t_max", [(1e-300, 0.1), (0.01, 1e7 + 0.005), (1.0, 2.0**53 + 2)])
+    def test_config_rejects_a_step_count_floats_cannot_check(self, dt, t_max):
+        # 1e299 steps, past 2**53 where every float is whole; 1e9 + 0.5 steps,
+        # where a tolerance of 1e-9 steps per step had grown to a half step
+        with pytest.raises(ValueError, match="whole number of steps"):
+            ps.SimConfig(dt=dt, t_max=t_max)
+
+    @pytest.mark.parametrize("dt,t_max", [(1.0, 2.0**53), (0.01, 1e7), (0.01, 1e7 + 1e-6), (0.1, 5e3)])
+    def test_config_accepts_a_large_whole_number_of_steps(self, dt, t_max):
+        assert ps.SimConfig(dt=dt, t_max=t_max).t_max == t_max
+
     @pytest.mark.parametrize("dt,t_max", [(0.01, 100.0), (0.05, 3.0), (0.1, 0.3), (0.05, 7 * 0.05), (0.6, 1.2)])
     def test_config_accepts_a_whole_number_of_steps(self, dt, t_max):
         ens = ps.seeded_ensemble(3, coupling=0.0, seed=4, freq_halfwidth=1.0)  # free flow: never stationary

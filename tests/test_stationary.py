@@ -297,12 +297,13 @@ class TestSelfConsistencyRoots:
         # computed, 0.0 included (Dirac: F(1) = 0), so a bracket runs the
         # adaptive I once per brentq call, where v0.9.1 ran it 2 more times
         calls, scanned, brent_calls = [], [], []
-        integral, grid, brent = st._integral, st._integral_grid, st.brentq
+        integral, choose, brent = st._integral, st._integral_rule, st.brentq
 
-        def scan(g_, a):
-            val = grid(g_, a)
-            scanned.append(len(calls))
-            return val
+        def scan(g_, a):  # the count of adaptive I calls after each use of the scan's rule
+            rule = choose(g_, a)
+            if a.size == 1:  # the adaptive I's own sum over atoms
+                return rule
+            return lambda i: (rule(i), scanned.append(len(calls)))[0]
 
         def counted(f, lo, hi, **kw):
             root, info = brent(f, lo, hi, full_output=True, **kw)
@@ -310,11 +311,11 @@ class TestSelfConsistencyRoots:
             return root
 
         monkeypatch.setattr(st, "_integral", lambda g_, a: (calls.append(a), integral(g_, a))[1])
-        monkeypatch.setattr(st, "_integral_grid", scan)
+        monkeypatch.setattr(st, "_integral_rule", scan)
         monkeypatch.setattr(st, "brentq", counted)
         ps.self_consistency_roots(g, 1.2)
         assert len(brent_calls) == 1
-        assert len(calls) - scanned[0] == brent_calls[0]
+        assert len(calls) - scanned[-1] == brent_calls[0]
 
     @pytest.mark.parametrize("g", BENCH_LAWS, ids=repr)
     def test_cached_bracket_ends_leave_roots_bitwise(self, g, monkeypatch):
@@ -420,7 +421,8 @@ class TestIntegralGrid:
         for k in ks:
             r = np.linspace(max(g.max_abs_omega / k, 1e-12), 1.0, DEFAULT_GRID)
             signs.append([np.sign(grid(g, k * r) - k * r * r) for grid in (st._integral_grid, integral_grid_v070)])
-        monkeypatch.setattr(st, "_integral_grid", integral_grid_v070)
+        # the scans apply the rule at chosen indices: v0.7.0's whole grid, indexed
+        monkeypatch.setattr(st, "_integral_rule", lambda g_, a: lambda i: integral_grid_v070(g_, a)[i])
         assert ps.critical_coupling(g) == kc
         assert [ps.self_consistency_roots(g, k).roots for k in ks] == got
         assert any(got)
@@ -460,6 +462,50 @@ class TestIntegralGrid:
         assert calls[-1] == (1000, nodes)
         assert all(size == 2 for size, _ in calls[:-1])
         assert [n for _, n in calls[:-1]] == [16 * 2**i for i in range(len(calls) - 1)]
+
+
+class TestPrunedScan:
+    """The scans evaluate the grid rule only in cells whose monotone bounds
+    leave the answer open: the signs and the argmin must be the full grid's."""
+
+    @pytest.mark.parametrize("grid", [2, 3, 65, DEFAULT_GRID])
+    @pytest.mark.parametrize("g", list(dict.fromkeys(BENCH_LAWS + GRID_LAWS + ONSET_LAWS)), ids=repr)
+    def test_signs_and_argmin_as_on_the_full_grid(self, g, grid, monkeypatch):
+        scans, pruned = [], st._pruned_integral
+
+        def recorded(g_, a, cell):
+            scans.append((a, pruned(g_, a, cell)))
+            return scans[-1][1]
+
+        monkeypatch.setattr(st, "_pruned_integral", recorded)
+        ps.critical_coupling(g, grid=grid)
+        assert len(scans) == (g.max_abs_omega > 0)  # a Dirac law has K_c = 0 with no scan
+        for a, val in scans:
+            with np.errstate(divide="ignore"):
+                assert np.argmin(a * a / val) == np.argmin(a * a / st._integral_grid(g, a))
+        kc = ps.critical_coupling(g)
+        for k in [(kc or 0.5) * f for f in (1 + 1e-6, 1.01, 1.3, 2.0)] + [0.8, 1.2, 2.0]:
+            scans.clear()
+            ps.self_consistency_roots(g, k, grid=grid)
+            (a, val), = scans
+            r = np.linspace(max(g.max_abs_omega / k, 1e-12), 1.0, grid)
+            assert np.array_equal(a, k * r)
+            assert np.array_equal(np.sign(val - k * r * r), np.sign(st._integral_grid(g, a) - k * r * r)), k
+
+    @pytest.mark.parametrize("g", BENCH_LAWS, ids=repr)
+    def test_few_points_evaluated(self, g, monkeypatch):
+        sizes, choose = {}, st._integral_rule
+
+        def counted(g_, a):  # rule points per grid size (size 1: the adaptive I's own sum over atoms)
+            rule = choose(g_, a)
+            return lambda i: (sizes.setdefault(a.size, []).append(np.arange(a.size)[i].size), rule(i))[1]
+
+        monkeypatch.setattr(st, "_integral_rule", counted)
+        for k in (0.8, 1.2, 2.0):
+            ps.self_consistency_roots(g, k)
+            assert 0 < sum(sizes.pop(DEFAULT_GRID)) <= DEFAULT_GRID // 8, k
+        ps.critical_coupling(g)
+        assert sum(sizes.pop(1024, [])) <= 1024 // 2
 
 
 class TestCriticalCoupling:

@@ -291,6 +291,21 @@ def test_blas_thread_count_leaves_finite_states_bytewise():
     assert digests[0] == digests[1] and len(digests[0]) == 64
 
 
+def test_blas_thread_count_leaves_wide_states_bytewise():
+    # 131072 particles: numpy's OpenBLAS splits these dots over two threads
+    # (CPU time about twice wall time), where it splits none at 4096 or 2000
+    script = (
+        "import hashlib, phasesync as ps\n"
+        "spec = ps.ProductSpec(ps.UniformArc(0.3, 2.0), ps.Uniform(0.25, 0.4), 512)\n"
+        "meas = ps.discretize(spec, 256, coupling=1.3)\n"
+        "end = ps.kinetic_simulate(meas, ps.SimConfig(dt=0.01, t_max=0.2, record_every=20)).final\n"
+        "assert end.n_particles == 131072 and end.time == 0.2\n"
+        "print(hashlib.sha256(end.thetas.tobytes() + end.log_jacs.tobytes()).hexdigest())\n"
+    )
+    digests = blas_thread_digests(script)
+    assert digests[0] == digests[1] and len(digests[0]) == 64
+
+
 class TestResultsOutliveTheStepper:
     """The stepper reuses its buffers: nothing a caller holds may change."""
 
