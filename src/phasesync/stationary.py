@@ -142,10 +142,28 @@ def _integral(g: FrequencyDistribution, a: float) -> float:
     if g.is_discrete:
         return float(_integral_grid(g, np.array([a]))[0])
     a = float(a)
+    return a * a * _t_quad(g, a, lambda t: math.cos(t) ** 2 * g.pdf(a * math.sin(t)))
+
+
+def _t_quad(g: FrequencyDistribution, a: float, f) -> float:
+    """Adaptive quad of f over the t-interval of g's support at a >= max|omega|."""
     t_lo, t_hi = np.arcsin(np.clip(np.divide(g.support(), a), -1.0, 1.0))
-    val, _ = quad(lambda t: math.cos(t) ** 2 * g.pdf(a * math.sin(t)), t_lo, t_hi,
-                  epsabs=1e-15, epsrel=1e-13, limit=200)
-    return a * a * val
+    return quad(f, t_lo, t_hi, epsabs=1e-15, epsrel=1e-13, limit=200)[0]
+
+
+def _edge_kc(g: FrequencyDistribution, a0: float) -> Optional[float]:
+    """h(a0), a0 = max|omega|, when concavity certifies it as min h; else None.
+
+    sqrt(a^2 - omega^2) is concave in a, so on [a0, inf) I lies below its
+    tangent I0 + a0 J1 (a - a0), J1 = int g(a0 sin t) dt, and h(a) >= a^2 over
+    that tangent, which does not fall from a0 while a0^2 J1 <= 2 I0 (up to a
+    relative dip of order _PRUNE_TOL^2). Atoms at +-a0 make the slope infinite.
+    """
+    if g.is_discrete:
+        return None
+    i0 = _integral(g, a0)
+    j1 = _t_quad(g, a0, lambda t: g.pdf(a0 * math.sin(t)))
+    return a0 * a0 / i0 if 0.0 < a0 * a0 * j1 <= 2.0 * i0 * (1.0 + _PRUNE_TOL) else None
 
 
 def self_consistency_roots(g: FrequencyDistribution, k: float,
@@ -170,7 +188,8 @@ def self_consistency_roots(g: FrequencyDistribution, k: float,
     a, kr2 = k * r_grid, k * r_grid * r_grid
     cell = lambda e, v: np.select([v[1:] - kr2[e[:-1]] < -_PRUNE_TOL, v[:-1] - kr2[e[1:]] > _PRUNE_TOL],
                                   [-np.inf, np.inf], np.nan)
-    sign = np.sign(_pruned_integral(g, a, cell) - kr2)
+    val = _pruned_integral(g, a, cell) - kr2
+    sign = np.sign(val)
     f = lambda r: _integral(g, k * r) - k * r * r
 
     roots: List[float] = []
@@ -179,10 +198,13 @@ def self_consistency_roots(g: FrequencyDistribution, k: float,
         ends = {lo: f(lo), hi: f(hi)}
         if ends[lo] * ends[hi] <= 0.0:  # brentq's first two calls take the ends from here
             roots.append(brentq(lambda r: ends[r] if r in ends else f(r), lo, hi, xtol=1e-14, rtol=1e-15))
-    # endpoint roots the sign scan cannot bracket (e.g. R = 1 for Dirac g);
+    # endpoint roots the sign scan cannot bracket (e.g. F = 0 at K R = max|omega|);
     # the lower endpoint only counts when set by the support condition,
-    # otherwise F ~ K R vanishes there spuriously as R -> 0
-    roots += [r_grid[-1]] if wmax / k < 1e-9 else [r_grid[0], r_grid[-1]]
+    # otherwise F ~ K R vanishes there spuriously as R -> 0. The rule matches
+    # the adaptive I to _GRID_TOL at both ends, so an end with |F| > _PRUNE_TOL
+    # there cannot meet ROOT_TOL
+    ends = [-1] if wmax / k < 1e-9 else [0, -1]
+    roots += [r_grid[i] for i in ends if abs(val[i]) <= _PRUNE_TOL]
     roots = sorted(float(r) for r in roots if abs(self_consistency_residual(g, k, r)) < ROOT_TOL)
     deduped = [r for i, r in enumerate(roots) if i == 0 or r - roots[i - 1] > 1e-9]
     return SelfConsistencyResult(roots=deduped, largest=deduped[-1] if deduped else None,
@@ -192,12 +214,16 @@ def self_consistency_roots(g: FrequencyDistribution, k: float,
 def critical_coupling(g: FrequencyDistribution, kc_tol: float = 1e-6, k_max: float = K_MAX,
                       grid: int = 1024) -> float:
     """Infimum coupling with a self-consistency root, K_c = min h(a) over
-    a >= max|omega|. As h(a) >= a, no minimiser exceeds h(2 max|omega|): h is
-    scanned on `grid` points up to there and the minimum polished by bounded
-    Brent to kc_tol in a. h(max|omega|), the minimum for the uniform law, is
-    always a candidate. A Dirac law is supercritical for every K > 0. In a cell
-    (a_i, a_j), h >= a_i^2 / I_j: only cells where that bound is within
-    _PRUNE_TOL (relative) of the least h at the cell ends are evaluated.
+    a >= max|omega|. A Dirac law is supercritical for every K > 0. On a law
+    without atoms whose slope I'(max|omega|) is at most 2 I / max|omega| there
+    (every centred law whose density does not rise away from 0), K_c is
+    h(max|omega|), returned after two adaptive integrals with no scan
+    (_edge_kc); kc_tol and grid then play no part. Otherwise,
+    as h(a) >= a, no minimiser exceeds h(2 max|omega|): h is scanned on `grid`
+    points up to there and the minimum polished by bounded Brent to kc_tol in
+    a, with h(max|omega|) always a candidate. In a cell (a_i, a_j),
+    h >= a_i^2 / I_j: only cells where that bound is within _PRUNE_TOL
+    (relative) of the least h at the cell ends are evaluated.
     """
     if not 0.0 < kc_tol < math.inf:
         raise ValueError("kc_tol must be finite and > 0")
@@ -209,6 +235,16 @@ def critical_coupling(g: FrequencyDistribution, kc_tol: float = 1e-6, k_max: flo
     if isinstance(g, Dirac) or wmax == 0.0:
         return 0.0
 
+    kc = _edge_kc(g, wmax)
+    if kc is None:
+        kc = _scanned_kc(g, wmax, kc_tol, grid)
+    if kc > k_max:
+        raise BracketNotFoundError(f"K_c = {kc:g} exceeds the cap k_max = {k_max:g}")
+    return kc
+
+
+def _scanned_kc(g: FrequencyDistribution, wmax: float, kc_tol: float, grid: int) -> float:
+    """min h by the pruned scan up to h(2 wmax) and a bounded-Brent polish."""
     def h(a: float) -> float:
         i_a = _integral(g, a)
         return a * a / i_a if i_a > 0.0 else math.inf
@@ -220,10 +256,7 @@ def critical_coupling(g: FrequencyDistribution, kc_tol: float = 1e-6, k_max: flo
         i = int(np.argmin(a2 / _pruned_integral(g, a_grid, cell)))
     polish = minimize_scalar(h, bounds=(a_grid[max(i - 1, 0)], a_grid[min(i + 1, grid - 1)]),
                              method="bounded", options={"xatol": kc_tol})
-    kc = min(h(wmax), float(polish.fun))
-    if kc > k_max:
-        raise BracketNotFoundError(f"K_c = {kc:g} exceeds the cap k_max = {k_max:g}")
-    return kc
+    return min(h(wmax), float(polish.fun))
 
 
 @dataclass(frozen=True)

@@ -6,10 +6,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import phasesync
 import phasesync.cli as cli
 from phasesync.cli import SCHEMA, SERIES_HEADER, apply_overrides, load_preset, main
 
 DOCS = Path(__file__).resolve().parents[1] / "docs" / "config.md"
+PYPROJECT = DOCS.parents[1] / "pyproject.toml"
 
 # the preset x mode pairs and short overrides of
 # test_presets_run_in_every_mode_they_serve
@@ -333,6 +335,13 @@ def test_doc_key_tables_match_schema():
         for key, (parse, default) in keys.items():
             cell = docs[section][key]
             assert (None if cell == "unset" else parse(cell)) == default, f"[{section}] {key} = {cell}"
+
+
+def test_version_matches_pyproject():
+    # the manifests' version is the package's; the [project] table is read by
+    # regex, as Python 3.10 has no tomllib
+    project = re.search(r"^\[project\]$(.*?)(?=^\[|\Z)", PYPROJECT.read_text(), re.M | re.S).group(1)
+    assert re.search(r'^version = "([^"]+)"$', project, re.M).group(1) == phasesync.__version__
 
 
 class TestSweepRejectedBeforeRunning:

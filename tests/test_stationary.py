@@ -119,6 +119,17 @@ ONSET_LAWS = [
 ]
 
 
+# laws whose h = a^2 / I falls from the support edge: the edge certificate
+# fails on them and the scan finds K_c below h(max|omega|)
+FALLING_EDGE_LAWS = [ps.Uniform(-0.3, 0.2), ps.Uniform(-0.45, 0.05)]
+
+EDGE_LAWS = list(dict.fromkeys(BENCH_LAWS + GRID_LAWS + ONSET_LAWS + [
+    ps.Uniform(0.1, 0.4), ps.TruncatedGaussian(0.1, 0.3, 0.6)] + FALLING_EDGE_LAWS))
+
+# the laws without atoms above: every one but the falling-edge laws is certified
+CERTIFIED_LAWS = [g for g in EDGE_LAWS if not g.is_discrete and g not in FALLING_EDGE_LAWS]
+
+
 class TestFrequencyDistributions:
     def test_uniform_mass_and_pdf(self):
         g = ps.Uniform(0.0, 0.5)
@@ -334,6 +345,28 @@ class TestSelfConsistencyRoots:
             ps.self_consistency_roots(g, k)
         assert pairs and all(repr(new) == repr(old) for new, old in pairs)
 
+    @pytest.mark.parametrize("g,k", [
+        (ps.Uniform(0, 0.5), 1.2), (ps.TruncatedGaussian(0, 0.3, 0.6), 1.2),
+        (ps.Discrete((-0.3583, 0.3583), (0.5, 0.5)), 0.8), (ps.Dirac(0.0), 1.0),
+        (ps.Discrete((-0.25, 0.0, 0.25), (0.25, 0.5, 0.25)), 0.5),  # F = 0 at K R = max|omega|
+    ], ids=repr)
+    def test_residual_only_at_brackets_and_near_zero_ends(self, g, k, monkeypatch):
+        # an end whose scan value is off 0 by more than _PRUNE_TOL cannot meet
+        # ROOT_TOL, so the public residual skips it
+        checked, polished = [], []
+        residual, brent = st.self_consistency_residual, st.brentq
+        monkeypatch.setattr(st, "self_consistency_residual", lambda g_, k_, r: (checked.append(r), residual(g_, k_, r))[1])
+        monkeypatch.setattr(st, "brentq", lambda *a, **kw: (polished.append(brent(*a, **kw)), polished[-1])[1])
+        res = ps.self_consistency_roots(g, k)
+        r = np.linspace(max(g.max_abs_omega / k, 1e-12), 1.0, DEFAULT_GRID)
+        ends = r[-1:] if g.max_abs_omega / k < 1e-9 else r[[0, -1]]
+        near_zero = [x for x in ends if abs(st._integral(g, k * x) - k * x * x) <= 1e-9]
+        assert sorted(checked) == sorted(polished + near_zero)
+        if isinstance(g, ps.Dirac):
+            assert res.roots == [1.0]
+        if r[0] in near_zero:  # no bracket holds this root: only the end candidate finds it
+            assert res.roots[0] == r[0] not in polished
+
     def test_generalized_residual_specializes(self):
         g = ps.Uniform(0, 0.4)
         for r in (0.5, 0.8, 1.0):
@@ -478,12 +511,17 @@ class TestPrunedScan:
             return scans[-1][1]
 
         monkeypatch.setattr(st, "_pruned_integral", recorded)
-        ps.critical_coupling(g, grid=grid)
+        kc = ps.critical_coupling(g)
+        # the edge certificate leaves only atomic laws to the scan
+        assert len(scans) == (g.is_discrete and g.max_abs_omega > 0)
+        scans.clear()
+        with monkeypatch.context() as off:
+            off.setattr(st, "_edge_kc", lambda g_, a0: None)
+            ps.critical_coupling(g, grid=grid)
         assert len(scans) == (g.max_abs_omega > 0)  # a Dirac law has K_c = 0 with no scan
         for a, val in scans:
             with np.errstate(divide="ignore"):
                 assert np.argmin(a * a / val) == np.argmin(a * a / st._integral_grid(g, a))
-        kc = ps.critical_coupling(g)
         for k in [(kc or 0.5) * f for f in (1 + 1e-6, 1.01, 1.3, 2.0)] + [0.8, 1.2, 2.0]:
             scans.clear()
             ps.self_consistency_roots(g, k, grid=grid)
@@ -504,8 +542,11 @@ class TestPrunedScan:
         for k in (0.8, 1.2, 2.0):
             ps.self_consistency_roots(g, k)
             assert 0 < sum(sizes.pop(DEFAULT_GRID)) <= DEFAULT_GRID // 8, k
+        monkeypatch.setattr(st, "_edge_kc", lambda g_, a0: None)  # the scan, not the certificate
         ps.critical_coupling(g)
-        assert sum(sizes.pop(1024, [])) <= 1024 // 2
+        points = sizes.pop(1024, [])
+        assert bool(points) == (g.max_abs_omega > 0)  # a Dirac law has K_c = 0 with no scan
+        assert sum(points) <= 1024 // 2
 
 
 class TestCriticalCoupling:
@@ -562,6 +603,58 @@ class TestCriticalCoupling:
     def test_bracket_cap(self):
         with pytest.raises(ps.BracketNotFoundError):
             ps.critical_coupling(ps.Uniform(0, 0.5), k_max=0.5)
+
+
+class TestEdgeCertificate:
+    """On a law without atoms whose tangent bound on h does not fall from
+    max|omega|, K_c is h(max|omega|) with no scan and no polish."""
+
+    @pytest.mark.parametrize("g", EDGE_LAWS, ids=repr)
+    def test_kc_as_on_the_scan_path(self, g, monkeypatch):
+        kc = ps.critical_coupling(g)
+        monkeypatch.setattr(st, "_edge_kc", lambda g_, a0: None)
+        assert repr(ps.critical_coupling(g)) == repr(kc)
+
+    @pytest.mark.parametrize("g", CERTIFIED_LAWS, ids=repr)
+    def test_certified_laws_run_two_integrals(self, g, monkeypatch):
+        calls, adaptive = [], st.quad
+
+        def scan(*args):
+            raise AssertionError("a certified law ran the scan")
+
+        monkeypatch.setattr(st, "quad", lambda *a, **kw: (calls.append(a), adaptive(*a, **kw))[1])
+        monkeypatch.setattr(st, "_pruned_integral", scan)
+        kc = ps.critical_coupling(g)
+        assert len(calls) == 2
+        a0 = g.max_abs_omega
+        assert kc == a0 * a0 / st._integral(g, a0)
+
+    @pytest.mark.parametrize("g", FALLING_EDGE_LAWS, ids=repr)
+    def test_falling_edge_laws_scan_below_the_edge(self, g, monkeypatch):
+        scans, pruned = [], st._pruned_integral
+        monkeypatch.setattr(st, "_pruned_integral", lambda *a: (scans.append(a[1]), pruned(*a))[1])
+        kc = ps.critical_coupling(g)
+        a0 = g.max_abs_omega
+        h = lambda a: a * a / uniform_integral_closed_form(g.halfwidth, a, g.center)
+        oracle = minimize_scalar(h, bounds=(a0, 2 * a0), method="bounded", options={"xatol": 1e-10})
+        assert st._edge_kc(g, a0) is None and len(scans) == 1
+        assert kc < h(a0) * (1 - 1e-3)
+        assert kc == pytest.approx(oracle.fun, abs=1e-9)
+
+    @pytest.mark.parametrize("g", CERTIFIED_LAWS, ids=repr)
+    def test_no_lower_h_past_the_edge(self, g):
+        kc, a0 = ps.critical_coupling(g), g.max_abs_omega
+        for a in np.linspace(a0, (2 * a0) ** 2 / st._integral(g, 2 * a0), 200):
+            assert a * a / st._integral(g, a) >= kc * (1 - 1e-13), a
+
+    def test_argument_checks_come_first(self, monkeypatch):
+        # test_bracket_cap checks that k_max caps a certified K_c
+        calls = []
+        monkeypatch.setattr(st, "_edge_kc", lambda g_, a0: calls.append(a0))
+        for kw in ({"kc_tol": 0.0}, {"k_max": math.nan}, {"grid": 1}):
+            with pytest.raises(ValueError):
+                ps.critical_coupling(ps.Uniform(0, 0.5), **kw)
+        assert calls == []
 
 
 class TestStationaryDensity:
