@@ -72,4 +72,4 @@ from .stationary import (
     stationary_density,
 )
 
-__version__ = "0.11.0"
+__version__ = "0.11.1"

@@ -75,7 +75,8 @@ def _omega_integral(g: FrequencyDistribution, a: float) -> float:
     """I(a) in omega on the support clipped to [-a, a], a >= 0; it shares no code
     with the t-form it checks. Atoms are summed; else quad takes the smooth factor,
     and an end within _EDGE_ULPS ulps of -+a gives its square root, measured from
-    that end, to QAWS's weight (omega - lo)^(1/2) or (hi - omega)^(1/2)."""
+    that end, to QAWS's weight (omega - lo)^(1/2) or (hi - omega)^(1/2). The ends
+    of g's core inside the interval split it; the end pieces keep those weights."""
     if g.is_discrete:
         w, p = g.atoms()
         return float(np.sum(p * np.sqrt(np.maximum(a ** 2 - w * w, 0.0))))
@@ -84,9 +85,14 @@ def _omega_integral(g: FrequencyDistribution, a: float) -> float:
     if lo >= hi:
         return 0.0
     left, right = lo + a <= _EDGE_ULPS * math.ulp(a), a - hi <= _EDGE_ULPS * math.ulp(a)
-    f = lambda w: (1.0 if left else math.sqrt(a + w)) * (1.0 if right else math.sqrt(a - w)) * g.pdf(w)
-    weight = {"weight": "alg", "wvar": (0.5 * left, 0.5 * right)} if left or right else {}
-    return quad(f, lo, hi, epsabs=1e-12, epsrel=1e-12, limit=200, **weight)[0]
+    cuts = [lo, *(c for c in g.core() or () if lo < c < hi), hi]
+    total = 0.0
+    for i in range(len(cuts) - 1):
+        at_lo, at_hi = left and i == 0, right and i == len(cuts) - 2
+        f = lambda w: (1.0 if at_lo else math.sqrt(a + w)) * (1.0 if at_hi else math.sqrt(a - w)) * g.pdf(w)
+        weight = {"weight": "alg", "wvar": (0.5 * at_lo, 0.5 * at_hi)} if at_lo or at_hi else {}
+        total += quad(f, cuts[i], cuts[i + 1], epsabs=1e-12, epsrel=1e-12, limit=200, **weight)[0]
+    return total
 
 
 def _integral_rule(g: FrequencyDistribution, a: np.ndarray):
@@ -96,8 +102,7 @@ def _integral_rule(g: FrequencyDistribution, a: np.ndarray):
     I to _GRID_TOL at both ends of a (where narrow features of g are resolved
     worst). If no order up to _MAX_LEGENDRE_NODES matches, the adaptive I."""
     if g.is_discrete:
-        w, p = g.atoms()
-        return lambda i: np.sqrt(np.maximum(a[i, None] ** 2 - w * w, 0.0)) @ p
+        return lambda i: _atom_integral(g, a[i, None])
     ends = a[[0, -1]]
     ref = np.array([_integral(g, x) for x in ends])
     n = _LEGENDRE_NODES
@@ -125,9 +130,15 @@ def _pruned_integral(g: FrequencyDistribution, a: np.ndarray, cell) -> np.ndarra
     return out
 
 
+def _atom_integral(g: FrequencyDistribution, a: np.ndarray) -> np.ndarray:
+    """I summed over g's atoms at each a of an (m, 1) column."""
+    w, p = g.atoms()
+    return np.sqrt(np.maximum(a ** 2 - w * w, 0.0)) @ p
+
+
 def _legendre_integral(g: FrequencyDistribution, a: np.ndarray, n: int) -> np.ndarray:
     """The n-node Gauss-Legendre rule in t for I at each a >= max|omega|."""
-    t_lo, t_hi = np.arcsin(np.clip(np.divide.outer(g.support(), a), -1.0, 1.0))
+    t_lo, t_hi = np.arcsin(np.minimum(np.maximum(np.divide.outer(g.support(), a), -1.0), 1.0))
     mid, half = 0.5 * (t_hi + t_lo), 0.5 * (t_hi - t_lo)
     x, wx = _legendre(n)
     s = np.multiply.outer(half, x)  # s = sin(mid + half x), then 1 - s^2 and
@@ -140,15 +151,19 @@ def _legendre_integral(g: FrequencyDistribution, a: np.ndarray, n: int) -> np.nd
 def _integral(g: FrequencyDistribution, a: float) -> float:
     """I at one a >= max|omega| by adaptive quadrature in t (atoms summed)."""
     if g.is_discrete:
-        return float(_integral_grid(g, np.array([a]))[0])
+        return float(_atom_integral(g, np.array([[a]]))[0])
     a = float(a)
-    return a * a * _t_quad(g, a, lambda t: math.cos(t) ** 2 * g.pdf(a * math.sin(t)))
+    return a * a * _t_quad(g, a)
 
 
-def _t_quad(g: FrequencyDistribution, a: float, f) -> float:
-    """Adaptive quad of f over the t-interval of g's support at a >= max|omega|."""
-    t_lo, t_hi = np.arcsin(np.clip(np.divide(g.support(), a), -1.0, 1.0))
-    return quad(f, t_lo, t_hi, epsabs=1e-15, epsrel=1e-13, limit=200)[0]
+def _t_quad(g: FrequencyDistribution, a: float, cos2: bool = True) -> float:
+    """Adaptive quad of g.t_kernel(a, cos2) over the t-interval of g's support at
+    a >= max|omega|, with the t-images of the ends of g's core inside the support
+    as break points. np.arcsin, not math.asin: they differ in the last bit."""
+    lo, hi = g.support()
+    ends = [lo, hi, *(c for c in g.core() or () if lo < c < hi)]
+    t = np.arcsin([min(max(w / a, -1.0), 1.0) for w in ends]).tolist()
+    return quad(g.t_kernel(a, cos2), t[0], t[1], epsabs=1e-15, epsrel=1e-13, limit=200, points=t[2:] or None)[0]
 
 
 def _edge_kc(g: FrequencyDistribution, a0: float) -> Optional[float]:
@@ -162,7 +177,7 @@ def _edge_kc(g: FrequencyDistribution, a0: float) -> Optional[float]:
     if g.is_discrete:
         return None
     i0 = _integral(g, a0)
-    j1 = _t_quad(g, a0, lambda t: g.pdf(a0 * math.sin(t)))
+    j1 = _t_quad(g, a0, cos2=False)
     return a0 * a0 / i0 if 0.0 < a0 * a0 * j1 <= 2.0 * i0 * (1.0 + _PRUNE_TOL) else None
 
 
@@ -176,6 +191,9 @@ def self_consistency_roots(g: FrequencyDistribution, k: float,
     there. An empty root list (subcritical k) is a normal outcome. In a cell
     (R_i, R_j), F lies in [I_i - K R_j^2, I_j - K R_i^2]: only cells where that
     range is not clear of 0 by _PRUNE_TOL are evaluated (_pruned_integral).
+    Both adaptive integrals split at the ends of g.core() that lie inside the
+    support (a truncated Gaussian's mean +- 8 sigma when its cut is wider),
+    so a narrow peak is sampled.
     """
     if not 0.0 < k < math.inf:
         raise ValueError("coupling must be finite and > 0")
@@ -186,8 +204,8 @@ def self_consistency_roots(g: FrequencyDistribution, k: float,
         raise ValueError("support of g too wide: max|omega|/K > 1 admits no R")
     r_grid = np.linspace(max(wmax / k, 1e-12), 1.0, grid)
     a, kr2 = k * r_grid, k * r_grid * r_grid
-    cell = lambda e, v: np.select([v[1:] - kr2[e[:-1]] < -_PRUNE_TOL, v[:-1] - kr2[e[1:]] > _PRUNE_TOL],
-                                  [-np.inf, np.inf], np.nan)
+    cell = lambda e, v: np.where(v[1:] - kr2[e[:-1]] < -_PRUNE_TOL, -np.inf,
+                                 np.where(v[:-1] - kr2[e[1:]] > _PRUNE_TOL, np.inf, np.nan))
     val = _pruned_integral(g, a, cell) - kr2
     sign = np.sign(val)
     f = lambda r: _integral(g, k * r) - k * r * r
@@ -223,7 +241,10 @@ def critical_coupling(g: FrequencyDistribution, kc_tol: float = 1e-6, k_max: flo
     points up to there and the minimum polished by bounded Brent to kc_tol in
     a, with h(max|omega|) always a candidate. In a cell (a_i, a_j),
     h >= a_i^2 / I_j: only cells where that bound is within _PRUNE_TOL
-    (relative) of the least h at the cell ends are evaluated.
+    (relative) of the least h at the cell ends are evaluated. Every adaptive
+    integral splits at the ends of g.core() inside the support, as in
+    self_consistency_roots: on a narrow truncated Gaussian the unsplit I
+    missed the peak, and h(2 max|omega|) overflowed or K_c exceeded the cap.
     """
     if not 0.0 < kc_tol < math.inf:
         raise ValueError("kc_tol must be finite and > 0")

@@ -150,6 +150,15 @@ class TestRootsAndKc:
         kc = read_summary(out)["k_c"]
         assert kc == pytest.approx(4 * 0.5 / np.pi, abs=1e-4)
 
+    def test_kc_narrow_truncated_gaussian(self, tmp_path):
+        # an unsplit quad never sampled this peak: v0.11.0 exited 2 on a
+        # non-finite scan bound
+        out = tmp_path / "run"
+        code = run_cli(["kc", "--preset", "kuramoto-uniform-g", "--set", "model.freq_dist=tgauss",
+                        "--set", "model.freq_sigma=1e-5", "--set", "model.freq_cut=0.3", "--out", str(out)])
+        assert code == 0
+        assert read_summary(out)["k_c"] == pytest.approx(0.3 + 1e-10 / 0.6, abs=1e-14)
+
     @pytest.mark.parametrize("tol", ["0", "-1", "inf", "nan"])  # non-finite too
     def test_kc_nonpositive_tol_is_config_error(self, tmp_path, capsys, tol):
         code = run_cli(["kc", "--preset", "kuramoto-uniform-g", "--set", f"kc.tol={tol}",

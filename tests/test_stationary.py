@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -77,6 +78,24 @@ def integral_grid_v070(g, a):
         n *= 2
 
 
+def t_kernel_v0110(g, a, cos2=True):
+    """The adaptive I's and J1's quad callbacks as v0.11.0 built them, kept
+    as the oracle of the laws' fused kernels."""
+    if cos2:
+        return lambda t: math.cos(t) ** 2 * g.pdf(a * math.sin(t))
+    return lambda t: g.pdf(a * math.sin(t))
+
+
+def integral_v0110(g, a):
+    """The adaptive I as v0.11.0 computed it, kept as the oracle on laws
+    whose core does not lie inside the support."""
+    if g.is_discrete:
+        w, p = g.atoms()
+        return float((np.sqrt(np.maximum(np.array([a])[:, None] ** 2 - w * w, 0.0)) @ p)[0])
+    t_lo, t_hi = np.arcsin(np.clip(np.divide(g.support(), a), -1.0, 1.0))
+    return a * a * quad(t_kernel_v0110(g, a), t_lo, t_hi, epsabs=1e-15, epsrel=1e-13, limit=200)[0]
+
+
 # the stationary-kc laws (the seeded ones at bench seed 1)
 BENCH_LAWS = [
     ps.Uniform(0, 0.5),
@@ -128,6 +147,18 @@ EDGE_LAWS = list(dict.fromkeys(BENCH_LAWS + GRID_LAWS + ONSET_LAWS + [
 
 # the laws without atoms above: every one but the falling-edge laws is certified
 CERTIFIED_LAWS = [g for g in EDGE_LAWS if not g.is_discrete and g not in FALLING_EDGE_LAWS]
+
+# one law of each kind
+ALL_KINDS = [ps.Uniform(0.1, 0.4), ps.TruncatedGaussian(0.1, 0.3, 0.6),
+             ps.Discrete((-0.3, 0.1, 0.3), (0.3, 0.3, 0.4)), ps.Dirac(0.2)]
+
+# sigmas of truncated Gaussians at cut 0.3 whose unsplit adaptive I missed the peak
+NARROW_SIGMAS = [1e-4, 1e-5, 1e-6]
+
+
+def core_inside(g):
+    """A truncated Gaussian's mean +- 8 sigma core lies inside its cut."""
+    return isinstance(g, ps.TruncatedGaussian) and g.cut > 8 * g.sigma
 
 
 class TestFrequencyDistributions:
@@ -189,6 +220,34 @@ class TestFrequencyDistributions:
             assert moved == fresh and moved.support() == fresh.support() != law.support()
             assert np.array_equal(moved.pdf(omega), fresh.pdf(omega))
             assert moved.pdf(0.3) == fresh.pdf(0.3) != law.pdf(0.3)
+
+    @pytest.mark.parametrize("g", ALL_KINDS, ids=repr)
+    def test_laws_pickle_compare_hash_and_replace(self, g):
+        twin = pickle.loads(pickle.dumps(g))
+        assert twin == g and hash(twin) == hash(g) and repr(twin) == repr(g)
+        assert twin.support() == g.support() and twin.max_abs_omega == g.max_abs_omega
+        assert not any(callable(v) for v in vars(g).values())  # no closures on the instance
+        fields = dataclasses.fields(g)
+        moved = dataclasses.replace(g, **{f.name: getattr(g, f.name) for f in fields if f.init})
+        assert moved == g and hash(moved) == hash(g)
+        for law in (g, twin, moved):
+            if g.is_discrete:
+                w, p = law.atoms()
+                want = (g.omegas, g.probs) if isinstance(g, ps.Discrete) else ((g.omega0,), (1.0,))
+                assert (tuple(w.tolist()), tuple(p.tolist())) == want
+                assert not w.flags.writeable and not p.flags.writeable
+                with pytest.raises(ValueError):
+                    w[0] = 0.0
+            else:
+                omega = np.linspace(-1.0, 1.0, 101)
+                assert np.array_equal(law.pdf(omega), g.pdf(omega))
+
+    def test_discrete_atoms_follow_replace(self):
+        g = ps.Discrete((-0.3, 0.3), (0.5, 0.5))
+        moved = dataclasses.replace(g, omegas=(-0.1, 0.2), probs=(0.25, 0.75))
+        assert [x.tolist() for x in moved.atoms()] == [[-0.1, 0.2], [0.25, 0.75]]
+        assert [x.tolist() for x in dataclasses.replace(ps.Dirac(0.2), omega0=0.4).atoms()] == [[0.4], [1.0]]
+        assert [x.tolist() for x in g.atoms()] == [[-0.3, 0.3], [0.5, 0.5]]
 
     def test_discrete_expect(self):
         g = ps.Discrete((-0.3, 0.3), (0.5, 0.5))
@@ -655,6 +714,84 @@ class TestEdgeCertificate:
             with pytest.raises(ValueError):
                 ps.critical_coupling(ps.Uniform(0, 0.5), **kw)
         assert calls == []
+
+
+class TestKernels:
+    """Uniform and TruncatedGaussian inline pdf's float path in the quad
+    callbacks of the adaptive I and J1; that must not move a bit."""
+
+    @pytest.mark.parametrize("g", EDGE_LAWS, ids=repr)
+    def test_roots_and_kc_as_with_the_pdf_callback(self, g, monkeypatch):
+        kc = ps.critical_coupling(g)
+        ks = [(kc or 0.5) * f for f in (1 - 1e-6, 1 + 1e-6, 1.01, 1.3, 2.0)] + [0.8, 1.2, 2.0]
+        got = [ps.self_consistency_roots(g, k).roots for k in ks]
+        for law in (ps.Uniform, ps.TruncatedGaussian):
+            monkeypatch.setattr(law, "t_kernel", t_kernel_v0110)
+        assert repr(ps.critical_coupling(g)) == repr(kc)
+        assert repr([ps.self_consistency_roots(g, k).roots for k in ks]) == repr(got)
+
+    @pytest.mark.parametrize("g", PDF_LAWS + [ps.Uniform(0, 0.5), ps.TruncatedGaussian(0, 0.3, 0.6),
+                                              ps.TruncatedGaussian(0, 0.01, 0.3)], ids=repr)
+    @pytest.mark.parametrize("cos2", [True, False])
+    def test_kernel_is_pdf_bitwise(self, g, cos2):
+        lo, hi = g.support()
+        for a in (g.max_abs_omega, 1.3 * g.max_abs_omega):
+            ends = np.arcsin(np.clip(np.divide([lo, hi], a), -1.0, 1.0)).tolist()
+            t = np.linspace(max(ends[0] - 0.2, -math.pi / 2), min(ends[1] + 0.2, math.pi / 2), 194).tolist()
+            t += ends + [np.nextafter(x, 0.0) for x in ends]
+            t += [np.nextafter(x, -x) for x in (-math.pi / 2, math.pi / 2)]
+            assert len(t) == 200 and a * math.sin(math.pi / 2) == a  # at a = max|omega| one end is met exactly
+            # the law's kernel, the base class's pdf callback and v0.11.0's
+            kernel, generic = g.t_kernel(a, cos2), ps.FrequencyDistribution.t_kernel(g, a, cos2)
+            oracle = t_kernel_v0110(g, a, cos2)
+            for x in t:
+                array = (math.cos(x) ** 2 if cos2 else 1.0) * g.pdf(np.array([a * math.sin(x)]))[0]
+                for arg in (x, np.float64(x)):
+                    assert kernel(arg) == generic(arg) == oracle(arg) == array, (a, x)
+            assert sum(kernel(x) > 0.0 for x in t) > 100
+
+    @pytest.mark.parametrize("g", [law for law in EDGE_LAWS if not core_inside(law)], ids=repr)
+    def test_integral_as_in_v0110(self, g):
+        # no break point enters the adaptive I on these laws
+        wmax = g.max_abs_omega
+        for a in np.linspace(wmax, 3.0 * wmax, 25).tolist() + [np.float64(1.2 * wmax)]:
+            assert st._integral(g, a) == integral_v0110(g, a), a
+
+
+class TestNarrowCore:
+    """A truncated Gaussian whose mean +- 8 sigma core lies well inside the
+    cut: an unsplit quad straddles the peak and never samples it."""
+
+    @pytest.mark.parametrize("sigma", NARROW_SIGMAS)
+    def test_kc(self, sigma):
+        # h(max|omega|) = a + sigma^2 / (2 a) + O(sigma^4 / a^3) at a = 0.3
+        assert abs(ps.critical_coupling(ps.TruncatedGaussian(0, sigma, 0.3)) - (0.3 + sigma**2 / 0.6)) <= 1e-14
+
+    @pytest.mark.parametrize("sigma", NARROW_SIGMAS)
+    def test_root_at_k_two(self, sigma):
+        # K R^2 = K R - sigma^2 / (2 K R) + ...: R = 1 - sigma^2 / (2 K^2)
+        g = ps.TruncatedGaussian(0, sigma, 0.3)
+        roots = ps.self_consistency_roots(g, 2.0).roots
+        assert len(roots) == 1 and abs(roots[0] - (1 - sigma**2 / 8)) <= 1e-14
+
+    @pytest.mark.parametrize("sigma", NARROW_SIGMAS)
+    @pytest.mark.parametrize("a", [0.3, 0.45, 1.0])
+    def test_both_integrals_see_the_peak(self, sigma, a):
+        g = ps.TruncatedGaussian(0, sigma, 0.3)
+        want = a - sigma**2 / (2 * a)
+        assert abs(st._integral(g, a) - want) <= 1e-14
+        assert abs(st._omega_integral(g, a) - want) <= 1e-14
+
+    @pytest.mark.parametrize("g", [ps.TruncatedGaussian(0, 0.3, 0.6), ps.TruncatedGaussian(0.1, 0.05, 0.4),
+                                   ps.TruncatedGaussian(0.1, 0.01, 0.4), ps.Uniform(0, 0.5)], ids=repr)
+    def test_no_break_points_unless_the_core_is_inside(self, g, monkeypatch):
+        calls, adaptive = [], st.quad
+        monkeypatch.setattr(st, "quad", lambda *a, **kw: (calls.append(kw.get("points")), adaptive(*a, **kw))[1])
+        st._integral(g, 0.9)
+        st._omega_integral(g, 0.5)
+        inside = core_inside(g)
+        assert len(calls) == (4 if inside else 2)
+        assert calls[0] == (list(np.arcsin([x / 0.9 for x in g.core()])) if inside else None)
 
 
 class TestStationaryDensity:
