@@ -46,7 +46,6 @@ from .classify import (
 from .kinetic import (
     AtomList,
     DensitySpec,
-    KineticTrajectory,
     PhaseMeasure,
     ProductSpec,
     TruncatedGaussianArc,
@@ -72,4 +71,4 @@ from .stationary import (
     stationary_density,
 )
 
-__version__ = "0.11.1"
+__version__ = "0.12.0"

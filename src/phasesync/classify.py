@@ -13,7 +13,6 @@ import numpy as np
 from .core import (
     OscillatorEnsemble,
     circle_distance,
-    order_parameter,
     weighted_order_parameter,
     wrap_angle,
 )
@@ -51,33 +50,11 @@ NOT_STATIONARY = StationaryClass(kind="not_stationary")
 
 
 def classify_finite(ens: OscillatorEnsemble, angle_tol: float = ANGLE_TOL) -> StationaryClass:
-    """Classify a finite ensemble configuration.
-
-    Clustered requires every phase within angle_tol (mod 2pi) of phi_star
-    or its antipode, with the majority at phi_star; phi_star is taken from
-    the order parameter.
-    """
-    if not 0.0 < angle_tol < np.pi / 4:
-        raise ValueError("angle_tol must lie in (0, pi/4)")
-    op = order_parameter(ens)
-    if op.r <= CLASS_R_TOL:
-        return INCOHERENT
-    near_main = circle_distance(ens.phases, op.phi) < angle_tol
-    near_anti = circle_distance(ens.phases, op.phi + np.pi) < angle_tol
-    if not np.all(near_main | near_anti):
-        return NOT_STATIONARY
-    n_main = int(np.sum(near_main))
-    k = ens.n - n_main
-    if n_main <= k:
-        return NOT_STATIONARY
-    return StationaryClass(
-        kind="clustered",
-        phi_star=float(wrap_angle(op.phi)),
-        n_at_phi=n_main,
-        k=k,
-        c1=n_main / ens.n,
-        c2=k / ens.n,
-    )
+    """Classify a finite ensemble: classify_measure of its equal-weight
+    measure with mass_tol = 1/(2N), so every phase must lie within angle_tol
+    (mod 2pi) of phi_star or its antipode, the majority at phi_star; a
+    clustered class also counts the oscillators at each."""
+    return _classify(np.full(ens.n, 1.0 / ens.n), ens.phases, angle_tol, 0.5 / ens.n, counts=True)
 
 
 def classify_measure(meas, angle_tol: float = ANGLE_TOL, mass_tol: float = MASS_TOL) -> StationaryClass:
@@ -85,25 +62,28 @@ def classify_measure(meas, angle_tol: float = ANGLE_TOL, mass_tol: float = MASS_
 
     Clustered requires the mass within angle_tol of phi_star (c1) and of
     its antipode (c2) to cover all but mass_tol of the total, with
-    strictly c1 > c2; a tie is NotStationary.
+    strictly c1 > c2; a tie is NotStationary. phi_star is taken from the
+    order parameter. Needs 0 < angle_tol < pi/4, so the two arcs are
+    disjoint, and 0 < mass_tol < 1.
     """
-    if angle_tol <= 0 or mass_tol <= 0:
-        raise ValueError("tolerances must be positive")
-    w = np.asarray(meas.weights)
-    thetas = np.asarray(meas.thetas)
+    return _classify(np.asarray(meas.weights), np.asarray(meas.thetas), angle_tol, mass_tol)
+
+
+def _classify(w, thetas, angle_tol, mass_tol, counts=False) -> StationaryClass:
+    if not 0.0 < angle_tol < np.pi / 4:  # NaN fails too
+        raise ValueError("angle_tol must lie in (0, pi/4)")
+    if not 0.0 < mass_tol < 1.0:
+        raise ValueError("mass_tol must lie in (0, 1)")
     op = weighted_order_parameter(w, thetas)
     if op.r <= CLASS_R_TOL:
         return INCOHERENT
-    c1 = float(np.sum(w[circle_distance(thetas, op.phi) < angle_tol]))
-    c2 = float(np.sum(w[circle_distance(thetas, op.phi + np.pi) < angle_tol]))
+    main = circle_distance(thetas, op.phi) < angle_tol
+    anti = circle_distance(thetas, op.phi + np.pi) < angle_tol
+    c1, c2 = float(np.sum(w[main])), float(np.sum(w[anti]))
     if c1 + c2 <= 1.0 - mass_tol or c1 <= c2:
         return NOT_STATIONARY
-    return StationaryClass(
-        kind="clustered",
-        phi_star=float(wrap_angle(op.phi)),
-        c1=c1,
-        c2=c2,
-    )
+    n_at_phi, k = (int(np.sum(main)), int(np.sum(anti))) if counts else (None, None)
+    return StationaryClass("clustered", float(wrap_angle(op.phi)), n_at_phi, k, c1, c2)
 
 
 def three_oscillator_rate(delta: float) -> float:

@@ -1,6 +1,6 @@
 """Fixed-step RK4 integration with diagnostic recording and stationarity
-detection: the one stepper and the one driver loop shared by the finite-N
-and the kinetic simulators, and the finite-N wrappers around them.
+detection: the one stepper, driver loop, run function and result record
+shared by the finite-N and the kinetic simulators, and the finite-N entries.
 
 Deterministic: identical (ensemble, config) inputs give bitwise-identical
 trajectories on a given platform.
@@ -8,13 +8,13 @@ trajectories on a given platform.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from typing import List, Optional
+from dataclasses import dataclass, field
+from typing import Any, List, Optional
 
 import numpy as np
 
 from . import rng
-from .core import OrderParameter, OscillatorEnsemble, _trig, field_into, finite_n_rhs, mean_phase, trig_scale
+from .core import OrderParameter, OscillatorEnsemble, _trig, field_into, finite_n_rhs, trig_scale
 
 
 class NonFiniteStateError(RuntimeError):
@@ -42,21 +42,6 @@ class SimConfig:
             raise ValueError("record_every must be a positive integer")
         if not 0 < self.stationarity_tol < np.inf:  # NaN fails too
             raise ValueError("stationarity_tol must be finite and > 0")
-
-
-@dataclass
-class Trajectory:
-    times: np.ndarray
-    states: List[OscillatorEnsemble]
-    r_series: np.ndarray
-    phi_series: List[Optional[float]]
-    u_series: np.ndarray
-    mean_phase_series: np.ndarray
-    stopped_on: str = "t_max"  # "t_max" or "stationary"
-
-    @property
-    def final(self) -> OscillatorEnsemble:
-        return self.states[-1]
 
 
 def rk4_step(rate, y, dt):
@@ -202,11 +187,18 @@ def _trusted(obj, **fields):
     return moved
 
 
+def _step(y, omegas, weights, coupling, dt):
+    """One RK4 step of y (phases, and with a second row their log-Jacobians)
+    by a fresh Stepper; None if the new state is not finite."""
+    y = Stepper(omegas, weights, coupling, len(y) == 2)(y, dt)
+    return y if np.isfinite(y).all() else None
+
+
 def step_rk4(ens: OscillatorEnsemble, dt: float) -> OscillatorEnsemble:
     """One classical RK4 step (dt may be negative); frequencies and coupling
     unchanged."""
-    y = Stepper(ens.freqs, np.full(ens.n, 1.0 / ens.n), ens.coupling)(ens.phases[None], dt)
-    if not np.isfinite(y).all():
+    y = _step(ens.phases[None], ens.freqs, np.full(ens.n, 1.0 / ens.n), ens.coupling, dt)
+    if y is None:
         raise ValueError("the step made the phases non-finite")
     return _trusted(ens, phases=y[0], freqs=ens.freqs.copy())
 
@@ -216,35 +208,87 @@ def detect_stationarity(ens: OscillatorEnsemble, tol: float = 1e-9) -> bool:
     return bool(np.max(np.abs(finite_n_rhs(ens))) < tol)
 
 
-def simulate(ens: OscillatorEnsemble, cfg: SimConfig) -> Trajectory:
-    """Integrate to t_max, or until stationarity, recording diagnostics.
+@dataclass
+class Trajectory:
+    """The rows a run records (see drive): times, R, phi, U = N R^2/2, the
+    weighted mean phase, H = sum w theta omega + K R^2/2 and, for a kinetic
+    run, the entropy change -sum w log-Jacobian (see kinetic.entropy_change);
+    final is the last recorded state. A finite run keeps its recorded phases
+    instead, one row each."""
 
-    Diagnostics (R, phi, U, mean phase) are recorded every record_every
-    steps, always including the initial and final states.
-    """
-    rows = []
-    freqs, w = ens.freqs.copy(), np.full(ens.n, 1.0 / ens.n)
-    freqs.flags.writeable = False  # one copy, shared by every row
-    step = Stepper(freqs, w, ens.coupling)
+    times: np.ndarray
+    r_series: np.ndarray
+    phi_series: List[Optional[float]]
+    u_series: np.ndarray
+    mean_phase_series: np.ndarray
+    h_series: np.ndarray
+    entropy_series: Optional[np.ndarray]  # kinetic runs only
+    final: Any  # an OscillatorEnsemble, or a kinetic PhaseMeasure
+    stopped_on: str = "t_max"  # "t_max" or "stationary"
+    _phases: Optional[np.ndarray] = field(default=None, repr=False)  # finite runs only
+
+    @property
+    def states(self) -> List[OscillatorEnsemble]:
+        """The recorded ensembles of a finite run, sharing final's frequencies."""
+        if self._phases is None:
+            raise AttributeError("only a finite run keeps its recorded states")
+        return [_trusted(self.final, phases=p) for p in self._phases]
+
+
+def _run(y, omegas, weights, coupling, cfg: SimConfig, final, time=0.0) -> Trajectory:
+    """The run of both models: weighted particles with state y, their phases
+    and in a kinetic run their log-Jacobians, stepped from t = time through
+    drive; final(y, t) builds the last recorded state. A row is one
+    Stepper.observe plus the state's weighted dots, always one 2-row gemv: a
+    finite run's 1-row state is padded with a zero row, since BLAS sends a
+    1-row product to a plain dot, whose sum differs in the last bit. So a
+    finite run records bitwise what the kinetic run of its equal-weight
+    measure records."""
+    rows, kept = [], []
+    finite, wo = len(y) == 1, weights * omegas
+    two = np.zeros((2, y.shape[1]))  # a finite row's phases over a zero row
+    step = Stepper(omegas, weights, coupling, log_jac=not finite)
 
     def observe(t, y):
         v, x, z = step.observe(y)
         op = OrderParameter.from_dots(x, z)
-        e = _trusted(ens, phases=y[0].copy(), freqs=freqs)
-        rows.append((t, e, op.r, op.phi, e.n * op.r**2 / 2.0, mean_phase(e)))
+        if finite:
+            kept.append(y[0].copy())
+            two[0] = y[0]
+            y = two
+        mp, lj = y.dot(weights)
+        rows.append((t, op.r, op.phi, float(mp), float(y[0].dot(wo)) + coupling * op.r**2 / 2.0, -float(lj)))
         return np.max(np.abs(v))
 
-    _, stopped_on = drive(step, ens.phases[None], cfg, observe)
-    times, states, r, phi, u, mp = zip(*rows)
+    y, stopped_on = drive(step, y, cfg, observe, time)
+    times, r, phi, mp, h, s = zip(*rows)
+    r = np.asarray(r)
     return Trajectory(
         times=np.asarray(times),
-        states=list(states),
-        r_series=np.asarray(r),
+        r_series=r,
         phi_series=list(phi),
-        u_series=np.asarray(u),
+        u_series=weights.size * np.float_power(r, 2) / 2.0,  # libm pow, as potential_u's r**2
         mean_phase_series=np.asarray(mp),
+        h_series=np.asarray(h),
+        entropy_series=None if finite else np.asarray(s),
+        final=final(y, times[-1]),
         stopped_on=stopped_on,
+        _phases=np.stack(kept) if finite else None,
     )
+
+
+def simulate(ens: OscillatorEnsemble, cfg: SimConfig) -> Trajectory:
+    """Integrate to t_max, or until stationarity, recording diagnostics: the
+    run of the equal-weight measure without log-Jacobians, each row's phases
+    kept as its state.
+
+    Diagnostics are recorded every record_every steps, always including the
+    initial and final states.
+    """
+    freqs = ens.freqs.copy()
+    freqs.flags.writeable = False  # one copy, shared by every state
+    return _run(ens.phases[None], freqs, np.full(ens.n, 1.0 / ens.n), ens.coupling, cfg,
+                lambda y, t: _trusted(ens, phases=y[0], freqs=freqs))
 
 
 def seeded_ensemble(

@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Union
+from typing import Callable, Union
 
 import numpy as np
 
-from .core import OrderParameter, OscillatorEnsemble, circle_distance, weighted_order_parameter
+from .core import OscillatorEnsemble, circle_distance, weighted_order_parameter
 from .freqdist import FrequencyDistribution
-from .integrate import NonFiniteStateError, SimConfig, Stepper, _trusted, drive
+from .integrate import NonFiniteStateError, SimConfig, Trajectory, _run, _step, _trusted
 
 _WEIGHT_TOL = 1e-12
 
@@ -193,50 +193,17 @@ def kinetic_step(meas: PhaseMeasure, dt: float) -> PhaseMeasure:
     """
     if dt <= 0:
         raise ValueError("dt must be > 0")
-    y = Stepper(meas.omegas, meas.weights, meas.coupling, True)(np.stack([meas.thetas, meas.log_jacs]), dt)
-    if not np.isfinite(y).all():
+    y = _step(np.stack([meas.thetas, meas.log_jacs]), meas.omegas, meas.weights, meas.coupling, dt)
+    if y is None:
         raise NonFiniteStateError(meas.time + dt)
     return _trusted(meas, thetas=y[0], log_jacs=y[1], time=meas.time + dt)
 
 
-@dataclass
-class KineticTrajectory:
-    times: np.ndarray
-    r_series: np.ndarray
-    phi_series: List[Optional[float]]
-    h_series: np.ndarray
-    entropy_series: np.ndarray
-    mean_phase_series: np.ndarray
-    final: PhaseMeasure
-    stopped_on: str = "t_max"
-
-
-def kinetic_simulate(meas: PhaseMeasure, cfg: SimConfig) -> KineticTrajectory:
+def kinetic_simulate(meas: PhaseMeasure, cfg: SimConfig) -> Trajectory:
     """Integrate the kinetic measure to t_max or until the velocity field
     is stationary, recording the scalar diagnostics."""
-    rows = []
-    w, wo = meas.weights, meas.weights * meas.omegas
-    step = Stepper(meas.omegas, w, meas.coupling, log_jac=True)
-
-    def observe(t, y):
-        v, x, z = step.observe(y)
-        op = OrderParameter.from_dots(x, z)
-        mp, lj = y.dot(w)
-        rows.append((t, op.r, op.phi, _h(meas, wo, y[0], op.r), -float(lj), float(mp)))
-        return np.max(np.abs(v))
-
-    y, stopped_on = drive(step, np.stack([meas.thetas, meas.log_jacs]), cfg, observe, meas.time)
-    times, r, phi, h, s, mp = zip(*rows)
-    return KineticTrajectory(
-        times=np.asarray(times),
-        r_series=np.asarray(r),
-        phi_series=list(phi),
-        h_series=np.asarray(h),
-        entropy_series=np.asarray(s),
-        mean_phase_series=np.asarray(mp),
-        final=_trusted(meas, thetas=y[0], log_jacs=y[1], time=times[-1]),
-        stopped_on=stopped_on,
-    )
+    return _run(np.stack([meas.thetas, meas.log_jacs]), meas.omegas, meas.weights, meas.coupling, cfg,
+                lambda y, t: _trusted(meas, thetas=y[0], log_jacs=y[1], time=t), meas.time)
 
 
 # ---------------------------------------------------------------------------
@@ -258,18 +225,15 @@ def entropy_change(meas: PhaseMeasure) -> float:
     """
     if meas.has_atoms:
         warnings.warn("entropy_change on an atomic measure is not meaningful", stacklevel=2)
-    # row 1 of the state's 2-row dot with the weights: the form kinetic_simulate records
+    # row 1 of the state's 2-row dot with the weights: the form a run records
     return -float(np.stack([meas.thetas, meas.log_jacs]).dot(meas.weights)[1])
 
 
 def h_functional(meas: PhaseMeasure) -> float:
-    """sum w * theta * omega + K * R^2 / 2, non-decreasing along solutions."""
-    return _h(meas, meas.weights * meas.omegas, meas.thetas, weighted_order_parameter(meas.weights, meas.thetas).r)
-
-
-def _h(meas: PhaseMeasure, wo: np.ndarray, thetas: np.ndarray, r: float) -> float:
-    """h_functional of meas at the phases thetas, given wo = w * omega and their coherence r."""
-    return float(thetas.dot(wo)) + meas.coupling * r**2 / 2.0
+    """sum w * theta * omega + K * R^2 / 2, non-decreasing along solutions;
+    bitwise the form a run records."""
+    r = weighted_order_parameter(meas.weights, meas.thetas).r
+    return float(meas.thetas.dot(meas.weights * meas.omegas)) + meas.coupling * r**2 / 2.0
 
 
 def fourier_moment(meas: PhaseMeasure, k: int) -> complex:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -97,6 +99,44 @@ class TestClassifyMeasure:
     def test_spread_mass_not_stationary(self):
         meas = ps.discretize(ps.UniformArc(0.0, 1.0), 64)
         assert ps.classify_measure(meas).kind == "not_stationary"
+
+
+class TestOneClassifier:
+    """classify_finite is classify_measure of the equal-weight measure with a
+    mass_tol below 1/N; both check the same tolerance domains."""
+
+    THREE_ATOMS = ps.PhaseMeasure.initial([0.5, 0.25, 0.25], [0.0, 1.0, -1.0], [0.0] * 3, has_atoms=True)
+
+    @pytest.mark.parametrize("mass_tol", [np.nan, 1.0, np.inf, 0.0, -1e-3])
+    def test_mass_tol_domain(self, mass_tol):
+        # at a NaN, 1 or inf mass_tol the coverage test c1 + c2 <= 1 - mass_tol
+        # never fails, so this measure, with c1 = 0.5, would count as clustered
+        with pytest.raises(ValueError, match="mass_tol"):
+            ps.classify_measure(self.THREE_ATOMS, mass_tol=mass_tol)
+
+    @pytest.mark.parametrize("angle_tol", [2.0, np.pi / 4, np.nan, 0.0])
+    def test_angle_tol_domain(self, angle_tol):
+        # at angle_tol = 2 the two arcs overlap and count the +-1 atoms twice
+        with pytest.raises(ValueError, match="angle_tol"):
+            ps.classify_measure(self.THREE_ATOMS, angle_tol=angle_tol)
+        with pytest.raises(ValueError, match="angle_tol"):
+            ps.classify_finite(ps.OscillatorEnsemble([0.0, 1.0, -1.0], np.zeros(3)), angle_tol=angle_tol)
+
+    def test_three_atoms_not_stationary(self):
+        assert ps.classify_measure(self.THREE_ATOMS).kind == "not_stationary"
+        # c1 = 0.5 covers all but 0.5 of the mass: clustered only if mass_tol > 0.5
+        assert ps.classify_measure(self.THREE_ATOMS, angle_tol=0.7, mass_tol=0.5).kind == "not_stationary"
+        assert ps.classify_measure(self.THREE_ATOMS, angle_tol=0.7, mass_tol=0.6).kind == "clustered"
+
+    @pytest.mark.parametrize("n,k,jitter", [(1, 0, 0.0), (3, 1, 0.0), (9, 4, 1e-4), (12, 2, 2e-3), (7, 0, 0.5)])
+    def test_finite_is_the_equal_weight_measure(self, n, k, jitter):
+        ens = clustered_ensemble(n, k, 0.9, jitter=jitter, seed=n)
+        fin = ps.classify_finite(ens)
+        meas = ps.classify_measure(ps.PhaseMeasure.from_ensemble(ens), mass_tol=0.5 / n)
+        assert dataclasses.replace(fin, n_at_phi=None, k=None) == meas
+        if fin.is_clustered:
+            assert (fin.n_at_phi, fin.k) == (n - k, k)
+            assert fin.c1 == pytest.approx((n - k) / n, abs=1e-15) and fin.c2 == pytest.approx(k / n, abs=1e-15)
 
 
 class TestThreeOscillator:

@@ -353,6 +353,22 @@ def test_version_matches_pyproject():
     assert re.search(r'^version = "([^"]+)"$', project, re.M).group(1) == phasesync.__version__
 
 
+class TestClassifyTolerances:
+    @pytest.mark.parametrize("mode,preset,bad", [
+        *(("kinetic", "uniform-arc", f"classify.mass_tol={v}") for v in ("nan", "1.0", "inf")),
+        ("kinetic", "uniform-arc", "classify.angle_tol=2.0"),
+        ("finite", "three-osc", "classify.angle_tol=nan"),
+        ("classify", "three-osc", "classify.angle_tol=0.8"),
+    ])
+    def test_out_of_domain_tolerance_is_config_error(self, tmp_path, capsys, mode, preset, bad):
+        # the class is computed after the run, so the run's files must not be left behind
+        out = tmp_path / "run"
+        assert run_cli([mode, "--preset", preset, *SHORT, "--set", bad, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error:" in err and bad.split(".")[1].split("=")[0] in err
+        assert not (out / "summary.json").exists() and not (out / "manifest.json").exists()
+
+
 class TestSweepRejectedBeforeRunning:
     SWEEP = ["sweep", "--preset", "kuramoto-uniform-g", *SHORT]
 

@@ -189,6 +189,27 @@ class TestKineticSimulate:
         assert np.array_equal(traj.final.thetas, cur.thetas)
         assert np.array_equal(traj.final.log_jacs, cur.log_jacs)
 
+    @pytest.mark.parametrize("n", [3, 10, 600])
+    @pytest.mark.parametrize("halfwidth,t_max", [(0.0, 60.0), (0.5, 3.0)], ids=["stationary", "t_max"])
+    def test_finite_run_is_the_equal_weight_kinetic_run(self, n, halfwidth, t_max):
+        # simulate is kinetic_simulate of PhaseMeasure.from_ensemble, bit for
+        # bit, on both sides of core.HALF_ANGLE_MIN = 512 and for both stops
+        ens = ps.seeded_ensemble(n, coupling=1.3, seed=n, freq_halfwidth=halfwidth)
+        cfg = ps.SimConfig(dt=0.01, t_max=t_max, record_every=7)
+        fin = ps.simulate(ens, cfg)
+        kin = ps.kinetic_simulate(ps.PhaseMeasure.from_ensemble(ens), cfg)
+        assert type(fin) is type(kin)
+        assert fin.stopped_on == kin.stopped_on == ("stationary" if halfwidth == 0.0 else "t_max")
+        for name in ("times", "r_series", "mean_phase_series", "h_series", "u_series"):
+            assert np.array_equal(getattr(fin, name), getattr(kin, name)), name
+        assert fin.phi_series == kin.phi_series
+        assert np.array_equal(fin.final.phases, kin.final.thetas)
+        assert np.array_equal(fin.states[-1].phases, fin.final.phases)
+        # each run keeps what only it has: the finite states, the kinetic entropy
+        assert fin.entropy_series is None and len(kin.entropy_series) == len(kin.times)
+        with pytest.raises(AttributeError):
+            kin.states
+
 
 class TestObservable:
     def test_mass_is_one(self):
