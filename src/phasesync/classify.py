@@ -69,11 +69,16 @@ def classify_measure(meas, angle_tol: float = ANGLE_TOL, mass_tol: float = MASS_
     return _classify(np.asarray(meas.weights), np.asarray(meas.thetas), angle_tol, mass_tol)
 
 
-def _classify(w, thetas, angle_tol, mass_tol, counts=False) -> StationaryClass:
+def check_tolerances(angle_tol: float, mass_tol: float) -> None:
+    """Raise ValueError unless 0 < angle_tol < pi/4 and 0 < mass_tol < 1."""
     if not 0.0 < angle_tol < np.pi / 4:  # NaN fails too
         raise ValueError("angle_tol must lie in (0, pi/4)")
     if not 0.0 < mass_tol < 1.0:
         raise ValueError("mass_tol must lie in (0, 1)")
+
+
+def _classify(w, thetas, angle_tol, mass_tol, counts=False) -> StationaryClass:
+    check_tolerances(angle_tol, mass_tol)
     op = weighted_order_parameter(w, thetas)
     if op.r <= CLASS_R_TOL:
         return INCOHERENT

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .classify import ANGLE_TOL, MASS_TOL, classify_finite, classify_measure
+from .classify import ANGLE_TOL, MASS_TOL, check_tolerances, classify_finite, classify_measure
 from .core import OscillatorEnsemble
 from .freqdist import Dirac, Discrete, TruncatedGaussian, Uniform
 from .integrate import NonFiniteStateError, SimConfig, seeded_ensemble, simulate
@@ -283,7 +283,8 @@ def write_json(path: Path, record: dict):
 
 # ---------------------------------------------------------------------------
 # Mode runners: each takes a resolved config and returns the series.csv rows
-# and the summary.json record of its run
+# and the summary.json record of its run; a runner that classifies checks the
+# [classify] tolerances before it builds the model
 
 
 def _simulation(traj, columns: dict, cls) -> tuple[list, dict]:
@@ -302,12 +303,14 @@ def _simulation(traj, columns: dict, cls) -> tuple[list, dict]:
 
 
 def run_finite(cfg: dict, out: Path):
+    check_tolerances(**cfg["classify"])
     traj = simulate(build_ensemble(cfg), build_sim_config(cfg))
     cls = classify_finite(traj.final, cfg["classify"]["angle_tol"])
     return _simulation(traj, {"U": traj.u_series}, cls)
 
 
 def run_kinetic(cfg: dict, out: Path):
+    check_tolerances(**cfg["classify"])
     meas = discretize(build_density_spec(cfg), m=cfg["model"]["m"], coupling=cfg["model"]["coupling"])
     traj = kinetic_simulate(meas, build_sim_config(cfg))
     cls = classify_measure(traj.final, **cfg["classify"])
@@ -326,6 +329,7 @@ def run_kc(cfg: dict, out: Path):
 
 
 def run_classify(cfg: dict, out: Path):
+    check_tolerances(**cfg["classify"])
     cls = classify_finite(build_ensemble(cfg), cfg["classify"]["angle_tol"])
     return [], {"class": dataclasses.asdict(cls)}
 

@@ -1,6 +1,6 @@
 """Fixed-step RK4 integration with diagnostic recording and stationarity
-detection: the one stepper, driver loop, run function and result record
-shared by the finite-N and the kinetic simulators, and the finite-N entries.
+detection: the one stepper, run loop and result record shared by the
+finite-N and the kinetic simulators, and the finite-N entries.
 
 Deterministic: identical (ensemble, config) inputs give bitwise-identical
 trajectories on a given platform.
@@ -38,8 +38,8 @@ class SimConfig:
         steps = self.t_max / self.dt  # past 2**53 (or inf) every float is whole: no check
         if not (steps <= 2.0**53 and min(steps % 1.0, -steps % 1.0) <= min(1e-9 * steps, 1e-3)):
             raise ValueError(f"t_max = {self.t_max!r} is not a whole number of steps dt = {self.dt!r} (<= 2**53)")
-        if self.record_every < 1:
-            raise ValueError("record_every must be a positive integer")
+        if not (isinstance(self.record_every, (int, np.integer)) and self.record_every >= 1):
+            raise ValueError("record_every must be an integer >= 1")
         if not 0 < self.stationarity_tol < np.inf:  # NaN fails too
             raise ValueError("stationarity_tol must be finite and > 0")
 
@@ -155,29 +155,6 @@ def _coefficients(dt, coupling, a):
     return maps, p.reshape(9, 20)
 
 
-def drive(step, y, cfg: SimConfig, observe, time: float = 0.0):
-    """The driver loop: steps y = step(y, dt) from t = time to t_max.
-
-    observe(t, y) records a row, at the cost of one Stepper.observe plus its
-    Python, and returns the stop residual max|v| of the velocity at y. It is
-    called at the start and every record_every steps, always including the
-    last, with t = time + k*dt; after the start the run stops once a residual is
-    below stationarity_tol. A non-finite y raises NonFiniteStateError at the
-    step that produced it. Returns (final y, "stationary" or "t_max").
-    """
-    dt, every, tol = cfg.dt, cfg.record_every, cfg.stationarity_tol
-    n_steps = int(round(cfg.t_max / dt))
-    zeros = np.zeros(y.shape)  # y . 0 is 0 iff y is finite: 0 * inf and 0 * nan are nan
-    observe(time, y)
-    for k in range(1, n_steps + 1):
-        y = step(y, dt)
-        if np.vdot(y, zeros) != 0.0:
-            raise NonFiniteStateError(time + k * dt)
-        if (k % every == 0 or k == n_steps) and observe(time + k * dt, y) < tol:
-            return y, "stationary"
-    return y, "t_max"
-
-
 def _trusted(obj, **fields):
     """obj with some fields replaced, built without __post_init__: the others
     were checked when obj was built, and the new ones are a step's finite
@@ -210,7 +187,7 @@ def detect_stationarity(ens: OscillatorEnsemble, tol: float = 1e-9) -> bool:
 
 @dataclass
 class Trajectory:
-    """The rows a run records (see drive): times, R, phi, U = N R^2/2, the
+    """The rows a run records (see _run): times, R, phi, U = N R^2/2, the
     weighted mean phase, H = sum w theta omega + K R^2/2 and, for a kinetic
     run, the entropy change -sum w log-Jacobian (see kinetic.entropy_change);
     final is the last recorded state. A finite run keeps its recorded phases
@@ -237,30 +214,38 @@ class Trajectory:
 
 def _run(y, omegas, weights, coupling, cfg: SimConfig, final, time=0.0) -> Trajectory:
     """The run of both models: weighted particles with state y, their phases
-    and in a kinetic run their log-Jacobians, stepped from t = time through
-    drive; final(y, t) builds the last recorded state. A row is one
-    Stepper.observe plus the state's weighted dots, always one 2-row gemv: a
-    finite run's 1-row state is padded with a zero row, since BLAS sends a
-    1-row product to a plain dot, whose sum differs in the last bit. So a
-    finite run records bitwise what the kinetic run of its equal-weight
-    measure records."""
+    and in a kinetic run their log-Jacobians, stepped from t = time; final(y,
+    t) builds the last recorded state. A row, at the start and every
+    record_every steps up to the last, is one Stepper.observe plus the state's
+    weighted dots, always one 2-row gemv: a finite run's 1-row state is padded
+    with a zero row, since BLAS sends a 1-row product to a plain dot, whose sum
+    differs in the last bit. So a finite run records bitwise what the kinetic
+    run of its equal-weight measure records. The run stops at t_max, or at a
+    row after the start whose max|v| is below stationarity_tol; a non-finite
+    state raises NonFiniteStateError at the step that made it."""
     rows, kept = [], []
     finite, wo = len(y) == 1, weights * omegas
     two = np.zeros((2, y.shape[1]))  # a finite row's phases over a zero row
     step = Stepper(omegas, weights, coupling, log_jac=not finite)
-
-    def observe(t, y):
+    dt, n_steps = cfg.dt, int(round(cfg.t_max / cfg.dt))
+    zeros = np.zeros(y.shape)  # y . 0 is 0 iff y is finite: 0 * inf and 0 * nan are nan
+    k = 0
+    while True:
         v, x, z = step.observe(y)
         op = OrderParameter.from_dots(x, z)
         if finite:
             kept.append(y[0].copy())
             two[0] = y[0]
-            y = two
-        mp, lj = y.dot(weights)
-        rows.append((t, op.r, op.phi, float(mp), float(y[0].dot(wo)) + coupling * op.r**2 / 2.0, -float(lj)))
-        return np.max(np.abs(v))
-
-    y, stopped_on = drive(step, y, cfg, observe, time)
+        mp, lj = (two if finite else y).dot(weights)
+        rows.append((time + k * dt, op.r, op.phi, float(mp),
+                     float(y[0].dot(wo)) + coupling * op.r**2 / 2.0, -float(lj)))
+        stationary = k > 0 and np.max(np.abs(v)) < cfg.stationarity_tol
+        if stationary or k == n_steps:
+            break
+        for k in range(k + 1, min(k + cfg.record_every, n_steps) + 1):
+            y = step(y, dt)
+            if np.vdot(y, zeros) != 0.0:
+                raise NonFiniteStateError(time + k * dt)
     times, r, phi, mp, h, s = zip(*rows)
     r = np.asarray(r)
     return Trajectory(
@@ -272,7 +257,7 @@ def _run(y, omegas, weights, coupling, cfg: SimConfig, final, time=0.0) -> Traje
         h_series=np.asarray(h),
         entropy_series=None if finite else np.asarray(s),
         final=final(y, times[-1]),
-        stopped_on=stopped_on,
+        stopped_on="stationary" if stationary else "t_max",
         _phases=np.stack(kept) if finite else None,
     )
 

@@ -18,8 +18,6 @@ from .core import OscillatorEnsemble, circle_distance, weighted_order_parameter
 from .freqdist import FrequencyDistribution
 from .integrate import NonFiniteStateError, SimConfig, Trajectory, _run, _step, _trusted
 
-_WEIGHT_TOL = 1e-12
-
 
 @dataclass
 class PhaseMeasure:
@@ -50,7 +48,9 @@ class PhaseMeasure:
                 raise ValueError("all particle arrays must share one length")
         if not np.all(self.weights > 0):  # NaN fails too
             raise ValueError("weights must be positive")
-        if abs(self.weights.sum() - 1.0) > _WEIGHT_TOL:
+        if not (np.isfinite(self.thetas).all() and np.isfinite(self.omegas).all()):
+            raise ValueError("thetas and omegas must be finite")
+        if abs(self.weights.sum() - 1.0) > 1e-12:
             raise ValueError("weights must sum to 1 within 1e-12")
         if self.time == 0.0 and np.any(self.log_jacs != 0.0):
             raise ValueError("log_jacs must be zero at time 0")
@@ -165,10 +165,7 @@ def discretize(spec: DensitySpec, m: int = 1024, coupling: float = 1.0) -> Phase
     if m < 1:
         raise ValueError("m must be >= 1")
     if isinstance(spec, AtomList):
-        w = np.asarray(spec.weights, dtype=float)
-        if abs(w.sum() - 1.0) > _WEIGHT_TOL:
-            raise ValueError("atom weights must sum to 1 within 1e-12")
-        return PhaseMeasure.initial(w, spec.thetas, spec.omegas, coupling, has_atoms=True)
+        return PhaseMeasure.initial(spec.weights, spec.thetas, spec.omegas, coupling, has_atoms=True)
     if isinstance(spec, ProductSpec):
         nodes, masses = _phase_nodes(spec.phase, m)
         f_nodes, f_weights = spec.freqs.quadrature(spec.n_freq)

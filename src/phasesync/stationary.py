@@ -19,7 +19,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq, minimize_scalar
 from scipy.special import roots_legendre
 
-from .freqdist import Dirac, FrequencyDistribution
+from .freqdist import FrequencyDistribution
 from .kinetic import AtomList
 
 ROOT_TOL = 1e-10  # residual bound for every reported root
@@ -232,7 +232,8 @@ def self_consistency_roots(g: FrequencyDistribution, k: float,
 def critical_coupling(g: FrequencyDistribution, kc_tol: float = 1e-6, k_max: float = K_MAX,
                       grid: int = 1024) -> float:
     """Infimum coupling with a self-consistency root, K_c = min h(a) over
-    a >= max|omega|. A Dirac law is supercritical for every K > 0. On a law
+    a >= max|omega|: 0 when max|omega| = 0, and 2|omega_0| for a Dirac law at
+    omega_0, as for the one-atom Discrete law. On a law
     without atoms whose slope I'(max|omega|) is at most 2 I / max|omega| there
     (every centred law whose density does not rise away from 0), K_c is
     h(max|omega|), returned after two adaptive integrals with no scan
@@ -253,7 +254,7 @@ def critical_coupling(g: FrequencyDistribution, kc_tol: float = 1e-6, k_max: flo
     if grid < 2:
         raise ValueError("grid must be >= 2")
     wmax = g.max_abs_omega
-    if isinstance(g, Dirac) or wmax == 0.0:
+    if wmax == 0.0:
         return 0.0
 
     kc = _edge_kc(g, wmax)

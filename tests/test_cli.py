@@ -361,12 +361,44 @@ class TestClassifyTolerances:
         ("classify", "three-osc", "classify.angle_tol=0.8"),
     ])
     def test_out_of_domain_tolerance_is_config_error(self, tmp_path, capsys, mode, preset, bad):
-        # the class is computed after the run, so the run's files must not be left behind
+        # the run's files must not be left behind
         out = tmp_path / "run"
         assert run_cli([mode, "--preset", preset, *SHORT, "--set", bad, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "config error:" in err and bad.split(".")[1].split("=")[0] in err
         assert not (out / "summary.json").exists() and not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("mode,preset,bad", [
+        ("kinetic", "uniform-arc", "classify.mass_tol=nan"),
+        ("kinetic", "uniform-arc", "classify.angle_tol=2.0"),
+        ("finite", "three-osc", "classify.angle_tol=nan"),
+        ("finite", "three-osc", "classify.mass_tol=1.0"),
+    ])
+    def test_checked_before_the_run(self, tmp_path, capsys, monkeypatch, mode, preset, bad):
+        def no_run(*args):
+            raise AssertionError("the run started")
+        monkeypatch.setattr(cli, "simulate", no_run)
+        monkeypatch.setattr(cli, "kinetic_simulate", no_run)
+        out = tmp_path / "run"
+        assert run_cli([mode, "--preset", preset, *SHORT, "--set", bad, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error:" in err and bad.split(".")[1].split("=")[0] in err
+        assert not (out / "manifest.json").exists()
+
+
+class TestNonFiniteKineticData:
+    @pytest.mark.parametrize("mode,preset,bad", [
+        ("kinetic", "uniform-arc", ["model.phase_center=nan"]),
+        ("kinetic", "uniform-arc", ["model.phase_spec=atoms", "model.atoms=1:nan"]),
+        ("kinetic", "uniform-arc", ["model.phase_spec=atoms", "model.atoms=1:0:inf"]),
+        ("sweep", "kuramoto-uniform-g", ["model.phase_center=nan"]),
+    ])
+    def test_is_config_error(self, tmp_path, capsys, mode, preset, bad):
+        out = tmp_path / "run"
+        sets = [x for b in bad for x in ("--set", b)]
+        assert run_cli([mode, "--preset", preset, *SHORT, *sets, "--out", str(out)]) == 2
+        assert "config error:" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
 
 
 class TestSweepRejectedBeforeRunning:

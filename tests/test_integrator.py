@@ -264,3 +264,17 @@ class TestStationarityTolerance:
     def test_non_finite_or_non_positive_tolerance_rejected(self, tol):
         with pytest.raises(ValueError, match="stationarity_tol"):
             ps.SimConfig(stationarity_tol=tol)
+
+
+class TestRecordEvery:
+    @pytest.mark.parametrize("every", [math.nan, 1.5, 2.0, math.inf, 0, -3])
+    def test_non_integer_or_non_positive_rejected(self, every):
+        # NaN recorded only t = 0 and t_max, and 1.5 every 3rd step
+        with pytest.raises(ValueError, match="record_every"):
+            ps.SimConfig(record_every=every)
+
+    @pytest.mark.parametrize("every", [1, 7, np.int64(7), np.int32(25)])
+    def test_integers_accepted(self, every):
+        cfg = ps.SimConfig(dt=0.1, t_max=1.0, record_every=every)
+        traj = ps.simulate(ps.seeded_ensemble(3, seed=1, freq_halfwidth=0.5), cfg)
+        assert list(np.round(traj.times / 0.1)) == sorted({*range(0, 10, int(every)), 10})

@@ -65,6 +65,26 @@ class TestDiscretize:
         assert (a.coupling, a.has_atoms) == (b.coupling, b.has_atoms)
 
 
+class TestPhaseMeasureValidation:
+    @pytest.mark.parametrize("field", ["thetas", "omegas"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_particle_data_rejected(self, field, bad):
+        data = {"weights": [0.5, 0.5], "thetas": [0.1, 0.2], "omegas": [0.0, 0.3]}
+        data[field] = [0.1, bad]
+        with pytest.raises(ValueError, match="finite"):
+            ps.PhaseMeasure.initial(**data)
+
+    @pytest.mark.parametrize("spec", [ps.UniformArc(center=math.nan), ps.AtomList((1.0,), (math.nan,), (0.0,)),
+                                      ps.AtomList((1.0,), (0.0,), (math.inf,))])
+    def test_discretize_rejects_non_finite_spec(self, spec):
+        with pytest.raises(ValueError, match="finite"):
+            ps.discretize(spec, m=8)
+
+    def test_atom_weights_checked_by_the_measure(self):
+        with pytest.raises(ValueError, match="weights must sum to 1"):
+            ps.discretize(ps.AtomList((0.5, 0.4), (0.0, 1.0), (0.0, 0.0)))
+
+
 class TestKineticStep:
     def test_single_atom_fixed_log_jac_rate(self):
         meas = ps.discretize(ps.AtomList((1.0,), (0.0,), (0.0,)), coupling=2.0)

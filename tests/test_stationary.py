@@ -612,6 +612,16 @@ class TestCriticalCoupling:
     def test_dirac_zero(self):
         assert ps.critical_coupling(ps.Dirac(0.0)) == 0.0
 
+    @pytest.mark.parametrize("omega0", [0.3, -0.3])
+    def test_dirac_is_the_one_atom_law(self, omega0):
+        # K_c = 2|omega_0|: the Dirac law agrees with the one-atom Discrete
+        # law and with its own roots on either side of K_c
+        kc = ps.critical_coupling(ps.Dirac(omega0))
+        assert kc == ps.critical_coupling(ps.Discrete((omega0,), (1.0,)))
+        assert kc == pytest.approx(2 * abs(omega0), rel=1e-12)
+        assert ps.self_consistency_roots(ps.Dirac(omega0), 0.99 * kc).roots == []
+        assert ps.self_consistency_roots(ps.Dirac(omega0), 1.01 * kc).roots
+
     def test_uniform_matches_scan_oracle(self):
         gamma = 0.5
         kc = ps.critical_coupling(ps.Uniform(0, gamma))
