@@ -71,4 +71,4 @@ from .stationary import (
     stationary_density,
 )
 
-__version__ = "0.12.1"
+__version__ = "0.13.0"

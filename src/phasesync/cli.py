@@ -35,7 +35,7 @@ from .kinetic import (
     discretize,
     kinetic_simulate,
 )
-from .stationary import DEFAULT_GRID, BracketNotFoundError, critical_coupling, self_consistency_roots
+from .stationary import BracketNotFoundError, critical_coupling, self_consistency_roots
 
 PRESETS = ("three-osc", "two-antipodal", "uniform-arc", "kuramoto-uniform-g")
 
@@ -125,11 +125,13 @@ SCHEMA = {
         "freq_cut": (float, None),
     },
     "classify": {"angle_tol": (float, ANGLE_TOL), "mass_tol": (float, MASS_TOL)},
-    "roots": {"grid": (int, DEFAULT_GRID)},
-    "kc": {"tol": (float, _default(critical_coupling, "kc_tol"))},
     "sweep": {"k_min": (float, None), "k_max": (float, None), "k_steps": (int, 11)},
     "run": {"out": (str, None)},
 }
+
+# keys that every v0.12.x manifest holds and no solver reads any more; a JSON
+# manifest that holds them still replays (an INI file that sets them does not)
+RETIRED = {"roots": "grid", "kc": "tol"}
 
 
 def resolve(cfg: dict) -> dict:
@@ -183,7 +185,13 @@ def load_config(path: str) -> dict:
         cfg = doc.get("config") if isinstance(doc, dict) else None
         if not (isinstance(cfg, dict) and all(isinstance(kv, dict) for kv in cfg.values())):
             raise ConfigError(f"{path} is not a phasesync manifest")
-        return {sec: dict(kv) for sec, kv in cfg.items()}
+        cfg = {sec: dict(kv) for sec, kv in cfg.items()}
+        for sec, key in RETIRED.items():  # and the sections they leave empty
+            if key in cfg.get(sec, {}):
+                del cfg[sec][key]
+                if not cfg[sec]:
+                    del cfg[sec]
+        return cfg
     return _parse_ini(p.read_text(), path)
 
 
@@ -319,13 +327,13 @@ def run_kinetic(cfg: dict, out: Path):
 
 def run_roots(cfg: dict, out: Path):
     k = cfg["model"]["coupling"]
-    result = self_consistency_roots(build_freq_dist(cfg), k, grid=cfg["roots"]["grid"])
+    result = self_consistency_roots(build_freq_dist(cfg), k)
     return [], {"coupling": k, "roots": result.roots, "largest": result.largest,
                 "k_supercritical": result.k_supercritical}
 
 
 def run_kc(cfg: dict, out: Path):
-    return [], {"k_c": critical_coupling(build_freq_dist(cfg), kc_tol=cfg["kc"]["tol"])}
+    return [], {"k_c": critical_coupling(build_freq_dist(cfg))}
 
 
 def run_classify(cfg: dict, out: Path):

@@ -202,7 +202,7 @@ class Trajectory:
     entropy_series: Optional[np.ndarray]  # kinetic runs only
     final: Any  # an OscillatorEnsemble, or a kinetic PhaseMeasure
     stopped_on: str = "t_max"  # "t_max" or "stationary"
-    _phases: Optional[np.ndarray] = field(default=None, repr=False)  # finite runs only
+    _phases: Optional[List[np.ndarray]] = field(default=None, repr=False)  # finite runs only
 
     @property
     def states(self) -> List[OscillatorEnsemble]:
@@ -258,7 +258,7 @@ def _run(y, omegas, weights, coupling, cfg: SimConfig, final, time=0.0) -> Traje
         entropy_series=None if finite else np.asarray(s),
         final=final(y, times[-1]),
         stopped_on="stationary" if stationary else "t_max",
-        _phases=np.stack(kept) if finite else None,
+        _phases=kept if finite else None,
     )
 
 

@@ -48,8 +48,10 @@ class PhaseMeasure:
                 raise ValueError("all particle arrays must share one length")
         if not np.all(self.weights > 0):  # NaN fails too
             raise ValueError("weights must be positive")
-        if not (np.isfinite(self.thetas).all() and np.isfinite(self.omegas).all()):
-            raise ValueError("thetas and omegas must be finite")
+        if not all(np.isfinite(a).all() for a in (self.thetas, self.thetas0, self.omegas, self.log_jacs)):
+            raise ValueError("thetas, thetas0, omegas and log_jacs must be finite")
+        if not np.isfinite(self.time):
+            raise ValueError("time must be finite")
         if abs(self.weights.sum() - 1.0) > 1e-12:
             raise ValueError("weights must sum to 1 within 1e-12")
         if self.time == 0.0 and np.any(self.log_jacs != 0.0):

@@ -11,27 +11,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.optimize import brentq, minimize_scalar
-from scipy.special import roots_legendre
+from scipy.optimize import brentq
 
 from .freqdist import FrequencyDistribution
 from .kinetic import AtomList
 
 ROOT_TOL = 1e-10  # residual bound for every reported root
-DEFAULT_GRID = 4096  # R-scan resolution; close root pairs near onset
 K_MAX = 100.0  # cap on the critical coupling
-_LEGENDRE_NODES = 16  # first Gauss-Legendre order in t of the vectorized I(a)
-_MAX_LEGENDRE_NODES = 1024
-_GRID_TOL = 1e-12  # end-point match that sets that order; below ROOT_TOL
-_PRUNE_TOL = 1e-9  # how far a cell's bound must clear the answer; far above the rule's error
-_SCAN_STRIDE = 32  # every _SCAN_STRIDE-th grid point (and the last) bounds a cell
+_SLACK = 1e-9  # of the edge certificate and of a root at an end; far above the adaptive I's error
 _EDGE_ULPS = 4  # a support end this close to +-a is a square-root end
-_legendre = lru_cache(maxsize=None)(roots_legendre)
 
 
 class BracketNotFoundError(RuntimeError):
@@ -95,65 +87,24 @@ def _omega_integral(g: FrequencyDistribution, a: float) -> float:
     return total
 
 
-def _integral_rule(g: FrequencyDistribution, a: np.ndarray):
-    """The rule for I on an ascending array of a >= max|omega|, as a function
-    of indices into a: exact sum over atoms, else a Gauss-Legendre rule in t.
-    Its order, doubled from _LEGENDRE_NODES, is the first to match the adaptive
-    I to _GRID_TOL at both ends of a (where narrow features of g are resolved
-    worst). If no order up to _MAX_LEGENDRE_NODES matches, the adaptive I."""
-    if g.is_discrete:
-        return lambda i: _atom_integral(g, a[i, None])
-    ends = a[[0, -1]]
-    ref = np.array([_integral(g, x) for x in ends])
-    n = _LEGENDRE_NODES
-    while np.max(np.abs(_legendre_integral(g, ends, n) - ref)) > _GRID_TOL:
-        if n == _MAX_LEGENDRE_NODES:  # no rule resolves g: the adaptive I at each a
-            return lambda i: np.array([_integral(g, x) for x in a[i]])
-        n *= 2
-    return lambda i: _legendre_integral(g, a[i], n)
-
-
-def _integral_grid(g: FrequencyDistribution, a: np.ndarray) -> np.ndarray:
-    """_integral_rule at every a (the scans below use _pruned_integral)."""
-    return _integral_rule(g, a)(slice(None))
-
-
-def _pruned_integral(g: FrequencyDistribution, a: np.ndarray, cell) -> np.ndarray:
-    """_integral_rule at every _SCAN_STRIDE-th a, the last, and inside the cells where cell(ends, I there)
-    is NaN; the rest take its value. I increases with a: a cell's end values bound it inside."""
-    rule, ends = _integral_rule(g, a), np.append(np.arange(0, a.size - 1, _SCAN_STRIDE), a.size - 1)
-    val = rule(ends)
-    out = np.append(np.repeat(cell(ends, val), np.diff(ends)), 0.0)
-    out[ends] = val
-    todo = np.flatnonzero(np.isnan(out))
-    out[todo] = rule(todo)
-    return out
-
-
-def _atom_integral(g: FrequencyDistribution, a: np.ndarray) -> np.ndarray:
-    """I summed over g's atoms at each a of an (m, 1) column."""
-    w, p = g.atoms()
-    return np.sqrt(np.maximum(a ** 2 - w * w, 0.0)) @ p
-
-
-def _legendre_integral(g: FrequencyDistribution, a: np.ndarray, n: int) -> np.ndarray:
-    """The n-node Gauss-Legendre rule in t for I at each a >= max|omega|."""
-    t_lo, t_hi = np.arcsin(np.minimum(np.maximum(np.divide.outer(g.support(), a), -1.0), 1.0))
-    mid, half = 0.5 * (t_hi + t_lo), 0.5 * (t_hi - t_lo)
-    x, wx = _legendre(n)
-    s = np.multiply.outer(half, x)  # s = sin(mid + half x), then 1 - s^2 and
-    np.sin(np.add(s, mid[:, None], out=s), out=s)  # its product with g(a s)
-    dens = g.pdf(a[:, None] * s)  # in the same buffer
-    np.subtract(1.0, np.multiply(s, s, out=s), out=s)
-    return a * a * half * (np.multiply(s, dens, out=s) @ wx)
-
-
 def _integral(g: FrequencyDistribution, a: float) -> float:
     """I at one a >= max|omega| by adaptive quadrature in t (atoms summed)."""
     if g.is_discrete:
-        return float(_atom_integral(g, np.array([[a]]))[0])
+        w, p = g.atoms()
+        return float((np.sqrt(np.maximum(np.array([[a]]) ** 2 - w * w, 0.0)) @ p)[0])
     a = float(a)
     return a * a * _t_quad(g, a)
+
+
+def _slope(g: FrequencyDistribution, a: float) -> float:
+    """I'(a) / a = int g(a sin t) dt at a >= max|omega| by adaptive quadrature
+    in t; over atoms the sum of p / sqrt(a^2 - omega^2), inf with mass at +-a."""
+    if g.is_discrete:
+        w, p = g.atoms()
+        d = np.sqrt(np.maximum(a * a - w * w, 0.0))
+        with np.errstate(divide="ignore"):
+            return float(np.divide(p, d, out=np.zeros(p.size), where=p > 0).sum())
+    return _t_quad(g, float(a), cos2=False)
 
 
 def _t_quad(g: FrequencyDistribution, a: float, cos2: bool = True) -> float:
@@ -166,119 +117,81 @@ def _t_quad(g: FrequencyDistribution, a: float, cos2: bool = True) -> float:
     return quad(g.t_kernel(a, cos2), t[0], t[1], epsabs=1e-15, epsrel=1e-13, limit=200, points=t[2:] or None)[0]
 
 
-def _edge_kc(g: FrequencyDistribution, a0: float) -> Optional[float]:
-    """h(a0), a0 = max|omega|, when concavity certifies it as min h; else None.
+def _argmin_h(g: FrequencyDistribution, a0: float) -> Tuple[float, float]:
+    """(a*, h(a*)) for the minimiser a* of h = a^2 / I over a >= a0 = max|omega|.
 
-    sqrt(a^2 - omega^2) is concave in a, so on [a0, inf) I lies below its
-    tangent I0 + a0 J1 (a - a0), J1 = int g(a0 sin t) dt, and h(a) >= a^2 over
-    that tangent, which does not fall from a0 while a0^2 J1 <= 2 I0 (up to a
-    relative dip of order _PRUNE_TOL^2). Atoms at +-a0 make the slope infinite.
+    sqrt(a^2 - omega^2) is concave in a, so I is, and {h <= c} = {a^2 - c I <= 0}
+    is an interval: h falls to its minimum and then rises, with no plateau. h'
+    has the sign of 2 I - a I' = 2 I - a^2 J, J = I'/a (_slope). When h does not
+    fall from a0 (a0^2 J <= 2 I there, up to a relative dip of order _SLACK^2),
+    a* = a0; atoms at +-a0 make J infinite. Otherwise Brent's method takes the
+    sign change of h' on (a0, h(2 a0)]: h(a) >= a, so no minimiser lies past it.
+    At a0 = 0 (all mass at 0) h(a) = a, and a* = 0.
     """
-    if g.is_discrete:
-        return None
-    i0 = _integral(g, a0)
-    j1 = _t_quad(g, a0, cos2=False)
-    return a0 * a0 / i0 if 0.0 < a0 * a0 * j1 <= 2.0 * i0 * (1.0 + _PRUNE_TOL) else None
+    if a0 == 0.0:
+        return 0.0, 0.0
+    i0, j0 = _integral(g, a0), _slope(g, a0)
+    if 0.0 < a0 * a0 * j0 <= 2.0 * i0 * (1.0 + _SLACK):
+        return a0, a0 * a0 / i0
+    h = lambda a: a * a / _integral(g, a)
+    dh = lambda a: 2.0 * i0 - a0 * a0 * j0 if a == a0 else 2.0 * _integral(g, a) - a * a * _slope(g, a)
+    a_star = brentq(dh, a0, h(2.0 * a0), xtol=math.ulp(a0), rtol=4.0 * np.finfo(float).eps)
+    return a_star, h(a_star)
 
 
-def self_consistency_roots(g: FrequencyDistribution, k: float,
-                           grid: int = DEFAULT_GRID) -> SelfConsistencyResult:
+def self_consistency_roots(g: FrequencyDistribution, k: float) -> SelfConsistencyResult:
     """All roots R in (0, 1] of the self-consistency equation at coupling k.
 
-    Takes the signs of F(R) = I(K R) - K R^2 on a uniform grid over
-    [max|omega|/k, 1], polishes every sign change with Brent's method on the
-    adaptive I, and keeps a root only if the public residual is below ROOT_TOL
-    there. An empty root list (subcritical k) is a normal outcome. In a cell
-    (R_i, R_j), F lies in [I_i - K R_j^2, I_j - K R_i^2]: only cells where that
-    range is not clear of 0 by _PRUNE_TOL are evaluated (_pruned_integral).
-    Both adaptive integrals split at the ends of g.core() that lie inside the
+    F(R) = I(K R) - K R^2 = (I / K) (K - h(K R)) has the sign of K - h(K R), so
+    it has at most one root on each side of R* = a* / K (_argmin_h). Brent's
+    method on the adaptive I polishes the sign change, if any, on [max|omega| /
+    K, R*] and on [R*, 1]; an end of the range where |F| <= _SLACK is a
+    candidate too (F = 0 at K R = max|omega|, which rounding may hide from the
+    brackets). A root is kept only if the public residual is below ROOT_TOL
+    there. An empty root list (subcritical k) is a normal outcome. Both
+    adaptive integrals split at the ends of g.core() that lie inside the
     support (a truncated Gaussian's mean +- 8 sigma when its cut is wider),
     so a narrow peak is sampled.
     """
     if not 0.0 < k < math.inf:
         raise ValueError("coupling must be finite and > 0")
-    if grid < 2:
-        raise ValueError("grid must be >= 2")
     wmax = g.max_abs_omega
     if wmax / k > 1.0:
         raise ValueError("support of g too wide: max|omega|/K > 1 admits no R")
-    r_grid = np.linspace(max(wmax / k, 1e-12), 1.0, grid)
-    a, kr2 = k * r_grid, k * r_grid * r_grid
-    cell = lambda e, v: np.where(v[1:] - kr2[e[:-1]] < -_PRUNE_TOL, -np.inf,
-                                 np.where(v[:-1] - kr2[e[1:]] > _PRUNE_TOL, np.inf, np.nan))
-    val = _pruned_integral(g, a, cell) - kr2
-    sign = np.sign(val)
+    r_lo = max(wmax / k, 1e-12)
+    r_star = min(max(_argmin_h(g, wmax)[0] / k, r_lo), 1.0)
     f = lambda r: _integral(g, k * r) - k * r * r
+    ends = {r: f(r) for r in (r_lo, r_star, 1.0)}
 
     roots: List[float] = []
-    for i in np.flatnonzero((sign[:-1] != 0.0) & (sign[:-1] * sign[1:] <= 0.0)):
-        lo, hi = float(r_grid[i]), float(r_grid[i + 1])
-        ends = {lo: f(lo), hi: f(hi)}
-        if ends[lo] * ends[hi] <= 0.0:  # brentq's first two calls take the ends from here
+    for lo, hi in ((r_lo, r_star), (r_star, 1.0)):
+        if lo < hi and ends[lo] * ends[hi] <= 0.0:  # brentq's first two calls take the ends from here
             roots.append(brentq(lambda r: ends[r] if r in ends else f(r), lo, hi, xtol=1e-14, rtol=1e-15))
-    # endpoint roots the sign scan cannot bracket (e.g. F = 0 at K R = max|omega|);
-    # the lower endpoint only counts when set by the support condition,
-    # otherwise F ~ K R vanishes there spuriously as R -> 0. The rule matches
-    # the adaptive I to _GRID_TOL at both ends, so an end with |F| > _PRUNE_TOL
-    # there cannot meet ROOT_TOL
-    ends = [-1] if wmax / k < 1e-9 else [0, -1]
-    roots += [r_grid[i] for i in ends if abs(val[i]) <= _PRUNE_TOL]
+    # the lower end only counts when set by the support condition, otherwise
+    # F ~ K R vanishes there spuriously as R -> 0; an end with |F| > _SLACK
+    # cannot meet ROOT_TOL
+    roots += [r for r in ((1.0,) if wmax / k < 1e-9 else (r_lo, 1.0)) if abs(ends[r]) <= _SLACK]
     roots = sorted(float(r) for r in roots if abs(self_consistency_residual(g, k, r)) < ROOT_TOL)
     deduped = [r for i, r in enumerate(roots) if i == 0 or r - roots[i - 1] > 1e-9]
     return SelfConsistencyResult(roots=deduped, largest=deduped[-1] if deduped else None,
                                  k_supercritical=bool(deduped))
 
 
-def critical_coupling(g: FrequencyDistribution, kc_tol: float = 1e-6, k_max: float = K_MAX,
-                      grid: int = 1024) -> float:
+def critical_coupling(g: FrequencyDistribution, k_max: float = K_MAX) -> float:
     """Infimum coupling with a self-consistency root, K_c = min h(a) over
-    a >= max|omega|: 0 when max|omega| = 0, and 2|omega_0| for a Dirac law at
-    omega_0, as for the one-atom Discrete law. On a law
-    without atoms whose slope I'(max|omega|) is at most 2 I / max|omega| there
-    (every centred law whose density does not rise away from 0), K_c is
-    h(max|omega|), returned after two adaptive integrals with no scan
-    (_edge_kc); kc_tol and grid then play no part. Otherwise,
-    as h(a) >= a, no minimiser exceeds h(2 max|omega|): h is scanned on `grid`
-    points up to there and the minimum polished by bounded Brent to kc_tol in
-    a, with h(max|omega|) always a candidate. In a cell (a_i, a_j),
-    h >= a_i^2 / I_j: only cells where that bound is within _PRUNE_TOL
-    (relative) of the least h at the cell ends are evaluated. Every adaptive
-    integral splits at the ends of g.core() inside the support, as in
-    self_consistency_roots: on a narrow truncated Gaussian the unsplit I
-    missed the peak, and h(2 max|omega|) overflowed or K_c exceeded the cap.
+    a >= max|omega| (_argmin_h): 0 when max|omega| = 0, and 2|omega_0| for a
+    Dirac law at omega_0, as for the one-atom Discrete law. On a law without
+    atoms whose slope I'(max|omega|) is at most 2 I / max|omega| there (every
+    centred law whose density does not rise away from 0), K_c is
+    h(max|omega|), after two adaptive integrals; they split at g.core() as
+    in self_consistency_roots.
     """
-    if not 0.0 < kc_tol < math.inf:
-        raise ValueError("kc_tol must be finite and > 0")
     if not 0.0 < k_max < math.inf:
         raise ValueError("k_max must be finite and > 0")
-    if grid < 2:
-        raise ValueError("grid must be >= 2")
-    wmax = g.max_abs_omega
-    if wmax == 0.0:
-        return 0.0
-
-    kc = _edge_kc(g, wmax)
-    if kc is None:
-        kc = _scanned_kc(g, wmax, kc_tol, grid)
+    kc = _argmin_h(g, g.max_abs_omega)[1]
     if kc > k_max:
         raise BracketNotFoundError(f"K_c = {kc:g} exceeds the cap k_max = {k_max:g}")
     return kc
-
-
-def _scanned_kc(g: FrequencyDistribution, wmax: float, kc_tol: float, grid: int) -> float:
-    """min h by the pruned scan up to h(2 wmax) and a bounded-Brent polish."""
-    def h(a: float) -> float:
-        i_a = _integral(g, a)
-        return a * a / i_a if i_a > 0.0 else math.inf
-
-    a_grid = np.linspace(wmax, h(2.0 * wmax), grid)
-    a2 = a_grid * a_grid
-    cell = lambda e, v: np.where(a2[e[:-1]] / v[1:] <= np.min(a2[e] / v) * (1.0 + _PRUNE_TOL), np.nan, 0.0)
-    with np.errstate(divide="ignore"):
-        i = int(np.argmin(a2 / _pruned_integral(g, a_grid, cell)))
-    polish = minimize_scalar(h, bounds=(a_grid[max(i - 1, 0)], a_grid[min(i + 1, grid - 1)]),
-                             method="bounded", options={"xatol": kc_tol})
-    return min(h(wmax), float(polish.fun))
 
 
 @dataclass(frozen=True)

@@ -159,13 +159,6 @@ class TestRootsAndKc:
         assert code == 0
         assert read_summary(out)["k_c"] == pytest.approx(0.3 + 1e-10 / 0.6, abs=1e-14)
 
-    @pytest.mark.parametrize("tol", ["0", "-1", "inf", "nan"])  # non-finite too
-    def test_kc_nonpositive_tol_is_config_error(self, tmp_path, capsys, tol):
-        code = run_cli(["kc", "--preset", "kuramoto-uniform-g", "--set", f"kc.tol={tol}",
-                        "--out", str(tmp_path)])
-        assert code == 2
-        assert "config error:" in capsys.readouterr().err
-
     def test_roots_without_coupling_is_config_error(self, tmp_path, capsys):
         ini = tmp_path / "run.ini"
         ini.write_text("[model]\nfreq_dist = uniform\nfreq_halfwidth_g = 0.5\n")
@@ -178,6 +171,51 @@ class TestRootsAndKc:
                         "--out", str(tmp_path)])
         assert code == 2
         assert "config error:" in capsys.readouterr().err
+
+
+class TestRetiredKeys:
+    """[roots] grid and [kc] tol, which every v0.12.x manifest holds and no
+    solver reads any more: a JSON manifest drops them, nothing else does."""
+
+    @pytest.mark.parametrize("preset,mode", [("three-osc", "finite"), ("kuramoto-uniform-g", "kinetic"),
+                                             ("kuramoto-uniform-g", "roots"), ("kuramoto-uniform-g", "kc")])
+    def test_v0121_manifest_replays(self, tmp_path, preset, mode):
+        a, b = tmp_path / "a", tmp_path / "b"
+        code = run_cli([mode, "--preset", preset, *SHORT, "--out", str(a)])
+        doc = json.loads((a / "manifest.json").read_text())
+        doc["version"] = "0.12.1"
+        doc["config"].update(roots={"grid": 4096}, kc={"tol": 1e-6})
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps(doc))
+        assert run_cli([mode, "--config", str(old), "--out", str(b)]) == code
+        for name in ("manifest.json", "series.csv", "summary.json"):
+            assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    def test_only_the_retired_keys_are_dropped(self, tmp_path, capsys):
+        a = tmp_path / "a"
+        assert run_cli(["kc", "--preset", "kuramoto-uniform-g", "--out", str(a)]) == 0
+        doc = json.loads((a / "manifest.json").read_text())
+        doc["config"].update(roots={"grid": 4096, "gird": 1}, kc={"tol": 1e-6})
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps(doc))
+        assert run_cli(["kc", "--config", str(old), "--out", str(tmp_path / "b")]) == 2
+        assert "unknown section [roots]" in capsys.readouterr().err  # kept, with its other key
+
+    @pytest.mark.parametrize("key", ["roots.grid=4096", "roots.grid=1", "kc.tol=1e-6", "kc.tol=nan"])
+    def test_set_names_an_unknown_section(self, tmp_path, capsys, key):
+        # v0.12.x read these values (and rejected grid=1 or tol=nan); now
+        # every value exits 2, as the section is unknown
+        section = key.split(".")[0]
+        code = run_cli([section, "--preset", "kuramoto-uniform-g", "--set", key, "--out", str(tmp_path)])
+        assert code == 2
+        assert f"unknown section [{section}]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text,section", [("[roots]\ngrid = 4096\n", "roots"), ("[kc]\ntol = 1e-6\n", "kc")])
+    def test_ini_file_names_an_unknown_section(self, tmp_path, capsys, text, section):
+        ini = tmp_path / "run.ini"
+        ini.write_text("[model]\nfreq_dist = uniform\nfreq_halfwidth_g = 0.5\ncoupling = 1.5\n\n" + text)
+        assert run_cli([section, "--config", str(ini), "--out", str(tmp_path / "out")]) == 2
+        assert f"unknown section [{section}]" in capsys.readouterr().err
 
 
 class TestClassifyMode:
@@ -264,7 +302,7 @@ class TestConfigHandling:
         # an IndexError; an empty root list at K = 1.5 > K_c; NaN and
         # Infinity (not JSON) in summary.json; non-finite frequency laws
         *(["roots", "--preset", "kuramoto-uniform-g", "--set", "model.coupling=1.5", "--set", bad]
-          for bad in ("roots.grid=0", "roots.grid=1", "model.coupling=nan", "model.coupling=inf",
+          for bad in ("model.coupling=nan", "model.coupling=inf",
                       "model.freq_halfwidth_g=nan", "model.freq_halfwidth_g=inf")),
     ])
     def test_rejected_value_is_config_error(self, tmp_path, capsys, argv):

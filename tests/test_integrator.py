@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -137,6 +138,23 @@ class TestSimulate:
         traj = ps.simulate(ens, ps.SimConfig(dt=0.01, t_max=2.0, record_every=20))
         expect = np.array([ps.potential_u(e) for e in traj.states])
         assert np.allclose(traj.u_series, expect, rtol=1e-14, atol=0.0)
+
+    def test_recorded_phases_kept_once(self):
+        # the recorded rows are the run's only copy of its phases: a run of
+        # 1001 rows at N = 2000 peaks at 1.05 rows N 8 bytes of traced
+        # allocations; v0.12.1 stacked the rows into a second copy (2.06)
+        n, rows = 2000, 1001
+        ens = ps.seeded_ensemble(n, coupling=1.3, seed=5, freq_halfwidth=0.5)
+        cfg = ps.SimConfig(dt=0.01, t_max=10.0)
+        tracemalloc.start()
+        try:
+            traj = ps.simulate(ens, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(traj.times) == rows and traj.stopped_on == "t_max"
+        assert peak <= 1.3 * rows * n * 8
+        assert np.array_equal(traj.states[-1].phases, traj.final.phases)
 
     def test_stops_on_stationarity(self):
         ens = ps.seeded_ensemble(5, seed=27)

@@ -74,6 +74,15 @@ class TestPhaseMeasureValidation:
         with pytest.raises(ValueError, match="finite"):
             ps.PhaseMeasure.initial(**data)
 
+    @pytest.mark.parametrize("bad", [{"time": math.nan}, {"time": math.inf}, {"log_jacs": [math.inf]},
+                                     {"log_jacs": [math.nan], "time": 1.0}, {"thetas0": [math.nan]}])
+    def test_non_finite_time_log_jacs_and_start_phases_rejected(self, bad):
+        # each of these built before v0.13.0; a NaN time also skipped the
+        # zero-log-Jacobian check, and the run failed after its first step
+        data = {"weights": [1.0], "thetas": [0.1], "thetas0": [0.1], "omegas": [0.0], "log_jacs": [0.0], **bad}
+        with pytest.raises(ValueError, match="finite"):
+            ps.PhaseMeasure(**data)
+
     @pytest.mark.parametrize("spec", [ps.UniformArc(center=math.nan), ps.AtomList((1.0,), (math.nan,), (0.0,)),
                                       ps.AtomList((1.0,), (0.0,), (math.inf,))])
     def test_discretize_rejects_non_finite_spec(self, spec):
