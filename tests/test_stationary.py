@@ -97,6 +97,21 @@ def integral_v0110(g, a):
     return a * a * quad(t_kernel_v0110(g, a), t_lo, t_hi, epsabs=1e-15, epsrel=1e-13, limit=200)[0]
 
 
+def scanned_kc_v0121(g, grid=1024):
+    """K_c as v0.12.1's scan path computed it, kept as the oracle of the
+    minimiser: h = a^2 / I on `grid` points of [max|omega|, h(2 max|omega|)],
+    the least cell polished by bounded Brent, h(max|omega|) a candidate."""
+    a0 = g.max_abs_omega
+    if a0 == 0.0:
+        return 0.0
+    h = lambda a: a * a / i_a if (i_a := st._integral(g, a)) > 0.0 else math.inf
+    a = np.linspace(a0, h(2 * a0), grid)
+    i = int(np.argmin([h(x) for x in a]))
+    polish = minimize_scalar(h, bounds=(a[max(i - 1, 0)], a[min(i + 1, grid - 1)]), method="bounded",
+                             options={"xatol": 1e-10})
+    return min(h(a0), float(polish.fun))
+
+
 # the stationary-kc laws (the seeded ones at bench seed 1)
 BENCH_LAWS = [
     ps.Uniform(0, 0.5),
@@ -663,6 +678,14 @@ class TestCriticalCoupling:
 class TestEdgeCertificate:
     """On a law without atoms whose tangent bound on h does not fall from
     max|omega|, K_c is h(max|omega|) with no solve."""
+
+    @pytest.mark.parametrize("g", EDGE_LAWS, ids=repr)
+    def test_kc_as_on_the_scan_path(self, g):
+        # the minimiser is never above the scan's least h, and no further
+        # below it than the polish's tolerance in a allows
+        kc, old = ps.critical_coupling(g), scanned_kc_v0121(g)
+        assert kc <= old * (1 + 1e-13)
+        assert kc == pytest.approx(old, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("g", CERTIFIED_LAWS, ids=repr)
     def test_certified_laws_run_two_integrals(self, g, monkeypatch):
