@@ -76,12 +76,16 @@ class OrderParameter:
     def from_dots(cls, x, y) -> "OrderParameter":
         """R exp(i phi) = x + i y, from the dots that field_into returns."""
         r = math.hypot(x, y)
-        return cls(r, float(wrap_angle(math.atan2(y, x))) if r > R_MIN else None)
+        return cls(r, _wrap(math.atan2(y, x)) if r > R_MIN else None)
 
 
 def wrap_angle(x):
     """Reduce angle(s) to [-pi, pi)."""
     return (np.asarray(x) + np.pi) % (2.0 * np.pi) - np.pi
+
+
+def _wrap(a: float) -> float:  # wrap_angle of one float, bitwise: Python's float % takes numpy's rule
+    return (a + math.pi) % math.tau - math.pi
 
 
 def circle_distance(a, b):
@@ -130,14 +134,18 @@ def field(thetas, omegas, weights, coupling, log_jac=True):
     return (v, jac) if log_jac else v
 
 
+def _cos_sin(u, c, s):
+    """np.cos and np.sin of u into c and s: _trig below HALF_ANGLE_MIN."""
+    np.cos(u, c)
+    np.sin(u, s)
+
+
 def _trig(u, c, s):
     """cos and sin of the phases u / trig_scale(u.size) into c and s. From
     HALF_ANGLE_MIN particles on, t = tan(theta/2) and x = 2 / (1 + t^2) = 1 +
     cos(theta) give cos = x - 1 and sin = t x, within 1e-15 of np.cos/np.sin."""
     if u.size < HALF_ANGLE_MIN:
-        np.cos(u, c)
-        np.sin(u, s)
-        return
+        return _cos_sin(u, c, s)
     np.tan(u, s)  # t
     np.divide(_TWO, np.add(np.multiply(s, s, c), _ONE, c), c)  # x
     np.multiply(s, c, s)

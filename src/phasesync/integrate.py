@@ -14,7 +14,7 @@ from typing import Any, List, Optional
 import numpy as np
 
 from . import rng
-from .core import OrderParameter, OscillatorEnsemble, _trig, field_into, finite_n_rhs, trig_scale
+from .core import OrderParameter, OscillatorEnsemble, _cos_sin, _trig, field_into, finite_n_rhs, trig_scale
 
 
 class NonFiniteStateError(RuntimeError):
@@ -62,8 +62,8 @@ class Stepper:
     """The RK4 step of weighted particles in their mean field, recomputed at
     every stage (4th order for the nonlocal system), in coefficient space.
 
-    Stage s keeps only its cos and sin (_trig, a = trig_scale(n)), two rows of
-    one (10, n) buffer C laid out c2 s2 | ph | c1 s1 | pd | c3 s3 | c4 s4, and
+    Stage s keeps only its cos and sin (a = trig_scale(n)), two rows of one
+    (10, n) buffer C laid out c2 s2 | ph | c1 s1 | pd | c3 s3 | c4 s4, and
     their dots d_s = (x_s, y_s) with the weights, in D[2s:2s + 2]. Its velocity
     is omega plus (K d_s G_v) . (cos, sin) and its log-Jacobian rate (K d_s
     G_j) . (cos, sin), for the 2x2 maps G of _coefficients, so no stage rate is
@@ -74,64 +74,65 @@ class Stepper:
     the stages' RK4-weighted coefficients and 1/a on pd (exact: a is 1 or 1/2).
     Without log_jac the phase row of the same gemm is kept, bitwise as with it.
 
-    Built once per run, it owns its buffers, and every call writes into them.
-    y is (rows, n): the phases, and with log_jac their log-Jacobians. A step
-    returns the state buffer y is not, overwritten two steps later; a step of
-    the very y that observe last saw starts from the stage 1 it left.
+    Built once per run, it binds its buffers' views and its trig pass, and no
+    reference to itself. y is (rows, n): the phases, and with log_jac their
+    log-Jacobians. A step returns the state buffer y is not, overwritten two
+    steps later; a step of the y observe last saw reuses the stage 1 it left.
     """
 
     def __init__(self, omegas, weights, coupling, log_jac=False):
         n = omegas.size
         self._omegas, self._w, self._coupling, self._a = omegas, weights, coupling, trig_scale(n)
-        self._states = [np.empty((2, n)), np.empty((2, n))]
-        self._outs = self._states if log_jac else [out[:1] for out in self._states]  # what a step returns
+        s0, s1 = self._states = np.empty((2, n)), np.empty((2, n))
+        self._outs = (s0, s1) if log_jac else (s0[:1], s1[:1])  # what a step returns
+        self._rows = s0[0], s1[0]  # the phase row that a step of a returned state reads
         C, D, M = self._C, self._D, self._M = np.empty((10, n)), np.empty(9), np.empty((2, 10))
-        self._u, self._au, self._maps = np.empty(n), np.empty(n), np.empty((2, 2, 2))
+        self._u, self._au, self._maps = np.empty(n), None if self._a == 1.0 else np.empty(n), np.empty((2, 2, 2))
         coef, D[8], self._dt, self._seen = np.array([1.0, 0.0, 0.0, 1.0]), 1.0, None, None
-        trig = [(C[r], C[r + 1], C[r:r + 2]) for r in _COS_ROWS]
-        head, self._mapped, mh, mdt = coef[:3], coef[1:3], self._maps[0], self._maps[1]  # a map writes coef[1:3]
-        self._first = trig[0] + (D[0:2],)  # stage 1: its cos and sin rows, their pair and dots
-        # then per stage s + 1: stage s's dots and map, the 3-row window of C that stage s + 1's input
-        # dots and that dot's coefficients (1 on the base), and stage s + 1's rows, pair and dots
-        self._stages = [(D[0:2], mh, C[2:5], head) + trig[1] + (D[2:4],),  # ph + (c1 s1)
-                        (D[2:4], mh, C[0:3], coef[1:]) + trig[2] + (D[4:6],),  # (c2 s2) + ph
-                        (D[4:6], mdt, C[5:8], head) + trig[3] + (D[6:8],)]  # pd + (c3 s3)
-        self._ph, self._pd, self._m_flat = C[_PH_ROW], C[_PD_ROW], M.reshape(-1)
+        # per stage: cos, sin, their pair and dots; stage s + 1 dots a 3-row window: 1 on its base, coef[1:3] else
+        st = [(C[r], C[r + 1], C[r:r + 2], D[2 * s:2 * s + 2]) for s, r in enumerate(_COS_ROWS)]
+        self._cs1, self._d1 = st[0][2:]  # stage 1's, which observe fills
+        self._views = (_cos_sin if self._a == 1.0 else _trig, weights, self._u, coef[1:3], self._maps[0],
+                       self._maps[1], C[_PH_ROW], C[_PD_ROW], coef[:3], coef[1:], *st[0], C[2:5], *st[1],
+                       C[0:3], *st[2], C[5:8], *st[3], M.reshape(-1))
 
     def __call__(self, y, dt):
         if dt != self._dt:
             self._dt, a, om = dt, self._a, self._omegas
             self._ahw, self._adw = (a * 0.5 * dt) * om, (a * dt) * om
             self._maps[...], self._P = _coefficients(dt, self._coupling, a)
-        w, u, mapped = self._w, self._u, self._mapped
-        stage_u = y[0] if self._a == 1.0 else np.multiply(y[0], self._a, self._au)
-        np.add(stage_u, self._ahw, self._ph)
-        np.add(stage_u, self._adw, self._pd)
+        (trig, w, u, mapped, mh, mdt, ph, pd, head, tail, c1, s1, cs1, d1, in2, c2, s2, cs2, d2, in3,
+         c3, s3, cs3, d3, in4, c4, s4, cs4, d4, m_flat) = self._views
+        i = y is self._outs[0]  # a step writes the state buffer that y is not
+        row, out, ret = self._rows[not i] if y is self._outs[not i] else y[0], self._states[i], self._outs[i]
+        u1 = row if self._a == 1.0 else np.multiply(row, self._a, self._au)
+        np.add(u1, self._ahw, ph)
+        np.add(u1, self._adw, pd)
         if y is not self._seen:
-            c, s, cs, d = self._first
-            _trig(stage_u, c, s)
-            cs.dot(w, d)
+            trig(u1, c1, s1)
+            cs1.dot(w, d1)
         self._seen = None
-        for d, m, window, coef, c, s, cs, d_next in self._stages:
-            d.dot(m, mapped)
-            stage_u = coef.dot(window, u)
-            _trig(stage_u, c, s)
-            cs.dot(w, d_next)
-        self._D.dot(self._P, self._m_flat)
-        i = y is self._outs[0]
-        out = self._states[i]
+        d1.dot(mh, mapped)
+        trig(head.dot(in2, u), c2, s2)
+        cs2.dot(w, d2)
+        d2.dot(mh, mapped)
+        trig(tail.dot(in3, u), c3, s3)
+        cs3.dot(w, d3)
+        d3.dot(mdt, mapped)
+        trig(head.dot(in4, u), c4, s4)
+        cs4.dot(w, d4)
+        self._D.dot(self._P, m_flat)
         np.dot(self._M, self._C, out)
-        if self._outs is self._states:  # the log-Jacobians add their old values
+        if ret is out:  # the log-Jacobians add their old values
             np.add(out[1], y[1], out[1])
-        return self._outs[i]
+        return ret
 
     def observe(self, y):
         """field_into's (v, x, y) at the state y, whose cos/sin and dots stay as
         stage 1 of a next step of y (so y must not change in between)."""
         ay = y[0] if self._a == 1.0 else np.multiply(y[0], self._a, self._au)
-        _, _, cs, d = self._first
         self._seen = y
-        return field_into(ay, self._omegas, self._w, self._coupling, cs, self._u, self._C[0], d)
+        return field_into(ay, self._omegas, self._w, self._coupling, self._cs1, self._u, self._C[0], self._d1)
 
 
 @functools.lru_cache(maxsize=64)
@@ -213,39 +214,42 @@ class Trajectory:
 
 
 def _run(y, omegas, weights, coupling, cfg: SimConfig, final, time=0.0) -> Trajectory:
-    """The run of both models: weighted particles with state y, their phases
-    and in a kinetic run their log-Jacobians, stepped from t = time; final(y,
-    t) builds the last recorded state. A row, at the start and every
-    record_every steps up to the last, is one Stepper.observe plus the state's
-    weighted dots, always one 2-row gemv: a finite run's 1-row state is padded
-    with a zero row, since BLAS sends a 1-row product to a plain dot, whose sum
-    differs in the last bit. So a finite run records bitwise what the kinetic
-    run of its equal-weight measure records. The run stops at t_max, or at a
-    row after the start whose max|v| is below stationarity_tol; a non-finite
-    state raises NonFiniteStateError at the step that made it."""
-    rows, kept = [], []
+    """The run of both models: weighted particles with state y (phases, and in
+    a kinetic run log-Jacobians) stepped from t = time; final(y, t) builds the
+    last recorded state. A row, at the start and every record_every steps up
+    to the last, is one Stepper.observe plus the state's weighted dots in one
+    2-row gemv (a finite run's phases over a zero row: BLAS sends a 1-row
+    product to a plain dot, whose sum differs in the last bit), so a finite
+    run records bitwise what its equal-weight kinetic run records. It stops
+    at t_max, or at a row after the start with max|v| < stationarity_tol. NaN
+    and inf spread, so each block of steps is tested once, at its end; a block
+    that fails is replayed to raise NonFiniteStateError at its first bad step."""
+    rows, kept, k = [], [], 0
     finite, wo = len(y) == 1, weights * omegas
-    two = np.zeros((2, y.shape[1]))  # a finite row's phases over a zero row
+    two = np.zeros((2, y.shape[1]))  # a row's state, a finite run's phases over a zero row
     step = Stepper(omegas, weights, coupling, log_jac=not finite)
     dt, n_steps = cfg.dt, int(round(cfg.t_max / cfg.dt))
     zeros = np.zeros(y.shape)  # y . 0 is 0 iff y is finite: 0 * inf and 0 * nan are nan
-    k = 0
     while True:
         v, x, z = step.observe(y)
         op = OrderParameter.from_dots(x, z)
         if finite:
             kept.append(y[0].copy())
-            two[0] = y[0]
-        mp, lj = (two if finite else y).dot(weights)
+        two[:len(y)], start = y, k  # the next block is replayed from there
+        mp, lj = two.dot(weights)
         rows.append((time + k * dt, op.r, op.phi, float(mp),
                      float(y[0].dot(wo)) + coupling * op.r**2 / 2.0, -float(lj)))
-        stationary = k > 0 and np.max(np.abs(v)) < cfg.stationarity_tol
+        stationary = k > 0 and np.abs(v).max() < cfg.stationarity_tol
         if stationary or k == n_steps:
             break
         for k in range(k + 1, min(k + cfg.record_every, n_steps) + 1):
             y = step(y, dt)
-            if np.vdot(y, zeros) != 0.0:
-                raise NonFiniteStateError(time + k * dt)
+        if np.vdot(y, zeros) != 0.0:
+            y = two[:len(y)]
+            for k in range(start + 1, k + 1):
+                y = step(y, dt)
+                if np.vdot(y, zeros) != 0.0:
+                    raise NonFiniteStateError(time + k * dt)
     times, r, phi, mp, h, s = zip(*rows)
     r = np.asarray(r)
     return Trajectory(
@@ -263,13 +267,10 @@ def _run(y, omegas, weights, coupling, cfg: SimConfig, final, time=0.0) -> Traje
 
 
 def simulate(ens: OscillatorEnsemble, cfg: SimConfig) -> Trajectory:
-    """Integrate to t_max, or until stationarity, recording diagnostics: the
-    run of the equal-weight measure without log-Jacobians, each row's phases
-    kept as its state.
-
-    Diagnostics are recorded every record_every steps, always including the
-    initial and final states.
-    """
+    """Integrate to t_max, or until stationarity, recording diagnostics every
+    record_every steps and at the initial and final states: the run of the
+    equal-weight measure without log-Jacobians, each row's phases kept as its
+    state."""
     freqs = ens.freqs.copy()
     freqs.flags.writeable = False  # one copy, shared by every state
     return _run(ens.phases[None], freqs, np.full(ens.n, 1.0 / ens.n), ens.coupling, cfg,

@@ -24,6 +24,7 @@ ROOT_TOL = 1e-10  # residual bound for every reported root
 K_MAX = 100.0  # cap on the critical coupling
 _SLACK = 1e-9  # of the edge certificate and of a root at an end; far above the adaptive I's error
 _EDGE_ULPS = 4  # a support end this close to +-a is a square-root end
+_A_MIN = math.sqrt(np.finfo(float).tiny)  # the least max|omega| whose square is a normal float
 
 
 class BracketNotFoundError(RuntimeError):
@@ -126,10 +127,12 @@ def _argmin_h(g: FrequencyDistribution, a0: float) -> Tuple[float, float]:
     fall from a0 (a0^2 J <= 2 I there, up to a relative dip of order _SLACK^2),
     a* = a0; atoms at +-a0 make J infinite. Otherwise Brent's method takes the
     sign change of h' on (a0, h(2 a0)]: h(a) >= a, so no minimiser lies past it.
-    At a0 = 0 (all mass at 0) h(a) = a, and a* = 0.
+    At a0 = 0 (all mass at 0) h(a) = a, and a* = 0; below _A_MIN it raises.
     """
     if a0 == 0.0:
         return 0.0, 0.0
+    if a0 < _A_MIN:
+        raise ValueError(f"max|omega| = {a0:g} is so small that its square underflows")
     i0, j0 = _integral(g, a0), _slope(g, a0)
     if 0.0 < a0 * a0 * j0 <= 2.0 * i0 * (1.0 + _SLACK):
         return a0, a0 * a0 / i0

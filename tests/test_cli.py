@@ -1,6 +1,8 @@
 import csv
 import json
+import random
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -171,6 +173,15 @@ class TestRootsAndKc:
                         "--out", str(tmp_path)])
         assert code == 2
         assert "config error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["kc", "roots"])
+    def test_law_whose_width_squares_to_zero_is_config_error(self, tmp_path, capsys, mode):
+        # it ended in a ZeroDivisionError traceback
+        out = tmp_path / "run"
+        assert run_cli([mode, "--preset", "kuramoto-uniform-g", "--set", "model.freq_halfwidth_g=1e-300",
+                        "--out", str(out)]) == 2
+        assert "underflows" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
 
 
 class TestRetiredKeys:
@@ -481,3 +492,32 @@ class TestSweepRejectedBeforeRunning:
         assert run_cli(self.SWEEP + ["--set", f"sweep.k_steps={steps}", "--out", str(out)]) == 2
         assert "k_steps" in capsys.readouterr().err
         assert not (out / "sweep.csv").exists()
+
+
+HOSTILE = ["nan", "inf", "-inf", "-1", "0", "1e308", "text", "", "0.5", "1e-300"]
+
+
+def fuzz_sample(size=300, seed=0):
+    """A fixed, seeded sample of (preset, mode, SCHEMA key, hostile value)
+    over every preset x mode pair of PRESET_MODES."""
+    keys = [f"{section}.{key}" for section in SCHEMA for key in SCHEMA[section]]
+    cases = [(p, m, k, v) for p, m in PRESET_MODES for k in keys for v in HOSTILE]
+    return random.Random(seed).sample(cases, size)
+
+
+def test_hostile_values_exit_with_a_code(tmp_path, capsys):
+    # every run exits 0, 2 or 3, never with a traceback, and an exit 2 leaves
+    # no manifest. numpy's warnings stay warnings, as a user gets them: the
+    # suite makes them errors, and 1e308 or inf overflow in the model's
+    # arithmetic by design before the run rejects the data
+    bad = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for i, (preset, mode, key, value) in enumerate(fuzz_sample()):
+            out = tmp_path / str(i)
+            code = run_cli([mode, "--preset", preset, "--set", "sim.t_max=1", "--set", "sweep.k_steps=2",
+                            "--set", f"{key}={value}", "--out", str(out)])
+            if code not in (0, 2, 3) or code == 2 and (out / "manifest.json").exists():
+                bad.append((preset, mode, key, value, code))
+    capsys.readouterr()
+    assert not bad

@@ -58,6 +58,26 @@ class TestOrderParameter:
                     assert ps.circle_distance(op.phi, expect) < 1e-10
 
 
+class TestScalarWrap:
+    """core._wrap, the wrap of one recorded phi in Python floats, is
+    wrap_angle bitwise: the same sum, then the same fmod-and-sign rule."""
+
+    def test_equals_wrap_angle_bitwise(self):
+        rng = np.random.default_rng(20)
+        two_pi = 2.0 * np.pi
+        xs = [*rng.uniform(-4.0 * np.pi, 4.0 * np.pi, 50_000), *rng.uniform(-1e6, 1e6, 50_000),
+              np.pi, -np.pi, 0.0, -0.0, 1e16, -1e16, np.nextafter(np.pi, 0.0), np.nextafter(-np.pi, 0.0),
+              *(k * two_pi for k in range(-8, 9)), *(k * two_pi - np.pi for k in range(-8, 9))]
+        got = np.array([ps.core._wrap(float(x)) for x in xs])
+        assert got.tobytes() == ps.wrap_angle(np.array(xs)).tobytes()
+
+    def test_recorded_phi_is_wrapped_atan2(self):
+        for x, y in [(1.0, 0.0), (-1.0, 0.0), (-1.0, -0.0), (0.3, -0.2), (-0.5, 1e-300)]:
+            phi = ps.OrderParameter.from_dots(x, y).phi
+            assert type(phi) is float
+            assert np.float64(phi).tobytes() == np.float64(ps.wrap_angle(np.arctan2(y, x))).tobytes()
+
+
 class TestFiniteNRhs:
     def test_synchronized_fixed_point(self):
         ens = ps.OscillatorEnsemble(np.full(5, 1.3), np.zeros(5))

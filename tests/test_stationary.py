@@ -617,6 +617,22 @@ class TestCriticalCoupling:
         assert ps.self_consistency_roots(ps.Dirac(omega0), 0.99 * kc).roots == []
         assert ps.self_consistency_roots(ps.Dirac(omega0), 1.01 * kc).roots
 
+    @pytest.mark.parametrize("g", [ps.Uniform(0.0, 1e-300), ps.Dirac(1e-300), ps.Uniform(0.0, 1e-155),
+                                   ps.Discrete((-1e-200, 1e-200), (0.5, 0.5))], ids=repr)
+    def test_support_whose_square_underflows_is_rejected(self, g):
+        # max|omega|^2 below the least normal float: I(a) loses its bits in
+        # subnormals, or underflows to 0 (a ZeroDivisionError before)
+        with pytest.raises(ValueError, match="underflows"):
+            ps.critical_coupling(g)
+        with pytest.raises(ValueError, match="underflows"):
+            ps.self_consistency_roots(g, 1.0)
+
+    def test_least_support_whose_square_is_normal_is_analysed(self):
+        w = st._A_MIN
+        assert w * w >= np.finfo(float).tiny > (0.5 * w) ** 2
+        kc = ps.critical_coupling(ps.Discrete((-w, w), (0.5, 0.5)))
+        assert kc == pytest.approx(2 * w, rel=1e-12)
+
     def test_uniform_matches_scan_oracle(self):
         gamma = 0.5
         kc = ps.critical_coupling(ps.Uniform(0, gamma))

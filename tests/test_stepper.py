@@ -8,9 +8,11 @@ series match the oracle to TOL, while times, stop reasons and stop rows
 match exactly; public steps, runs and reruns still match each other bitwise.
 """
 import dataclasses
+import gc
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -414,6 +416,65 @@ class TestBlowUp:
                 ps.kinetic_simulate(meas, cfg)
         assert want.value.time > 2.0
         assert got.value.time == got_kinetic.value.time == want.value.time
+
+    # The run tests finiteness once per block of record_every steps and replays
+    # a block that ends non-finite. The phases overflow at step 18: inside the
+    # first block, inside a later one, inside the run's last (shorter) block,
+    # and on the run's last step.
+    @pytest.mark.parametrize("every,t_max", [(25, 40.0), (7, 40.0), (25, 20.0), (25, 18.0)])
+    @pytest.mark.parametrize("n", [10, 512])
+    def test_time_of_the_first_non_finite_step_of_its_block(self, n, every, t_max):
+        ens = ps.OscillatorEnsemble(np.linspace(0.0, 1.0, n), np.tile([1e307, -1e307], n // 2))
+        cfg = ps.SimConfig(dt=1.0, t_max=t_max, record_every=every)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ps.NonFiniteStateError) as want:
+                drive_v070(*finite_step_v070(ens), ens.phases, cfg)
+            with pytest.raises(ps.NonFiniteStateError) as got:
+                ps.simulate(ens, cfg)
+            with pytest.raises(ps.NonFiniteStateError) as got_kinetic:
+                ps.kinetic_simulate(ps.PhaseMeasure.from_ensemble(ens), cfg)
+        assert want.value.time == 18.0
+        assert got.value.time == got_kinetic.value.time == want.value.time
+
+    @pytest.mark.parametrize("n", [10, 512])
+    def test_finite_state_whose_row_sum_overflows_runs_on(self, n):
+        # H = sum w theta omega overflows while every phase stays finite
+        ens = ps.OscillatorEnsemble(np.full(n, 1e200), np.tile([1e200, 2e200], n // 2))
+        cfg = ps.SimConfig(dt=0.01, t_max=0.5, record_every=25)
+        with np.errstate(over="ignore"):
+            traj = ps.simulate(ens, cfg)
+        assert np.isinf(traj.h_series).all() and np.isfinite(traj.final.phases).all()
+        assert traj.times[-1] == 0.5
+
+
+class TestNoReferenceCycle:
+    """A Stepper holds no reference to itself, so its buffers are freed with
+    its last reference, not at the next cyclic collection."""
+
+    @pytest.fixture(autouse=True)
+    def no_cyclic_collector(self):
+        gc.collect()
+        gc.disable()
+        yield
+        gc.enable()
+
+    @pytest.mark.parametrize("log_jac,n", [(False, 10), (False, 512), (True, 64)])
+    def test_used_stepper_dies_with_its_last_reference(self, log_jac, n):
+        y = np.linspace(0.0, 1.0, n)[None]
+        if log_jac:
+            y = np.vstack([y, np.zeros((1, n))])
+        st = ps.integrate.Stepper(np.linspace(-0.5, 0.5, n), np.full(n, 1.0 / n), 1.2, log_jac)
+        st.observe(y)
+        st(st(st(y, 0.05), 0.05), 0.1)
+        ref = weakref.ref(st)
+        del st
+        assert ref() is None
+
+    def test_runs_leave_no_stepper(self):
+        cfg = ps.SimConfig(dt=0.05, t_max=1.0, record_every=3)
+        ps.simulate(ensemble(10, 1.2, 0.25), cfg)
+        ps.kinetic_simulate(measure(64, 1.2, 0.25), cfg)
+        assert not [obj for obj in gc.get_objects() if isinstance(obj, ps.integrate.Stepper)]
 
 
 class TestTrustedEnsembles:
