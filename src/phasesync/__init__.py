@@ -61,7 +61,6 @@ from .kinetic import (
 )
 from .freqdist import Dirac, Discrete, FrequencyDistribution, TruncatedGaussian, Uniform
 from .stationary import (
-    BracketNotFoundError,
     SelfConsistencyResult,
     StationaryDensity,
     critical_coupling,
@@ -71,4 +70,4 @@ from .stationary import (
     stationary_density,
 )
 
-__version__ = "0.13.0"
+__version__ = "0.14.0"

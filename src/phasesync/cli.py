@@ -15,6 +15,7 @@ import csv
 import dataclasses
 import inspect
 import json
+import math
 import os
 import sys
 from importlib import resources
@@ -35,7 +36,7 @@ from .kinetic import (
     discretize,
     kinetic_simulate,
 )
-from .stationary import BracketNotFoundError, critical_coupling, self_consistency_roots
+from .stationary import critical_coupling, self_consistency_roots
 
 PRESETS = ("three-osc", "two-antipodal", "uniform-arc", "kuramoto-uniform-g")
 
@@ -347,7 +348,10 @@ def run_sweep(cfg: dict, out: Path):
     sweep = cfg["sweep"]
     if sweep["k_steps"] < 1:
         raise ConfigError("[sweep] k_steps must be >= 1")
-    ks = [float(k) for k in np.linspace(_need(sweep, "k_min"), _need(sweep, "k_max"), sweep["k_steps"])]
+    k_min, k_max = _need(sweep, "k_min"), _need(sweep, "k_max")
+    if not math.isfinite(k_max - k_min):  # nan, +-inf, or a span that overflows
+        raise ConfigError("[sweep] k_min, k_max and k_max - k_min must be finite")
+    ks = [float(k) for k in np.linspace(k_min, k_max, sweep["k_steps"])]
     sim_cfg = build_sim_config(cfg)
     if cfg["model"]["kind"] == "finite":
         ens = build_ensemble(cfg)
@@ -414,9 +418,6 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except NonFiniteStateError as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except BracketNotFoundError as exc:
-        print(f"no supercritical bracket: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
 

@@ -1,10 +1,11 @@
 """Natural-frequency distributions with bounded support.
 
-Tagged union of laws (Dirac, uniform, discrete, truncated Gaussian), each
-exposing a pdf (or atoms), support bounds, quadrature nodes/weights, and
-an expectation operator; the laws with a density also give the quad
-callback of the self-consistency integral (t_kernel) and the core that
-adaptive quadrature splits at. Support is always compact.
+Tagged union of laws (uniform, discrete with Dirac as its one-atom case,
+truncated Gaussian), each exposing a pdf (or atoms), support bounds,
+quadrature nodes/weights, and an expectation operator; the laws with a
+density also give the quad callback of the self-consistency integral
+(t_kernel) and the core that adaptive quadrature splits at. Support is
+always compact.
 """
 from __future__ import annotations
 
@@ -24,12 +25,9 @@ __all__ = [
 ]
 
 
-def _frozen(*rows) -> Tuple[np.ndarray, ...]:
-    """Read-only float arrays, one per row."""
-    out = tuple(np.array(r, dtype=float) for r in rows)
-    for x in out:
-        x.flags.writeable = False
-    return out
+# the largest |end| of a support or arc: any two of its points add and
+# subtract without overflow (linspace and the midpoints of its cells)
+_HALF_MAX = float(np.finfo(float).max) / 2.0
 
 
 class FrequencyDistribution:
@@ -89,31 +87,6 @@ class FrequencyDistribution:
 
 
 @dataclass(frozen=True)
-class Dirac(FrequencyDistribution):
-    """All mass at a single frequency (identical oscillators)."""
-
-    omega0: float = 0.0
-    is_discrete: bool = field(default=True, init=False)
-
-    def __post_init__(self):
-        if not math.isfinite(self.omega0):
-            raise ValueError("omega0 must be finite")
-        vars(self)["_atoms"] = _frozen([self.omega0], [1.0])
-
-    def support(self):
-        return (self.omega0, self.omega0)
-
-    def atoms(self):
-        return self._atoms
-
-    def quadrature(self, n: int):
-        return self.atoms()
-
-    def expect(self, fn, tol: float = 1e-12) -> float:
-        return float(fn(np.asarray(self.omega0)))
-
-
-@dataclass(frozen=True)
 class Uniform(FrequencyDistribution):
     """Uniform on [center - halfwidth, center + halfwidth]."""
 
@@ -121,8 +94,8 @@ class Uniform(FrequencyDistribution):
     halfwidth: float = 0.5
 
     def __post_init__(self):
-        if not (math.isfinite(self.center) and 0.0 < self.halfwidth < math.inf):
-            raise ValueError("center must be finite and halfwidth finite and > 0")
+        if not 0.0 < self.halfwidth <= _HALF_MAX - abs(self.center):
+            raise ValueError("halfwidth must be > 0 and |center| + halfwidth at most max float / 2")
         # constants outside the fields: ==, hash, repr skip them; replace recomputes
         vars(self).update(_lo=self.center - self.halfwidth, _hi=self.center + self.halfwidth,
                           _height=1.0 / (2.0 * self.halfwidth))
@@ -157,8 +130,8 @@ class Discrete(FrequencyDistribution):
     is_discrete: bool = field(default=True, init=False)
 
     def __post_init__(self):
-        w = np.asarray(self.omegas, dtype=float)
-        p = np.asarray(self.probs, dtype=float)
+        w = np.array(self.omegas, dtype=float)  # copies, frozen below as the atoms
+        p = np.array(self.probs, dtype=float)
         if w.shape != p.shape or w.ndim != 1 or w.size < 1:
             raise ValueError("omegas and probs must be 1-d and the same length")
         if not (np.isfinite(w).all() and np.isfinite(p).all()):
@@ -167,7 +140,8 @@ class Discrete(FrequencyDistribution):
             raise ValueError("probs must be nonnegative and sum to 1")
         object.__setattr__(self, "omegas", tuple(float(x) for x in w))
         object.__setattr__(self, "probs", tuple(float(x) for x in p))
-        vars(self)["_atoms"] = _frozen(self.omegas, self.probs)
+        w.flags.writeable = p.flags.writeable = False
+        vars(self)["_atoms"] = w, p
 
     def atoms(self):
         return self._atoms
@@ -181,6 +155,21 @@ class Discrete(FrequencyDistribution):
     def expect(self, fn, tol: float = 1e-12) -> float:
         w, p = self.atoms()
         return float(np.sum(p * fn(w)))
+
+
+@dataclass(frozen=True)
+class Dirac(Discrete):
+    """All mass at a single frequency (identical oscillators): the one-atom
+    Discrete law, with omega0 its only init field."""
+
+    omega0: float = 0.0
+    omegas: tuple = field(init=False, repr=False, compare=False)
+    probs: tuple = field(init=False, repr=False, compare=False)
+    is_discrete: bool = field(default=True, init=False, repr=False)
+
+    def __post_init__(self):
+        vars(self).update(omegas=(self.omega0,), probs=(1.0,))
+        super().__post_init__()
 
 
 @dataclass(frozen=True)
@@ -198,8 +187,8 @@ class TruncatedGaussian(FrequencyDistribution):
     cut: float = 2.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.mean) and 0.0 < self.sigma < math.inf and 0.0 < self.cut < math.inf):
-            raise ValueError("mean must be finite and sigma and cut finite and > 0")
+        if not (0.0 < self.sigma < math.inf and 0.0 < self.cut <= _HALF_MAX - abs(self.mean)):
+            raise ValueError("sigma must be finite and > 0, cut > 0 and |mean| + cut at most max float / 2")
         # as in Uniform; norm is the untruncated mass inside the cut
         norm = math.erf(self.cut / (self.sigma * math.sqrt(2.0)))
         vars(self).update(_lo=self.mean - self.cut, _hi=self.mean + self.cut,

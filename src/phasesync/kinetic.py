@@ -8,6 +8,7 @@ pushforward, so no grid density is ever built.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Union
@@ -15,7 +16,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .core import OscillatorEnsemble, circle_distance, weighted_order_parameter
-from .freqdist import FrequencyDistribution
+from .freqdist import _HALF_MAX, Dirac, FrequencyDistribution
 from .integrate import NonFiniteStateError, SimConfig, Trajectory, _run, _step, _trusted
 
 
@@ -97,6 +98,14 @@ class AtomList:
     omegas: tuple
 
 
+def _check_arc(arc):
+    """Halfwidth in (0, pi], ends that add without overflow, a finite omega."""
+    if not 0.0 < arc.halfwidth <= np.pi:
+        raise ValueError("halfwidth must lie in (0, pi]")
+    if not (abs(arc.center) <= _HALF_MAX - arc.halfwidth and math.isfinite(arc.omega)):
+        raise ValueError("center must be finite, |center| + halfwidth at most max float / 2, omega finite")
+
+
 @dataclass(frozen=True)
 class UniformArc:
     """Uniform phase density on [center - halfwidth, center + halfwidth]."""
@@ -106,8 +115,7 @@ class UniformArc:
     omega: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 < self.halfwidth <= np.pi:
-            raise ValueError("halfwidth must lie in (0, pi]")
+        _check_arc(self)
 
 
 @dataclass(frozen=True)
@@ -120,8 +128,7 @@ class TruncatedGaussianArc:
     omega: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 < self.halfwidth <= np.pi:
-            raise ValueError("halfwidth must lie in (0, pi]")
+        _check_arc(self)
         if self.sigma <= 0:
             raise ValueError("sigma must be > 0")
 
@@ -162,23 +169,21 @@ def discretize(spec: DensitySpec, m: int = 1024, coupling: float = 1.0) -> Phase
 
     Atoms pass through exactly; absolutely continuous parts become m
     midpoint-rule nodes with weights equal to the cell mass; product specs
-    use a tensor grid.
+    use a tensor grid, and an arc alone is its product with Dirac(omega).
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     if isinstance(spec, AtomList):
         return PhaseMeasure.initial(spec.weights, spec.thetas, spec.omegas, coupling, has_atoms=True)
-    if isinstance(spec, ProductSpec):
-        nodes, masses = _phase_nodes(spec.phase, m)
-        f_nodes, f_weights = spec.freqs.quadrature(spec.n_freq)
-        thetas = np.repeat(nodes, f_nodes.size)
-        omegas = np.tile(f_nodes, nodes.size)
-        weights = np.repeat(masses, f_nodes.size) * np.tile(f_weights, nodes.size)
-        weights = weights / weights.sum()
-        return PhaseMeasure.initial(weights, thetas, omegas, coupling)
-    nodes, masses = _phase_nodes(spec, m)
-    omegas = np.full(m, spec.omega)
-    return PhaseMeasure.initial(masses / masses.sum(), nodes, omegas, coupling)
+    if not isinstance(spec, ProductSpec):
+        spec = ProductSpec(spec, Dirac(spec.omega))
+    nodes, masses = _phase_nodes(spec.phase, m)
+    f_nodes, f_weights = spec.freqs.quadrature(spec.n_freq)
+    thetas = np.repeat(nodes, f_nodes.size)
+    omegas = np.tile(f_nodes, nodes.size)
+    weights = np.repeat(masses, f_nodes.size) * np.tile(f_weights, nodes.size)
+    weights = weights / weights.sum()
+    return PhaseMeasure.initial(weights, thetas, omegas, coupling)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,11 @@ sqrt(a^2 - omega^2) g(omega) d omega, is real only for a >= max|omega| and
 reads K = h(a) = a^2 / I(a); I(a) <= a keeps R = a / K <= 1. K_c = min h
 (Strogatz, Physica D 143, 2000). omega = a sin t turns I into a^2 int
 cos^2 t g(a sin t) dt, smooth up to the support edge; atoms are summed.
+
+Every a the solver squares must square to a finite normal float, checked at
+entry: K_c takes a0 = max|omega| <= a <= h(2 a0) <= 4 a0 / sqrt(3), as I(2 a0)
+>= sqrt(3) a0, and roots a = K R <= K. So a0 = 0 or _A_MIN <= a0 <= _A_MAX / 4
+(sqrt(3) to spare for the adaptive I's error), and 0 < K <= _A_MAX.
 """
 from __future__ import annotations
 
@@ -21,14 +26,10 @@ from .freqdist import FrequencyDistribution
 from .kinetic import AtomList
 
 ROOT_TOL = 1e-10  # residual bound for every reported root
-K_MAX = 100.0  # cap on the critical coupling
 _SLACK = 1e-9  # of the edge certificate and of a root at an end; far above the adaptive I's error
 _EDGE_ULPS = 4  # a support end this close to +-a is a square-root end
 _A_MIN = math.sqrt(np.finfo(float).tiny)  # the least max|omega| whose square is a normal float
-
-
-class BracketNotFoundError(RuntimeError):
-    """The critical coupling exceeds the k_max cap."""
+_A_MAX = math.sqrt(np.finfo(float).max)  # the largest a whose square is finite
 
 
 @dataclass(frozen=True)
@@ -127,12 +128,15 @@ def _argmin_h(g: FrequencyDistribution, a0: float) -> Tuple[float, float]:
     fall from a0 (a0^2 J <= 2 I there, up to a relative dip of order _SLACK^2),
     a* = a0; atoms at +-a0 make J infinite. Otherwise Brent's method takes the
     sign change of h' on (a0, h(2 a0)]: h(a) >= a, so no minimiser lies past it.
-    At a0 = 0 (all mass at 0) h(a) = a, and a* = 0; below _A_MIN it raises.
+    At a0 = 0 (all mass at 0) h(a) = a, and a* = 0; outside the domain of the
+    module docstring it raises.
     """
     if a0 == 0.0:
         return 0.0, 0.0
     if a0 < _A_MIN:
         raise ValueError(f"max|omega| = {a0:g} is so small that its square underflows")
+    if a0 > _A_MAX / 4.0:
+        raise ValueError(f"max|omega| = {a0:g} is so large that the square of h(2 max|omega|) overflows")
     i0, j0 = _integral(g, a0), _slope(g, a0)
     if 0.0 < a0 * a0 * j0 <= 2.0 * i0 * (1.0 + _SLACK):
         return a0, a0 * a0 / i0
@@ -156,8 +160,8 @@ def self_consistency_roots(g: FrequencyDistribution, k: float) -> SelfConsistenc
     support (a truncated Gaussian's mean +- 8 sigma when its cut is wider),
     so a narrow peak is sampled.
     """
-    if not 0.0 < k < math.inf:
-        raise ValueError("coupling must be finite and > 0")
+    if not 0.0 < k <= _A_MAX:
+        raise ValueError(f"coupling must be > 0 and at most {_A_MAX:.6g}, above which (K R)^2 overflows")
     wmax = g.max_abs_omega
     if wmax / k > 1.0:
         raise ValueError("support of g too wide: max|omega|/K > 1 admits no R")
@@ -180,21 +184,15 @@ def self_consistency_roots(g: FrequencyDistribution, k: float) -> SelfConsistenc
                                  k_supercritical=bool(deduped))
 
 
-def critical_coupling(g: FrequencyDistribution, k_max: float = K_MAX) -> float:
+def critical_coupling(g: FrequencyDistribution) -> float:
     """Infimum coupling with a self-consistency root, K_c = min h(a) over
-    a >= max|omega| (_argmin_h): 0 when max|omega| = 0, and 2|omega_0| for a
-    Dirac law at omega_0, as for the one-atom Discrete law. On a law without
-    atoms whose slope I'(max|omega|) is at most 2 I / max|omega| there (every
-    centred law whose density does not rise away from 0), K_c is
-    h(max|omega|), after two adaptive integrals; they split at g.core() as
-    in self_consistency_roots.
+    a >= max|omega| (_argmin_h): 0 when max|omega| = 0, and 2|omega_0| for
+    Dirac(omega_0), the one-atom Discrete law. On a law without atoms whose
+    slope I'(max|omega|) is at most 2 I / max|omega| there (every centred law
+    whose density does not rise away from 0), K_c is h(max|omega|), after two
+    adaptive integrals; they split at g.core() as in self_consistency_roots.
     """
-    if not 0.0 < k_max < math.inf:
-        raise ValueError("k_max must be finite and > 0")
-    kc = _argmin_h(g, g.max_abs_omega)[1]
-    if kc > k_max:
-        raise BracketNotFoundError(f"K_c = {kc:g} exceeds the cap k_max = {k_max:g}")
-    return kc
+    return _argmin_h(g, g.max_abs_omega)[1]
 
 
 @dataclass(frozen=True)
@@ -211,9 +209,13 @@ class StationaryDensity:
     r: float
     phi_star: float = 0.0
 
+    def __post_init__(self):
+        if self.k * self.r < self.g.max_abs_omega * (1.0 - 1e-12):
+            raise ValueError("K*r must be >= max|omega| on the support of g")
+
     @property
     def is_atomic(self) -> bool:
-        return bool(getattr(self.g, "is_discrete", False))
+        return self.g.is_discrete
 
     @property
     def critical_support(self) -> bool:
@@ -256,6 +258,4 @@ def stationary_density(
 ) -> StationaryDensity:
     """Build the stable-branch stationary density for coupling k and
     coherence r; requires K r to cover the support of g."""
-    if k * r < g.max_abs_omega * (1.0 - 1e-12):
-        raise ValueError("K*r must be >= max|omega| on the support of g")
     return StationaryDensity(g=g, k=k, r=r, phi_star=phi_star)

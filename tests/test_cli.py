@@ -174,6 +174,23 @@ class TestRootsAndKc:
         assert code == 2
         assert "config error:" in capsys.readouterr().err
 
+    def test_kc_above_the_former_cap(self, tmp_path):
+        # the cap k_max = 100 made this exit 1, "no supercritical bracket"
+        out = tmp_path / "run"
+        assert run_cli(["kc", "--preset", "kuramoto-uniform-g", "--set", "model.freq_halfwidth_g=100",
+                        "--out", str(out)]) == 0
+        assert abs(read_summary(out)["k_c"] - 400 / np.pi) <= 1e-12 * 400 / np.pi
+
+    @pytest.mark.parametrize("mode,key,value", [("kc", "model.freq_halfwidth_g", "1e200"),
+                                                ("roots", "model.coupling", "1e300")])
+    def test_square_that_overflows_is_config_error(self, tmp_path, capsys, mode, key, value):
+        # kc wrote "k_c": NaN, and roots an empty list, each with exit 0
+        out = tmp_path / "run"
+        assert run_cli([mode, "--preset", "kuramoto-uniform-g", "--set", f"{key}={value}",
+                        "--out", str(out)]) == 2
+        assert "overflows" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
     @pytest.mark.parametrize("mode", ["kc", "roots"])
     def test_law_whose_width_squares_to_zero_is_config_error(self, tmp_path, capsys, mode):
         # it ended in a ZeroDivisionError traceback
@@ -505,14 +522,33 @@ def fuzz_sample(size=300, seed=0):
     return random.Random(seed).sample(cases, size)
 
 
+@pytest.mark.parametrize("mode,preset,sets", [
+    ("kinetic", "uniform-arc", ["model.phase_center=inf"]),
+    ("kinetic", "uniform-arc", ["model.phase_center=1e308"]),
+    ("kinetic", "kuramoto-uniform-g", ["model.freq_center=1e308"]),
+    ("kinetic", "kuramoto-uniform-g", ["model.freq_halfwidth_g=1e308"]),
+    ("sweep", "kuramoto-uniform-g", ["sweep.k_min=-inf"]),
+    ("sweep", "kuramoto-uniform-g", ["sweep.k_max=inf"]),
+    ("sweep", "kuramoto-uniform-g", ["sweep.k_min=-1e308", "sweep.k_max=1e308"]),
+])
+def test_hostile_value_is_refused_before_any_arithmetic(tmp_path, capsys, mode, preset, sets):
+    # numpy overflowed on each of these, and warned, before the run refused it
+    out = tmp_path / "run"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = run_cli([mode, "--preset", preset, *SHORT, *(x for s in sets for x in ("--set", s)),
+                        "--out", str(out)])
+    assert code == 2
+    assert "config error:" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
 def test_hostile_values_exit_with_a_code(tmp_path, capsys):
-    # every run exits 0, 2 or 3, never with a traceback, and an exit 2 leaves
-    # no manifest. numpy's warnings stay warnings, as a user gets them: the
-    # suite makes them errors, and 1e308 or inf overflow in the model's
-    # arithmetic by design before the run rejects the data
+    # every run exits 0, 2 or 3, never with a traceback or a RuntimeWarning,
+    # and an exit 2 leaves no manifest
     bad = []
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+        warnings.simplefilter("error", RuntimeWarning)
         for i, (preset, mode, key, value) in enumerate(fuzz_sample()):
             out = tmp_path / str(i)
             code = run_cli([mode, "--preset", preset, "--set", "sim.t_max=1", "--set", "sweep.k_steps=2",

@@ -83,11 +83,15 @@ class TestPhaseMeasureValidation:
         with pytest.raises(ValueError, match="finite"):
             ps.PhaseMeasure(**data)
 
-    @pytest.mark.parametrize("spec", [ps.UniformArc(center=math.nan), ps.AtomList((1.0,), (math.nan,), (0.0,)),
-                                      ps.AtomList((1.0,), (0.0,), (math.inf,))])
+    @pytest.mark.parametrize("spec", [lambda: ps.UniformArc(center=math.nan),
+                                      lambda: ps.AtomList((1.0,), (math.nan,), (0.0,)),
+                                      lambda: ps.AtomList((1.0,), (0.0,), (math.inf,))],
+                             ids=["arc-center", "atom-theta", "atom-omega"])
     def test_discretize_rejects_non_finite_spec(self, spec):
+        # an arc refuses a non-finite center when it is built, an atom list
+        # when it is discretized
         with pytest.raises(ValueError, match="finite"):
-            ps.discretize(spec, m=8)
+            ps.discretize(spec(), m=8)
 
     def test_atom_weights_checked_by_the_measure(self):
         with pytest.raises(ValueError, match="weights must sum to 1"):

@@ -170,6 +170,17 @@ ALL_KINDS = [ps.Uniform(0.1, 0.4), ps.TruncatedGaussian(0.1, 0.3, 0.6),
 NARROW_SIGMAS = [1e-4, 1e-5, 1e-6]
 
 
+def scaled(g, c):
+    """g under omega -> c omega."""
+    if isinstance(g, ps.Dirac):
+        return ps.Dirac(c * g.omega0)
+    if isinstance(g, ps.Discrete):
+        return ps.Discrete(tuple(c * w for w in g.omegas), g.probs)
+    if isinstance(g, ps.Uniform):
+        return ps.Uniform(c * g.center, c * g.halfwidth)
+    return ps.TruncatedGaussian(c * g.mean, c * g.sigma, c * g.cut)
+
+
 def core_inside(g):
     """A truncated Gaussian's mean +- 8 sigma core lies inside its cut."""
     return isinstance(g, ps.TruncatedGaussian) and g.cut > 8 * g.sigma
@@ -277,6 +288,17 @@ class TestFrequencyDistributions:
         assert g.expect(lambda w: w) == pytest.approx(0.2)
         assert g.max_abs_omega == 0.2
 
+    def test_dirac_is_the_one_atom_discrete_law(self):
+        g = ps.Dirac(0.2)
+        assert isinstance(g, ps.Discrete) and g.is_discrete
+        assert (g.omegas, g.probs, repr(g)) == ((0.2,), (1.0,), "Dirac(omega0=0.2)")
+        assert [f.name for f in dataclasses.fields(g) if f.init] == ["omega0"]
+        # every method is the Discrete law's: no second implementation
+        assert not {"support", "atoms", "quadrature", "expect"} & set(vars(ps.Dirac))
+        assert g != ps.Discrete((0.2,), (1.0,)) and g == ps.Dirac(0.2) != ps.Dirac(0.3)
+        with pytest.raises(ValueError, match="finite"):
+            ps.Dirac(math.inf)
+
     @pytest.mark.parametrize("law,args", NON_FINITE_LAWS, ids=[f"{law.__name__}{args}" for law, args in NON_FINITE_LAWS])
     def test_non_finite_parameters_rejected(self, law, args):
         with pytest.raises(ValueError):
@@ -290,6 +312,16 @@ class TestFrequencyDistributions:
 
 
 class TestSelfConsistencyRoots:
+    @pytest.mark.parametrize("k", [1e300, np.nextafter(st._A_MAX, math.inf), math.inf, math.nan, 0.0, -1.0])
+    def test_coupling_outside_the_domain_is_rejected(self, k):
+        # 1e300 and the float above _A_MAX gave no roots: (K R)^2 was inf
+        with pytest.raises(ValueError, match="coupling"):
+            ps.self_consistency_roots(ps.Uniform(0, 0.5), k)
+
+    def test_largest_coupling_is_analysed(self):
+        assert st._A_MAX ** 2 < math.inf
+        assert ps.self_consistency_roots(ps.Dirac(0.0), st._A_MAX).roots == [1.0]
+
     def test_dirac_root_is_one(self):
         for k in (0.5, 1.0, 3.0):
             res = ps.self_consistency_roots(ps.Dirac(0.0), k)
@@ -603,6 +635,32 @@ class TestShapeOfH:
             assert 0 < len(calls) <= 60, k
 
 
+class TestScaleFree:
+    """omega -> c omega, K -> c K, t -> t / c leaves the model as it was, so
+    K_c(g_c) = c K_c(g), and the roots R at c K are those at K."""
+
+    @pytest.mark.parametrize("c", [1e-6, 1e-3, 1e3, 1e6])
+    @pytest.mark.parametrize("g", BENCH_LAWS, ids=repr)
+    def test_kc(self, g, c):
+        # the former cap k_max = 100 refused c = 1e3 on all but Dirac(0)
+        kc = ps.critical_coupling(g)
+        assert abs(ps.critical_coupling(scaled(g, c)) - c * kc) <= 1e-15 * c * kc
+
+    @pytest.mark.parametrize("g", BENCH_LAWS, ids=repr)
+    def test_roots(self, g):
+        # 7.8e-16 at most, measured over these laws, couplings and scales;
+        # ROOT_TOL and _SLACK are absolute, so near onset (K = K_c (1 + 1e-6))
+        # c = 1e-4 admits the support end as a root too
+        kc = ps.critical_coupling(g)
+        for k in [(kc or 0.5) * f for f in (1.01, 1.3, 2.0)] + [0.8, 1.2, 2.0]:
+            if g.max_abs_omega > k:
+                continue
+            want = ps.self_consistency_roots(g, k).roots
+            for c in np.logspace(-4, 4, 17):
+                got = ps.self_consistency_roots(scaled(g, c), c * k).roots
+                assert len(got) == len(want) and np.all(np.abs(np.subtract(got, want)) <= 2e-15), (k, c)
+
+
 class TestCriticalCoupling:
     def test_dirac_zero(self):
         assert ps.critical_coupling(ps.Dirac(0.0)) == 0.0
@@ -656,7 +714,7 @@ class TestCriticalCoupling:
         kcs = [ps.critical_coupling(ps.Uniform(0, g)) for g in (0.1, 0.2, 0.4, 0.8)]
         assert all(b > a for a, b in zip(kcs, kcs[1:]))
 
-    @pytest.mark.parametrize("gamma", [0.1, 0.45, 0.5, 0.57])
+    @pytest.mark.parametrize("gamma", [0.1, 0.45, 0.5, 0.57, 100.0])  # 100: above the former cap on K_c
     def test_uniform_four_gamma_over_pi(self, gamma):
         assert ps.critical_coupling(ps.Uniform(0, gamma)) == pytest.approx(4 * gamma / np.pi, abs=1e-9)
 
@@ -680,15 +738,26 @@ class TestCriticalCoupling:
         want = uniform_kc_closed_form(g)
         assert abs(ps.critical_coupling(g) - want) <= 1e-15 * want
 
-    @pytest.mark.parametrize("k_max", [math.nan, math.inf, 0.0, -1.0])
-    def test_non_finite_or_nonpositive_k_max_rejected(self, k_max):
-        # k_max = nan made the cap test kc > k_max false, so the cap was off
-        with pytest.raises(ValueError):
-            ps.critical_coupling(ps.Uniform(0, 0.5), k_max=k_max)
+    @pytest.mark.parametrize("g", [ps.Uniform(0.0, 1e154), ps.Dirac(-1e154), ps.Uniform(0.0, 1e200),
+                                   ps.Discrete((-1e154, 0.0), (0.5, 0.5)), ps.TruncatedGaussian(0, 1e153, 1e154)],
+                             ids=repr)
+    def test_support_whose_square_overflows_is_rejected(self, g):
+        # Brent's right end h(2 max|omega|) squared to inf: a NaN K_c at 1e200,
+        # overflow warnings at 1e154
+        with pytest.raises(ValueError, match="overflows"):
+            ps.critical_coupling(g)
+        if g.max_abs_omega <= st._A_MAX:
+            with pytest.raises(ValueError, match="overflows"):
+                ps.self_consistency_roots(g, st._A_MAX)
 
-    def test_bracket_cap(self):
-        with pytest.raises(ps.BracketNotFoundError):
-            ps.critical_coupling(ps.Uniform(0, 0.5), k_max=0.5)
+    @pytest.mark.parametrize("g", [ps.Dirac(1.0), ps.Discrete((-1.0, 1.0), (0.5, 0.5)), ps.Uniform(0.0, 1.0),
+                                   ps.Discrete((-1.0, 0.2, 0.5), (0.3, 0.3, 0.4))] + FALLING_EDGE_LAWS, ids=repr)
+    def test_largest_support_whose_squares_are_finite_is_analysed(self, g):
+        # Brent's method runs up to h(2 max|omega|) on the falling-edge and
+        # atomic laws; an overflow there would warn, and the suite fails on it
+        c = st._A_MAX / 4 / g.max_abs_omega
+        kc = ps.critical_coupling(g)
+        assert abs(ps.critical_coupling(scaled(g, c)) - c * kc) <= 1e-15 * c * kc
 
 
 class TestEdgeCertificate:
@@ -736,12 +805,16 @@ class TestEdgeCertificate:
             assert a * a / st._integral(g, a) >= kc * (1 - 1e-13), a
 
     def test_argument_checks_come_first(self, monkeypatch):
-        # test_bracket_cap checks that k_max caps a certified K_c
+        # the domain is checked before the first adaptive integral
         calls = []
-        monkeypatch.setattr(st, "_argmin_h", lambda g_, a0: calls.append(a0))
-        for k_max in (0.0, math.nan):
+        monkeypatch.setattr(st, "_integral", lambda g_, a: calls.append(a))
+        monkeypatch.setattr(st, "_slope", lambda g_, a: calls.append(a))
+        for g in (ps.Uniform(0, 1e-300), ps.Uniform(0, 1e200)):
             with pytest.raises(ValueError):
-                ps.critical_coupling(ps.Uniform(0, 0.5), k_max=k_max)
+                ps.critical_coupling(g)
+        for k in (0.0, math.nan, math.inf, 1e300):
+            with pytest.raises(ValueError):
+                ps.self_consistency_roots(ps.Uniform(0, 0.5), k)
         assert calls == []
 
 
@@ -827,6 +900,12 @@ class TestStationaryDensity:
     def test_domain_error(self):
         with pytest.raises(ValueError):
             ps.stationary_density(ps.Uniform(0, 0.5), 1.0, 0.3)
+
+    def test_direct_construction_checks_its_domain(self):
+        # K r = 0.01 < max|omega| built, and sample_spec clipped every atom to +-pi/2
+        with pytest.raises(ValueError, match="max"):
+            ps.StationaryDensity(ps.Uniform(0, 0.5), 0.1, 0.1)
+        assert ps.StationaryDensity(ps.Uniform(0, 0.5), 1.0, 0.5).critical_support
 
     def test_dirac_atomic(self):
         sd = ps.stationary_density(ps.Dirac(0.0), 1.0, 1.0, phi_star=0.4)
