@@ -13,6 +13,7 @@ import argparse
 import configparser
 import csv
 import dataclasses
+import functools
 import inspect
 import json
 import math
@@ -343,8 +344,28 @@ def run_classify(cfg: dict, out: Path):
     return [], {"class": dataclasses.asdict(cls)}
 
 
+def _sweep_point(cfg: dict, k: float) -> tuple[float, str]:
+    """Final R and stop reason of the config's model run at coupling k; at
+    module level, so a worker process can unpickle it."""
+    sim_cfg = build_sim_config(cfg)
+    if cfg["model"]["kind"] == "finite":
+        ens = build_ensemble(cfg)
+        traj = simulate(OscillatorEnsemble(ens.phases, ens.freqs, k), sim_cfg)
+    else:
+        traj = kinetic_simulate(discretize(build_density_spec(cfg), m=cfg["model"]["m"], coupling=k), sim_cfg)
+    return float(traj.r_series[-1]), traj.stopped_on
+
+
+def _workers(points: int) -> int:
+    """Processes for independent points: one per usable CPU, at most one per
+    point, and 1 where the platform cannot fork."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return min(points, cpus) if hasattr(os, "fork") else 1
+
+
 def run_sweep(cfg: dict, out: Path):
-    """Also writes sweep.csv (K, final_R)."""
+    """Also writes sweep.csv (K, final_R). The points run in forked worker
+    processes, in K order, and give the bits of a serial run."""
     sweep = cfg["sweep"]
     if sweep["k_steps"] < 1:
         raise ConfigError("[sweep] k_steps must be >= 1")
@@ -352,15 +373,23 @@ def run_sweep(cfg: dict, out: Path):
     if not math.isfinite(k_max - k_min):  # nan, +-inf, or a span that overflows
         raise ConfigError("[sweep] k_min, k_max and k_max - k_min must be finite")
     ks = [float(k) for k in np.linspace(k_min, k_max, sweep["k_steps"])]
-    sim_cfg = build_sim_config(cfg)
+    # a config the builders refuse is refused before any worker starts
+    build_sim_config(cfg)
     if cfg["model"]["kind"] == "finite":
-        ens = build_ensemble(cfg)
-        trajs = (simulate(OscillatorEnsemble(ens.phases, ens.freqs, k), sim_cfg) for k in ks)
+        build_ensemble(cfg)
     else:
-        spec = build_density_spec(cfg)
-        trajs = (kinetic_simulate(discretize(spec, m=cfg["model"]["m"], coupling=k), sim_cfg) for k in ks)
-    points = [{"K": k, "final_R": float(traj.r_series[-1]), "stopped_on": traj.stopped_on}
-              for k, traj in zip(ks, trajs)]
+        build_density_spec(cfg)
+    point = functools.partial(_sweep_point, cfg)
+    workers = _workers(len(ks))
+    if workers == 1:
+        results = list(map(point, ks))
+    else:  # imported here: the import alone costs about 20 ms
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+            results = list(pool.map(point, ks))
+    points = [{"K": k, "final_R": r, "stopped_on": stop} for k, (r, stop) in zip(ks, results)]
     write_csv(out / "sweep.csv", ["K", "final_R"], points)
     return [], {"points": points}
 

@@ -30,6 +30,22 @@ __all__ = [
 _HALF_MAX = float(np.finfo(float).max) / 2.0
 
 
+def _check_sigma(sigma: float):
+    """A Gaussian width: > 0, and its square a normal float, so that -1/(2 sigma^2)
+    is finite and exp(-d^2/(2 sigma^2)) does not divide by a subnormal."""
+    if not (sigma > 0.0 and np.finfo(float).tiny <= sigma * sigma < math.inf):  # NaN fails too
+        raise ValueError("sigma must be > 0 with sigma^2 a normal float, so in [1.49e-154, 1.34e154]")
+
+
+def _normalized(masses: np.ndarray) -> np.ndarray:
+    """Cell masses over their sum; a Gaussian narrower than its cells can
+    leave every mass 0, and 0/0 would only warn."""
+    total = masses.sum()
+    if not total > 0.0:
+        raise ValueError("sigma is too narrow for the cells: every cell's mass underflows to 0")
+    return masses / total
+
+
 class FrequencyDistribution:
     """Base interface; see the concrete laws below."""
 
@@ -187,8 +203,9 @@ class TruncatedGaussian(FrequencyDistribution):
     cut: float = 2.0
 
     def __post_init__(self):
-        if not (0.0 < self.sigma < math.inf and 0.0 < self.cut <= _HALF_MAX - abs(self.mean)):
-            raise ValueError("sigma must be finite and > 0, cut > 0 and |mean| + cut at most max float / 2")
+        _check_sigma(self.sigma)
+        if not 0.0 < self.cut <= _HALF_MAX - abs(self.mean):
+            raise ValueError("cut must be > 0 and |mean| + cut at most max float / 2")
         # as in Uniform; norm is the untruncated mass inside the cut
         norm = math.erf(self.cut / (self.sigma * math.sqrt(2.0)))
         vars(self).update(_lo=self.mean - self.cut, _hi=self.mean + self.cut,
@@ -233,5 +250,4 @@ class TruncatedGaussian(FrequencyDistribution):
 
     def quadrature(self, n: int):
         nodes, width = self._cells(n)
-        weights = self.pdf(nodes) * width
-        return nodes, weights / weights.sum()
+        return nodes, _normalized(self.pdf(nodes) * width)

@@ -24,6 +24,9 @@ class NonFiniteStateError(RuntimeError):
         super().__init__(f"non-finite state at t={time:g}")
         self.time = time
 
+    def __reduce__(self):  # args holds the message, not the time
+        return type(self), (self.time,)
+
 
 @dataclass
 class SimConfig:

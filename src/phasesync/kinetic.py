@@ -16,7 +16,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .core import OscillatorEnsemble, circle_distance, weighted_order_parameter
-from .freqdist import _HALF_MAX, Dirac, FrequencyDistribution
+from .freqdist import _HALF_MAX, Dirac, FrequencyDistribution, _check_sigma, _normalized
 from .integrate import NonFiniteStateError, SimConfig, Trajectory, _run, _step, _trusted
 
 
@@ -129,8 +129,7 @@ class TruncatedGaussianArc:
 
     def __post_init__(self):
         _check_arc(self)
-        if self.sigma <= 0:
-            raise ValueError("sigma must be > 0")
+        _check_sigma(self.sigma)
 
 
 @dataclass(frozen=True)
@@ -159,8 +158,9 @@ def _phase_nodes(spec, m: int):
         masses = np.full(m, 1.0 / m)
     else:
         z = (nodes - spec.center) / spec.sigma
-        masses = np.exp(-0.5 * z * z) * (edges[1] - edges[0])
-        masses = masses / masses.sum()
+        with np.errstate(over="ignore"):  # z^2 past max float: exp(-inf) = 0, a cell in the far tail
+            masses = np.exp(-0.5 * z * z) * (edges[1] - edges[0])
+        masses = _normalized(masses)
     return nodes, masses
 
 

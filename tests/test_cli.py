@@ -1,7 +1,11 @@
 import csv
 import json
+import multiprocessing
+import os
 import random
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -14,6 +18,7 @@ from phasesync.cli import SCHEMA, SERIES_HEADER, apply_overrides, load_preset, m
 
 DOCS = Path(__file__).resolve().parents[1] / "docs" / "config.md"
 PYPROJECT = DOCS.parents[1] / "pyproject.toml"
+SRC = DOCS.parents[1] / "src"
 
 # the preset x mode pairs and short overrides of
 # test_presets_run_in_every_mode_they_serve
@@ -201,6 +206,37 @@ class TestRootsAndKc:
         assert not (out / "manifest.json").exists()
 
 
+class TestNarrowGaussian:
+    """A Gaussian width whose square is not a normal float, or so narrow
+    that every cell's mass underflows, exits 2 before numpy can warn."""
+
+    @pytest.mark.parametrize("argv", [
+        # it ended in a ZeroDivisionError traceback: sigma^2 is subnormal
+        ["kc", "--preset", "kuramoto-uniform-g", "--set", "model.freq_dist=tgauss",
+         "--set", "model.freq_mean=-7.458340731200207e-155", "--set", "model.freq_sigma=4.474994438720124e-155",
+         "--set", "model.freq_cut=7.458340731200207e-155"],
+        # sigma^2 overflows: it was accepted, as a flat density
+        ["kc", "--preset", "kuramoto-uniform-g", "--set", "model.freq_dist=tgauss",
+         "--set", "model.freq_sigma=1e200", "--set", "model.freq_cut=1"],
+        # it warned "invalid value encountered in divide" before exit 2
+        ["kinetic", "--preset", "uniform-arc", "--set", "model.phase_spec=tgauss_arc",
+         "--set", "model.phase_sigma=1e-300"],
+        ["kinetic", "--preset", "uniform-arc", "--set", "model.phase_spec=tgauss_arc",
+         "--set", "model.phase_sigma=1e-100"],
+        ["kinetic", "--preset", "uniform-arc", "--set", "model.phase_spec=tgauss_arc",
+         "--set", "model.phase_sigma=1.5e-154", "--set", "model.phase_halfwidth=3.14159"],
+        ["kinetic", "--preset", "kuramoto-uniform-g", "--set", "model.freq_dist=tgauss",
+         "--set", "model.freq_sigma=1e-8", "--set", "model.freq_cut=0.5"],
+    ])
+    def test_is_config_error_without_a_warning(self, tmp_path, capsys, argv):
+        out = tmp_path / "run"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run_cli([*argv, "--set", "sim.t_max=0.1", "--out", str(out)]) == 2
+        assert "config error: sigma" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
+
 class TestRetiredKeys:
     """[roots] grid and [kc] tol, which every v0.12.x manifest holds and no
     solver reads any more: a JSON manifest drops them, nothing else does."""
@@ -298,6 +334,70 @@ class TestSweepMode:
         assert run_cli(["sweep", "--config", str(ini), "--out", str(tmp_path / "sweep")]) == 0
         [point] = read_summary(tmp_path / "sweep")["points"]
         assert point["final_R"] == read_summary(tmp_path / "kinetic")["final_r"]
+
+
+class TestParallelSweep:
+    """The points of a sweep run in worker processes, bit for bit as the
+    library runs them one by one."""
+
+    FINITE = ["--preset", "two-antipodal", "--set", "model.kind=finite",
+              "--set", "model.phases=0,1,2.5", "--set", "model.freqs=0.3,-0.1,-0.2",
+              "--set", "sweep.k_min=0.2", "--set", "sweep.k_max=2", "--set", "sweep.k_steps=3",
+              "--set", "sim.t_max=5"]
+    KINETIC = ["--preset", "kuramoto-uniform-g", "--set", "model.m=32", "--set", "model.n_freq=4",
+               "--set", "model.freq_center=0.25", "--set", "sweep.k_steps=4", "--set", "sim.t_max=2"]
+
+    @staticmethod
+    def library_point(kind, model, sim, k):
+        if kind == "finite":
+            traj = phasesync.simulate(phasesync.OscillatorEnsemble([0, 1, 2.5], [0.3, -0.1, -0.2], k), sim)
+        else:
+            spec = phasesync.ProductSpec(phasesync.UniformArc(model["phase_center"], model["phase_halfwidth"]),
+                                         phasesync.Uniform(model["freq_center"], model["freq_halfwidth_g"]),
+                                         n_freq=model["n_freq"])
+            traj = phasesync.kinetic_simulate(phasesync.discretize(spec, model["m"], coupling=k), sim)
+        return float(traj.r_series[-1]), traj.stopped_on
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("kind", ["finite", "kinetic"])
+    def test_points_equal_library_runs(self, tmp_path, monkeypatch, kind, workers):
+        # 2 forces the process pool on a one-CPU host too
+        monkeypatch.setattr(cli, "_workers", lambda points: min(points, workers))
+        out = tmp_path / "run"
+        assert run_cli(["sweep", *(self.FINITE if kind == "finite" else self.KINETIC), "--out", str(out)]) == 0
+        assert not multiprocessing.active_children()
+        cfg = json.loads((out / "manifest.json").read_text())["config"]
+        sim = phasesync.SimConfig(**cfg["sim"])
+        points = read_summary(out)["points"]
+        ks = [float(k) for k in np.linspace(cfg["sweep"]["k_min"], cfg["sweep"]["k_max"], cfg["sweep"]["k_steps"])]
+        assert len(points) >= 3 and [p["K"] for p in points] == ks
+        for p in points:
+            assert (p["final_R"], p["stopped_on"]) == self.library_point(kind, cfg["model"], sim, p["K"])
+        with open(out / "sweep.csv", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [(float(k), float(r)) for k, r in rows] == [(p["K"], p["final_R"]) for p in points]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 1000])
+    def test_one_worker_per_usable_cpu_at_most(self, n):
+        assert cli._workers(n) == min(n, len(os.sched_getaffinity(0)))
+
+    def test_aborted_point_exits_1_without_hanging(self, tmp_path):
+        # the parent could not unpickle a worker's NonFiniteStateError and
+        # ended in a BrokenProcessPool traceback, not the abort's message
+        argv = ["sweep", "--preset", "two-antipodal", "--set", "model.kind=finite",
+                "--set", "model.phases=0,1", "--set", "model.freqs=1e308,-1e308",
+                "--set", "sim.dt=1", "--set", "sim.t_max=2", "--set", "sweep.k_min=1",
+                "--set", "sweep.k_max=2", "--set", "sweep.k_steps=2", "--out", str(tmp_path / "run")]
+        script = ("import multiprocessing, sys, warnings; import phasesync.cli as cli\n"
+                  "warnings.simplefilter('ignore', RuntimeWarning)\n"
+                  "cli._workers = lambda points: points\n"  # a pool on a one-CPU host too
+                  "code = cli.main(sys.argv[1:])\n"
+                  "sys.exit(code if not multiprocessing.active_children() else 'child process left')\n")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True,
+                              timeout=120, env=env)
+        assert done.returncode == 1, done.stderr
+        assert "numerical abort: non-finite state at t=2" in done.stderr
 
 
 class TestConfigHandling:

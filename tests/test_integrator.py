@@ -1,4 +1,5 @@
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -182,6 +183,13 @@ class TestSimulate:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ps.NonFiniteStateError):
                 ps.simulate(ens, ps.SimConfig(dt=1.0, t_max=4.0, record_every=2))
+
+    def test_abort_survives_pickling(self):
+        # a sweep's worker sends it to the parent; unpickling called
+        # __init__ with the message and raised ValueError
+        err = pickle.loads(pickle.dumps(ps.NonFiniteStateError(1.5)))
+        assert type(err) is ps.NonFiniteStateError
+        assert err.time == 1.5 and str(err) == "non-finite state at t=1.5"
 
     @pytest.mark.parametrize("kwargs", [{"t_max": math.inf}, {"dt": math.inf}, {"t_max": math.nan}])
     def test_config_rejects_non_finite_times(self, kwargs):
