@@ -64,10 +64,8 @@ from .stationary import (
     SelfConsistencyResult,
     StationaryDensity,
     critical_coupling,
-    generalized_residual,
     self_consistency_residual,
     self_consistency_roots,
-    stationary_density,
 )
 
-__version__ = "0.14.0"
+__version__ = "0.15.0"

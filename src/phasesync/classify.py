@@ -40,10 +40,6 @@ class StationaryClass:
     c1: Optional[float] = None
     c2: Optional[float] = None
 
-    @property
-    def is_clustered(self) -> bool:
-        return self.kind == "clustered"
-
 
 INCOHERENT = StationaryClass(kind="incoherent")
 NOT_STATIONARY = StationaryClass(kind="not_stationary")

@@ -312,17 +312,27 @@ def _simulation(traj, columns: dict, cls) -> tuple[list, dict]:
     }
 
 
+def _initial(cfg: dict, kind: str, k: float):
+    """The start state of the config's model of this kind ("finite" or
+    "kinetic") at coupling k, and the function that runs it: the one model
+    build of every simulating mode."""
+    if kind == "finite":
+        return build_ensemble({**cfg, "model": {**cfg["model"], "coupling": k}}), simulate
+    return discretize(build_density_spec(cfg), m=cfg["model"]["m"], coupling=k), kinetic_simulate
+
+
 def run_finite(cfg: dict, out: Path):
     check_tolerances(**cfg["classify"])
-    traj = simulate(build_ensemble(cfg), build_sim_config(cfg))
+    ens, run = _initial(cfg, "finite", cfg["model"]["coupling"])
+    traj = run(ens, build_sim_config(cfg))
     cls = classify_finite(traj.final, cfg["classify"]["angle_tol"])
     return _simulation(traj, {"U": traj.u_series}, cls)
 
 
 def run_kinetic(cfg: dict, out: Path):
     check_tolerances(**cfg["classify"])
-    meas = discretize(build_density_spec(cfg), m=cfg["model"]["m"], coupling=cfg["model"]["coupling"])
-    traj = kinetic_simulate(meas, build_sim_config(cfg))
+    meas, run = _initial(cfg, "kinetic", cfg["model"]["coupling"])
+    traj = run(meas, build_sim_config(cfg))
     cls = classify_measure(traj.final, **cfg["classify"])
     return _simulation(traj, {"H": traj.h_series, "entropy_change": traj.entropy_series}, cls)
 
@@ -347,12 +357,8 @@ def run_classify(cfg: dict, out: Path):
 def _sweep_point(cfg: dict, k: float) -> tuple[float, str]:
     """Final R and stop reason of the config's model run at coupling k; at
     module level, so a worker process can unpickle it."""
-    sim_cfg = build_sim_config(cfg)
-    if cfg["model"]["kind"] == "finite":
-        ens = build_ensemble(cfg)
-        traj = simulate(OscillatorEnsemble(ens.phases, ens.freqs, k), sim_cfg)
-    else:
-        traj = kinetic_simulate(discretize(build_density_spec(cfg), m=cfg["model"]["m"], coupling=k), sim_cfg)
+    state, run = _initial(cfg, cfg["model"]["kind"], k)
+    traj = run(state, build_sim_config(cfg))
     return float(traj.r_series[-1]), traj.stopped_on
 
 
@@ -373,12 +379,9 @@ def run_sweep(cfg: dict, out: Path):
     if not math.isfinite(k_max - k_min):  # nan, +-inf, or a span that overflows
         raise ConfigError("[sweep] k_min, k_max and k_max - k_min must be finite")
     ks = [float(k) for k in np.linspace(k_min, k_max, sweep["k_steps"])]
-    # a config the builders refuse is refused before any worker starts
+    # a config the builders refuse, or a negative K, is refused before any worker starts
     build_sim_config(cfg)
-    if cfg["model"]["kind"] == "finite":
-        build_ensemble(cfg)
-    else:
-        build_density_spec(cfg)
+    _initial(cfg, cfg["model"]["kind"], min(ks))
     point = functools.partial(_sweep_point, cfg)
     workers = _workers(len(ks))
     if workers == 1:

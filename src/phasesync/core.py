@@ -59,10 +59,6 @@ class OscillatorEnsemble:
     def n(self) -> int:
         return self.phases.size
 
-    def with_phases(self, phases: np.ndarray) -> "OscillatorEnsemble":
-        """Same frequencies and coupling, new phases."""
-        return OscillatorEnsemble(phases, self.freqs, self.coupling)
-
 
 @dataclass(frozen=True)
 class OrderParameter:

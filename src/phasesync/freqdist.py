@@ -83,15 +83,15 @@ class FrequencyDistribution:
         edges = np.linspace(lo, hi, n + 1)
         return 0.5 * (edges[:-1] + edges[1:]), edges[1] - edges[0]
 
-    def expect(self, fn: Callable[[np.ndarray], np.ndarray], tol: float = 1e-12) -> float:
+    def expect(self, fn: Callable[[np.ndarray], np.ndarray]) -> float:
         """Adaptive integral of fn against the law (exact sum when discrete)."""
         lo, hi = self.support()
         val, _ = quad(
             lambda w: fn(np.asarray(w)) * self.pdf(w),
             lo,
             hi,
-            epsabs=tol,
-            epsrel=tol,
+            epsabs=1e-12,
+            epsrel=1e-12,
             limit=200,
         )
         return float(val)
@@ -168,7 +168,7 @@ class Discrete(FrequencyDistribution):
     def quadrature(self, n: int):
         return self.atoms()
 
-    def expect(self, fn, tol: float = 1e-12) -> float:
+    def expect(self, fn) -> float:
         w, p = self.atoms()
         return float(np.sum(p * fn(w)))
 
@@ -221,8 +221,9 @@ class TruncatedGaussian(FrequencyDistribution):
             return float(np.exp(self._scale * d * d)) * self._height if inside else 0.0
         omega = np.asarray(omega)
         d = omega - self.mean
-        out = np.multiply(self._scale, d, out=np.empty(omega.shape))
-        np.exp(np.multiply(out, d, out=out), out=out)
+        with np.errstate(over="ignore"):  # scale d d past max float: exp(-inf) = 0
+            out = np.multiply(self._scale, d, out=np.empty(omega.shape))
+            np.exp(np.multiply(out, d, out=out), out=out)
         out *= self._height
         np.copyto(out, 0.0, where=~((omega >= self._lo) & (omega <= self._hi)))
         return out

@@ -1,14 +1,13 @@
 """Mean-field kinetic model solved along characteristics.
 
 The measure is Lagrangian: weighted particles with frozen weights, each
-carrying its current characteristic (unwrapped), its initial angle, its
-natural frequency, and the log-Jacobian ln dTheta/dtheta for entropy
-accounting. The weak form of the transport equation is exactly this
-pushforward, so no grid density is ever built.
+carrying its current characteristic (unwrapped), its natural frequency,
+and the log-Jacobian ln dTheta/dtheta for entropy accounting; the thetas
+of the initial measure label the particles. The weak form of the transport
+equation is exactly this pushforward, so no grid density is ever built.
 """
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Union
@@ -30,7 +29,6 @@ class PhaseMeasure:
 
     weights: np.ndarray
     thetas: np.ndarray
-    thetas0: np.ndarray
     omegas: np.ndarray
     log_jacs: np.ndarray
     coupling: float = 1.0
@@ -40,17 +38,16 @@ class PhaseMeasure:
     def __post_init__(self):
         self.weights = np.atleast_1d(np.asarray(self.weights, dtype=float))
         self.thetas = np.atleast_1d(np.asarray(self.thetas, dtype=float))
-        self.thetas0 = np.atleast_1d(np.asarray(self.thetas0, dtype=float))
         self.omegas = np.atleast_1d(np.asarray(self.omegas, dtype=float))
         self.log_jacs = np.atleast_1d(np.asarray(self.log_jacs, dtype=float))
         n = self.weights.size
-        for arr in (self.thetas, self.thetas0, self.omegas, self.log_jacs):
+        for arr in (self.thetas, self.omegas, self.log_jacs):
             if arr.shape != (n,):
                 raise ValueError("all particle arrays must share one length")
         if not np.all(self.weights > 0):  # NaN fails too
             raise ValueError("weights must be positive")
-        if not all(np.isfinite(a).all() for a in (self.thetas, self.thetas0, self.omegas, self.log_jacs)):
-            raise ValueError("thetas, thetas0, omegas and log_jacs must be finite")
+        if not all(np.isfinite(a).all() for a in (self.thetas, self.omegas, self.log_jacs)):
+            raise ValueError("thetas, omegas and log_jacs must be finite")
         if not np.isfinite(self.time):
             raise ValueError("time must be finite")
         if abs(self.weights.sum() - 1.0) > 1e-12:
@@ -70,7 +67,6 @@ class PhaseMeasure:
         return cls(
             weights=weights,
             thetas=thetas.copy(),
-            thetas0=thetas.copy(),
             omegas=omegas,
             log_jacs=np.zeros_like(thetas),
             coupling=coupling,
@@ -99,11 +95,11 @@ class AtomList:
 
 
 def _check_arc(arc):
-    """Halfwidth in (0, pi], ends that add without overflow, a finite omega."""
+    """Halfwidth in (0, pi], and ends that add without overflow."""
     if not 0.0 < arc.halfwidth <= np.pi:
         raise ValueError("halfwidth must lie in (0, pi]")
-    if not (abs(arc.center) <= _HALF_MAX - arc.halfwidth and math.isfinite(arc.omega)):
-        raise ValueError("center must be finite, |center| + halfwidth at most max float / 2, omega finite")
+    if not abs(arc.center) <= _HALF_MAX - arc.halfwidth:  # NaN fails too
+        raise ValueError("center must be finite and |center| + halfwidth at most max float / 2")
 
 
 @dataclass(frozen=True)
@@ -112,7 +108,6 @@ class UniformArc:
 
     center: float = 0.0
     halfwidth: float = np.pi
-    omega: float = 0.0
 
     def __post_init__(self):
         _check_arc(self)
@@ -125,7 +120,6 @@ class TruncatedGaussianArc:
     center: float = 0.0
     sigma: float = 0.5
     halfwidth: float = np.pi
-    omega: float = 0.0
 
     def __post_init__(self):
         _check_arc(self)
@@ -169,21 +163,24 @@ def discretize(spec: DensitySpec, m: int = 1024, coupling: float = 1.0) -> Phase
 
     Atoms pass through exactly; absolutely continuous parts become m
     midpoint-rule nodes with weights equal to the cell mass; product specs
-    use a tensor grid, and an arc alone is its product with Dirac(omega).
+    use a tensor grid, and an arc alone is its product with Dirac(). A node
+    whose mass underflows to 0 (the far tail of a narrow Gaussian) carries
+    nothing and is left out.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     if isinstance(spec, AtomList):
         return PhaseMeasure.initial(spec.weights, spec.thetas, spec.omegas, coupling, has_atoms=True)
     if not isinstance(spec, ProductSpec):
-        spec = ProductSpec(spec, Dirac(spec.omega))
+        spec = ProductSpec(spec, Dirac())
     nodes, masses = _phase_nodes(spec.phase, m)
     f_nodes, f_weights = spec.freqs.quadrature(spec.n_freq)
     thetas = np.repeat(nodes, f_nodes.size)
     omegas = np.tile(f_nodes, nodes.size)
     weights = np.repeat(masses, f_nodes.size) * np.tile(f_weights, nodes.size)
     weights = weights / weights.sum()
-    return PhaseMeasure.initial(weights, thetas, omegas, coupling)
+    keep = weights > 0.0
+    return PhaseMeasure.initial(weights[keep], thetas[keep], omegas[keep], coupling)
 
 
 # ---------------------------------------------------------------------------

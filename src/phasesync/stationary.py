@@ -39,30 +39,24 @@ class SelfConsistencyResult:
     k_supercritical: bool
 
 
-def generalized_residual(
-    g_plus: FrequencyDistribution,
+def self_consistency_residual(
+    g: FrequencyDistribution,
     k: float,
     r: float,
     g_minus: Optional[FrequencyDistribution] = None,
     minus_mass: float = 0.0,
 ) -> float:
-    """Residual int sqrt((KR)^2 - omega^2) (g+ - g-) - K R^2, each integral
+    """Residual int sqrt((KR)^2 - omega^2) (g - g-) - K R^2, each integral
     taken in omega by _omega_integral (QUADPACK's QAWS at a square-root end).
 
-    g+ carries mass (1 - minus_mass) and g- carries minus_mass; with
-    g_minus=None this is the stable-branch equation.
+    g carries mass (1 - minus_mass) and g- carries minus_mass; with
+    g_minus=None this is the stable-branch F(R) = I(K R) - K R^2.
     """
     a = abs(k * r)
-    val = (1.0 - minus_mass) * _omega_integral(g_plus, a)
+    val = (1.0 - minus_mass) * _omega_integral(g, a)
     if g_minus is not None and minus_mass > 0.0:
         val -= minus_mass * _omega_integral(g_minus, a)
     return val - k * r * r
-
-
-def self_consistency_residual(g: FrequencyDistribution, k: float, r: float) -> float:
-    """Stable-branch residual F(R) = I(K R) - K R^2, I in omega as in
-    generalized_residual."""
-    return generalized_residual(g, k, r)
 
 
 def _omega_integral(g: FrequencyDistribution, a: float) -> float:
@@ -214,10 +208,6 @@ class StationaryDensity:
             raise ValueError("K*r must be >= max|omega| on the support of g")
 
     @property
-    def is_atomic(self) -> bool:
-        return self.g.is_discrete
-
-    @property
     def critical_support(self) -> bool:
         """True when K R equals max|omega|: arcsin hits +-pi/2 and the
         marginal has integrable endpoint behaviour."""
@@ -231,7 +221,7 @@ class StationaryDensity:
         """Phase marginal K R |cos(theta - phi*)| g(K R sin(theta - phi*))
         on |theta - phi*| < pi/2, zero outside (atoms excluded)."""
         theta = np.asarray(theta, dtype=float)
-        if self.is_atomic:
+        if self.g.is_discrete:
             return np.zeros_like(theta)
         d = (theta - self.phi_star + np.pi) % (2.0 * np.pi) - np.pi
         kr = self.k * self.r
@@ -248,14 +238,3 @@ class StationaryDensity:
             thetas=tuple(np.atleast_1d(thetas)),
             omegas=tuple(np.atleast_1d(nodes)),
         )
-
-
-def stationary_density(
-    g: FrequencyDistribution,
-    k: float,
-    r: float,
-    phi_star: float = 0.0,
-) -> StationaryDensity:
-    """Build the stable-branch stationary density for coupling k and
-    coherence r; requires K r to cover the support of g."""
-    return StationaryDensity(g=g, k=k, r=r, phi_star=phi_star)

@@ -220,7 +220,7 @@ def test_ac10_stationary_density_round_trip(report):
     g = ps.Uniform(0, 0.3)
     k = 1.0
     r_star = ps.self_consistency_roots(g, k).largest
-    meas = ps.discretize(ps.stationary_density(g, k, r_star).sample_spec(512), coupling=k)
+    meas = ps.discretize(ps.StationaryDensity(g, k, r_star).sample_spec(512), coupling=k)
     traj = ps.kinetic_simulate(meas, ps.SimConfig(dt=0.01, t_max=10, record_every=50))
     drift = np.max(np.abs(traj.r_series - r_star))
 

@@ -134,7 +134,7 @@ class TestOneClassifier:
         fin = ps.classify_finite(ens)
         meas = ps.classify_measure(ps.PhaseMeasure.from_ensemble(ens), mass_tol=0.5 / n)
         assert dataclasses.replace(fin, n_at_phi=None, k=None) == meas
-        if fin.is_clustered:
+        if fin.kind == "clustered":
             assert (fin.n_at_phi, fin.k) == (n - k, k)
             assert fin.c1 == pytest.approx((n - k) / n, abs=1e-15) and fin.c2 == pytest.approx(k / n, abs=1e-15)
 

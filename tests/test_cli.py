@@ -227,6 +227,9 @@ class TestNarrowGaussian:
          "--set", "model.phase_sigma=1.5e-154", "--set", "model.phase_halfwidth=3.14159"],
         ["kinetic", "--preset", "kuramoto-uniform-g", "--set", "model.freq_dist=tgauss",
          "--set", "model.freq_sigma=1e-8", "--set", "model.freq_cut=0.5"],
+        # the pdf warned "overflow encountered in multiply" before exit 2
+        ["kinetic", "--preset", "kuramoto-uniform-g", "--set", "model.freq_dist=tgauss",
+         "--set", "model.freq_sigma=1e-100", "--set", "model.freq_cut=1e300"],
     ])
     def test_is_config_error_without_a_warning(self, tmp_path, capsys, argv):
         out = tmp_path / "run"
@@ -235,6 +238,21 @@ class TestNarrowGaussian:
             assert run_cli([*argv, "--set", "sim.t_max=0.1", "--out", str(out)]) == 2
         assert "config error: sigma" in capsys.readouterr().err
         assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["kinetic", "--preset", "uniform-arc", "--set", "model.phase_spec=tgauss_arc",
+         "--set", "model.phase_sigma=1e-3"],
+        ["kinetic", "--preset", "kuramoto-uniform-g", "--set", "model.freq_dist=tgauss",
+         "--set", "model.freq_sigma=1e-3", "--set", "model.freq_cut=0.5"],
+    ], ids=["arc", "law"])
+    def test_cells_of_zero_mass_leave_a_runnable_law(self, tmp_path, argv):
+        # most cells underflow to mass 0, and the run exited 2 with "weights
+        # must be positive"; a zero-mass cell carries nothing and is left out
+        out = tmp_path / "run"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run_cli([*argv, "--set", "sim.t_max=0.1", "--out", str(out)]) == 3
+        assert read_summary(out)["stopped_on"] == "t_max"
 
 
 class TestRetiredKeys:
@@ -376,6 +394,19 @@ class TestParallelSweep:
         with open(out / "sweep.csv", newline="") as fh:
             rows = list(csv.reader(fh))[1:]
         assert [(float(k), float(r)) for k, r in rows] == [(p["K"], p["final_R"]) for p in points]
+
+    @pytest.mark.parametrize("kind", ["finite", "kinetic"])
+    def test_one_point_sweep_is_the_mode_run(self, tmp_path, kind):
+        # a sweep point at K and the finite or kinetic mode at model.coupling
+        # = K build one model, through cli._initial, and end on the same bits
+        k = 1.3
+        base = self.FINITE if kind == "finite" else self.KINETIC
+        one = ["--set", f"sweep.k_min={k}", "--set", f"sweep.k_max={k}", "--set", "sweep.k_steps=1"]
+        assert run_cli(["sweep", *base, *one, "--out", str(tmp_path / "sweep")]) == 0
+        assert run_cli([kind, *base, "--set", f"model.coupling={k}", "--out", str(tmp_path / kind)]) in (0, 3)
+        [point] = read_summary(tmp_path / "sweep")["points"]
+        run = read_summary(tmp_path / kind)
+        assert (point["K"], point["final_R"], point["stopped_on"]) == (k, run["final_r"], run["stopped_on"])
 
     @pytest.mark.parametrize("n", [1, 2, 3, 1000])
     def test_one_worker_per_usable_cpu_at_most(self, n):
@@ -601,6 +632,21 @@ class TestSweepRejectedBeforeRunning:
         out = tmp_path / "run"
         assert run_cli(self.SWEEP + [x for s in sets for x in ("--set", s)] + ["--out", str(out)]) == 2
         assert "whole number of steps" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("kind", ["finite", "kinetic"])
+    def test_negative_coupling_is_refused_before_any_point_runs(self, tmp_path, capsys, monkeypatch, kind):
+        # the last of the three couplings is -1; the first point used to run
+        def never(*args):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(cli, "simulate", never)
+        monkeypatch.setattr(cli, "kinetic_simulate", never)
+        model = TestParallelSweep.FINITE if kind == "finite" else TestParallelSweep.KINETIC
+        out = tmp_path / "run"
+        bounds = ["--set", "sweep.k_min=1", "--set", "sweep.k_max=-1", "--set", "sweep.k_steps=3"]
+        assert run_cli(["sweep", *model, *bounds, "--out", str(out)]) == 2
+        assert "coupling must be finite and >= 0" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
 
     @pytest.mark.parametrize("steps", ["0", "-1"])

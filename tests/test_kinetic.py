@@ -60,9 +60,27 @@ class TestDiscretize:
         # the CLI's default frequency law: crossing with Dirac(0) changes no bit
         a = ps.discretize(ps.ProductSpec(phase, ps.Dirac(0.0)), 1024, coupling=1.3)
         b = ps.discretize(phase, 1024, coupling=1.3)
-        for name in ("weights", "thetas", "thetas0", "omegas", "log_jacs"):
+        for name in ("weights", "thetas", "omegas", "log_jacs"):
             assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
         assert (a.coupling, a.has_atoms) == (b.coupling, b.has_atoms)
+
+    @pytest.mark.parametrize("spec,kept", [
+        (ps.TruncatedGaussianArc(0.0, 1e-3, 0.9 * np.pi), 14),
+        (ps.ProductSpec(ps.UniformArc(), ps.TruncatedGaussian(0.0, 1e-3, 0.5)), 1024 * 4),
+    ], ids=["narrow-arc", "narrow-law"])
+    def test_nodes_of_zero_mass_are_left_out(self, spec, kept):
+        # 1010 of 1024 arc cells, and 60 of 64 law cells, underflow to mass 0;
+        # the measure refused them as weights that are not positive
+        meas = ps.discretize(spec, 1024)
+        assert meas.n_particles == kept
+        assert np.all(meas.weights > 0.0) and meas.weights.sum() == pytest.approx(1.0, abs=1e-13)
+
+    def test_zero_probability_atom_is_left_out_bitwise(self):
+        arc = ps.TruncatedGaussianArc(0.1, 0.6, 2.5)
+        a = ps.discretize(ps.ProductSpec(arc, ps.Discrete((-0.3, 0.3), (1.0, 0.0))), 7)
+        b = ps.discretize(ps.ProductSpec(arc, ps.Dirac(-0.3)), 7)
+        for name in ("weights", "thetas", "omegas", "log_jacs"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
 
 
 class TestPhaseMeasureValidation:
@@ -75,11 +93,11 @@ class TestPhaseMeasureValidation:
             ps.PhaseMeasure.initial(**data)
 
     @pytest.mark.parametrize("bad", [{"time": math.nan}, {"time": math.inf}, {"log_jacs": [math.inf]},
-                                     {"log_jacs": [math.nan], "time": 1.0}, {"thetas0": [math.nan]}])
+                                     {"log_jacs": [math.nan], "time": 1.0}])
     def test_non_finite_time_log_jacs_and_start_phases_rejected(self, bad):
         # each of these built before v0.13.0; a NaN time also skipped the
         # zero-log-Jacobian check, and the run failed after its first step
-        data = {"weights": [1.0], "thetas": [0.1], "thetas0": [0.1], "omegas": [0.0], "log_jacs": [0.0], **bad}
+        data = {"weights": [1.0], "thetas": [0.1], "omegas": [0.0], "log_jacs": [0.0], **bad}
         with pytest.raises(ValueError, match="finite"):
             ps.PhaseMeasure(**data)
 
@@ -113,7 +131,7 @@ class TestKineticStep:
         cur = meas
         for _ in range(50):
             cur = ps.kinetic_step(cur, 0.1)
-        assert np.allclose(cur.thetas, meas.thetas0 + 5.0 * cur.omegas, atol=1e-12)
+        assert np.allclose(cur.thetas, meas.thetas + 5.0 * cur.omegas, atol=1e-12)
         assert np.all(cur.log_jacs == 0.0)
 
     def test_weights_and_time(self):
@@ -172,7 +190,7 @@ class TestKineticStep:
 class TestKineticSimulate:
     def test_time_is_step_count_times_dt(self):
         # a rotating arc is never stationary, so the run reaches t_max
-        meas = ps.discretize(ps.UniformArc(0.0, 2.5, omega=0.3), 16)
+        meas = ps.discretize(ps.ProductSpec(ps.UniformArc(0.0, 2.5), ps.Dirac(0.3)), 16)
         traj = ps.kinetic_simulate(meas, ps.SimConfig(dt=0.01, t_max=60, record_every=1000))
         assert traj.stopped_on == "t_max"
         assert traj.times[-1] == 6000 * 0.01
@@ -406,7 +424,7 @@ class TestKineticInvariants:
         # kinetic_step skips these checks; the public constructor keeps them
         z = np.zeros(2)
         with pytest.raises(ValueError):
-            ps.PhaseMeasure(weights=np.array(weights), thetas=z, thetas0=z, omegas=z, log_jacs=z)
+            ps.PhaseMeasure(weights=np.array(weights), thetas=z, omegas=z, log_jacs=z)
 
     def test_measure_validation(self):
         with pytest.raises(ValueError):
@@ -415,7 +433,6 @@ class TestKineticInvariants:
             ps.PhaseMeasure(
                 weights=np.array([1.0]),
                 thetas=np.array([0.0]),
-                thetas0=np.array([0.0]),
                 omegas=np.array([0.0]),
                 log_jacs=np.array([0.5]),  # nonzero at t=0
             )

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -221,6 +222,16 @@ class TestFrequencyDistributions:
         assert got.shape == (len(points), 1)
         assert got[:, 0].tolist() == [g.pdf(float(x)) for x in points]
         assert got[-3:].tolist() == [[0.0]] * 3
+
+    def test_pdf_of_a_cut_far_wider_than_sigma_does_not_warn(self):
+        # scale * d * d overflows to -inf, and exp(-inf) = 0 is the density there
+        g = ps.TruncatedGaussian(0.0, 1e-100, 1e300)
+        omega = np.array([-1e300, -1e150, 0.0, 1e-100, 1e150, 1e300])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = g.pdf(omega)
+        assert got.tolist() == [g.pdf(float(w)) for w in omega]
+        assert got[2] > got[3] > 0.0 and not np.any(got[[0, 1, 4, 5]])
 
     @pytest.mark.parametrize("g", PDF_LAWS, ids=repr)
     def test_pdf_matches_v040_formula(self, g):
@@ -500,15 +511,10 @@ class TestSelfConsistencyRoots:
         if r_lo in near_zero:
             assert res.roots[0] == r_lo
 
-    def test_generalized_residual_specializes(self):
+    def test_residual_with_minus_branch(self):
         g = ps.Uniform(0, 0.4)
-        for r in (0.5, 0.8, 1.0):
-            assert ps.generalized_residual(g, 1.0, r) == ps.self_consistency_residual(g, 1.0, r)
-
-    def test_generalized_residual_with_minus_branch(self):
-        g = ps.Uniform(0, 0.4)
-        full = ps.generalized_residual(g, 1.0, 0.9)
-        mixed = ps.generalized_residual(g, 1.0, 0.9, g_minus=g, minus_mass=0.2)
+        full = ps.self_consistency_residual(g, 1.0, 0.9)
+        mixed = ps.self_consistency_residual(g, 1.0, 0.9, g_minus=g, minus_mass=0.2)
         # g+ mass 0.8 minus g- mass 0.2 scales the integral by 0.6
         integral = full + 1.0 * 0.81
         assert mixed == pytest.approx(0.6 * integral - 0.81, abs=1e-12)
@@ -899,7 +905,7 @@ class TestNarrowCore:
 class TestStationaryDensity:
     def test_domain_error(self):
         with pytest.raises(ValueError):
-            ps.stationary_density(ps.Uniform(0, 0.5), 1.0, 0.3)
+            ps.StationaryDensity(ps.Uniform(0, 0.5), 1.0, 0.3)
 
     def test_direct_construction_checks_its_domain(self):
         # K r = 0.01 < max|omega| built, and sample_spec clipped every atom to +-pi/2
@@ -908,14 +914,14 @@ class TestStationaryDensity:
         assert ps.StationaryDensity(ps.Uniform(0, 0.5), 1.0, 0.5).critical_support
 
     def test_dirac_atomic(self):
-        sd = ps.stationary_density(ps.Dirac(0.0), 1.0, 1.0, phi_star=0.4)
-        assert sd.is_atomic
+        sd = ps.StationaryDensity(ps.Dirac(0.0), 1.0, 1.0, phi_star=0.4)
+        assert sd.g.is_discrete
         assert sd.theta_plus(0.0) == pytest.approx(0.4)
 
     @pytest.mark.parametrize("g", [ps.Dirac(0.0), ps.Discrete((-0.3, 0.3), (0.5, 0.5))], ids=["dirac", "discrete"])
     def test_atomic_marginal_is_zero(self, g):
         # the marginal excludes atoms, so an atomic law has none to give
-        sd = ps.stationary_density(g, 1.0, 1.0)
+        sd = ps.StationaryDensity(g, 1.0, 1.0)
         theta = np.linspace(-np.pi, np.pi, 12).reshape(3, 4)
         got = sd.marginal(theta)
         assert got.shape == theta.shape and not np.any(got)
@@ -925,7 +931,7 @@ class TestStationaryDensity:
         g = ps.Uniform(0, 0.3)
         k = 1.0
         r = ps.self_consistency_roots(g, k).largest
-        sd = ps.stationary_density(g, k, r)
+        sd = ps.StationaryDensity(g, k, r)
         edge = np.arcsin(0.3 / (k * r))
         val, _ = quad(sd.marginal, -np.pi, np.pi, points=[-edge, edge], limit=200,
                       epsabs=1e-12, epsrel=1e-12)
@@ -935,7 +941,7 @@ class TestStationaryDensity:
         g = ps.Uniform(0, 0.3)
         k = 1.0
         r = ps.self_consistency_roots(g, k).largest
-        sd = ps.stationary_density(g, k, r)
+        sd = ps.StationaryDensity(g, k, r)
         meas = ps.discretize(sd.sample_spec(512), coupling=k)
         got = ps.weighted_order_parameter(meas.weights, meas.thetas).r
         assert got == pytest.approx(r, abs=1e-6)
@@ -944,13 +950,13 @@ class TestStationaryDensity:
         g = ps.Uniform(0, 0.3)
         k = 1.0
         r = ps.self_consistency_roots(g, k).largest
-        meas = ps.discretize(ps.stationary_density(g, k, r).sample_spec(512), coupling=k)
+        meas = ps.discretize(ps.StationaryDensity(g, k, r).sample_spec(512), coupling=k)
         traj = ps.kinetic_simulate(meas, ps.SimConfig(dt=0.01, t_max=10, record_every=50))
         assert np.max(np.abs(traj.r_series - r)) < 1e-3
 
     def test_critical_support_flag(self):
         g = ps.Uniform(0, 0.3)
-        sd = ps.stationary_density(g, 1.0, 0.3)
+        sd = ps.StationaryDensity(g, 1.0, 0.3)
         assert sd.critical_support
-        sd2 = ps.stationary_density(g, 1.0, 0.9)
+        sd2 = ps.StationaryDensity(g, 1.0, 0.9)
         assert not sd2.critical_support

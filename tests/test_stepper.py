@@ -478,13 +478,13 @@ class TestNoReferenceCycle:
 
 
 class TestTrustedEnsembles:
-    def test_with_phases_still_validates(self):
-        # the internal paths no longer go through with_phases; it still checks
+    def test_constructor_still_validates_new_phases(self):
+        # the internal paths skip the constructor's checks; it still makes them
         ens = ensemble(4, 1.2, 0.25)
         with pytest.raises(ValueError):
-            ens.with_phases([0.0, np.nan, 1.0, 2.0])
+            ps.OscillatorEnsemble([0.0, np.nan, 1.0, 2.0], ens.freqs, ens.coupling)
         with pytest.raises(ValueError):
-            ens.with_phases([0.0, 1.0])
+            ps.OscillatorEnsemble([0.0, 1.0], ens.freqs, ens.coupling)
 
     def test_rows_match_a_validated_rebuild(self):
         ens = ensemble(9, 1.2, 0.25)
