@@ -15,7 +15,6 @@ from .core import (
     finite_n_rhs,
     mean_phase,
     order_parameter,
-    pairwise_rhs,
     potential_u,
     r_dot_identical,
     r_phi_dot_nonidentical,
@@ -28,7 +27,6 @@ from .integrate import (
     SimConfig,
     Trajectory,
     detect_stationarity,
-    rk4_step,
     seeded_ensemble,
     simulate,
     step_rk4,
@@ -48,8 +46,6 @@ from .kinetic import (
     DensitySpec,
     PhaseMeasure,
     ProductSpec,
-    TruncatedGaussianArc,
-    UniformArc,
     characteristic_targets,
     discretize,
     entropy_change,
@@ -68,4 +64,4 @@ from .stationary import (
     self_consistency_roots,
 )
 
-__version__ = "0.15.0"
+__version__ = "0.16.0"

@@ -29,14 +29,7 @@ from .classify import ANGLE_TOL, MASS_TOL, check_tolerances, classify_finite, cl
 from .core import OscillatorEnsemble
 from .freqdist import Dirac, Discrete, TruncatedGaussian, Uniform
 from .integrate import NonFiniteStateError, SimConfig, seeded_ensemble, simulate
-from .kinetic import (
-    AtomList,
-    ProductSpec,
-    TruncatedGaussianArc,
-    UniformArc,
-    discretize,
-    kinetic_simulate,
-)
+from .kinetic import AtomList, ProductSpec, discretize, kinetic_simulate
 from .stationary import critical_coupling, self_consistency_roots
 
 PRESETS = ("three-osc", "two-antipodal", "uniform-arc", "kuramoto-uniform-g")
@@ -110,8 +103,8 @@ SCHEMA = {
         "freq_halfwidth": (float, _default(seeded_ensemble, "freq_halfwidth")),
         "zero_mean_freqs": (_bool, _default(seeded_ensemble, "zero_mean")),
         "phase_spec": (_choice("uniform_arc", "tgauss_arc", "atoms"), "uniform_arc"),
-        "phase_center": (float, _default(UniformArc, "center")),
-        "phase_halfwidth": (float, _default(UniformArc, "halfwidth")),
+        "phase_center": (float, 0.0),
+        "phase_halfwidth": (float, math.pi),
         "phase_sigma": (float, None),
         "atoms": (_atoms, None),
         "m": (int, _default(discretize, "m")),
@@ -263,10 +256,9 @@ def build_density_spec(cfg: dict):
         atoms = _need(model, "atoms")
         return AtomList(*(tuple(a[i] for a in atoms) for i in range(3)))
     if model["phase_spec"] == "uniform_arc":
-        phase = UniformArc(model["phase_center"], model["phase_halfwidth"])
+        phase = Uniform(model["phase_center"], model["phase_halfwidth"])
     else:
-        phase = TruncatedGaussianArc(model["phase_center"], _need(model, "phase_sigma"),
-                                     model["phase_halfwidth"])
+        phase = TruncatedGaussian(model["phase_center"], _need(model, "phase_sigma"), model["phase_halfwidth"])
     if model["freq_dist"] == "none":
         return phase
     return ProductSpec(phase, build_freq_dist(cfg), n_freq=model["n_freq"])

@@ -101,12 +101,6 @@ def weighted_order_parameter(weights: np.ndarray, thetas: np.ndarray) -> OrderPa
     return OrderParameter.from_dots(*_trig_dots(u, np.asarray(weights, dtype=float), np.empty((2, u.size))))
 
 
-def pairwise_rhs(ens: OscillatorEnsemble) -> np.ndarray:
-    """O(N^2) form of the vector field: omega_i - (K/N) sum_j sin(theta_i - theta_j)."""
-    diff = ens.phases[:, None] - ens.phases[None, :]
-    return ens.freqs - (ens.coupling / ens.n) * np.sum(np.sin(diff), axis=1)
-
-
 def trig_scale(n: int) -> float:
     """What field_into takes per radian of phase: 1/2 on the half-angle path."""
     return 0.5 if n >= HALF_ANGLE_MIN else 1.0
@@ -169,7 +163,8 @@ def field_into(u, omegas, weights, coupling, cs, v, tmp, d=None, jac=None):
 
 def finite_n_rhs(ens: OscillatorEnsemble) -> np.ndarray:
     """Angular velocities theta_dot_i of the finite-N system: the mean-field
-    velocity of the equal-weight measure; equals pairwise_rhs."""
+    velocity of the equal-weight measure, which equals the pairwise form
+    omega_i - (K/N) sum_j sin(theta_i - theta_j)."""
     return field(ens.phases, ens.freqs, np.full(ens.n, 1.0 / ens.n), ens.coupling, False)
 
 

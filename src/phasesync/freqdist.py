@@ -1,11 +1,13 @@
-"""Natural-frequency distributions with bounded support.
+"""Compact laws on the line: natural-frequency distributions, and phase laws.
 
 Tagged union of laws (uniform, discrete with Dirac as its one-atom case,
 truncated Gaussian), each exposing a pdf (or atoms), support bounds,
 quadrature nodes/weights, and an expectation operator; the laws with a
 density also give the quad callback of the self-consistency integral
 (t_kernel) and the core that adaptive quadrature splits at. Support is
-always compact.
+always compact. Uniform and TruncatedGaussian of half-width at most pi
+also serve as the phase law of a kinetic datum, on an arc of the circle
+(see kinetic.ProductSpec).
 """
 from __future__ import annotations
 
@@ -28,22 +30,6 @@ __all__ = [
 # the largest |end| of a support or arc: any two of its points add and
 # subtract without overflow (linspace and the midpoints of its cells)
 _HALF_MAX = float(np.finfo(float).max) / 2.0
-
-
-def _check_sigma(sigma: float):
-    """A Gaussian width: > 0, and its square a normal float, so that -1/(2 sigma^2)
-    is finite and exp(-d^2/(2 sigma^2)) does not divide by a subnormal."""
-    if not (sigma > 0.0 and np.finfo(float).tiny <= sigma * sigma < math.inf):  # NaN fails too
-        raise ValueError("sigma must be > 0 with sigma^2 a normal float, so in [1.49e-154, 1.34e154]")
-
-
-def _normalized(masses: np.ndarray) -> np.ndarray:
-    """Cell masses over their sum; a Gaussian narrower than its cells can
-    leave every mass 0, and 0/0 would only warn."""
-    total = masses.sum()
-    if not total > 0.0:
-        raise ValueError("sigma is too narrow for the cells: every cell's mass underflows to 0")
-    return masses / total
 
 
 class FrequencyDistribution:
@@ -110,6 +96,8 @@ class Uniform(FrequencyDistribution):
     halfwidth: float = 0.5
 
     def __post_init__(self):
+        if not math.isfinite(self.center):  # else the width check below blames the width
+            raise ValueError("center must be finite")
         if not 0.0 < self.halfwidth <= _HALF_MAX - abs(self.center):
             raise ValueError("halfwidth must be > 0 and |center| + halfwidth at most max float / 2")
         # constants outside the fields: ==, hash, repr skip them; replace recomputes
@@ -203,7 +191,11 @@ class TruncatedGaussian(FrequencyDistribution):
     cut: float = 2.0
 
     def __post_init__(self):
-        _check_sigma(self.sigma)
+        # sigma^2 a normal float: -1/(2 sigma^2) is finite and divides by no subnormal
+        if not (self.sigma > 0.0 and np.finfo(float).tiny <= self.sigma * self.sigma < math.inf):  # NaN fails too
+            raise ValueError("sigma must be > 0 with sigma^2 a normal float, so in [1.49e-154, 1.34e154]")
+        if not math.isfinite(self.mean):
+            raise ValueError("mean must be finite")
         if not 0.0 < self.cut <= _HALF_MAX - abs(self.mean):
             raise ValueError("cut must be > 0 and |mean| + cut at most max float / 2")
         # as in Uniform; norm is the untruncated mass inside the cut
@@ -251,4 +243,8 @@ class TruncatedGaussian(FrequencyDistribution):
 
     def quadrature(self, n: int):
         nodes, width = self._cells(n)
-        return nodes, _normalized(self.pdf(nodes) * width)
+        masses = self.pdf(nodes) * width
+        total = masses.sum()
+        if not total > 0.0:  # a Gaussian narrower than its cells; 0/0 would only warn
+            raise ValueError("sigma is too narrow for the cells: every cell's mass underflows to 0")
+        return nodes, masses / total

@@ -47,16 +47,6 @@ class SimConfig:
             raise ValueError("stationarity_tol must be finite and > 0")
 
 
-def rk4_step(rate, y, dt):
-    """One classical RK4 step of y' = rate(y); y is an array or a scalar."""
-    h = 0.5 * dt
-    k1 = rate(y)
-    k2 = rate(y + h * k1)
-    k3 = rate(y + h * k2)
-    k4 = rate(y + dt * k3)
-    return y + (2.0 * (k2 + k3) + k1 + k4) * (dt / 6.0)
-
-
 # Stepper's buffer C: the cos row of stages 1-4 (the sin row follows), and the rows of ph and pd
 _COS_ROWS, _PH_ROW, _PD_ROW = (3, 0, 6, 8), 2, 5
 

@@ -15,7 +15,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .core import OscillatorEnsemble, circle_distance, weighted_order_parameter
-from .freqdist import _HALF_MAX, Dirac, FrequencyDistribution, _check_sigma, _normalized
+from .freqdist import Dirac, FrequencyDistribution, TruncatedGaussian, Uniform
 from .integrate import NonFiniteStateError, SimConfig, Trajectory, _run, _step, _trusted
 
 
@@ -94,93 +94,54 @@ class AtomList:
     omegas: tuple
 
 
-def _check_arc(arc):
-    """Halfwidth in (0, pi], and ends that add without overflow."""
-    if not 0.0 < arc.halfwidth <= np.pi:
-        raise ValueError("halfwidth must lie in (0, pi]")
-    if not abs(arc.center) <= _HALF_MAX - arc.halfwidth:  # NaN fails too
-        raise ValueError("center must be finite and |center| + halfwidth at most max float / 2")
-
-
-@dataclass(frozen=True)
-class UniformArc:
-    """Uniform phase density on [center - halfwidth, center + halfwidth]."""
-
-    center: float = 0.0
-    halfwidth: float = np.pi
-
-    def __post_init__(self):
-        _check_arc(self)
-
-
-@dataclass(frozen=True)
-class TruncatedGaussianArc:
-    """Gaussian phase density truncated to an arc around center."""
-
-    center: float = 0.0
-    sigma: float = 0.5
-    halfwidth: float = np.pi
-
-    def __post_init__(self):
-        _check_arc(self)
-        _check_sigma(self.sigma)
-
-
 @dataclass(frozen=True)
 class ProductSpec:
-    """Phase spec tensor frequency law; n_freq frequency nodes per phase node."""
+    """Phase law tensor frequency law; n_freq frequency nodes per phase node.
 
-    phase: Union[UniformArc, TruncatedGaussianArc]
+    The phase law is a Uniform(center, halfwidth) or a TruncatedGaussian(mean,
+    sigma, cut) on an arc of the circle: its halfwidth or cut is at most pi.
+    """
+
+    phase: Union[Uniform, TruncatedGaussian]
     freqs: FrequencyDistribution
     n_freq: int = 64
 
     def __post_init__(self):
+        if not isinstance(self.phase, (Uniform, TruncatedGaussian)):
+            raise TypeError("the phase law must be a Uniform or a TruncatedGaussian")
+        # the field, not the support: at pi the rounded ends can lie more than 2 pi apart
+        if not (self.phase.halfwidth if isinstance(self.phase, Uniform) else self.phase.cut) <= np.pi:
+            raise ValueError("the phase law's half-width must be at most pi")
         if self.n_freq < 1:
             raise ValueError("n_freq must be >= 1")
 
 
-DensitySpec = Union[AtomList, UniformArc, TruncatedGaussianArc, ProductSpec]
-
-
-def _phase_nodes(spec, m: int):
-    """Midpoint nodes and cell masses for an absolutely continuous phase spec."""
-    lo = spec.center - spec.halfwidth
-    hi = spec.center + spec.halfwidth
-    edges = np.linspace(lo, hi, m + 1)
-    nodes = 0.5 * (edges[:-1] + edges[1:])
-    if isinstance(spec, UniformArc):
-        masses = np.full(m, 1.0 / m)
-    else:
-        z = (nodes - spec.center) / spec.sigma
-        with np.errstate(over="ignore"):  # z^2 past max float: exp(-inf) = 0, a cell in the far tail
-            masses = np.exp(-0.5 * z * z) * (edges[1] - edges[0])
-        masses = _normalized(masses)
-    return nodes, masses
+DensitySpec = Union[AtomList, Uniform, TruncatedGaussian, ProductSpec]
 
 
 def discretize(spec: DensitySpec, m: int = 1024, coupling: float = 1.0) -> PhaseMeasure:
     """Turn a density spec into a weighted-particle measure.
 
-    Atoms pass through exactly; absolutely continuous parts become m
-    midpoint-rule nodes with weights equal to the cell mass; product specs
-    use a tensor grid, and an arc alone is its product with Dirac(). A node
-    whose mass underflows to 0 (the far tail of a narrow Gaussian) carries
-    nothing and is left out.
+    Atoms pass through exactly, and an atom of weight 0 is left out;
+    product specs use the tensor grid of the two laws' quadratures (m
+    midpoint cells of the phase arc), and a phase law alone is its product
+    with Dirac(). A node whose mass underflows to 0 (the far tail of a
+    narrow Gaussian) carries nothing and is left out too.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     if isinstance(spec, AtomList):
-        return PhaseMeasure.initial(spec.weights, spec.thetas, spec.omegas, coupling, has_atoms=True)
+        atoms = np.array([np.atleast_1d(a) for a in (spec.weights, spec.thetas, spec.omegas)], dtype=float)
+        return PhaseMeasure.initial(*atoms[:, atoms[0] != 0.0], coupling, has_atoms=True)
     if not isinstance(spec, ProductSpec):
         spec = ProductSpec(spec, Dirac())
-    nodes, masses = _phase_nodes(spec.phase, m)
+    nodes, masses = spec.phase.quadrature(m)
     f_nodes, f_weights = spec.freqs.quadrature(spec.n_freq)
     thetas = np.repeat(nodes, f_nodes.size)
     omegas = np.tile(f_nodes, nodes.size)
-    weights = np.repeat(masses, f_nodes.size) * np.tile(f_weights, nodes.size)
-    weights = weights / weights.sum()
-    keep = weights > 0.0
-    return PhaseMeasure.initial(weights[keep], thetas[keep], omegas[keep], coupling)
+    product = np.repeat(masses, f_nodes.size) * np.tile(f_weights, nodes.size)
+    keep = product > 0.0
+    return PhaseMeasure.initial(product[keep] / product[keep].sum(), thetas[keep], omegas[keep], coupling)
 
 
 # ---------------------------------------------------------------------------

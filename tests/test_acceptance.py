@@ -124,7 +124,7 @@ def test_ac05_atomic_measure_matches_finite_n(report):
 
 
 def test_ac06_nonatomic_data_fully_synchronizes(report):
-    meas = ps.discretize(ps.UniformArc(0.0, 0.9 * np.pi), 1024, coupling=1.0)
+    meas = ps.discretize(ps.Uniform(0.0, 0.9 * np.pi), 1024, coupling=1.0)
     traj = ps.kinetic_simulate(meas, ps.SimConfig(dt=0.01, t_max=60, record_every=10))
     cls = ps.classify_measure(traj.final)
     phi = np.array([p for p in traj.phi_series if p is not None])
@@ -138,7 +138,7 @@ def test_ac06_nonatomic_data_fully_synchronizes(report):
 
 
 def test_ac07_log_jacobian_entropy_identity(report):
-    meas = ps.discretize(ps.UniformArc(0.0, 2.5), 800, coupling=1.0)
+    meas = ps.discretize(ps.Uniform(0.0, 2.5), 800, coupling=1.0)
     traj = ps.kinetic_simulate(meas, ps.SimConfig(dt=0.01, t_max=5, record_every=1))
     s, r, t = traj.entropy_series, traj.r_series, traj.times
     # entropy change is -sum w log_jac: its derivative should be +K R^2,
@@ -156,14 +156,14 @@ def test_ac08_h_functional_monotone_and_free_growth(report):
     worst_drop = 0.0
     for seed in range(20):
         spec = ps.ProductSpec(
-            ps.UniformArc(0.3 * (seed % 3), 1.5 + 0.05 * seed),
+            ps.Uniform(0.3 * (seed % 3), 1.5 + 0.05 * seed),
             ps.Uniform(0.0, 0.1 + 0.02 * seed),
             16,
         )
         meas = ps.discretize(spec, 48, coupling=1.0 + 0.05 * seed)
         traj = ps.kinetic_simulate(meas, ps.SimConfig(dt=0.01, t_max=20, record_every=10))
         worst_drop = min(worst_drop, np.min(np.diff(traj.h_series)))
-    free = ps.discretize(ps.ProductSpec(ps.UniformArc(0, 2.0), ps.Uniform(0, 0.5), 16),
+    free = ps.discretize(ps.ProductSpec(ps.Uniform(0, 2.0), ps.Uniform(0, 0.5), 16),
                          32, coupling=0.0)
     ftraj = ps.kinetic_simulate(free, ps.SimConfig(dt=0.01, t_max=3, record_every=50))
     omega2 = float(np.sum(free.weights * free.omegas ** 2))
@@ -227,7 +227,7 @@ def test_ac10_stationary_density_round_trip(report):
     # converged supercritical run lands on the arcsin support curve
     k2 = 1.5
     g2 = ps.Uniform(0, 0.3)
-    m2 = ps.discretize(ps.ProductSpec(ps.UniformArc(0.0, 2.5), g2, 33), 201, coupling=k2)
+    m2 = ps.discretize(ps.ProductSpec(ps.Uniform(0.0, 2.5), g2, 33), 201, coupling=k2)
     fin = ps.kinetic_simulate(m2, ps.SimConfig(dt=0.01, t_max=80, record_every=100)).final
     op = ps.weighted_order_parameter(fin.weights, fin.thetas)
     curve = op.phi + np.arcsin(np.clip(fin.omegas / (k2 * op.r), -1.0, 1.0))
@@ -245,14 +245,14 @@ def test_ac11_incoherence_fourier_moments(report):
     # the particle-quadrature floor (set by phase mixing over the horizon)
     floor = 1e-2
     g = ps.Uniform(0.1, 0.5)
-    meas = ps.discretize(ps.ProductSpec(ps.UniformArc(0.0, 2.0), g, 64), 128, coupling=0.4)
+    meas = ps.discretize(ps.ProductSpec(ps.Uniform(0.0, 2.0), g, 64), 128, coupling=0.4)
     init = [abs(ps.fourier_moment(meas, j)) for j in range(4)]
     fin = ps.kinetic_simulate(meas, ps.SimConfig(dt=0.02, t_max=100, record_every=500)).final
     final = [abs(ps.fourier_moment(fin, j)) for j in range(4)]
     decayed = init[0] > 0.4 and all(m < floor for m in final)
 
     # uniform-on-the-circle data never leaves the floor
-    uni = ps.discretize(ps.ProductSpec(ps.UniformArc(0.0, np.pi), ps.Uniform(0, 0.5), 32),
+    uni = ps.discretize(ps.ProductSpec(ps.Uniform(0.0, np.pi), ps.Uniform(0, 0.5), 32),
                         128, coupling=0.4)
     cur = uni
     peak = 0.0

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import phasesync as ps
+from reference import rk4_step
 
 
 def clustered_ensemble(n, k, phi_star, jitter=0.0, seed=0):
@@ -85,7 +86,7 @@ class TestClassifyMeasure:
         assert ps.weighted_order_parameter(meas.weights, meas.thetas).r == pytest.approx(0.4, abs=1e-12)
 
     def test_uniform_circle_incoherent(self):
-        meas = ps.discretize(ps.UniformArc(0.0, np.pi), 256)
+        meas = ps.discretize(ps.Uniform(0.0, np.pi), 256)
         assert ps.classify_measure(meas).kind == "incoherent"
 
     def test_tie_is_not_stationary(self):
@@ -97,7 +98,7 @@ class TestClassifyMeasure:
         assert ps.classify_measure(meas).kind == "not_stationary"
 
     def test_spread_mass_not_stationary(self):
-        meas = ps.discretize(ps.UniformArc(0.0, 1.0), 64)
+        meas = ps.discretize(ps.Uniform(0.0, 1.0), 64)
         assert ps.classify_measure(meas).kind == "not_stationary"
 
 
@@ -151,6 +152,15 @@ class TestThreeOscillator:
     def test_above_threshold_to_pi(self):
         d = ps.three_oscillator_limit(np.pi / 3 + 0.01, t_max=200)
         assert abs(d - np.pi) < 1e-3
+
+    @pytest.mark.parametrize("delta0", [1.0, np.pi / 3 - 0.01, np.pi / 3, np.pi / 3 + 0.01, 2.5])
+    def test_matches_rk4_of_the_reduced_rate(self, delta0):
+        # the full system's run against RK4 of the reduced ODE to t = 200;
+        # the largest measured gap is 1.0e-9, the stationarity tolerance
+        d = delta0
+        for _ in range(20000):
+            d = rk4_step(ps.three_oscillator_rate, d, 0.01)
+        assert ps.three_oscillator_limit(delta0) == pytest.approx(d, abs=1e-8)
 
     def test_short_horizon_warns(self):
         with pytest.warns(UserWarning):

@@ -139,6 +139,29 @@ class TestKineticMode:
         assert all(r[3] == "" for r in rows)  # U empty for kinetic runs
         assert all(r[5] != "" for r in rows)  # H recorded
 
+    @pytest.mark.parametrize("atoms,code", [("1:0;0:1", 0), ("0.5:0:0.3;0:1;0.5:2:-0.3", 3)],
+                             ids=["one-atom", "spread"])
+    def test_zero_weight_atom_is_left_out(self, tmp_path, atoms, code):
+        # both exited 2 with "weights must be positive"; one atom alone is at
+        # rest, two of spread frequencies have not locked by t_max
+        out = tmp_path / "run"
+        assert run_cli(["kinetic", "--preset", "uniform-arc", "--set", "model.phase_spec=atoms",
+                        "--set", f"model.atoms={atoms}", "--set", "sim.t_max=0.1", "--out", str(out)]) == code
+        assert read_summary(out)["stopped_on"] == ("stationary" if code == 0 else "t_max")
+
+    @pytest.mark.parametrize("sets", [["model.phase_spec=atoms", "model.atoms=1.5:0;-0.5:1"],
+                                      ["model.phase_spec=atoms", "model.atoms=0:0;0:1"],
+                                      ["model.phase_halfwidth=3.2"],
+                                      ["model.phase_spec=tgauss_arc", "model.phase_sigma=0.5",
+                                       "model.phase_halfwidth=3.2"]],
+                             ids=["negative-weight", "all-zero-weights", "uniform-arc-past-pi", "tgauss-arc-past-pi"])
+    def test_bad_phase_datum_is_config_error(self, tmp_path, capsys, sets):
+        out = tmp_path / "run"
+        assert run_cli(["kinetic", "--preset", "uniform-arc", *SHORT, *(x for s in sets for x in ("--set", s)),
+                        "--out", str(out)]) == 2
+        assert "config error:" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
 
 class TestRootsAndKc:
     def test_roots_dirac(self, tmp_path):
@@ -370,7 +393,7 @@ class TestParallelSweep:
         if kind == "finite":
             traj = phasesync.simulate(phasesync.OscillatorEnsemble([0, 1, 2.5], [0.3, -0.1, -0.2], k), sim)
         else:
-            spec = phasesync.ProductSpec(phasesync.UniformArc(model["phase_center"], model["phase_halfwidth"]),
+            spec = phasesync.ProductSpec(phasesync.Uniform(model["phase_center"], model["phase_halfwidth"]),
                                          phasesync.Uniform(model["freq_center"], model["freq_halfwidth_g"]),
                                          n_freq=model["n_freq"])
             traj = phasesync.kinetic_simulate(phasesync.discretize(spec, model["m"], coupling=k), sim)

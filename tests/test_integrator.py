@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import phasesync as ps
+from reference import pairwise_rhs, rk4_step
 
 _MASK = (1 << 64) - 1
 
@@ -26,15 +27,11 @@ def splitmix64_reference(seed, n):
 def pairwise_rk4(phases, freqs, coupling, dt, steps):
     """Classical RK4 on the O(N^2) pairwise vector field."""
     def rate(th):
-        return ps.pairwise_rhs(ps.OscillatorEnsemble(th, freqs, coupling))
+        return pairwise_rhs(ps.OscillatorEnsemble(th, freqs, coupling))
 
     y = np.array(phases, dtype=float)
     for _ in range(steps):
-        k1 = rate(y)
-        k2 = rate(y + dt / 2 * k1)
-        k3 = rate(y + dt / 2 * k2)
-        k4 = rate(y + dt * k3)
-        y = y + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        y = rk4_step(rate, y, dt)
     return y
 
 
@@ -76,11 +73,7 @@ class TestStepRK4:
         def integrate(delta0, dt, t_end):
             d = delta0
             for _ in range(int(round(t_end / dt))):
-                k1 = ps.three_oscillator_rate(d)
-                k2 = ps.three_oscillator_rate(d + 0.5 * dt * k1)
-                k3 = ps.three_oscillator_rate(d + 0.5 * dt * k2)
-                k4 = ps.three_oscillator_rate(d + dt * k3)
-                d += (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+                d = rk4_step(ps.three_oscillator_rate, d, dt)
             return d
 
         ref = integrate(1.5, 1e-5, 1.0)

@@ -92,7 +92,7 @@ def test_recorded_rows_are_the_order_parameter_finite(n):
 @pytest.mark.parametrize("n", [64, 4096])
 def test_recorded_rows_are_the_order_parameter_kinetic(n):
     # each run's last row is its final state's, at horizons of 1 to 7 steps
-    spec = ps.ProductSpec(ps.UniformArc(0.3, 2.0), ps.Uniform(0.25, 0.4), n // 8)
+    spec = ps.ProductSpec(ps.Uniform(0.3, 2.0), ps.Uniform(0.25, 0.4), n // 8)
     meas = ps.discretize(spec, 8, coupling=1.3)
     for k in range(1, 8):
         traj = ps.kinetic_simulate(meas, ps.SimConfig(dt=0.05, t_max=k * 0.05, record_every=3))

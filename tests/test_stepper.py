@@ -94,7 +94,7 @@ def ensemble(n, coupling, mean_freq, halfwidth=0.5, seed=5):
 def measure(n, coupling, mean_freq):
     # m phase nodes times n/m frequency nodes (511 = 7 * 73)
     m = 8 if n % 8 == 0 else 7
-    spec = ps.ProductSpec(ps.UniformArc(0.3, 2.0), ps.Uniform(mean_freq, 0.4), n // m)
+    spec = ps.ProductSpec(ps.Uniform(0.3, 2.0), ps.Uniform(mean_freq, 0.4), n // m)
     meas = ps.discretize(spec, m, coupling=coupling)
     assert meas.n_particles == n
     return meas
@@ -269,7 +269,7 @@ def test_blas_thread_count_leaves_states_bytewise():
     # must not depend on the thread count
     script = (
         "import hashlib, phasesync as ps\n"
-        "spec = ps.ProductSpec(ps.UniformArc(0.3, 2.0), ps.Uniform(0.25, 0.4), 64)\n"
+        "spec = ps.ProductSpec(ps.Uniform(0.3, 2.0), ps.Uniform(0.25, 0.4), 64)\n"
         "meas = ps.discretize(spec, 64, coupling=1.3)\n"
         "end = ps.kinetic_simulate(meas, ps.SimConfig(dt=0.01, t_max=0.5, record_every=50)).final\n"
         "assert end.n_particles == 4096 and end.time == 0.5\n"
@@ -298,7 +298,7 @@ def test_blas_thread_count_leaves_wide_states_bytewise():
     # (CPU time about twice wall time), where it splits none at 4096 or 2000
     script = (
         "import hashlib, phasesync as ps\n"
-        "spec = ps.ProductSpec(ps.UniformArc(0.3, 2.0), ps.Uniform(0.25, 0.4), 512)\n"
+        "spec = ps.ProductSpec(ps.Uniform(0.3, 2.0), ps.Uniform(0.25, 0.4), 512)\n"
         "meas = ps.discretize(spec, 256, coupling=1.3)\n"
         "end = ps.kinetic_simulate(meas, ps.SimConfig(dt=0.01, t_max=0.2, record_every=20)).final\n"
         "assert end.n_particles == 131072 and end.time == 0.2\n"
