@@ -354,16 +354,26 @@ def _sweep_point(cfg: dict, k: float) -> tuple[float, str]:
     return float(traj.r_series[-1]), traj.stopped_on
 
 
-def _workers(points: int) -> int:
-    """Processes for independent points: one per usable CPU, at most one per
-    point, and 1 where the platform cannot fork."""
+def _cpus() -> int:
+    """CPUs this process may run on, or 1 where the platform cannot fork."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    return min(points, cpus) if hasattr(os, "fork") else 1
+    return cpus if hasattr(os, "fork") else 1
+
+
+def _workers(points: int, cpus: int) -> int:
+    """Processes for equal independent points on `cpus` CPUs: one per point up
+    to `cpus` points; beyond, the fewest w >= cpus whose last round, points
+    mod w, is empty or fills every CPU, so the sweep takes points/cpus
+    point-times under fair time-sharing, not ceil(points/cpus)."""
+    w = min(points, cpus)
+    while 0 < points % w < cpus:
+        w += 1
+    return w
 
 
 def run_sweep(cfg: dict, out: Path):
-    """Also writes sweep.csv (K, final_R). The points run in forked worker
-    processes, in K order, and give the bits of a serial run."""
+    """Also writes sweep.csv (K, final_R). Up to _workers points run at once
+    in forked processes and give a serial run's bits, in K order."""
     sweep = cfg["sweep"]
     if sweep["k_steps"] < 1:
         raise ConfigError("[sweep] k_steps must be >= 1")
@@ -375,7 +385,7 @@ def run_sweep(cfg: dict, out: Path):
     build_sim_config(cfg)
     _initial(cfg, cfg["model"]["kind"], min(ks))
     point = functools.partial(_sweep_point, cfg)
-    workers = _workers(len(ks))
+    workers = _workers(len(ks), _cpus())
     if workers == 1:
         results = list(map(point, ks))
     else:  # imported here: the import alone costs about 20 ms

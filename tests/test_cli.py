@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import json
 import multiprocessing
@@ -386,7 +387,7 @@ class TestParallelSweep:
               "--set", "sweep.k_min=0.2", "--set", "sweep.k_max=2", "--set", "sweep.k_steps=3",
               "--set", "sim.t_max=5"]
     KINETIC = ["--preset", "kuramoto-uniform-g", "--set", "model.m=32", "--set", "model.n_freq=4",
-               "--set", "model.freq_center=0.25", "--set", "sweep.k_steps=4", "--set", "sim.t_max=2"]
+               "--set", "model.freq_center=0.25", "--set", "sweep.k_steps=3", "--set", "sim.t_max=2"]
 
     @staticmethod
     def library_point(kind, model, sim, k):
@@ -399,11 +400,12 @@ class TestParallelSweep:
             traj = phasesync.kinetic_simulate(phasesync.discretize(spec, model["m"], coupling=k), sim)
         return float(traj.r_series[-1]), traj.stopped_on
 
-    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("kind", ["finite", "kinetic"])
     def test_points_equal_library_runs(self, tmp_path, monkeypatch, kind, workers):
-        # 2 forces the process pool on a one-CPU host too
-        monkeypatch.setattr(cli, "_workers", lambda points: min(points, workers))
+        # 2 forces the process pool on a one-CPU host too; 3 is more workers
+        # than CPUs, the rule's pool for the 3 points on 2 CPUs
+        monkeypatch.setattr(cli, "_workers", lambda points, cpus: workers)
         out = tmp_path / "run"
         assert run_cli(["sweep", *(self.FINITE if kind == "finite" else self.KINETIC), "--out", str(out)]) == 0
         assert not multiprocessing.active_children()
@@ -431,9 +433,51 @@ class TestParallelSweep:
         run = read_summary(tmp_path / kind)
         assert (point["K"], point["final_R"], point["stopped_on"]) == (k, run["final_r"], run["stopped_on"])
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 1000])
-    def test_one_worker_per_usable_cpu_at_most(self, n):
-        assert cli._workers(n) == min(n, len(os.sched_getaffinity(0)))
+    @pytest.mark.parametrize("kind", ["finite", "kinetic"])
+    def test_oversubscribed_pool_writes_the_serial_bytes(self, tmp_path, monkeypatch, kind):
+        # 3 points on 2 usable CPUs: the rule's 3 workers, one worker per CPU
+        # and one process write the same files
+        sizes = []
+
+        class Pool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(cli, "_cpus", lambda: 2)
+        rule, files = cli._workers, {}
+        for name, pool in [("rule", None), ("per-cpu", 2), ("serial", 1)]:
+            monkeypatch.setattr(cli, "_workers", rule if pool is None else lambda points, cpus, pool=pool: pool)
+            out = tmp_path / name
+            assert run_cli(["sweep", *(self.FINITE if kind == "finite" else self.KINETIC), "--out", str(out)]) == 0
+            assert not multiprocessing.active_children()
+            files[name] = {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+        assert sizes == [3, 2]
+        assert {"sweep.csv", "summary.json"} <= set(files["rule"])
+        assert files["rule"] == files["per-cpu"] == files["serial"]
+
+    @pytest.mark.parametrize("points,cpus,workers", [
+        (1, 2, 1), (2, 2, 2), (3, 2, 3), (4, 2, 2), (5, 2, 3), (11, 2, 3), (13, 2, 5), (13, 4, 7),
+        (1000, 2, 2), (1, 1, 1), (2, 1, 1), (13, 1, 1), (1000, 1, 1),
+    ])
+    def test_pool_size(self, points, cpus, workers):
+        assert cli._workers(points, cpus) == workers
+
+    def test_pool_ends_equal_points_in_their_fair_share(self):
+        # w workers take the points in rounds of w, and n points running at
+        # once on C fairly shared CPUs end after max(n, C) / C point-times;
+        # makespan is C times the sum over the rounds
+        for cpus in range(1, 17):
+            for points in range(1, 2001):
+                w = cli._workers(points, cpus)
+                assert w <= points and w <= 7 * cpus, (points, cpus, w)
+                rounds, last = divmod(points, w)
+                makespan = rounds * max(w, cpus) + (max(last, cpus) if last else 0)
+                assert makespan == max(points, cpus), (points, cpus, w)
+
+    def test_usable_cpus(self):
+        assert cli._cpus() == len(os.sched_getaffinity(0))
 
     def test_aborted_point_exits_1_without_hanging(self, tmp_path):
         # the parent could not unpickle a worker's NonFiniteStateError and
@@ -441,10 +485,10 @@ class TestParallelSweep:
         argv = ["sweep", "--preset", "two-antipodal", "--set", "model.kind=finite",
                 "--set", "model.phases=0,1", "--set", "model.freqs=1e308,-1e308",
                 "--set", "sim.dt=1", "--set", "sim.t_max=2", "--set", "sweep.k_min=1",
-                "--set", "sweep.k_max=2", "--set", "sweep.k_steps=2", "--out", str(tmp_path / "run")]
+                "--set", "sweep.k_max=2", "--set", "sweep.k_steps=3", "--out", str(tmp_path / "run")]
         script = ("import multiprocessing, sys, warnings; import phasesync.cli as cli\n"
                   "warnings.simplefilter('ignore', RuntimeWarning)\n"
-                  "cli._workers = lambda points: points\n"  # a pool on a one-CPU host too
+                  "cli._cpus = lambda: 2\n"  # the rule's 3 workers, on a one-CPU host too
                   "code = cli.main(sys.argv[1:])\n"
                   "sys.exit(code if not multiprocessing.active_children() else 'child process left')\n")
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
