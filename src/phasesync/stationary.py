@@ -140,11 +140,22 @@ def _argmin_h(g: FrequencyDistribution, a0: float) -> Tuple[float, float]:
     return a_star, h(a_star)
 
 
+def _min_h(g: FrequencyDistribution) -> Tuple[float, float]:
+    """_argmin_h(g, max|omega|), solved on g's first call and kept beside the
+    constants __post_init__ keeps outside the fields: ==, hash, repr skip it,
+    and pickling and dataclasses.replace build a law without it. A solve that
+    raises keeps nothing."""
+    pair = vars(g).get("_min_h")
+    if pair is None:
+        pair = vars(g)["_min_h"] = _argmin_h(g, g.max_abs_omega)
+    return pair
+
+
 def self_consistency_roots(g: FrequencyDistribution, k: float) -> SelfConsistencyResult:
     """All roots R in (0, 1] of the self-consistency equation at coupling k.
 
     F(R) = I(K R) - K R^2 = (I / K) (K - h(K R)) has the sign of K - h(K R), so
-    it has at most one root on each side of R* = a* / K (_argmin_h). Brent's
+    it has at most one root on each side of R* = a* / K (_min_h). Brent's
     method on the adaptive I polishes the sign change, if any, on [max|omega| /
     K, R*] and on [R*, 1]; an end of the range where |F| <= _SLACK is a
     candidate too (F = 0 at K R = max|omega|, which rounding may hide from the
@@ -160,7 +171,7 @@ def self_consistency_roots(g: FrequencyDistribution, k: float) -> SelfConsistenc
     if wmax / k > 1.0:
         raise ValueError("support of g too wide: max|omega|/K > 1 admits no R")
     r_lo = max(wmax / k, 1e-12)
-    r_star = min(max(_argmin_h(g, wmax)[0] / k, r_lo), 1.0)
+    r_star = min(max(_min_h(g)[0] / k, r_lo), 1.0)
     f = lambda r: _integral(g, k * r) - k * r * r
     ends = {r: f(r) for r in (r_lo, r_star, 1.0)}
 
@@ -184,9 +195,10 @@ def critical_coupling(g: FrequencyDistribution) -> float:
     Dirac(omega_0), the one-atom Discrete law. On a law without atoms whose
     slope I'(max|omega|) is at most 2 I / max|omega| there (every centred law
     whose density does not rise away from 0), K_c is h(max|omega|), after two
-    adaptive integrals; they split at g.core() as in self_consistency_roots.
+    adaptive integrals on the law object's first call (later calls read the
+    pair _min_h kept); they split at g.core() as in self_consistency_roots.
     """
-    return _argmin_h(g, g.max_abs_omega)[1]
+    return _min_h(g)[1]
 
 
 @dataclass(frozen=True)

@@ -182,6 +182,13 @@ def scaled(g, c):
     return ps.TruncatedGaussian(c * g.mean, c * g.sigma, c * g.cut)
 
 
+def count_solves(monkeypatch):
+    """The laws of every _argmin_h call from here on."""
+    solves, argmin_h = [], st._argmin_h
+    monkeypatch.setattr(st, "_argmin_h", lambda g, a0: (solves.append(g), argmin_h(g, a0))[1])
+    return solves
+
+
 def core_inside(g):
     """A truncated Gaussian's mean +- 8 sigma core lies inside its cut."""
     return isinstance(g, ps.TruncatedGaussian) and g.cut > 8 * g.sigma
@@ -242,9 +249,10 @@ class TestFrequencyDistributions:
             assert np.array_equal(got > 0.0, want > 0.0)
             assert np.all(np.abs(got - want) <= 1e-15 * want)
 
-    def test_cached_constants_leave_equality_hash_and_replace(self):
+    def test_cached_constants_leave_equality_hash_and_replace(self, monkeypatch):
         g = ps.TruncatedGaussian(0.1, 0.3, 0.6)
         twin = ps.TruncatedGaussian(0.1, 0.3, 0.6)
+        ps.critical_coupling(g)  # g keeps its minimiser of h; twin is cold
         assert g == twin and hash(g) == hash(twin) and {g: 1}[twin] == 1
         assert repr(g) == "TruncatedGaussian(mean=0.1, sigma=0.3, cut=0.6)"
         assert [f.name for f in dataclasses.fields(g)] == ["mean", "sigma", "cut"]
@@ -256,9 +264,14 @@ class TestFrequencyDistributions:
             assert moved == fresh and moved.support() == fresh.support() != law.support()
             assert np.array_equal(moved.pdf(omega), fresh.pdf(omega))
             assert moved.pdf(0.3) == fresh.pdf(0.3) != law.pdf(0.3)
+        # replace without a change builds a cold law: it solves again, g does not
+        solves = count_solves(monkeypatch)
+        assert ps.critical_coupling(dataclasses.replace(g)) == ps.critical_coupling(g)
+        assert len(solves) == 1
 
     @pytest.mark.parametrize("g", ALL_KINDS, ids=repr)
-    def test_laws_pickle_compare_hash_and_replace(self, g):
+    def test_laws_pickle_compare_hash_and_replace(self, g, monkeypatch):
+        kc = ps.critical_coupling(g)  # a warm law pickles, compares and hashes as a cold one
         twin = pickle.loads(pickle.dumps(g))
         assert twin == g and hash(twin) == hash(g) and repr(twin) == repr(g)
         assert twin.support() == g.support() and twin.max_abs_omega == g.max_abs_omega
@@ -277,6 +290,10 @@ class TestFrequencyDistributions:
             else:
                 omega = np.linspace(-1.0, 1.0, 101)
                 assert np.array_equal(law.pdf(omega), g.pdf(omega))
+        # neither the pickled twin nor the replaced law carries g's minimiser
+        solves = count_solves(monkeypatch)
+        assert [ps.critical_coupling(law) for law in (g, twin, moved)] == [kc] * 3
+        assert len(solves) == 2 and solves[0] is twin and solves[1] is moved
 
     def test_discrete_atoms_follow_replace(self):
         g = ps.Discrete((-0.3, 0.3), (0.5, 0.5))
@@ -444,13 +461,16 @@ class TestSelfConsistencyRoots:
         assert ps.self_consistency_roots(g, kc * (1 - 1e-6)).roots == []
 
     @pytest.mark.parametrize("g,solves", [(ps.TruncatedGaussian(0, 0.3, 0.6), 1), (ps.Dirac(0.0), 1),
-                                          (ps.Discrete((-0.3583, 0.3583), (0.5, 0.5)), 4)], ids=repr)
+                                          (ps.Discrete((-0.3583, 0.3583), (0.5, 0.5)), 3)], ids=repr)
     def test_bracket_ends_evaluated_once(self, g, solves, monkeypatch):
         # brentq's first calls take the end values computed before it, 0.0
         # included (Dirac: F(1) = 0): a root's bracket both ends, the
         # minimiser of h its lower end a0 (where h' is -inf on the two-atom
         # law). So a solve runs the adaptive I once per further call; v0.9.1
-        # ran it 2 more times per bracket
+        # ran it 2 more times per bracket. The two-atom law's minimiser is
+        # solved once, by the roots call, and critical_coupling reads it
+        # (v0.16.0 solved it again: 4 solves)
+        g = dataclasses.replace(g)  # a cold law
         calls, seen = [], []
         integral, brent = st._integral, st.brentq
 
@@ -629,7 +649,8 @@ class TestShapeOfH:
     def test_few_adaptive_integrals(self, g, monkeypatch):
         # no scan: K_c costs the certificate's two integrals, plus two per
         # step of Brent's method where h falls from the edge; a roots call
-        # those, the three ends and one per further Brent step of each root
+        # the three ends and one per further Brent step of each root
+        g = dataclasses.replace(g)  # a cold law, so K_c's count includes its solve
         calls, integral, slope = [], st._integral, st._slope
         monkeypatch.setattr(st, "_integral", lambda g_, a: (calls.append(a), integral(g_, a))[1])
         monkeypatch.setattr(st, "_slope", lambda g_, a: (calls.append(a), slope(g_, a))[1])
@@ -780,6 +801,7 @@ class TestEdgeCertificate:
 
     @pytest.mark.parametrize("g", CERTIFIED_LAWS, ids=repr)
     def test_certified_laws_run_two_integrals(self, g, monkeypatch):
+        g = dataclasses.replace(g)  # a cold law: an earlier test may have solved this one's minimiser
         calls, adaptive = [], st.quad
 
         def solve(*args, **kw):
@@ -794,6 +816,7 @@ class TestEdgeCertificate:
 
     @pytest.mark.parametrize("g", FALLING_EDGE_LAWS, ids=repr)
     def test_falling_edge_laws_solve_below_the_edge(self, g, monkeypatch):
+        g = dataclasses.replace(g)  # a cold law, as above
         solves, brent = [], st.brentq
         monkeypatch.setattr(st, "brentq", lambda *a, **kw: (solves.append(a[1:]), brent(*a, **kw))[1])
         kc = ps.critical_coupling(g)
@@ -824,6 +847,45 @@ class TestEdgeCertificate:
         assert calls == []
 
 
+class TestMinimiserKept:
+    """The minimiser of h is a property of the law: a law object solves it on
+    its first critical_coupling or roots call and reads it afterwards."""
+
+    @pytest.mark.parametrize("first", ["kc", "roots"])
+    @pytest.mark.parametrize("g", BENCH_LAWS + FALLING_EDGE_LAWS, ids=repr)
+    def test_warm_calls_bitwise_as_cold(self, g, first, monkeypatch):
+        cold_kc = ps.critical_coupling(dataclasses.replace(g))
+        ks = [(cold_kc or 0.5) * f for f in (1.01, 1.3, 2.0)]
+        cold_roots = [ps.self_consistency_roots(dataclasses.replace(g), k).roots for k in ks]
+        warm = dataclasses.replace(g)
+        if first == "kc":
+            ps.critical_coupling(warm)
+        else:
+            ps.self_consistency_roots(warm, ks[0])
+        solves = count_solves(monkeypatch)
+        assert repr(ps.critical_coupling(warm)) == repr(cold_kc)
+        assert repr([ps.self_consistency_roots(warm, k).roots for k in ks]) == repr(cold_roots)
+        assert solves == []
+
+    def test_many_roots_calls_solve_once(self, monkeypatch):
+        g = ps.Discrete((-0.3583, 0.3583), (0.5, 0.5))
+        solves = count_solves(monkeypatch)
+        for k in np.linspace(0.72, 3.0, 200):
+            assert len(ps.self_consistency_roots(g, k).roots) == 2
+        assert solves == [g]
+
+    @pytest.mark.parametrize("g,k,match", [(ps.Uniform(0, 1e-300), 1.0, "underflows"),
+                                           (ps.Uniform(0, 1e200), None, "overflows"),
+                                           (ps.Uniform(0, 1e154), st._A_MAX, "overflows")], ids=repr)
+    def test_failed_solve_is_not_kept(self, g, k, match):
+        for _ in range(2):
+            with pytest.raises(ValueError, match=match):
+                ps.critical_coupling(g)
+            if k is not None:
+                with pytest.raises(ValueError, match=match):
+                    ps.self_consistency_roots(g, k)
+
+
 class TestKernels:
     """Uniform and TruncatedGaussian inline pdf's float path in the quad
     callbacks of the adaptive I and J1; that must not move a bit."""
@@ -835,6 +897,7 @@ class TestKernels:
         got = [ps.self_consistency_roots(g, k).roots for k in ks]
         for law in (ps.Uniform, ps.TruncatedGaussian):
             monkeypatch.setattr(law, "t_kernel", t_kernel_v0110)
+        g = dataclasses.replace(g)  # a cold law: its minimiser is solved again, on the old kernel
         assert repr(ps.critical_coupling(g)) == repr(kc)
         assert repr([ps.self_consistency_roots(g, k).roots for k in ks]) == repr(got)
 
