@@ -94,15 +94,11 @@ def three_oscillator_rate(delta: float) -> float:
     return (2.0 / 3.0) * np.sin(delta) * (0.5 - np.cos(delta))
 
 
-def three_oscillator_limit(
-    delta0: float,
-    t_max: float = 200.0,
-    dt: float = 0.01,
-    stationarity_tol: float = 1e-9,
-) -> float:
+def three_oscillator_limit(delta0: float, t_max: float = 200.0) -> float:
     """Run the family (delta0, -delta0, pi) with K = 1, identical
-    frequencies, to t_max or to stationarity, and return the reached delta,
-    half the gap of the final first two phases.
+    frequencies, dt = 0.01 and stationarity_tol = 1e-9, to t_max or to
+    stationarity, and return the reached delta, half the gap of the final
+    first two phases.
 
     Limits: 0 for delta0 in [0, pi/3), pi/3 at the threshold, pi for
     delta0 in (pi/3, pi]. Warns if the horizon is too short to be
@@ -112,7 +108,7 @@ def three_oscillator_limit(
         raise ValueError("delta0 must lie in (0, pi]")
     ens = OscillatorEnsemble([delta0, -delta0, np.pi], np.zeros(3), 1.0)
     # a row every 10 steps: the stop comes at most 9 steps late, and the run is 2x faster
-    traj = simulate(ens, SimConfig(dt, t_max, 10, stationarity_tol))
+    traj = simulate(ens, SimConfig(dt=0.01, t_max=t_max, record_every=10, stationarity_tol=1e-9))
     if traj.stopped_on == "t_max":
         warnings.warn(f"horizon t_max={t_max:g} too short: not stationary at the end", stacklevel=2)
     phases = traj.final.phases

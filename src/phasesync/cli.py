@@ -289,9 +289,27 @@ def write_json(path: Path, record: dict):
 # [classify] tolerances before it builds the model
 
 
-def _simulation(traj, columns: dict, cls) -> tuple[list, dict]:
-    """Rows and summary of a simulation run; columns maps the mode's own
-    series.csv columns to their series."""
+def _initial(cfg: dict, kind: str, k: float):
+    """The start state of the config's model of this kind ("finite" or
+    "kinetic") at coupling k, and the function that runs it: the one model
+    build of every simulating mode."""
+    if kind == "finite":
+        return build_ensemble({**cfg, "model": {**cfg["model"], "coupling": k}}), simulate
+    return discretize(build_density_spec(cfg), m=cfg["model"]["m"], coupling=k), kinetic_simulate
+
+
+def run_simulation(kind: str, cfg: dict, out: Path):
+    """The finite or the kinetic mode: the model of this kind run at its
+    coupling and its final state classified; series.csv holds the kind's own
+    columns besides the shared ones."""
+    check_tolerances(**cfg["classify"])
+    state, run = _initial(cfg, kind, cfg["model"]["coupling"])
+    traj = run(state, build_sim_config(cfg))
+    if kind == "finite":
+        cls, columns = classify_finite(traj.final, cfg["classify"]["angle_tol"]), {"U": traj.u_series}
+    else:
+        cls = classify_measure(traj.final, **cfg["classify"])
+        columns = {"H": traj.h_series, "entropy_change": traj.entropy_series}
     columns = {"t": traj.times, "R": traj.r_series, "phi": traj.phi_series,
                "mean_phase": traj.mean_phase_series, **columns}
     rows = [{c: v[i] for c, v in columns.items()} for i in range(len(traj.times))]
@@ -302,31 +320,6 @@ def _simulation(traj, columns: dict, cls) -> tuple[list, dict]:
         "t_final": traj.times[-1],
         "class": dataclasses.asdict(cls),
     }
-
-
-def _initial(cfg: dict, kind: str, k: float):
-    """The start state of the config's model of this kind ("finite" or
-    "kinetic") at coupling k, and the function that runs it: the one model
-    build of every simulating mode."""
-    if kind == "finite":
-        return build_ensemble({**cfg, "model": {**cfg["model"], "coupling": k}}), simulate
-    return discretize(build_density_spec(cfg), m=cfg["model"]["m"], coupling=k), kinetic_simulate
-
-
-def run_finite(cfg: dict, out: Path):
-    check_tolerances(**cfg["classify"])
-    ens, run = _initial(cfg, "finite", cfg["model"]["coupling"])
-    traj = run(ens, build_sim_config(cfg))
-    cls = classify_finite(traj.final, cfg["classify"]["angle_tol"])
-    return _simulation(traj, {"U": traj.u_series}, cls)
-
-
-def run_kinetic(cfg: dict, out: Path):
-    check_tolerances(**cfg["classify"])
-    meas, run = _initial(cfg, "kinetic", cfg["model"]["coupling"])
-    traj = run(meas, build_sim_config(cfg))
-    cls = classify_measure(traj.final, **cfg["classify"])
-    return _simulation(traj, {"H": traj.h_series, "entropy_change": traj.entropy_series}, cls)
 
 
 def run_roots(cfg: dict, out: Path):
@@ -346,11 +339,10 @@ def run_classify(cfg: dict, out: Path):
     return [], {"class": dataclasses.asdict(cls)}
 
 
-def _sweep_point(cfg: dict, k: float) -> tuple[float, str]:
-    """Final R and stop reason of the config's model run at coupling k; at
+def _sweep_point(state, sim: SimConfig, run, k: float) -> tuple[float, str]:
+    """Final R and stop reason of the start state run at coupling k; at
     module level, so a worker process can unpickle it."""
-    state, run = _initial(cfg, cfg["model"]["kind"], k)
-    traj = run(state, build_sim_config(cfg))
+    traj = run(dataclasses.replace(state, coupling=k), sim)
     return float(traj.r_series[-1]), traj.stopped_on
 
 
@@ -381,10 +373,11 @@ def run_sweep(cfg: dict, out: Path):
     if not math.isfinite(k_max - k_min):  # nan, +-inf, or a span that overflows
         raise ConfigError("[sweep] k_min, k_max and k_max - k_min must be finite")
     ks = [float(k) for k in np.linspace(k_min, k_max, sweep["k_steps"])]
-    # a config the builders refuse, or a negative K, is refused before any worker starts
-    build_sim_config(cfg)
-    _initial(cfg, cfg["model"]["kind"], min(ks))
-    point = functools.partial(_sweep_point, cfg)
+    # built once, the model at the least K (model.coupling plays no part), so a
+    # config the builders refuse, or a negative K, is refused before any worker starts
+    sim = build_sim_config(cfg)
+    state, run = _initial(cfg, cfg["model"]["kind"], min(ks))
+    point = functools.partial(_sweep_point, state, sim, run)
     workers = _workers(len(ks), _cpus())
     if workers == 1:
         results = list(map(point, ks))
@@ -400,8 +393,8 @@ def run_sweep(cfg: dict, out: Path):
 
 
 RUNNERS = {
-    "finite": run_finite,
-    "kinetic": run_kinetic,
+    "finite": functools.partial(run_simulation, "finite"),
+    "kinetic": functools.partial(run_simulation, "kinetic"),
     "roots": run_roots,
     "kc": run_kc,
     "classify": run_classify,

@@ -67,33 +67,32 @@ class Stepper:
     the stages' RK4-weighted coefficients and 1/a on pd (exact: a is 1 or 1/2).
     Without log_jac the phase row of the same gemm is kept, bitwise as with it.
 
-    Built once per run, it binds its buffers' views and its trig pass, and no
-    reference to itself. y is (rows, n): the phases, and with log_jac their
-    log-Jacobians. A step returns the state buffer y is not, overwritten two
-    steps later; a step of the y observe last saw reuses the stage 1 it left.
+    Built once per run and keyed to its dt, it binds its buffers' views, its
+    trig pass, its dt bases and maps and P, and no reference to itself. y is
+    (rows, n): the phases, and with log_jac their log-Jacobians. A step
+    returns the state buffer y is not, overwritten two steps later; a step of
+    the y observe last saw reuses the stage 1 it left.
     """
 
-    def __init__(self, omegas, weights, coupling, log_jac=False):
-        n = omegas.size
-        self._omegas, self._w, self._coupling, self._a = omegas, weights, coupling, trig_scale(n)
+    def __init__(self, omegas, weights, coupling, dt, log_jac=False):
+        n, a = omegas.size, trig_scale(omegas.size)
+        self._omegas, self._w, self._coupling, self._a = omegas, weights, coupling, a
         s0, s1 = self._states = np.empty((2, n)), np.empty((2, n))
         self._outs = (s0, s1) if log_jac else (s0[:1], s1[:1])  # what a step returns
         self._rows = s0[0], s1[0]  # the phase row that a step of a returned state reads
         C, D, M = self._C, self._D, self._M = np.empty((10, n)), np.empty(9), np.empty((2, 10))
-        self._u, self._au, self._maps = np.empty(n), None if self._a == 1.0 else np.empty(n), np.empty((2, 2, 2))
-        coef, D[8], self._dt, self._seen = np.array([1.0, 0.0, 0.0, 1.0]), 1.0, None, None
+        self._u, self._au = np.empty(n), None if a == 1.0 else np.empty(n)
+        self._ahw, self._adw = (a * 0.5 * dt) * omegas, (a * dt) * omegas
+        (mh, mdt), self._P = _coefficients(dt, coupling, a)
+        coef, D[8], self._seen = np.array([1.0, 0.0, 0.0, 1.0]), 1.0, None
         # per stage: cos, sin, their pair and dots; stage s + 1 dots a 3-row window: 1 on its base, coef[1:3] else
         st = [(C[r], C[r + 1], C[r:r + 2], D[2 * s:2 * s + 2]) for s, r in enumerate(_COS_ROWS)]
         self._cs1, self._d1 = st[0][2:]  # stage 1's, which observe fills
-        self._views = (_cos_sin if self._a == 1.0 else _trig, weights, self._u, coef[1:3], self._maps[0],
-                       self._maps[1], C[_PH_ROW], C[_PD_ROW], coef[:3], coef[1:], *st[0], C[2:5], *st[1],
+        self._views = (_cos_sin if a == 1.0 else _trig, weights, self._u, coef[1:3], mh, mdt,
+                       C[_PH_ROW], C[_PD_ROW], coef[:3], coef[1:], *st[0], C[2:5], *st[1],
                        C[0:3], *st[2], C[5:8], *st[3], M.reshape(-1))
 
-    def __call__(self, y, dt):
-        if dt != self._dt:
-            self._dt, a, om = dt, self._a, self._omegas
-            self._ahw, self._adw = (a * 0.5 * dt) * om, (a * dt) * om
-            self._maps[...], self._P = _coefficients(dt, self._coupling, a)
+    def __call__(self, y):
         (trig, w, u, mapped, mh, mdt, ph, pd, head, tail, c1, s1, cs1, d1, in2, c2, s2, cs2, d2, in3,
          c3, s3, cs3, d3, in4, c4, s4, cs4, d4, m_flat) = self._views
         i = y is self._outs[0]  # a step writes the state buffer that y is not
@@ -161,7 +160,7 @@ def _trusted(obj, **fields):
 def _step(y, omegas, weights, coupling, dt):
     """One RK4 step of y (phases, and with a second row their log-Jacobians)
     by a fresh Stepper; None if the new state is not finite."""
-    y = Stepper(omegas, weights, coupling, len(y) == 2)(y, dt)
+    y = Stepper(omegas, weights, coupling, dt, len(y) == 2)(y)
     return y if np.isfinite(y).all() else None
 
 
@@ -220,7 +219,7 @@ def _run(y, omegas, weights, coupling, cfg: SimConfig, final, time=0.0) -> Traje
     rows, kept, k = [], [], 0
     finite, wo = len(y) == 1, weights * omegas
     two = np.zeros((2, y.shape[1]))  # a row's state, a finite run's phases over a zero row
-    step = Stepper(omegas, weights, coupling, log_jac=not finite)
+    step = Stepper(omegas, weights, coupling, cfg.dt, log_jac=not finite)
     dt, n_steps = cfg.dt, int(round(cfg.t_max / cfg.dt))
     zeros = np.zeros(y.shape)  # y . 0 is 0 iff y is finite: 0 * inf and 0 * nan are nan
     while True:
@@ -236,11 +235,11 @@ def _run(y, omegas, weights, coupling, cfg: SimConfig, final, time=0.0) -> Traje
         if stationary or k == n_steps:
             break
         for k in range(k + 1, min(k + cfg.record_every, n_steps) + 1):
-            y = step(y, dt)
+            y = step(y)
         if np.vdot(y, zeros) != 0.0:
             y = two[:len(y)]
             for k in range(start + 1, k + 1):
-                y = step(y, dt)
+                y = step(y)
                 if np.vdot(y, zeros) != 0.0:
                     raise NonFiniteStateError(time + k * dt)
     times, r, phi, mp, h, s = zip(*rows)

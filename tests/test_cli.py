@@ -1,6 +1,7 @@
 import concurrent.futures
 import csv
 import json
+import math
 import multiprocessing
 import os
 import random
@@ -71,6 +72,20 @@ class TestFiniteMode:
             assert len(r) == len(SERIES_HEADER)
             assert 0.0 <= float(r[1]) <= 1.0 + 1e-12  # R column
             assert r[5] == "" and r[6] == ""  # H, entropy empty for finite runs
+
+    def test_seeded_ensemble(self, tmp_path):
+        # the manifest's model, rebuilt through the library, ends on the same bits
+        out = tmp_path / "run"
+        code = run_cli(["finite", "--preset", "uniform-arc", "--set", "model.n=10", "--set", "model.seed=3",
+                        "--set", "model.freq_halfwidth=0.2", "--set", "model.zero_mean_freqs=yes",
+                        "--set", "sim.t_max=1", "--out", str(out)])
+        assert code == 3
+        cfg = json.loads((out / "manifest.json").read_text())["config"]
+        model = cfg["model"]
+        ens = phasesync.seeded_ensemble(model["n"], model["coupling"], model["seed"], model["freq_halfwidth"],
+                                        model["zero_mean_freqs"])
+        traj = phasesync.simulate(ens, phasesync.SimConfig(**cfg["sim"]))
+        assert read_summary(out)["final_r"] == traj.r_series[-1]
 
     def test_two_antipodal_stationary(self, tmp_path):
         out = tmp_path / "run"
@@ -228,6 +243,33 @@ class TestRootsAndKc:
                         "--out", str(out)]) == 2
         assert "underflows" in capsys.readouterr().err
         assert not (out / "manifest.json").exists()
+
+    def test_two_atoms(self, tmp_path):
+        # on the atoms +-w the roots at K are sqrt((1 +- sqrt(1 - 4w^2/K^2))/2) and K_c is 2w
+        w, k = 0.3583, 1.2
+        atoms = ["--preset", "kuramoto-uniform-g", "--set", "model.freq_dist=discrete",
+                 "--set", f"model.freq_omegas={-w},{w}", "--set", "model.freq_probs=0.5,0.5"]
+        assert run_cli(["roots", *atoms, "--set", f"model.coupling={k}", "--out", str(tmp_path / "roots")]) == 0
+        assert run_cli(["kc", *atoms, "--out", str(tmp_path / "kc")]) == 0
+        d = math.sqrt(1 - 4 * w * w / (k * k))
+        want = [math.sqrt((1 - d) / 2), math.sqrt((1 + d) / 2)]
+        roots = read_summary(tmp_path / "roots")["roots"]
+        assert len(roots) == 2 and all(abs(r - x) <= 1e-12 for r, x in zip(roots, want))
+        assert abs(read_summary(tmp_path / "kc")["k_c"] - 2 * w) <= 1e-15
+
+    @pytest.mark.parametrize("mode", ["kc", "roots"])
+    def test_no_frequency_law_is_config_error(self, tmp_path, capsys, mode):
+        out = tmp_path / "run"
+        assert run_cli([mode, "--preset", "kuramoto-uniform-g", "--set", "model.freq_dist=none",
+                        "--out", str(out)]) == 2
+        assert "freq_dist = none names no frequency law" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
+    def test_missing_law_parameter_is_named(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run_cli(["kc", "--preset", "kuramoto-uniform-g", "--set", "model.freq_dist=tgauss",
+                        "--out", str(out)]) == 2
+        assert "missing required key [model] freq_sigma" in capsys.readouterr().err
 
 
 class TestNarrowGaussian:
@@ -433,6 +475,25 @@ class TestParallelSweep:
         run = read_summary(tmp_path / kind)
         assert (point["K"], point["final_R"], point["stopped_on"]) == (k, run["final_r"], run["stopped_on"])
 
+    @pytest.mark.parametrize("coupling", ["-1", "nan"])
+    @pytest.mark.parametrize("kind", ["finite", "kinetic"])
+    def test_model_coupling_plays_no_part(self, tmp_path, kind, coupling):
+        # the model is built at the least K of the sweep, never at model.coupling
+        base = self.FINITE if kind == "finite" else self.KINETIC
+        assert run_cli(["sweep", *base, "--out", str(tmp_path / "plain")]) == 0
+        assert run_cli(["sweep", *base, "--set", f"model.coupling={coupling}", "--out", str(tmp_path / "set")]) == 0
+        assert (tmp_path / "set" / "sweep.csv").read_bytes() == (tmp_path / "plain" / "sweep.csv").read_bytes()
+
+    @pytest.mark.parametrize("kind", ["finite", "kinetic"])
+    def test_serial_sweep_builds_its_model_once(self, tmp_path, monkeypatch, kind):
+        calls, initial = [], cli._initial
+        monkeypatch.setattr(cli, "_cpus", lambda: 1)
+        monkeypatch.setattr(cli, "_initial", lambda *args: (calls.append(args[1:]), initial(*args))[1])
+        out = tmp_path / "run"
+        assert run_cli(["sweep", *(self.FINITE if kind == "finite" else self.KINETIC), "--out", str(out)]) == 0
+        points = read_summary(out)["points"]
+        assert len(points) == 3 and calls == [(kind, points[0]["K"])]
+
     @pytest.mark.parametrize("kind", ["finite", "kinetic"])
     def test_oversubscribed_pool_writes_the_serial_bytes(self, tmp_path, monkeypatch, kind):
         # 3 points on 2 usable CPUs: the rule's 3 workers, one worker per CPU
@@ -508,6 +569,14 @@ class TestConfigHandling:
     def test_bad_override(self, tmp_path):
         assert run_cli(["finite", "--preset", "three-osc",
                         "--set", "nonsense", "--out", str(tmp_path)]) == 2
+
+    def test_override_without_section(self, tmp_path, capsys):
+        assert run_cli(["finite", "--preset", "three-osc", "--set", "coupling=1", "--out", str(tmp_path)]) == 2
+        assert "--set key must be section.key, got 'coupling'" in capsys.readouterr().err
+
+    def test_unknown_preset(self):
+        with pytest.raises(cli.ConfigError, match="unknown preset 'nope'"):
+            load_preset("nope")
 
     def test_bad_value(self, tmp_path):
         assert run_cli(["finite", "--preset", "three-osc",

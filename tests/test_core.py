@@ -228,11 +228,20 @@ class TestRPhiDotNonidentical:
         assert r_dot == pytest.approx(fd_r, rel=1e-6, abs=1e-10)
         assert r_phi_dot == pytest.approx(ops[1].r * fd_phi, rel=1e-6, abs=1e-10)
 
+    def test_undefined_phi_raises(self):
+        meas = ps.PhaseMeasure.initial([0.5, 0.5], [0.0, np.pi], [0.1, -0.1], has_atoms=True)
+        with pytest.raises(ps.UndefinedPhaseError):
+            ps.r_phi_dot_nonidentical(meas, 1.0)
+
 
 class TestEnsembleValidation:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             ps.OscillatorEnsemble([0.0, 1.0], [0.0])
+
+    def test_empty(self):
+        with pytest.raises(ValueError, match="at least one oscillator"):
+            ps.OscillatorEnsemble([], [])
 
     def test_negative_coupling(self):
         with pytest.raises(ValueError):

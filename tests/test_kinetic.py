@@ -158,6 +158,10 @@ class TestPhaseMeasureValidation:
         with pytest.raises(ValueError, match="finite"):
             ps.discretize(spec(), m=8)
 
+    def test_arrays_of_unequal_length_rejected(self):
+        with pytest.raises(ValueError, match="one length"):
+            ps.PhaseMeasure([0.5, 0.5], [0.1, 0.2], [0.0], [0.0, 0.0])
+
     def test_atom_weights_checked_by_the_measure(self):
         with pytest.raises(ValueError, match="weights must sum to 1"):
             ps.discretize(ps.AtomList((0.5, 0.4), (0.0, 1.0), (0.0, 0.0)))
@@ -212,6 +216,14 @@ class TestKineticStep:
         meas = ps.discretize(ps.Uniform(0, 1.0), 8)
         with pytest.raises(ValueError):
             ps.kinetic_step(meas, 0.0)
+
+    def test_overflow_raises_at_the_step_time(self):
+        # the exact step, theta + dt*omega = 2e308, overflows
+        meas = ps.PhaseMeasure.initial([0.5, 0.5], [1e308, 1e308], [1e308, 1e308], has_atoms=True)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ps.NonFiniteStateError) as err:
+                ps.kinetic_step(meas, 1.0)
+        assert err.value.time == 1.0
 
     def test_moved_measure_matches_validated_rebuild(self):
         # oracle: the step as v0.7.0 built it, through dataclasses.replace

@@ -310,6 +310,8 @@ class TestFrequencyDistributions:
     def test_discrete_validation(self):
         with pytest.raises(ValueError):
             ps.Discrete((0.0, 1.0), (0.6, 0.6))
+        with pytest.raises(ValueError, match="same length"):
+            ps.Discrete((1, 2), (1,))
 
     def test_dirac(self):
         g = ps.Dirac(0.2)
@@ -560,6 +562,10 @@ class TestResidual:
     def test_uniform_matches_closed_form(self, center, gamma, k, r):
         want = uniform_integral_closed_form(gamma, k * r, center) - k * r * r
         assert abs(ps.self_consistency_residual(ps.Uniform(center, gamma), k, r) - want) <= 1e-14
+
+    def test_support_outside_the_window_adds_nothing(self):
+        # K R = 0.5 clips the support [0.9, 1.1] to nothing: only -K R^2 is left
+        assert ps.self_consistency_residual(ps.Uniform(1, 0.1), 1, 0.5) == -0.25
 
     def test_truncated_gaussian_inside_support(self):
         # the old residual, blind to the kink at -K R, erred by 1.3e-6 here

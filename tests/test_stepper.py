@@ -381,23 +381,23 @@ class TestRecordedRowReuse:
     def test_observe_then_step_another_state(self, log_jac, n):
         if log_jac:
             meas = measure(n, 1.3, 0.25)
-            args, a = (meas.omegas, meas.weights, 1.3, True), np.stack([meas.thetas, meas.log_jacs])
+            args, a = (meas.omegas, meas.weights, 1.3, 0.05, True), np.stack([meas.thetas, meas.log_jacs])
         else:
             ens = ensemble(n, 1.3, 0.25)
-            args, a = (ens.freqs, np.full(n, 1.0 / n), 1.3), ens.phases[None].copy()
+            args, a = (ens.freqs, np.full(n, 1.0 / n), 1.3, 0.05), ens.phases[None].copy()
         b = 1.5 * a + 0.5  # not a rotation of a: that would keep its stage-1 velocity
-        fresh = ps.integrate.Stepper(*args)(b, 0.05).copy()
+        fresh = ps.integrate.Stepper(*args)(b).copy()
         st = ps.integrate.Stepper(*args)
         st.observe(a)
-        assert np.array_equal(st(b, 0.05), fresh)
+        assert np.array_equal(st(b), fresh)
         # a step of the observed object reuses its stage 1 and clears the
         # mark, so a later step of that object with other contents does not
         st.observe(b)
-        st(b, 0.05)
+        st(b)
         b_again = b.copy()
         b[...] = a
-        assert np.array_equal(st(b, 0.05), ps.integrate.Stepper(*args)(a, 0.05))
-        assert np.array_equal(st(b_again, 0.05), fresh)
+        assert np.array_equal(st(b), ps.integrate.Stepper(*args)(a))
+        assert np.array_equal(st(b_again), fresh)
 
 
 class TestBlowUp:
@@ -463,9 +463,9 @@ class TestNoReferenceCycle:
         y = np.linspace(0.0, 1.0, n)[None]
         if log_jac:
             y = np.vstack([y, np.zeros((1, n))])
-        st = ps.integrate.Stepper(np.linspace(-0.5, 0.5, n), np.full(n, 1.0 / n), 1.2, log_jac)
+        st = ps.integrate.Stepper(np.linspace(-0.5, 0.5, n), np.full(n, 1.0 / n), 1.2, 0.05, log_jac)
         st.observe(y)
-        st(st(st(y, 0.05), 0.05), 0.1)
+        st(st(st(y)))
         ref = weakref.ref(st)
         del st
         assert ref() is None
