@@ -3,8 +3,9 @@
 Tagged union of laws (uniform, discrete with Dirac as its one-atom case,
 truncated Gaussian), each exposing a pdf (or atoms), support bounds,
 quadrature nodes/weights, and an expectation operator; the laws with a
-density also give the quad callback of the self-consistency integral
-(t_kernel) and the core that adaptive quadrature splits at. Support is
+density also give the self-consistency integral in t (t_integral: adaptive
+quad of the t_kernel callback, in closed form for the uniform law) and the
+core that adaptive quadrature splits at. Support is
 always compact. Uniform and TruncatedGaussian of half-width at most pi
 also serve as the phase law of a kinetic datum, on an arc of the circle
 (see kinetic.ProductSpec).
@@ -56,10 +57,21 @@ class FrequencyDistribution:
         return None
 
     def t_kernel(self, a: float, cos2: bool = True) -> Callable[[float], float]:
-        """The quad callback t -> cos(t)^2 g(a sin t) of the self-consistency I(a)
-        (t -> g(a sin t) without cos2). Laws inline pdf's float path here, bit for
-        bit, so that no pdf dispatch runs at each quad node."""
+        """The quad callback t -> cos(t)^2 g(a sin t) of t_integral (t -> g(a sin t)
+        without cos2). A law may inline pdf's float path here, bit for bit, so that
+        no pdf dispatch runs at each quad node."""
         return lambda t: (math.cos(t) ** 2 if cos2 else 1.0) * self.pdf(a * math.sin(t))
+
+    def t_integral(self, a: float, cos2: bool = True) -> float:
+        """I(a) / a^2 = int cos(t)^2 g(a sin t) dt over the t-interval of the support
+        at a >= max|omega| (J = I'(a) / a = int g(a sin t) dt without cos2), by
+        adaptive quad of t_kernel with the t-images of the ends of the core inside
+        the support as break points. np.arcsin, not math.asin: they differ in the
+        last bit."""
+        lo, hi = self.support()
+        ends = [lo, hi, *(c for c in self.core() or () if lo < c < hi)]
+        t = np.arcsin([min(max(w / a, -1.0), 1.0) for w in ends]).tolist()
+        return quad(self.t_kernel(a, cos2), t[0], t[1], epsabs=1e-15, epsrel=1e-13, limit=200, points=t[2:] or None)[0]
 
     def _cells(self, n: int) -> Tuple[np.ndarray, float]:
         """Midpoints of n equal cells of the support, and the cell width."""
@@ -110,12 +122,28 @@ class Uniform(FrequencyDistribution):
         inside = np.greater_equal(omega, self._lo) & np.less_equal(omega, self._hi)
         return np.multiply(inside, self._height, out=np.empty(inside.shape))
 
-    def t_kernel(self, a, cos2=True):
-        # pdf's float path inlined; a test pins the two bitwise
-        lo, hi, height, sin, cos = self._lo, self._hi, self._height, math.sin, math.cos
-        if cos2:
-            return lambda t: cos(t) ** 2 * height if lo <= a * sin(t) <= hi else 0.0
-        return lambda t: height if lo <= a * sin(t) <= hi else 0.0
+    def t_integral(self, a, cos2=True):
+        # closed form on the support clipped to [-a, a], reflected so that
+        # x = hi / a >= |y|, y = lo / a (I and J are even in omega): with
+        # dt = asin x - asin y, I / a^2 = height (dt + [sin t cos t]) / 2 =
+        # height ((dt - sin dt) + 2 sin(m)^2 sin dt) / 2, m = (acos x + acos y) / 2,
+        # and J = height dt. Each sum below adds terms of one sign (a - hi is exact
+        # near the edge), so both keep their relative accuracy near +-a and when narrow
+        lo, hi = (-self._hi, -self._lo) if -self._lo > self._hi else (self._lo, self._hi)
+        lo, hi = max(lo, -a), min(hi, a)
+        cx, cy = math.sqrt(a - hi) * math.sqrt(a + hi) / a, math.sqrt(a - lo) * math.sqrt(a + lo) / a
+        dt = 2.0 * math.atan2((hi - lo) / a, cx + cy)  # tan(dt / 2) = (x - y) / (cos asin x + cos asin y)
+        if not cos2:
+            return self._height * dt
+        sin_m = math.sin(0.5 * (math.atan2(cx, hi / a) + math.atan2(cy, lo / a)))
+        if dt < 1.0:  # dt - sin dt by its series, which does not cancel
+            less_sin = term = dt ** 3 / 6.0
+            for k in range(4, 20, 2):
+                term *= -dt * dt / (k * (k + 1))
+                less_sin += term
+        else:
+            less_sin = dt - math.sin(dt)
+        return 0.5 * self._height * (less_sin + 2.0 * sin_m * sin_m * math.sin(dt))
 
     def support(self):
         return (self._lo, self._hi)

@@ -5,7 +5,9 @@ With a = K R the self-consistency equation K R^2 = I(K R), I(a) = int
 sqrt(a^2 - omega^2) g(omega) d omega, is real only for a >= max|omega| and
 reads K = h(a) = a^2 / I(a); I(a) <= a keeps R = a / K <= 1. K_c = min h
 (Strogatz, Physica D 143, 2000). omega = a sin t turns I into a^2 int
-cos^2 t g(a sin t) dt, smooth up to the support edge; atoms are summed.
+cos^2 t g(a sin t) dt, smooth up to the support edge, which each law
+integrates (g.t_integral: adaptive quad, the uniform law's closed form);
+atoms are summed.
 
 Every a the solver squares must square to a finite normal float, checked at
 entry: K_c takes a0 = max|omega| <= a <= h(2 a0) <= 4 a0 / sqrt(3), as I(2 a0)
@@ -84,33 +86,23 @@ def _omega_integral(g: FrequencyDistribution, a: float) -> float:
 
 
 def _integral(g: FrequencyDistribution, a: float) -> float:
-    """I at one a >= max|omega| by adaptive quadrature in t (atoms summed)."""
+    """I at one a >= max|omega|: a^2 g.t_integral(a), atoms summed."""
     if g.is_discrete:
         w, p = g.atoms()
         return float((np.sqrt(np.maximum(np.array([[a]]) ** 2 - w * w, 0.0)) @ p)[0])
     a = float(a)
-    return a * a * _t_quad(g, a)
+    return a * a * g.t_integral(a)
 
 
 def _slope(g: FrequencyDistribution, a: float) -> float:
-    """I'(a) / a = int g(a sin t) dt at a >= max|omega| by adaptive quadrature
-    in t; over atoms the sum of p / sqrt(a^2 - omega^2), inf with mass at +-a."""
+    """I'(a) / a = int g(a sin t) dt at a >= max|omega| (g.t_integral without
+    cos2); over atoms the sum of p / sqrt(a^2 - omega^2), inf with mass at +-a."""
     if g.is_discrete:
         w, p = g.atoms()
         d = np.sqrt(np.maximum(a * a - w * w, 0.0))
         with np.errstate(divide="ignore"):
             return float(np.divide(p, d, out=np.zeros(p.size), where=p > 0).sum())
-    return _t_quad(g, float(a), cos2=False)
-
-
-def _t_quad(g: FrequencyDistribution, a: float, cos2: bool = True) -> float:
-    """Adaptive quad of g.t_kernel(a, cos2) over the t-interval of g's support at
-    a >= max|omega|, with the t-images of the ends of g's core inside the support
-    as break points. np.arcsin, not math.asin: they differ in the last bit."""
-    lo, hi = g.support()
-    ends = [lo, hi, *(c for c in g.core() or () if lo < c < hi)]
-    t = np.arcsin([min(max(w / a, -1.0), 1.0) for w in ends]).tolist()
-    return quad(g.t_kernel(a, cos2), t[0], t[1], epsabs=1e-15, epsrel=1e-13, limit=200, points=t[2:] or None)[0]
+    return g.t_integral(float(a), cos2=False)
 
 
 def _argmin_h(g: FrequencyDistribution, a0: float) -> Tuple[float, float]:
@@ -156,11 +148,11 @@ def self_consistency_roots(g: FrequencyDistribution, k: float) -> SelfConsistenc
 
     F(R) = I(K R) - K R^2 = (I / K) (K - h(K R)) has the sign of K - h(K R), so
     it has at most one root on each side of R* = a* / K (_min_h). Brent's
-    method on the adaptive I polishes the sign change, if any, on [max|omega| /
-    K, R*] and on [R*, 1]; an end of the range where |F| <= _SLACK is a
+    method on I polishes the sign change, if any, on [max|omega| / K, R*] and
+    on [R*, 1], F taken once at each distinct end; an end where |F| <= _SLACK is a
     candidate too (F = 0 at K R = max|omega|, which rounding may hide from the
     brackets). A root is kept only if the public residual is below ROOT_TOL
-    there. An empty root list (subcritical k) is a normal outcome. Both
+    there. An empty root list (subcritical k) is a normal outcome. The
     adaptive integrals split at the ends of g.core() that lie inside the
     support (a truncated Gaussian's mean +- 8 sigma when its cut is wider),
     so a narrow peak is sampled.
@@ -173,7 +165,7 @@ def self_consistency_roots(g: FrequencyDistribution, k: float) -> SelfConsistenc
     r_lo = max(wmax / k, 1e-12)
     r_star = min(max(_min_h(g)[0] / k, r_lo), 1.0)
     f = lambda r: _integral(g, k * r) - k * r * r
-    ends = {r: f(r) for r in (r_lo, r_star, 1.0)}
+    ends = {r: f(r) for r in dict.fromkeys((r_lo, r_star, 1.0))}
 
     roots: List[float] = []
     for lo, hi in ((r_lo, r_star), (r_star, 1.0)):
@@ -195,7 +187,7 @@ def critical_coupling(g: FrequencyDistribution) -> float:
     Dirac(omega_0), the one-atom Discrete law. On a law without atoms whose
     slope I'(max|omega|) is at most 2 I / max|omega| there (every centred law
     whose density does not rise away from 0), K_c is h(max|omega|), after two
-    adaptive integrals on the law object's first call (later calls read the
+    integrals, I and I', on the law object's first call (later calls read the
     pair _min_h kept); they split at g.core() as in self_consistency_roots.
     """
     return _min_h(g)[1]

@@ -9,6 +9,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq, minimize_scalar
 
 import phasesync as ps
+import phasesync.freqdist as fd
 import phasesync.stationary as st
 from phasesync.stationary import ROOT_TOL
 
@@ -490,6 +491,34 @@ class TestSelfConsistencyRoots:
         for lo, n_calls, n_integrals in seen:
             assert n_integrals == n_calls - (1 if lo == g.max_abs_omega else 2)
 
+    @pytest.mark.parametrize("g,k", [
+        (ps.Uniform(0, 0.5), 1.2), (ps.TruncatedGaussian(0, 0.3, 0.6), 1.2),  # R* = max|omega| / K
+        (ps.Uniform(0, 0.5), 0.5), (ps.TruncatedGaussian(0, 0.3, 0.6), 0.6),  # R* clips to 1 = max|omega| / K
+        (ps.Uniform(-0.3, 0.2), 0.505),  # a* > K: R* clips to 1, above max|omega| / K
+    ], ids=repr)
+    def test_shared_bracket_end_evaluated_once(self, g, k, monkeypatch):
+        # F is taken once at each distinct end of the two brackets; Brent's
+        # method adds one I per call after its first two (v0.17.0 took F
+        # again at an end the brackets share)
+        g = dataclasses.replace(g)
+        ps.critical_coupling(g)  # the minimiser's own integrals are not counted
+        calls, extra = [], []
+        integral, brent = st._integral, st.brentq
+
+        def counted(f, lo, hi, **kw):
+            root, info = brent(f, lo, hi, full_output=True, **kw)
+            extra.append(info.function_calls - 2)
+            return root
+
+        monkeypatch.setattr(st, "_integral", lambda g_, a: (calls.append(a), integral(g_, a))[1])
+        monkeypatch.setattr(st, "brentq", counted)
+        ps.self_consistency_roots(g, k)
+        r_lo = g.max_abs_omega / k
+        r_star = min(max(st._min_h(g)[0] / k, r_lo), 1.0)
+        assert r_star in (r_lo, 1.0)
+        assert len(calls) == len({r_lo, r_star, 1.0}) + sum(extra)
+        assert len(set(calls)) == len(calls)
+
     @pytest.mark.parametrize("g", BENCH_LAWS, ids=repr)
     def test_cached_bracket_ends_leave_roots_bitwise(self, g, monkeypatch):
         # the stationary-kc laws: brentq on the cached-end F returns, as a
@@ -587,8 +616,10 @@ class TestResidual:
         def forbidden(*args):
             raise AssertionError("the residual used the t-form I")
 
-        for helper in ("_integral", "_slope", "_t_quad", "_argmin_h"):
+        for helper in ("_integral", "_slope", "_argmin_h"):
             monkeypatch.setattr(st, helper, forbidden)
+        for law in (ps.FrequencyDistribution, ps.Uniform):
+            monkeypatch.setattr(law, "t_integral", forbidden)
         assert [ps.self_consistency_residual(g, k, r) for r in (g.max_abs_omega / k, 0.2, 0.7, 1.0)] == want
 
     @pytest.mark.parametrize("g", [ps.Uniform(0, 0.5), ps.TruncatedGaussian(0, 0.3, 0.6)], ids=repr)
@@ -749,7 +780,10 @@ class TestCriticalCoupling:
 
     @pytest.mark.parametrize("gamma", [0.1, 0.45, 0.5, 0.57, 100.0])  # 100: above the former cap on K_c
     def test_uniform_four_gamma_over_pi(self, gamma):
-        assert ps.critical_coupling(ps.Uniform(0, gamma)) == pytest.approx(4 * gamma / np.pi, abs=1e-9)
+        # within 4 ulp of 4 gamma / pi in floats at scales 1e-150 to 1e150 (3 ulp measured)
+        for g in (gamma * 10.0 ** e for e in range(-150, 151, 10)):
+            want = 4.0 * g / math.pi
+            assert abs(ps.critical_coupling(ps.Uniform(0, g)) - want) <= 4 * math.ulp(want), g
 
     def test_truncated_gaussian_minimisation_oracle(self):
         oracle = tgauss_kc_oracle(0.0, 0.3, 0.6)
@@ -807,16 +841,21 @@ class TestEdgeCertificate:
 
     @pytest.mark.parametrize("g", CERTIFIED_LAWS, ids=repr)
     def test_certified_laws_run_two_integrals(self, g, monkeypatch):
+        # I and J at max|omega|: two adaptive quads on a truncated Gaussian,
+        # none on a uniform law, whose t_integral is its closed form
         g = dataclasses.replace(g)  # a cold law: an earlier test may have solved this one's minimiser
-        calls, adaptive = [], st.quad
+        calls, adaptive, integrals, t_integral = [], fd.quad, [], type(g).t_integral
 
         def solve(*args, **kw):
             raise AssertionError("a certified law ran Brent's method")
 
-        monkeypatch.setattr(st, "quad", lambda *a, **kw: (calls.append(a), adaptive(*a, **kw))[1])
+        for module in (fd, st):
+            monkeypatch.setattr(module, "quad", lambda *a, **kw: (calls.append(a), adaptive(*a, **kw))[1])
+        monkeypatch.setattr(type(g), "t_integral", lambda g_, a, cos2=True: (integrals.append(cos2), t_integral(g_, a, cos2))[1])
         monkeypatch.setattr(st, "brentq", solve)
         kc = ps.critical_coupling(g)
-        assert len(calls) == 2
+        assert sorted(integrals) == [False, True]
+        assert len(calls) == (0 if isinstance(g, ps.Uniform) else 2)
         a0 = g.max_abs_omega
         assert kc == a0 * a0 / st._integral(g, a0)
 
@@ -893,22 +932,21 @@ class TestMinimiserKept:
 
 
 class TestKernels:
-    """Uniform and TruncatedGaussian inline pdf's float path in the quad
-    callbacks of the adaptive I and J1; that must not move a bit."""
+    """TruncatedGaussian inlines pdf's float path in the quad callbacks of
+    the adaptive I and J1; that must not move a bit."""
 
     @pytest.mark.parametrize("g", EDGE_LAWS, ids=repr)
     def test_roots_and_kc_as_with_the_pdf_callback(self, g, monkeypatch):
         kc = ps.critical_coupling(g)
         ks = [(kc or 0.5) * f for f in (1 - 1e-6, 1 + 1e-6, 1.01, 1.3, 2.0)] + [0.8, 1.2, 2.0]
         got = [ps.self_consistency_roots(g, k).roots for k in ks]
-        for law in (ps.Uniform, ps.TruncatedGaussian):
-            monkeypatch.setattr(law, "t_kernel", t_kernel_v0110)
+        monkeypatch.setattr(ps.TruncatedGaussian, "t_kernel", t_kernel_v0110)
         g = dataclasses.replace(g)  # a cold law: its minimiser is solved again, on the old kernel
         assert repr(ps.critical_coupling(g)) == repr(kc)
         assert repr([ps.self_consistency_roots(g, k).roots for k in ks]) == repr(got)
 
-    @pytest.mark.parametrize("g", PDF_LAWS + [ps.Uniform(0, 0.5), ps.TruncatedGaussian(0, 0.3, 0.6),
-                                              ps.TruncatedGaussian(0, 0.01, 0.3)], ids=repr)
+    @pytest.mark.parametrize("g", [law for law in PDF_LAWS if not isinstance(law, ps.Uniform)]
+                             + [ps.TruncatedGaussian(0, 0.3, 0.6), ps.TruncatedGaussian(0, 0.01, 0.3)], ids=repr)
     @pytest.mark.parametrize("cos2", [True, False])
     def test_kernel_is_pdf_bitwise(self, g, cos2):
         lo, hi = g.support()
@@ -929,10 +967,72 @@ class TestKernels:
 
     @pytest.mark.parametrize("g", [law for law in EDGE_LAWS if not core_inside(law)], ids=repr)
     def test_integral_as_in_v0110(self, g):
-        # no break point enters the adaptive I on these laws
+        # no break point enters the adaptive I on these laws. A uniform law's
+        # I is closed-form (TestUniformClosedForm); on it the base class's
+        # adaptive t_integral, the one a law without its own runs, is pinned
         wmax = g.max_abs_omega
+        integral = st._integral
+        if isinstance(g, ps.Uniform):
+            integral = lambda g_, a: a * a * ps.FrequencyDistribution.t_integral(g_, float(a))
         for a in np.linspace(wmax, 3.0 * wmax, 25).tolist() + [np.float64(1.2 * wmax)]:
-            assert st._integral(g, a) == integral_v0110(g, a), a
+            assert integral(g, a) == integral_v0110(g, a), a
+
+
+class TestUniformClosedForm:
+    """The uniform law's t_integral: I / a^2 and J in closed form, against
+    50-digit values of height (F(x) - F(y)) / 2, F(s) = asin s + s sqrt(1 - s^2),
+    and of height (asin x - asin y) on x, y = the clipped support ends / a."""
+
+    @staticmethod
+    def reference(mp, g, a, cos2):
+        lo, hi = g.support()
+        a, lo, hi, height = mp.mpf(a), mp.mpf(lo), mp.mpf(hi), mp.mpf(g.pdf(g.center))
+        x, y = min(hi, a) / a, max(lo, -a) / a
+        if not cos2:
+            return height * (mp.asin(x) - mp.asin(y))
+        big_f = lambda z: mp.asin(z) + z * mp.sqrt(1 - z * z)
+        return height * (big_f(x) - big_f(y)) / 2
+
+    @staticmethod
+    def cases():
+        # scales 1e-100 to 1e100, both signs of the centre (and 0), widths
+        # from 1e-9 to 2 of the centre; a at max|omega|, 1 and 3 ulps above,
+        # and 1.001, 10 and 1000 times it
+        for scale in (1e-100, 3e-51, 1e-10, 1.0, 7e10, 1e50, 1e100):
+            for center in (-scale, 0.0, scale):
+                for rel in (1e-9, 3e-7, 1e-4, 0.03, 0.5, 1.0, 2.0):
+                    g = ps.Uniform(center, rel * scale)
+                    a0 = g.max_abs_omega
+                    ulp3 = np.nextafter(np.nextafter(np.nextafter(a0, math.inf), math.inf), math.inf)
+                    for a in (a0, np.nextafter(a0, math.inf), ulp3, 1.001 * a0, 10.0 * a0, 1e3 * a0):
+                        yield g, float(a)
+
+    @pytest.mark.parametrize("cos2", [True, False])
+    def test_matches_fifty_digit_reference(self, cos2):
+        mp = pytest.importorskip("mpmath")
+        worst = 0.0
+        with mp.workdps(50):
+            for g, a in self.cases():
+                want = self.reference(mp, g, a, cos2)
+                worst = max(worst, float(abs((g.t_integral(a, cos2) - want) / want)))
+        assert worst <= 2e-15
+
+    def test_kc_and_roots_of_other_laws_as_in_v0170(self):
+        # the laws that do not take the closed form keep their bits
+        pinned = {
+            ps.TruncatedGaussian(0, 0.3, 0.6): (0.6782970090312734, {
+                0.6: [], 0.6782977: [0.8845688105983123], 0.7: [0.8977500830819967], 0.8: [0.9312754323923839],
+                1.2: [0.9736545543063039], 2.0: [0.991041719549399]}),
+            ps.Discrete((-0.3583, 0.3583), (0.5, 0.5)): (0.7166, {
+                0.7166: [0.7071067811865476], 0.72: [0.6719122954668546, 0.7406307225604815],
+                0.75: [0.5936753956140667, 0.8047046194986589], 0.8: [0.5269923446465417, 0.8498700304657989],
+                1.2: [0.3145495341722851, 0.9492410602960653], 2.0: [0.182199743349528, 0.9832615387186494]}),
+        }
+        for g, (kc, roots) in pinned.items():
+            g = dataclasses.replace(g)
+            assert repr(ps.critical_coupling(g)) == repr(kc)
+            for k, want in roots.items():
+                assert repr(ps.self_consistency_roots(g, k).roots) == repr(want), (g, k)
 
 
 class TestNarrowCore:
@@ -962,12 +1062,14 @@ class TestNarrowCore:
     @pytest.mark.parametrize("g", [ps.TruncatedGaussian(0, 0.3, 0.6), ps.TruncatedGaussian(0.1, 0.05, 0.4),
                                    ps.TruncatedGaussian(0.1, 0.01, 0.4), ps.Uniform(0, 0.5)], ids=repr)
     def test_no_break_points_unless_the_core_is_inside(self, g, monkeypatch):
+        # the uniform law's t-form I is closed-form: only its omega form runs quad
         calls, adaptive = [], st.quad
-        monkeypatch.setattr(st, "quad", lambda *a, **kw: (calls.append(kw.get("points")), adaptive(*a, **kw))[1])
+        for module in (fd, st):
+            monkeypatch.setattr(module, "quad", lambda *a, **kw: (calls.append(kw.get("points")), adaptive(*a, **kw))[1])
         st._integral(g, 0.9)
         st._omega_integral(g, 0.5)
         inside = core_inside(g)
-        assert len(calls) == (4 if inside else 2)
+        assert len(calls) == (4 if inside else 1 if isinstance(g, ps.Uniform) else 2)
         assert calls[0] == (list(np.arcsin([x / 0.9 for x in g.core()])) if inside else None)
 
 
