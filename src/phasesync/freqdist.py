@@ -17,7 +17,6 @@ from dataclasses import dataclass, field, fields
 from typing import Callable, Optional, Tuple
 
 import numpy as np
-from scipy.integrate import quad
 
 __all__ = [
     "FrequencyDistribution",
@@ -31,6 +30,16 @@ __all__ = [
 # the largest |end| of a support or arc: any two of its points add and
 # subtract without overflow (linspace and the midpoints of its cells)
 _HALF_MAX = float(np.finfo(float).max) / 2.0
+_quad = None  # scipy.integrate.quad, once quad() has imported it
+
+
+def quad(*args, **kwargs):
+    """scipy.integrate.quad, imported at the first call: the simulating modes
+    never integrate, so they start without SciPy."""
+    global _quad
+    if _quad is None:
+        from scipy.integrate import quad as _quad
+    return _quad(*args, **kwargs)
 
 
 class FrequencyDistribution:
@@ -172,8 +181,9 @@ class Discrete(FrequencyDistribution):
             raise ValueError("probs must be nonnegative and sum to 1")
         object.__setattr__(self, "omegas", tuple(float(x) for x in w))
         object.__setattr__(self, "probs", tuple(float(x) for x in p))
-        w.flags.writeable = p.flags.writeable = False
-        vars(self)["_atoms"] = w, p
+        w2 = (w * w).reshape(1, -1)  # the squares the stationary sums take at each a
+        w.flags.writeable = p.flags.writeable = w2.flags.writeable = False
+        vars(self).update(_atoms=(w, p), _omega2=w2)
 
     def atoms(self):
         return self._atoms

@@ -114,7 +114,7 @@ class Stepper:
         trig(head.dot(in4, u), c4, s4)
         cs4.dot(w, d4)
         self._D.dot(self._P, m_flat)
-        np.dot(self._M, self._C, out)
+        self._M.dot(self._C, out)
         if ret is out:  # the log-Jacobians add their old values
             np.add(out[1], y[1], out[1])
         return ret

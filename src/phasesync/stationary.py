@@ -18,13 +18,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
-from .freqdist import FrequencyDistribution
+from .freqdist import FrequencyDistribution, quad
 from .kinetic import AtomList
 
 ROOT_TOL = 1e-10  # residual bound for every reported root
@@ -32,6 +30,15 @@ _SLACK = 1e-9  # of the edge certificate and of a root at an end; far above the 
 _EDGE_ULPS = 4  # a support end this close to +-a is a square-root end
 _A_MIN = math.sqrt(np.finfo(float).tiny)  # the least max|omega| whose square is a normal float
 _A_MAX = math.sqrt(np.finfo(float).max)  # the largest a whose square is finite
+_brentq = None  # scipy.optimize.brentq, once brentq() has imported it
+
+
+def brentq(*args, **kwargs):
+    """scipy.optimize.brentq, imported at the first call (as freqdist.quad)."""
+    global _brentq
+    if _brentq is None:
+        from scipy.optimize import brentq as _brentq
+    return _brentq(*args, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -68,8 +75,7 @@ def _omega_integral(g: FrequencyDistribution, a: float) -> float:
     that end, to QAWS's weight (omega - lo)^(1/2) or (hi - omega)^(1/2). The ends
     of g's core inside the interval split it; the end pieces keep those weights."""
     if g.is_discrete:
-        w, p = g.atoms()
-        return float(np.sum(p * np.sqrt(np.maximum(a ** 2 - w * w, 0.0))))
+        return float(np.sum(g.atoms()[1] * np.sqrt(np.maximum(a ** 2 - g._omega2[0], 0.0))))
     lo, hi = g.support()
     lo, hi = max(lo, -a), min(hi, a)
     if lo >= hi:
@@ -86,10 +92,10 @@ def _omega_integral(g: FrequencyDistribution, a: float) -> float:
 
 
 def _integral(g: FrequencyDistribution, a: float) -> float:
-    """I at one a >= max|omega|: a^2 g.t_integral(a), atoms summed."""
+    """I at one a >= max|omega|: a^2 g.t_integral(a), atoms summed (a (1, n) @ (n,)
+    gemv: a 1-d dot is a ddot, whose sum may differ)."""
     if g.is_discrete:
-        w, p = g.atoms()
-        return float((np.sqrt(np.maximum(np.array([[a]]) ** 2 - w * w, 0.0)) @ p)[0])
+        return float((np.sqrt(np.maximum(a * a - g._omega2, 0.0)) @ g.atoms()[1])[0])
     a = float(a)
     return a * a * g.t_integral(a)
 
@@ -98,15 +104,16 @@ def _slope(g: FrequencyDistribution, a: float) -> float:
     """I'(a) / a = int g(a sin t) dt at a >= max|omega| (g.t_integral without
     cos2); over atoms the sum of p / sqrt(a^2 - omega^2), inf with mass at +-a."""
     if g.is_discrete:
-        w, p = g.atoms()
-        d = np.sqrt(np.maximum(a * a - w * w, 0.0))
+        p = g.atoms()[1]
+        d = np.sqrt(np.maximum(a * a - g._omega2[0], 0.0))
         with np.errstate(divide="ignore"):
             return float(np.divide(p, d, out=np.zeros(p.size), where=p > 0).sum())
     return g.t_integral(float(a), cos2=False)
 
 
-def _argmin_h(g: FrequencyDistribution, a0: float) -> Tuple[float, float]:
-    """(a*, h(a*)) for the minimiser a* of h = a^2 / I over a >= a0 = max|omega|.
+def _argmin_h(g: FrequencyDistribution, a0: float) -> Tuple[float, float, Dict[float, float]]:
+    """(a*, h(a*), {a0: I(a0), a*: I(a*)}) for the minimiser a* of h = a^2 / I
+    over a >= a0 = max|omega|: the two integrals the solve takes anyway.
 
     sqrt(a^2 - omega^2) is concave in a, so I is, and {h <= c} = {a^2 - c I <= 0}
     is an interval: h falls to its minimum and then rises, with no plateau. h'
@@ -114,33 +121,35 @@ def _argmin_h(g: FrequencyDistribution, a0: float) -> Tuple[float, float]:
     fall from a0 (a0^2 J <= 2 I there, up to a relative dip of order _SLACK^2),
     a* = a0; atoms at +-a0 make J infinite. Otherwise Brent's method takes the
     sign change of h' on (a0, h(2 a0)]: h(a) >= a, so no minimiser lies past it.
-    At a0 = 0 (all mass at 0) h(a) = a, and a* = 0; outside the domain of the
-    module docstring it raises.
+    At a0 = 0 (all mass at 0) h(a) = a, and a* = 0 with no integral; outside
+    the domain of the module docstring it raises.
     """
     if a0 == 0.0:
-        return 0.0, 0.0
+        return 0.0, 0.0, {}
     if a0 < _A_MIN:
         raise ValueError(f"max|omega| = {a0:g} is so small that its square underflows")
     if a0 > _A_MAX / 4.0:
         raise ValueError(f"max|omega| = {a0:g} is so large that the square of h(2 max|omega|) overflows")
     i0, j0 = _integral(g, a0), _slope(g, a0)
     if 0.0 < a0 * a0 * j0 <= 2.0 * i0 * (1.0 + _SLACK):
-        return a0, a0 * a0 / i0
+        return a0, a0 * a0 / i0, {a0: i0}
     h = lambda a: a * a / _integral(g, a)
     dh = lambda a: 2.0 * i0 - a0 * a0 * j0 if a == a0 else 2.0 * _integral(g, a) - a * a * _slope(g, a)
     a_star = brentq(dh, a0, h(2.0 * a0), xtol=math.ulp(a0), rtol=4.0 * np.finfo(float).eps)
-    return a_star, h(a_star)
+    i_star = _integral(g, a_star)
+    return a_star, a_star * a_star / i_star, {a0: i0, a_star: i_star}
 
 
-def _min_h(g: FrequencyDistribution) -> Tuple[float, float]:
-    """_argmin_h(g, max|omega|), solved on g's first call and kept beside the
-    constants __post_init__ keeps outside the fields: ==, hash, repr skip it,
-    and pickling and dataclasses.replace build a law without it. A solve that
+def _min_h(g: FrequencyDistribution) -> Tuple[float, float, Dict[float, float]]:
+    """_argmin_h(g, max|omega|), solved on g's first call and kept, with its
+    two integrals, beside the constants __post_init__ keeps outside the
+    fields: ==, hash, repr skip it, and pickling and dataclasses.replace build
+    a law without it. Nothing keyed to a coupling is kept, and a solve that
     raises keeps nothing."""
-    pair = vars(g).get("_min_h")
-    if pair is None:
-        pair = vars(g)["_min_h"] = _argmin_h(g, g.max_abs_omega)
-    return pair
+    kept = vars(g).get("_min_h")
+    if kept is None:
+        kept = vars(g)["_min_h"] = _argmin_h(g, g.max_abs_omega)
+    return kept
 
 
 def self_consistency_roots(g: FrequencyDistribution, k: float) -> SelfConsistencyResult:
@@ -149,7 +158,9 @@ def self_consistency_roots(g: FrequencyDistribution, k: float) -> SelfConsistenc
     F(R) = I(K R) - K R^2 = (I / K) (K - h(K R)) has the sign of K - h(K R), so
     it has at most one root on each side of R* = a* / K (_min_h). Brent's
     method on I polishes the sign change, if any, on [max|omega| / K, R*] and
-    on [R*, 1], F taken once at each distinct end; an end where |F| <= _SLACK is a
+    on [R*, 1], F taken once at each distinct end, and read from the law's
+    kept I where K R is bit for bit max|omega| or a* (on a warm law, then,
+    only R = 1 and Brent's steps integrate); an end where |F| <= _SLACK is a
     candidate too (F = 0 at K R = max|omega|, which rounding may hide from the
     brackets). A root is kept only if the public residual is below ROOT_TOL
     there. An empty root list (subcritical k) is a normal outcome. The
@@ -162,10 +173,11 @@ def self_consistency_roots(g: FrequencyDistribution, k: float) -> SelfConsistenc
     wmax = g.max_abs_omega
     if wmax / k > 1.0:
         raise ValueError("support of g too wide: max|omega|/K > 1 admits no R")
+    a_star, _, kept = _min_h(g)
     r_lo = max(wmax / k, 1e-12)
-    r_star = min(max(_min_h(g)[0] / k, r_lo), 1.0)
+    r_star = min(max(a_star / k, r_lo), 1.0)
     f = lambda r: _integral(g, k * r) - k * r * r
-    ends = {r: f(r) for r in dict.fromkeys((r_lo, r_star, 1.0))}
+    ends = {r: kept[k * r] - k * r * r if k * r in kept else f(r) for r in dict.fromkeys((r_lo, r_star, 1.0))}
 
     roots: List[float] = []
     for lo, hi in ((r_lo, r_star), (r_star, 1.0)):
@@ -187,8 +199,9 @@ def critical_coupling(g: FrequencyDistribution) -> float:
     Dirac(omega_0), the one-atom Discrete law. On a law without atoms whose
     slope I'(max|omega|) is at most 2 I / max|omega| there (every centred law
     whose density does not rise away from 0), K_c is h(max|omega|), after two
-    integrals, I and I', on the law object's first call (later calls read the
-    pair _min_h kept); they split at g.core() as in self_consistency_roots.
+    integrals, I and I', on the law object's first call (later calls, and the
+    roots calls' bracket ends at max|omega| and a*, read what _min_h kept);
+    they split at g.core() as in self_consistency_roots.
     """
     return _min_h(g)[1]
 

@@ -559,6 +559,31 @@ class TestParallelSweep:
         assert "numerical abort: non-finite state at t=2" in done.stderr
 
 
+class TestStartupWithoutScipy:
+    """Only the stationary analysis integrates or solves, so only the kc and
+    roots modes import SciPy, at their first adaptive integral (the uniform
+    law's are closed forms); the simulating modes start without it."""
+
+    TGAUSS = ["--set", "model.freq_dist=tgauss", "--set", "model.freq_sigma=0.3", "--set", "model.freq_cut=0.6"]
+
+    @pytest.mark.parametrize("argv,code,scipy", [
+        (["classify", "--preset", "three-osc"], 0, False),
+        (["finite", "--preset", "three-osc"], 0, False),
+        (["kinetic", "--preset", "uniform-arc", "--set", "sim.t_max=0.1"], 3, False),
+        (["kc", "--preset", "kuramoto-uniform-g"], 0, False),
+        (["kc", "--preset", "kuramoto-uniform-g", *TGAUSS], 0, True),
+        (["roots", "--preset", "kuramoto-uniform-g", *TGAUSS], 0, True),
+    ], ids=["classify", "finite", "kinetic", "kc-uniform", "kc-tgauss", "roots-tgauss"])
+    def test_scipy_is_imported_only_to_integrate(self, tmp_path, argv, code, scipy):
+        script = ("import sys; import phasesync.cli as cli\n"
+                  "code = cli.main(sys.argv[1:])\n"
+                  "print(code, 'scipy' in sys.modules)\n")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", script, *argv, "--out", str(tmp_path / "run")],
+                              capture_output=True, text=True, timeout=120, env=env)
+        assert done.stdout.split() == [str(code), str(scipy)], done.stderr
+
+
 class TestConfigHandling:
     def test_missing_config_is_config_error(self):
         assert run_cli(["finite", "--config", "/nonexistent.ini"]) == 2

@@ -99,6 +99,56 @@ def integral_v0110(g, a):
     return a * a * quad(t_kernel_v0110(g, a), t_lo, t_hi, epsabs=1e-15, epsrel=1e-13, limit=200)[0]
 
 
+def integral_v0180(g, a):
+    """I as v0.18.0 took it: omega^2 of the atoms formed at each call."""
+    if g.is_discrete:
+        w, p = g.atoms()
+        return float((np.sqrt(np.maximum(np.array([[a]]) ** 2 - w * w, 0.0)) @ p)[0])
+    a = float(a)
+    return a * a * g.t_integral(a)
+
+
+def slope_v0180(g, a):
+    """I'(a) / a as v0.18.0 took it."""
+    if g.is_discrete:
+        w, p = g.atoms()
+        d = np.sqrt(np.maximum(a * a - w * w, 0.0))
+        with np.errstate(divide="ignore"):
+            return float(np.divide(p, d, out=np.zeros(p.size), where=p > 0).sum())
+    return g.t_integral(float(a), cos2=False)
+
+
+def argmin_h_v0180(g):
+    """(a*, h(a*)) as v0.18.0's _argmin_h solved it, with no integral kept."""
+    a0 = g.max_abs_omega
+    if a0 == 0.0:
+        return 0.0, 0.0
+    i0, j0 = integral_v0180(g, a0), slope_v0180(g, a0)
+    if 0.0 < a0 * a0 * j0 <= 2.0 * i0 * (1.0 + st._SLACK):
+        return a0, a0 * a0 / i0
+    h = lambda a: a * a / integral_v0180(g, a)
+    dh = lambda a: 2.0 * i0 - a0 * a0 * j0 if a == a0 else 2.0 * integral_v0180(g, a) - a * a * slope_v0180(g, a)
+    a_star = brentq(dh, a0, h(2.0 * a0), xtol=math.ulp(a0), rtol=4.0 * np.finfo(float).eps)
+    return a_star, h(a_star)
+
+
+def roots_v0180(g, k, a_star):
+    """The roots as v0.18.0's self_consistency_roots found them, given the
+    minimiser a* of h: F taken by integral at every distinct bracket end."""
+    wmax = g.max_abs_omega
+    r_lo = max(wmax / k, 1e-12)
+    r_star = min(max(a_star / k, r_lo), 1.0)
+    f = lambda r: integral_v0180(g, k * r) - k * r * r
+    ends = {r: f(r) for r in dict.fromkeys((r_lo, r_star, 1.0))}
+    roots = []
+    for lo, hi in ((r_lo, r_star), (r_star, 1.0)):
+        if lo < hi and ends[lo] * ends[hi] <= 0.0:
+            roots.append(brentq(lambda r: ends[r] if r in ends else f(r), lo, hi, xtol=1e-14, rtol=1e-15))
+    roots += [r for r in ((1.0,) if wmax / k < 1e-9 else (r_lo, 1.0)) if abs(ends[r]) <= st._SLACK]
+    roots = sorted(float(r) for r in roots if abs(ps.self_consistency_residual(g, k, r)) < ROOT_TOL)
+    return [r for i, r in enumerate(roots) if i == 0 or r - roots[i - 1] > 1e-9]
+
+
 def scanned_kc_v0121(g, grid=1024):
     """K_c as v0.12.1's scan path computed it, kept as the oracle of the
     minimiser: h = a^2 / I on `grid` points of [max|omega|, h(2 max|omega|)],
@@ -472,7 +522,12 @@ class TestSelfConsistencyRoots:
         # law). So a solve runs the adaptive I once per further call; v0.9.1
         # ran it 2 more times per bracket. The two-atom law's minimiser is
         # solved once, by the roots call, and critical_coupling reads it
-        # (v0.16.0 solved it again: 4 solves)
+        # (v0.16.0 solved it again: 4 solves). Outside Brent's steps the
+        # truncated Gaussian takes I(max|omega|) for the certificate and I(K)
+        # at R = 1, and reads R = max|omega| / K from the kept I; the two atoms
+        # take I(a0), h(2 a0) and h(a*) in the solve and I(K) at R = 1; Dirac(0)
+        # keeps no I (v0.18.0: 3, 2 and 6)
+        outside = 4 if isinstance(g, ps.Discrete) and not isinstance(g, ps.Dirac) else 2
         g = dataclasses.replace(g)  # a cold law
         calls, seen = [], []
         integral, brent = st._integral, st.brentq
@@ -488,6 +543,7 @@ class TestSelfConsistencyRoots:
         ps.self_consistency_roots(g, 1.2)
         ps.critical_coupling(g)
         assert len(seen) == solves
+        assert len(calls) - sum(n for _, _, n in seen) == outside
         for lo, n_calls, n_integrals in seen:
             assert n_integrals == n_calls - (1 if lo == g.max_abs_omega else 2)
 
@@ -497,9 +553,10 @@ class TestSelfConsistencyRoots:
         (ps.Uniform(-0.3, 0.2), 0.505),  # a* > K: R* clips to 1, above max|omega| / K
     ], ids=repr)
     def test_shared_bracket_end_evaluated_once(self, g, k, monkeypatch):
-        # F is taken once at each distinct end of the two brackets; Brent's
-        # method adds one I per call after its first two (v0.17.0 took F
-        # again at an end the brackets share)
+        # F is taken once at each distinct end of the two brackets, and not at
+        # all at an end where K R is an a whose I the law kept; Brent's method
+        # adds one I per call after its first two (v0.17.0 took F again at an
+        # end the brackets share, v0.18.0 at a kept a)
         g = dataclasses.replace(g)
         ps.critical_coupling(g)  # the minimiser's own integrals are not counted
         calls, extra = [], []
@@ -514,9 +571,10 @@ class TestSelfConsistencyRoots:
         monkeypatch.setattr(st, "brentq", counted)
         ps.self_consistency_roots(g, k)
         r_lo = g.max_abs_omega / k
-        r_star = min(max(st._min_h(g)[0] / k, r_lo), 1.0)
+        a_star, _, kept = st._min_h(g)
+        r_star = min(max(a_star / k, r_lo), 1.0)
         assert r_star in (r_lo, 1.0)
-        assert len(calls) == len({r_lo, r_star, 1.0}) + sum(extra)
+        assert len(calls) == sum(k * r not in kept for r in {r_lo, r_star, 1.0}) + sum(extra)
         assert len(set(calls)) == len(calls)
 
     @pytest.mark.parametrize("g", BENCH_LAWS, ids=repr)
@@ -644,7 +702,7 @@ class TestShapeOfH:
     @pytest.mark.parametrize("g", [law for law in EDGE_LAWS if law.max_abs_omega > 0] + [ps.Dirac(0.3)], ids=repr)
     def test_h_falls_then_rises_about_the_minimiser(self, g):
         a0 = g.max_abs_omega
-        a_star, kc = st._argmin_h(g, a0)
+        a_star, kc, _ = st._argmin_h(g, a0)
         assert kc == ps.critical_coupling(g) and a0 <= a_star < kc
         a = np.linspace(a0, (2 * a0) ** 2 / st._integral(g, 2 * a0), 201)[1:]
         h = np.array([x * x / st._integral(g, x) for x in a])
@@ -686,7 +744,8 @@ class TestShapeOfH:
     def test_few_adaptive_integrals(self, g, monkeypatch):
         # no scan: K_c costs the certificate's two integrals, plus two per
         # step of Brent's method where h falls from the edge; a roots call
-        # the three ends and one per further Brent step of each root
+        # the ends where K R is not an a whose I the law kept, and one per
+        # further Brent step of each root: at most 17 here (v0.18.0: 19)
         g = dataclasses.replace(g)  # a cold law, so K_c's count includes its solve
         calls, integral, slope = [], st._integral, st._slope
         monkeypatch.setattr(st, "_integral", lambda g_, a: (calls.append(a), integral(g_, a))[1])
@@ -696,7 +755,7 @@ class TestShapeOfH:
         for k in (0.8, 1.2, 2.0):
             calls.clear()
             ps.self_consistency_roots(g, k)
-            assert 0 < len(calls) <= 60, k
+            assert 0 < len(calls) <= 17, k
 
 
 class TestScaleFree:
@@ -738,6 +797,20 @@ class TestCriticalCoupling:
         assert kc == pytest.approx(2 * abs(omega0), rel=1e-12)
         assert ps.self_consistency_roots(ps.Dirac(omega0), 0.99 * kc).roots == []
         assert ps.self_consistency_roots(ps.Dirac(omega0), 1.01 * kc).roots
+
+    def test_truncated_gaussian_within_an_ulp_of_fifty_digits(self):
+        # K_c = h(0.6) on this certified law, I by mpmath in t at 50 digits on
+        # the binary sigma and cut: 0.67829700903127351333, which the solver
+        # meets to 0.71 ulp (the bench oracle's quad + minimiser is 11 ulps low)
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(50):
+            s, c = mp.mpf(0.3), mp.mpf(0.6)
+            norm = mp.erf(c / (s * mp.sqrt(2))) * s * mp.sqrt(2 * mp.pi)
+            i = mp.quad(lambda t: c * c * mp.cos(t) ** 2 * mp.exp(-(c * mp.sin(t)) ** 2 / (2 * s * s)),
+                        [-mp.pi / 2, 0, mp.pi / 2]) / norm
+            want = c * c / i
+            got = ps.critical_coupling(dataclasses.replace(ps.TruncatedGaussian(0, 0.3, 0.6)))
+            assert abs(mp.mpf(got) - want) <= math.ulp(got)
 
     @pytest.mark.parametrize("g", [ps.Uniform(0.0, 1e-300), ps.Dirac(1e-300), ps.Uniform(0.0, 1e-155),
                                    ps.Discrete((-1e-200, 1e-200), (0.5, 0.5))], ids=repr)
@@ -858,6 +931,13 @@ class TestEdgeCertificate:
         assert len(calls) == (0 if isinstance(g, ps.Uniform) else 2)
         a0 = g.max_abs_omega
         assert kc == a0 * a0 / st._integral(g, a0)
+        # below K_c F < 0 at both ends, so no Brent's method: the roots call
+        # reads F(max|omega| / K) from the kept I and integrates at R = 1 only
+        integrals.clear()
+        k = 0.5 * (a0 + kc)
+        assert k * (a0 / k) == a0
+        assert ps.self_consistency_roots(g, k).roots == []
+        assert integrals == [True]
 
     @pytest.mark.parametrize("g", FALLING_EDGE_LAWS, ids=repr)
     def test_falling_edge_laws_solve_below_the_edge(self, g, monkeypatch):
@@ -929,6 +1009,95 @@ class TestMinimiserKept:
             if k is not None:
                 with pytest.raises(ValueError, match=match):
                     ps.self_consistency_roots(g, k)
+
+
+class TestKeptIntegrals:
+    """The minimiser's solve takes I at max|omega| and at a*; the law keeps
+    both with a*, and a roots call reads F there when K R is that a bit for bit."""
+
+    @pytest.mark.parametrize("g", list(dict.fromkeys(EDGE_LAWS + ALL_KINDS)), ids=repr)
+    def test_kc_and_roots_bitwise_as_in_v0180(self, g):
+        a_star, kc = argmin_h_v0180(g)
+        cold = dataclasses.replace(g)
+        assert repr(ps.critical_coupling(cold)) == repr(kc)
+        assert repr(st._min_h(cold)[:2]) == repr((a_star, kc))
+        warm = dataclasses.replace(g)
+        ps.critical_coupling(warm)
+        a0 = g.max_abs_omega
+        ks = [(kc or 0.5) * f for f in (1 + 1e-6, 1.01, 1.3, 2.0)] + [0.8, 1.2, 2.0] + [a for a in (a0, a_star) if a > 0]
+        for k in ks:
+            if a0 / k > 1.0:
+                continue
+            want = repr(roots_v0180(g, k, a_star))
+            assert repr(ps.self_consistency_roots(dataclasses.replace(g), k).roots) == want, k
+            assert repr(ps.self_consistency_roots(warm, k).roots) == want, k
+
+    @pytest.mark.parametrize("g", [law for law in ALL_KINDS if law.is_discrete]
+                             + [ps.Discrete(tuple(np.linspace(-0.9, 0.9, 257)), (1 / 257,) * 257)], ids=repr)
+    def test_atom_sums_bitwise_as_in_v0180(self, g):
+        # the kept squares are the ones each call formed: I, I' / a and the
+        # public residual keep their bits
+        w, p = g.atoms()
+        a0 = g.max_abs_omega
+        for a in (a0, np.nextafter(a0, 1.0), 1.3 * a0, 2.0):
+            assert repr(st._integral(g, a)) == repr(integral_v0180(g, a))
+            assert repr(st._slope(g, a)) == repr(slope_v0180(g, a))
+            want = float(np.sum(p * np.sqrt(np.maximum(a ** 2 - w * w, 0.0))))
+            assert repr(ps.self_consistency_residual(g, 1.0, a)) == repr(want - a * a)
+
+    @pytest.mark.parametrize("g", CERTIFIED_LAWS, ids=repr)
+    def test_warm_edge_call_takes_one_integral_fewer(self, g, monkeypatch):
+        g = dataclasses.replace(g)
+        kc, a0 = ps.critical_coupling(g), g.max_abs_omega
+        ks = [k for k in (1.01 * kc, 1.3 * kc, 2.0 * kc, 1.2, 2.0) if a0 < k and k * (a0 / k) == a0]
+        assert len(ks) >= 2
+        counts, t_integral = [], type(g).t_integral
+        monkeypatch.setattr(type(g), "t_integral", lambda g_, a, cos2=True: (counts.append(a), t_integral(g_, a, cos2))[1])
+        for k in ks:
+            counts.clear()
+            new = ps.self_consistency_roots(g, k).roots
+            n_new = len(counts)
+            counts.clear()
+            old = roots_v0180(g, k, a0)
+            assert repr(new) == repr(old) and n_new == len(counts) - 1, k
+
+    @pytest.mark.parametrize("g", ALL_KINDS + FALLING_EDGE_LAWS + [ps.Dirac(0.0)], ids=repr)
+    def test_nothing_keyed_to_k_is_kept(self, g):
+        g = dataclasses.replace(g)
+        for k in (0.8, 1.0, 1.2, 2.0, 3.0):
+            ps.self_consistency_roots(g, k)
+        assert set(vars(g)) - set(vars(dataclasses.replace(g))) == {"_min_h"}
+        a_star, kc, kept = vars(g)["_min_h"]
+        assert len(kept) <= 2 and set(kept) <= {g.max_abs_omega, a_star}
+        assert all(repr(i) == repr(integral_v0180(g, a)) for a, i in kept.items())
+
+    @pytest.mark.parametrize("g", ALL_KINDS, ids=repr)
+    def test_kept_integrals_leave_equality_hash_repr_pickle_and_replace(self, g):
+        cold = dataclasses.replace(g)
+        warm = dataclasses.replace(g)
+        ps.self_consistency_roots(warm, 1.2)
+        assert vars(warm)["_min_h"][2] and "_min_h" not in vars(cold)
+        assert warm == cold and hash(warm) == hash(cold) and repr(warm) == repr(cold)
+        for law in (pickle.loads(pickle.dumps(warm)), dataclasses.replace(warm)):
+            assert law == warm and "_min_h" not in vars(law)
+
+    @pytest.mark.parametrize("g", [ps.Uniform(0, 1e-300), ps.Uniform(0, 1e200), ps.Discrete((-1e-200, 1e-200), (0.5, 0.5))],
+                             ids=repr)
+    def test_law_that_raises_keeps_nothing(self, g):
+        before = dict(vars(g))
+        for call in (lambda: ps.critical_coupling(g), lambda: ps.self_consistency_roots(g, 1.0)):
+            with pytest.raises(ValueError):
+                call()
+        assert vars(g).keys() == before.keys()
+
+    @pytest.mark.parametrize("g", ALL_KINDS[2:] + [ps.Discrete((-0.3, 0.3), (0.5, 0.5))], ids=repr)
+    def test_kept_squares_are_read_only_and_follow_replace(self, g):
+        w = g.atoms()[0]
+        assert g._omega2.shape == (1, w.size) and not g._omega2.flags.writeable
+        assert np.array_equal(g._omega2[0], w * w)
+        moved = dataclasses.replace(g, omegas=tuple(0.5 * w), probs=g.probs) if not isinstance(g, ps.Dirac) \
+            else dataclasses.replace(g, omega0=0.5 * g.omega0)
+        assert np.array_equal(moved._omega2[0], (0.5 * w) ** 2)
 
 
 class TestKernels:
