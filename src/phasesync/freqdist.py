@@ -2,10 +2,10 @@
 
 Tagged union of laws (uniform, discrete with Dirac as its one-atom case,
 truncated Gaussian), each exposing a pdf (or atoms), support bounds,
-quadrature nodes/weights, and an expectation operator; the laws with a
-density also give the self-consistency integral in t (t_integral: adaptive
-quad of the t_kernel callback, in closed form for the uniform law) and the
-core that adaptive quadrature splits at. Support is
+quadrature nodes/weights, an expectation operator, and the self-consistency
+integral I(a) or its slope I'(a) / a (integral: a sum over atoms, a closed
+form for the uniform law, else adaptive quad of the t_kernel callback); a
+density also gives the core that adaptive quadrature splits at. Support is
 always compact. Uniform and TruncatedGaussian of half-width at most pi
 also serve as the phase law of a kinetic datum, on an arc of the circle
 (see kinetic.ProductSpec).
@@ -45,8 +45,6 @@ def quad(*args, **kwargs):
 class FrequencyDistribution:
     """Base interface; see the concrete laws below."""
 
-    is_discrete: bool = False
-
     def pdf(self, omega):  # pragma: no cover - abstract
         raise NotImplementedError
 
@@ -66,21 +64,23 @@ class FrequencyDistribution:
         return None
 
     def t_kernel(self, a: float, cos2: bool = True) -> Callable[[float], float]:
-        """The quad callback t -> cos(t)^2 g(a sin t) of t_integral (t -> g(a sin t)
+        """The quad callback t -> cos(t)^2 g(a sin t) of integral (t -> g(a sin t)
         without cos2). A law may inline pdf's float path here, bit for bit, so that
         no pdf dispatch runs at each quad node."""
         return lambda t: (math.cos(t) ** 2 if cos2 else 1.0) * self.pdf(a * math.sin(t))
 
-    def t_integral(self, a: float, cos2: bool = True) -> float:
-        """I(a) / a^2 = int cos(t)^2 g(a sin t) dt over the t-interval of the support
+    def integral(self, a: float, cos2: bool = True) -> float:
+        """I(a) = a^2 int cos(t)^2 g(a sin t) dt over the t-interval of the support
         at a >= max|omega| (J = I'(a) / a = int g(a sin t) dt without cos2), by
         adaptive quad of t_kernel with the t-images of the ends of the core inside
         the support as break points. np.arcsin, not math.asin: they differ in the
         last bit."""
+        a = float(a)
         lo, hi = self.support()
         ends = [lo, hi, *(c for c in self.core() or () if lo < c < hi)]
         t = np.arcsin([min(max(w / a, -1.0), 1.0) for w in ends]).tolist()
-        return quad(self.t_kernel(a, cos2), t[0], t[1], epsabs=1e-15, epsrel=1e-13, limit=200, points=t[2:] or None)[0]
+        v = quad(self.t_kernel(a, cos2), t[0], t[1], epsabs=1e-15, epsrel=1e-13, limit=200, points=t[2:] or None)[0]
+        return a * a * v if cos2 else v
 
     def _cells(self, n: int) -> Tuple[np.ndarray, float]:
         """Midpoints of n equal cells of the support, and the cell width."""
@@ -131,13 +131,14 @@ class Uniform(FrequencyDistribution):
         inside = np.greater_equal(omega, self._lo) & np.less_equal(omega, self._hi)
         return np.multiply(inside, self._height, out=np.empty(inside.shape))
 
-    def t_integral(self, a, cos2=True):
+    def integral(self, a, cos2=True):
         # closed form on the support clipped to [-a, a], reflected so that
         # x = hi / a >= |y|, y = lo / a (I and J are even in omega): with
         # dt = asin x - asin y, I / a^2 = height (dt + [sin t cos t]) / 2 =
         # height ((dt - sin dt) + 2 sin(m)^2 sin dt) / 2, m = (acos x + acos y) / 2,
         # and J = height dt. Each sum below adds terms of one sign (a - hi is exact
         # near the edge), so both keep their relative accuracy near +-a and when narrow
+        a = float(a)
         lo, hi = (-self._hi, -self._lo) if -self._lo > self._hi else (self._lo, self._hi)
         lo, hi = max(lo, -a), min(hi, a)
         cx, cy = math.sqrt(a - hi) * math.sqrt(a + hi) / a, math.sqrt(a - lo) * math.sqrt(a + lo) / a
@@ -152,7 +153,7 @@ class Uniform(FrequencyDistribution):
                 less_sin += term
         else:
             less_sin = dt - math.sin(dt)
-        return 0.5 * self._height * (less_sin + 2.0 * sin_m * sin_m * math.sin(dt))
+        return a * a * (0.5 * self._height * (less_sin + 2.0 * sin_m * sin_m * math.sin(dt)))
 
     def support(self):
         return (self._lo, self._hi)
@@ -168,7 +169,6 @@ class Discrete(FrequencyDistribution):
 
     omegas: tuple
     probs: tuple
-    is_discrete: bool = field(default=True, init=False)
 
     def __post_init__(self):
         w = np.array(self.omegas, dtype=float)  # copies, frozen below as the atoms
@@ -181,7 +181,7 @@ class Discrete(FrequencyDistribution):
             raise ValueError("probs must be nonnegative and sum to 1")
         object.__setattr__(self, "omegas", tuple(float(x) for x in w))
         object.__setattr__(self, "probs", tuple(float(x) for x in p))
-        w2 = (w * w).reshape(1, -1)  # the squares the stationary sums take at each a
+        w2 = (w * w).reshape(1, -1)  # the squares integral takes at each a
         w.flags.writeable = p.flags.writeable = w2.flags.writeable = False
         vars(self).update(_atoms=(w, p), _omega2=w2)
 
@@ -193,6 +193,15 @@ class Discrete(FrequencyDistribution):
 
     def quadrature(self, n: int):
         return self.atoms()
+
+    def integral(self, a, cos2=True):
+        # I is a (1, n) @ (n,) gemv: a 1-d dot is a ddot, whose sum may differ
+        p = self._atoms[1]
+        if cos2:
+            return float((np.sqrt(np.maximum(a * a - self._omega2, 0.0)) @ p)[0])
+        d = np.sqrt(np.maximum(a * a - self._omega2[0], 0.0))  # J is inf with mass at +-a
+        with np.errstate(divide="ignore"):
+            return float(np.divide(p, d, out=np.zeros(p.size), where=p > 0).sum())
 
     def expect(self, fn) -> float:
         w, p = self.atoms()
@@ -207,7 +216,6 @@ class Dirac(Discrete):
     omega0: float = 0.0
     omegas: tuple = field(init=False, repr=False, compare=False)
     probs: tuple = field(init=False, repr=False, compare=False)
-    is_discrete: bool = field(default=True, init=False, repr=False)
 
     def __post_init__(self):
         vars(self).update(omegas=(self.omega0,), probs=(1.0,))

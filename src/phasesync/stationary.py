@@ -5,9 +5,8 @@ With a = K R the self-consistency equation K R^2 = I(K R), I(a) = int
 sqrt(a^2 - omega^2) g(omega) d omega, is real only for a >= max|omega| and
 reads K = h(a) = a^2 / I(a); I(a) <= a keeps R = a / K <= 1. K_c = min h
 (Strogatz, Physica D 143, 2000). omega = a sin t turns I into a^2 int
-cos^2 t g(a sin t) dt, smooth up to the support edge, which each law
-integrates (g.t_integral: adaptive quad, the uniform law's closed form);
-atoms are summed.
+cos^2 t g(a sin t) dt, smooth up to the support edge. Each law takes I and J =
+I'(a) / a in its own g.integral (a sum over atoms, a closed form or adaptive quad).
 
 Every a the solver squares must square to a finite normal float, checked at
 entry: K_c takes a0 = max|omega| <= a <= h(2 a0) <= 4 a0 / sqrt(3), as I(2 a0)
@@ -22,7 +21,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .freqdist import FrequencyDistribution, quad
+from .freqdist import Discrete, FrequencyDistribution, quad
 from .kinetic import AtomList
 
 ROOT_TOL = 1e-10  # residual bound for every reported root
@@ -70,12 +69,13 @@ def self_consistency_residual(
 
 def _omega_integral(g: FrequencyDistribution, a: float) -> float:
     """I(a) in omega on the support clipped to [-a, a], a >= 0; it shares no code
-    with the t-form it checks. Atoms are summed; else quad takes the smooth factor,
-    and an end within _EDGE_ULPS ulps of -+a gives its square root, measured from
-    that end, to QAWS's weight (omega - lo)^(1/2) or (hi - omega)^(1/2). The ends
-    of g's core inside the interval split it; the end pieces keep those weights."""
-    if g.is_discrete:
-        return float(np.sum(g.atoms()[1] * np.sqrt(np.maximum(a ** 2 - g._omega2[0], 0.0))))
+    with the g.integral it checks. Atoms are squared and summed here; else quad takes
+    the smooth factor, and an end within _EDGE_ULPS ulps of -+a gives its square root,
+    measured from that end, to QAWS's weight (omega - lo)^(1/2) or (hi - omega)^(1/2).
+    The ends of g's core inside the interval split it; the end pieces keep those weights."""
+    if isinstance(g, Discrete):
+        w, p = g.atoms()
+        return float(np.sum(p * np.sqrt(np.maximum(a ** 2 - w ** 2, 0.0))))
     lo, hi = g.support()
     lo, hi = max(lo, -a), min(hi, a)
     if lo >= hi:
@@ -91,36 +91,17 @@ def _omega_integral(g: FrequencyDistribution, a: float) -> float:
     return total
 
 
-def _integral(g: FrequencyDistribution, a: float) -> float:
-    """I at one a >= max|omega|: a^2 g.t_integral(a), atoms summed (a (1, n) @ (n,)
-    gemv: a 1-d dot is a ddot, whose sum may differ)."""
-    if g.is_discrete:
-        return float((np.sqrt(np.maximum(a * a - g._omega2, 0.0)) @ g.atoms()[1])[0])
-    a = float(a)
-    return a * a * g.t_integral(a)
-
-
-def _slope(g: FrequencyDistribution, a: float) -> float:
-    """I'(a) / a = int g(a sin t) dt at a >= max|omega| (g.t_integral without
-    cos2); over atoms the sum of p / sqrt(a^2 - omega^2), inf with mass at +-a."""
-    if g.is_discrete:
-        p = g.atoms()[1]
-        d = np.sqrt(np.maximum(a * a - g._omega2[0], 0.0))
-        with np.errstate(divide="ignore"):
-            return float(np.divide(p, d, out=np.zeros(p.size), where=p > 0).sum())
-    return g.t_integral(float(a), cos2=False)
-
-
 def _argmin_h(g: FrequencyDistribution, a0: float) -> Tuple[float, float, Dict[float, float]]:
     """(a*, h(a*), {a0: I(a0), a*: I(a*)}) for the minimiser a* of h = a^2 / I
     over a >= a0 = max|omega|: the two integrals the solve takes anyway.
 
     sqrt(a^2 - omega^2) is concave in a, so I is, and {h <= c} = {a^2 - c I <= 0}
     is an interval: h falls to its minimum and then rises, with no plateau. h'
-    has the sign of 2 I - a I' = 2 I - a^2 J, J = I'/a (_slope). When h does not
-    fall from a0 (a0^2 J <= 2 I there, up to a relative dip of order _SLACK^2),
-    a* = a0; atoms at +-a0 make J infinite. Otherwise Brent's method takes the
-    sign change of h' on (a0, h(2 a0)]: h(a) >= a, so no minimiser lies past it.
+    has the sign of 2 I - a I' = 2 I - a^2 J, J = I'/a (g.integral without cos2).
+    When h does not fall from a0 (a0^2 J <= 2 I there, up to a relative dip of
+    order _SLACK^2), a* = a0; atoms at +-a0 make J infinite. Otherwise Brent's
+    method takes the sign change of h' on (a0, h(2 a0)]: h(a) >= a, so no
+    minimiser lies past it; I is taken once at each a, a* included.
     At a0 = 0 (all mass at 0) h(a) = a, and a* = 0 with no integral; outside
     the domain of the module docstring it raises.
     """
@@ -130,14 +111,15 @@ def _argmin_h(g: FrequencyDistribution, a0: float) -> Tuple[float, float, Dict[f
         raise ValueError(f"max|omega| = {a0:g} is so small that its square underflows")
     if a0 > _A_MAX / 4.0:
         raise ValueError(f"max|omega| = {a0:g} is so large that the square of h(2 max|omega|) overflows")
-    i0, j0 = _integral(g, a0), _slope(g, a0)
+    i0, j0 = g.integral(a0), g.integral(a0, cos2=False)
     if 0.0 < a0 * a0 * j0 <= 2.0 * i0 * (1.0 + _SLACK):
         return a0, a0 * a0 / i0, {a0: i0}
-    h = lambda a: a * a / _integral(g, a)
-    dh = lambda a: 2.0 * i0 - a0 * a0 * j0 if a == a0 else 2.0 * _integral(g, a) - a * a * _slope(g, a)
+    seen = {a0: i0}  # I at each a the solve takes: Brent's method ends on a*
+    i = lambda a: seen[a] if a in seen else seen.setdefault(a, g.integral(a))
+    h = lambda a: a * a / i(a)
+    dh = lambda a: 2.0 * i0 - a0 * a0 * j0 if a == a0 else 2.0 * i(a) - a * a * g.integral(a, cos2=False)
     a_star = brentq(dh, a0, h(2.0 * a0), xtol=math.ulp(a0), rtol=4.0 * np.finfo(float).eps)
-    i_star = _integral(g, a_star)
-    return a_star, a_star * a_star / i_star, {a0: i0, a_star: i_star}
+    return a_star, h(a_star), {a0: i0, a_star: i(a_star)}
 
 
 def _min_h(g: FrequencyDistribution) -> Tuple[float, float, Dict[float, float]]:
@@ -176,7 +158,7 @@ def self_consistency_roots(g: FrequencyDistribution, k: float) -> SelfConsistenc
     a_star, _, kept = _min_h(g)
     r_lo = max(wmax / k, 1e-12)
     r_star = min(max(a_star / k, r_lo), 1.0)
-    f = lambda r: _integral(g, k * r) - k * r * r
+    f = lambda r: g.integral(k * r) - k * r * r
     ends = {r: kept[k * r] - k * r * r if k * r in kept else f(r) for r in dict.fromkeys((r_lo, r_star, 1.0))}
 
     roots: List[float] = []
@@ -238,7 +220,7 @@ class StationaryDensity:
         """Phase marginal K R |cos(theta - phi*)| g(K R sin(theta - phi*))
         on |theta - phi*| < pi/2, zero outside (atoms excluded)."""
         theta = np.asarray(theta, dtype=float)
-        if self.g.is_discrete:
+        if isinstance(self.g, Discrete):
             return np.zeros_like(theta)
         d = (theta - self.phi_star + np.pi) % (2.0 * np.pi) - np.pi
         kr = self.k * self.r

@@ -92,7 +92,7 @@ def t_kernel_v0110(g, a, cos2=True):
 def integral_v0110(g, a):
     """The adaptive I as v0.11.0 computed it, kept as the oracle on laws
     whose core does not lie inside the support."""
-    if g.is_discrete:
+    if isinstance(g, ps.Discrete):
         w, p = g.atoms()
         return float((np.sqrt(np.maximum(np.array([a])[:, None] ** 2 - w * w, 0.0)) @ p)[0])
     t_lo, t_hi = np.arcsin(np.clip(np.divide(g.support(), a), -1.0, 1.0))
@@ -101,21 +101,20 @@ def integral_v0110(g, a):
 
 def integral_v0180(g, a):
     """I as v0.18.0 took it: omega^2 of the atoms formed at each call."""
-    if g.is_discrete:
+    if isinstance(g, ps.Discrete):
         w, p = g.atoms()
         return float((np.sqrt(np.maximum(np.array([[a]]) ** 2 - w * w, 0.0)) @ p)[0])
-    a = float(a)
-    return a * a * g.t_integral(a)
+    return g.integral(a)
 
 
 def slope_v0180(g, a):
     """I'(a) / a as v0.18.0 took it."""
-    if g.is_discrete:
+    if isinstance(g, ps.Discrete):
         w, p = g.atoms()
         d = np.sqrt(np.maximum(a * a - w * w, 0.0))
         with np.errstate(divide="ignore"):
             return float(np.divide(p, d, out=np.zeros(p.size), where=p > 0).sum())
-    return g.t_integral(float(a), cos2=False)
+    return g.integral(a, cos2=False)
 
 
 def argmin_h_v0180(g):
@@ -156,7 +155,7 @@ def scanned_kc_v0121(g, grid=1024):
     a0 = g.max_abs_omega
     if a0 == 0.0:
         return 0.0
-    h = lambda a: a * a / i_a if (i_a := st._integral(g, a)) > 0.0 else math.inf
+    h = lambda a: a * a / i_a if (i_a := g.integral(a)) > 0.0 else math.inf
     a = np.linspace(a0, h(2 * a0), grid)
     i = int(np.argmin([h(x) for x in a]))
     polish = minimize_scalar(h, bounds=(a[max(i - 1, 0)], a[min(i + 1, grid - 1)]), method="bounded",
@@ -212,7 +211,7 @@ EDGE_LAWS = list(dict.fromkeys(BENCH_LAWS + GAUSS_LAWS + ONSET_LAWS + [
     ps.Uniform(0.1, 0.4), ps.TruncatedGaussian(0.1, 0.3, 0.6)] + FALLING_EDGE_LAWS))
 
 # the laws without atoms above: every one but the falling-edge laws is certified
-CERTIFIED_LAWS = [g for g in EDGE_LAWS if not g.is_discrete and g not in FALLING_EDGE_LAWS]
+CERTIFIED_LAWS = [g for g in EDGE_LAWS if not isinstance(g, ps.Discrete) and g not in FALLING_EDGE_LAWS]
 
 # one law of each kind
 ALL_KINDS = [ps.Uniform(0.1, 0.4), ps.TruncatedGaussian(0.1, 0.3, 0.6),
@@ -231,6 +230,14 @@ def scaled(g, c):
     if isinstance(g, ps.Uniform):
         return ps.Uniform(c * g.center, c * g.halfwidth)
     return ps.TruncatedGaussian(c * g.mean, c * g.sigma, c * g.cut)
+
+
+def count_integrals(monkeypatch, g, calls, cos2_only=False):
+    """Append to calls the a of every integral call on g's class from here on
+    (of I alone with cos2_only, else of I and J)."""
+    integral = type(g).integral
+    monkeypatch.setattr(type(g), "integral", lambda g_, a, cos2=True: (
+        calls.append(a) if cos2 or not cos2_only else None, integral(g_, a, cos2))[1])
 
 
 def count_solves(monkeypatch):
@@ -331,7 +338,7 @@ class TestFrequencyDistributions:
         moved = dataclasses.replace(g, **{f.name: getattr(g, f.name) for f in fields if f.init})
         assert moved == g and hash(moved) == hash(g)
         for law in (g, twin, moved):
-            if g.is_discrete:
+            if isinstance(g, ps.Discrete):
                 w, p = law.atoms()
                 want = (g.omegas, g.probs) if isinstance(g, ps.Discrete) else ((g.omega0,), (1.0,))
                 assert (tuple(w.tolist()), tuple(p.tolist())) == want
@@ -371,11 +378,11 @@ class TestFrequencyDistributions:
 
     def test_dirac_is_the_one_atom_discrete_law(self):
         g = ps.Dirac(0.2)
-        assert isinstance(g, ps.Discrete) and g.is_discrete
+        assert isinstance(g, ps.Discrete)
         assert (g.omegas, g.probs, repr(g)) == ((0.2,), (1.0,), "Dirac(omega0=0.2)")
         assert [f.name for f in dataclasses.fields(g) if f.init] == ["omega0"]
         # every method is the Discrete law's: no second implementation
-        assert not {"support", "atoms", "quadrature", "expect"} & set(vars(ps.Dirac))
+        assert not {"support", "atoms", "quadrature", "expect", "integral"} & set(vars(ps.Dirac))
         assert g != ps.Discrete((0.2,), (1.0,)) and g == ps.Dirac(0.2) != ps.Dirac(0.3)
         with pytest.raises(ValueError, match="finite"):
             ps.Dirac(math.inf)
@@ -498,7 +505,7 @@ class TestSelfConsistencyRoots:
             if g.max_abs_omega / k > 1.0:
                 continue
             r = np.linspace(max(g.max_abs_omega / k, 1e-12), 1.0, 257)
-            f = np.array([st._integral(g, k * x) - k * x * x for x in r])
+            f = np.array([g.integral(k * x) - k * x * x for x in r])
             cells = [i for i in range(r.size - 1) if f[i] != 0.0 and f[i] * f[i + 1] <= 0.0]
             roots = ps.self_consistency_roots(g, k).roots
             if g.max_abs_omega / k >= 1e-9 and abs(f[0]) <= 1e-9:  # a root at K R = max|omega|
@@ -525,12 +532,13 @@ class TestSelfConsistencyRoots:
         # (v0.16.0 solved it again: 4 solves). Outside Brent's steps the
         # truncated Gaussian takes I(max|omega|) for the certificate and I(K)
         # at R = 1, and reads R = max|omega| / K from the kept I; the two atoms
-        # take I(a0), h(2 a0) and h(a*) in the solve and I(K) at R = 1; Dirac(0)
-        # keeps no I (v0.18.0: 3, 2 and 6)
-        outside = 4 if isinstance(g, ps.Discrete) and not isinstance(g, ps.Dirac) else 2
+        # take I(a0) and h(2 a0) in the solve, read h(a*) from Brent's last
+        # step, and take I(K) at R = 1; Dirac(0) keeps no I (v0.18.0: 3, 2
+        # and 6; v0.18.0 with the kept I: 2, 2 and 4)
+        outside = 3 if isinstance(g, ps.Discrete) and not isinstance(g, ps.Dirac) else 2
         g = dataclasses.replace(g)  # a cold law
         calls, seen = [], []
-        integral, brent = st._integral, st.brentq
+        brent = st.brentq
 
         def counted(f, lo, hi, **kw):
             before = len(calls)
@@ -538,7 +546,7 @@ class TestSelfConsistencyRoots:
             seen.append((lo, info.function_calls, len(calls) - before))
             return root
 
-        monkeypatch.setattr(st, "_integral", lambda g_, a: (calls.append(a), integral(g_, a))[1])
+        count_integrals(monkeypatch, g, calls, cos2_only=True)
         monkeypatch.setattr(st, "brentq", counted)
         ps.self_consistency_roots(g, 1.2)
         ps.critical_coupling(g)
@@ -560,14 +568,14 @@ class TestSelfConsistencyRoots:
         g = dataclasses.replace(g)
         ps.critical_coupling(g)  # the minimiser's own integrals are not counted
         calls, extra = [], []
-        integral, brent = st._integral, st.brentq
+        brent = st.brentq
 
         def counted(f, lo, hi, **kw):
             root, info = brent(f, lo, hi, full_output=True, **kw)
             extra.append(info.function_calls - 2)
             return root
 
-        monkeypatch.setattr(st, "_integral", lambda g_, a: (calls.append(a), integral(g_, a))[1])
+        count_integrals(monkeypatch, g, calls, cos2_only=True)
         monkeypatch.setattr(st, "brentq", counted)
         ps.self_consistency_roots(g, k)
         r_lo = g.max_abs_omega / k
@@ -584,7 +592,7 @@ class TestSelfConsistencyRoots:
         brent, pairs = st.brentq, []
 
         def both(f, lo, hi, **kw):
-            plain = lambda r: st._integral(g, k * r) - k * r * r
+            plain = lambda r: g.integral(k * r) - k * r * r
             pairs.append((brent(f, lo, hi, **kw), brent(plain, lo, hi, **kw)))
             return pairs[-1][0]
 
@@ -613,7 +621,7 @@ class TestSelfConsistencyRoots:
         res = ps.self_consistency_roots(g, k)
         r_lo = max(g.max_abs_omega / k, 1e-12)
         ends = [1.0] if g.max_abs_omega / k < 1e-9 else [r_lo, 1.0]
-        near_zero = [x for x in ends if abs(st._integral(g, k * x) - k * x * x) <= 1e-9]
+        near_zero = [x for x in ends if abs(g.integral(k * x) - k * x * x) <= 1e-9]
         assert sorted(checked) == sorted(polished + near_zero)
         if isinstance(g, ps.Dirac):
             assert res.roots == [1.0]
@@ -632,7 +640,7 @@ class TestSelfConsistencyRoots:
 class TestResidual:
     """The public residual integrates in omega, with a square root at an
     end that meets +-K R as QAWS's weight; it is the independent check of
-    the t-form I, so it must not call it."""
+    each law's integral, so it must not call it."""
 
     @pytest.mark.parametrize("center,gamma,k,r", [
         (0.0, 0.5, 1.0, 0.5),  # K R exactly at max|omega|
@@ -674,11 +682,22 @@ class TestResidual:
         def forbidden(*args):
             raise AssertionError("the residual used the t-form I")
 
-        for helper in ("_integral", "_slope", "_argmin_h"):
-            monkeypatch.setattr(st, helper, forbidden)
-        for law in (ps.FrequencyDistribution, ps.Uniform):
-            monkeypatch.setattr(law, "t_integral", forbidden)
+        monkeypatch.setattr(st, "_argmin_h", forbidden)
+        for law in (ps.FrequencyDistribution, ps.Uniform, ps.Discrete):
+            monkeypatch.setattr(law, "integral", forbidden)
         assert [ps.self_consistency_residual(g, k, r) for r in (g.max_abs_omega / k, 0.2, 0.7, 1.0)] == want
+
+    @pytest.mark.parametrize("k", [0.8, 1.2])
+    def test_filter_rejects_roots_of_a_faulty_atom_sum(self, k):
+        # squares of the atoms off by 1e-6 relative move the roots by about
+        # 3e-7: the filter, which squares the atoms itself, refuses them
+        omegas, probs = (-0.3583, 0.1, 0.3583), (0.4, 0.2, 0.4)
+        assert len(ps.self_consistency_roots(ps.Discrete(omegas, probs), k).roots) == 2
+        g = ps.Discrete(omegas, probs)
+        faulty = g._omega2 * (1 + 1e-6)
+        faulty.flags.writeable = False
+        vars(g)["_omega2"] = faulty
+        assert ps.self_consistency_roots(g, k).roots == []
 
     @pytest.mark.parametrize("g", [ps.Uniform(0, 0.5), ps.TruncatedGaussian(0, 0.3, 0.6)], ids=repr)
     @pytest.mark.parametrize("k", [1.0, 1.2])
@@ -704,18 +723,18 @@ class TestShapeOfH:
         a0 = g.max_abs_omega
         a_star, kc, _ = st._argmin_h(g, a0)
         assert kc == ps.critical_coupling(g) and a0 <= a_star < kc
-        a = np.linspace(a0, (2 * a0) ** 2 / st._integral(g, 2 * a0), 201)[1:]
-        h = np.array([x * x / st._integral(g, x) for x in a])
+        a = np.linspace(a0, (2 * a0) ** 2 / g.integral(2 * a0), 201)[1:]
+        h = np.array([x * x / g.integral(x) for x in a])
         tol = 1e-13 * h  # the adaptive I's error
         assert np.all(h >= kc - tol)
         assert np.all(np.diff(h)[a[1:] <= a_star] <= tol[1:][a[1:] <= a_star])
         assert np.all(np.diff(h)[a[:-1] >= a_star] >= -tol[1:][a[:-1] >= a_star])
 
-    @pytest.mark.parametrize("g", [law for law in EDGE_LAWS if law.is_discrete and law.max_abs_omega > 0]
+    @pytest.mark.parametrize("g", [law for law in EDGE_LAWS if isinstance(law, ps.Discrete) and law.max_abs_omega > 0]
                              + FALLING_EDGE_LAWS, ids=repr)
     def test_interior_minimiser_is_where_h_turns(self, g):
         a_star = st._argmin_h(g, g.max_abs_omega)[0]
-        dh = lambda a: 2.0 * st._integral(g, a) - a * a * st._slope(g, a)
+        dh = lambda a: 2.0 * g.integral(a) - a * a * g.integral(a, cos2=False)
         assert dh(a_star * (1 - 1e-9)) < 0.0 < dh(a_star * (1 + 1e-9))
 
     @pytest.mark.parametrize("g", [ps.Uniform(0, 0.5), ps.Uniform(0.1, 0.4)] + FALLING_EDGE_LAWS, ids=repr)
@@ -723,20 +742,20 @@ class TestShapeOfH:
         a0 = g.max_abs_omega
         for a in np.linspace(a0, 3 * a0, 25)[1:].tolist():
             want = uniform_slope_closed_form(g.halfwidth, a, g.center) / a
-            assert abs(st._slope(g, a) - want) <= 1e-13 * want, a
+            assert abs(g.integral(a, cos2=False) - want) <= 1e-13 * want, a
 
     @pytest.mark.parametrize("g", GAUSS_LAWS + [ps.Discrete((-0.3, 0.1, 0.3), (0.3, 0.3, 0.4))], ids=repr)
     def test_slope_is_the_derivative_of_i(self, g):
         a0 = g.max_abs_omega
         for a in (1.1 * a0, 1.5 * a0, 3 * a0):
             d = 1e-4 * a
-            fd = (st._integral(g, a + d) - st._integral(g, a - d)) / (2 * d)
-            assert st._slope(g, a) * a == pytest.approx(fd, rel=1e-6), a
+            fd = (g.integral(a + d) - g.integral(a - d)) / (2 * d)
+            assert g.integral(a, cos2=False) * a == pytest.approx(fd, rel=1e-6), a
 
     def test_slope_with_mass_at_the_edge(self):
         # an atom at +-a makes h' = -inf there; a zero-mass one adds nothing
-        assert st._slope(ps.Discrete((-0.3, 0.3), (0.5, 0.5)), 0.3) == math.inf
-        assert st._slope(ps.Discrete((0.0, 0.5), (1.0, 0.0)), 0.5) == 2.0
+        assert ps.Discrete((-0.3, 0.3), (0.5, 0.5)).integral(0.3, cos2=False) == math.inf
+        assert ps.Discrete((0.0, 0.5), (1.0, 0.0)).integral(0.5, cos2=False) == 2.0
         assert ps.critical_coupling(ps.Discrete((0.0, 0.5), (1.0, 0.0))) == 0.5  # h(a) = a
 
     @pytest.mark.parametrize("g", list(dict.fromkeys(BENCH_LAWS + GAUSS_LAWS + ONSET_LAWS + FALLING_EDGE_LAWS)),
@@ -747,9 +766,8 @@ class TestShapeOfH:
         # the ends where K R is not an a whose I the law kept, and one per
         # further Brent step of each root: at most 17 here (v0.18.0: 19)
         g = dataclasses.replace(g)  # a cold law, so K_c's count includes its solve
-        calls, integral, slope = [], st._integral, st._slope
-        monkeypatch.setattr(st, "_integral", lambda g_, a: (calls.append(a), integral(g_, a))[1])
-        monkeypatch.setattr(st, "_slope", lambda g_, a: (calls.append(a), slope(g_, a))[1])
+        calls = []
+        count_integrals(monkeypatch, g, calls)
         ps.critical_coupling(g)
         assert len(calls) <= (2 if g.max_abs_omega == 0 or g in CERTIFIED_LAWS else 40)
         for k in (0.8, 1.2, 2.0):
@@ -915,22 +933,22 @@ class TestEdgeCertificate:
     @pytest.mark.parametrize("g", CERTIFIED_LAWS, ids=repr)
     def test_certified_laws_run_two_integrals(self, g, monkeypatch):
         # I and J at max|omega|: two adaptive quads on a truncated Gaussian,
-        # none on a uniform law, whose t_integral is its closed form
+        # none on a uniform law, whose integral is its closed form
         g = dataclasses.replace(g)  # a cold law: an earlier test may have solved this one's minimiser
-        calls, adaptive, integrals, t_integral = [], fd.quad, [], type(g).t_integral
+        calls, adaptive, integrals, integral = [], fd.quad, [], type(g).integral
 
         def solve(*args, **kw):
             raise AssertionError("a certified law ran Brent's method")
 
         for module in (fd, st):
             monkeypatch.setattr(module, "quad", lambda *a, **kw: (calls.append(a), adaptive(*a, **kw))[1])
-        monkeypatch.setattr(type(g), "t_integral", lambda g_, a, cos2=True: (integrals.append(cos2), t_integral(g_, a, cos2))[1])
+        monkeypatch.setattr(type(g), "integral", lambda g_, a, cos2=True: (integrals.append(cos2), integral(g_, a, cos2))[1])
         monkeypatch.setattr(st, "brentq", solve)
         kc = ps.critical_coupling(g)
         assert sorted(integrals) == [False, True]
         assert len(calls) == (0 if isinstance(g, ps.Uniform) else 2)
         a0 = g.max_abs_omega
-        assert kc == a0 * a0 / st._integral(g, a0)
+        assert kc == a0 * a0 / g.integral(a0)
         # below K_c F < 0 at both ends, so no Brent's method: the roots call
         # reads F(max|omega| / K) from the kept I and integrates at R = 1 only
         integrals.clear()
@@ -955,14 +973,14 @@ class TestEdgeCertificate:
     @pytest.mark.parametrize("g", CERTIFIED_LAWS, ids=repr)
     def test_no_lower_h_past_the_edge(self, g):
         kc, a0 = ps.critical_coupling(g), g.max_abs_omega
-        for a in np.linspace(a0, (2 * a0) ** 2 / st._integral(g, 2 * a0), 200):
-            assert a * a / st._integral(g, a) >= kc * (1 - 1e-13), a
+        for a in np.linspace(a0, (2 * a0) ** 2 / g.integral(2 * a0), 200):
+            assert a * a / g.integral(a) >= kc * (1 - 1e-13), a
 
     def test_argument_checks_come_first(self, monkeypatch):
         # the domain is checked before the first adaptive integral
         calls = []
-        monkeypatch.setattr(st, "_integral", lambda g_, a: calls.append(a))
-        monkeypatch.setattr(st, "_slope", lambda g_, a: calls.append(a))
+        for law in (ps.FrequencyDistribution, ps.Uniform, ps.Discrete):
+            monkeypatch.setattr(law, "integral", lambda g_, a, cos2=True: calls.append(a))
         for g in (ps.Uniform(0, 1e-300), ps.Uniform(0, 1e200)):
             with pytest.raises(ValueError):
                 ps.critical_coupling(g)
@@ -1032,7 +1050,7 @@ class TestKeptIntegrals:
             assert repr(ps.self_consistency_roots(dataclasses.replace(g), k).roots) == want, k
             assert repr(ps.self_consistency_roots(warm, k).roots) == want, k
 
-    @pytest.mark.parametrize("g", [law for law in ALL_KINDS if law.is_discrete]
+    @pytest.mark.parametrize("g", [law for law in ALL_KINDS if isinstance(law, ps.Discrete)]
                              + [ps.Discrete(tuple(np.linspace(-0.9, 0.9, 257)), (1 / 257,) * 257)], ids=repr)
     def test_atom_sums_bitwise_as_in_v0180(self, g):
         # the kept squares are the ones each call formed: I, I' / a and the
@@ -1040,8 +1058,8 @@ class TestKeptIntegrals:
         w, p = g.atoms()
         a0 = g.max_abs_omega
         for a in (a0, np.nextafter(a0, 1.0), 1.3 * a0, 2.0):
-            assert repr(st._integral(g, a)) == repr(integral_v0180(g, a))
-            assert repr(st._slope(g, a)) == repr(slope_v0180(g, a))
+            assert repr(g.integral(a)) == repr(integral_v0180(g, a))
+            assert repr(g.integral(a, cos2=False)) == repr(slope_v0180(g, a))
             want = float(np.sum(p * np.sqrt(np.maximum(a ** 2 - w * w, 0.0))))
             assert repr(ps.self_consistency_residual(g, 1.0, a)) == repr(want - a * a)
 
@@ -1051,8 +1069,8 @@ class TestKeptIntegrals:
         kc, a0 = ps.critical_coupling(g), g.max_abs_omega
         ks = [k for k in (1.01 * kc, 1.3 * kc, 2.0 * kc, 1.2, 2.0) if a0 < k and k * (a0 / k) == a0]
         assert len(ks) >= 2
-        counts, t_integral = [], type(g).t_integral
-        monkeypatch.setattr(type(g), "t_integral", lambda g_, a, cos2=True: (counts.append(a), t_integral(g_, a, cos2))[1])
+        counts = []
+        count_integrals(monkeypatch, g, counts)
         for k in ks:
             counts.clear()
             new = ps.self_consistency_roots(g, k).roots
@@ -1060,6 +1078,19 @@ class TestKeptIntegrals:
             counts.clear()
             old = roots_v0180(g, k, a0)
             assert repr(new) == repr(old) and n_new == len(counts) - 1, k
+
+    @pytest.mark.parametrize("g", [ps.Discrete((-0.3583, 0.3583), (0.5, 0.5)), ps.Uniform(-0.3, 0.2)], ids=repr)
+    def test_cold_solve_takes_each_integral_once(self, g, monkeypatch):
+        # h falls from the edge on both: Brent's last step takes I(a*), and the
+        # solve reads h(a*) from it (v0.18.0: 14 I at 13 a, and 12 at 11)
+        g = dataclasses.replace(g)
+        calls = []
+        count_integrals(monkeypatch, g, calls, cos2_only=True)
+        ps.critical_coupling(g)
+        a_star, _, kept = st._min_h(g)
+        assert a_star > g.max_abs_omega and a_star in calls
+        assert len(calls) == len(set(calls)) > 2
+        assert set(kept) == {g.max_abs_omega, a_star}
 
     @pytest.mark.parametrize("g", ALL_KINDS + FALLING_EDGE_LAWS + [ps.Dirac(0.0)], ids=repr)
     def test_nothing_keyed_to_k_is_kept(self, g):
@@ -1138,18 +1169,16 @@ class TestKernels:
     def test_integral_as_in_v0110(self, g):
         # no break point enters the adaptive I on these laws. A uniform law's
         # I is closed-form (TestUniformClosedForm); on it the base class's
-        # adaptive t_integral, the one a law without its own runs, is pinned
+        # adaptive integral, the one a law without its own runs, is pinned
         wmax = g.max_abs_omega
-        integral = st._integral
-        if isinstance(g, ps.Uniform):
-            integral = lambda g_, a: a * a * ps.FrequencyDistribution.t_integral(g_, float(a))
+        integral = ps.FrequencyDistribution.integral if isinstance(g, ps.Uniform) else type(g).integral
         for a in np.linspace(wmax, 3.0 * wmax, 25).tolist() + [np.float64(1.2 * wmax)]:
             assert integral(g, a) == integral_v0110(g, a), a
 
 
 class TestUniformClosedForm:
-    """The uniform law's t_integral: I / a^2 and J in closed form, against
-    50-digit values of height (F(x) - F(y)) / 2, F(s) = asin s + s sqrt(1 - s^2),
+    """The uniform law's integral: I and J in closed form, against 50-digit
+    values of a^2 height (F(x) - F(y)) / 2, F(s) = asin s + s sqrt(1 - s^2),
     and of height (asin x - asin y) on x, y = the clipped support ends / a."""
 
     @staticmethod
@@ -1160,7 +1189,7 @@ class TestUniformClosedForm:
         if not cos2:
             return height * (mp.asin(x) - mp.asin(y))
         big_f = lambda z: mp.asin(z) + z * mp.sqrt(1 - z * z)
-        return height * (big_f(x) - big_f(y)) / 2
+        return a * a * height * (big_f(x) - big_f(y)) / 2
 
     @staticmethod
     def cases():
@@ -1183,7 +1212,7 @@ class TestUniformClosedForm:
         with mp.workdps(50):
             for g, a in self.cases():
                 want = self.reference(mp, g, a, cos2)
-                worst = max(worst, float(abs((g.t_integral(a, cos2) - want) / want)))
+                worst = max(worst, float(abs((g.integral(a, cos2) - want) / want)))
         assert worst <= 2e-15
 
     def test_kc_and_roots_of_other_laws_as_in_v0170(self):
@@ -1225,7 +1254,7 @@ class TestNarrowCore:
     def test_both_integrals_see_the_peak(self, sigma, a):
         g = ps.TruncatedGaussian(0, sigma, 0.3)
         want = a - sigma**2 / (2 * a)
-        assert abs(st._integral(g, a) - want) <= 1e-14
+        assert abs(g.integral(a) - want) <= 1e-14
         assert abs(st._omega_integral(g, a) - want) <= 1e-14
 
     @pytest.mark.parametrize("g", [ps.TruncatedGaussian(0, 0.3, 0.6), ps.TruncatedGaussian(0.1, 0.05, 0.4),
@@ -1235,7 +1264,7 @@ class TestNarrowCore:
         calls, adaptive = [], st.quad
         for module in (fd, st):
             monkeypatch.setattr(module, "quad", lambda *a, **kw: (calls.append(kw.get("points")), adaptive(*a, **kw))[1])
-        st._integral(g, 0.9)
+        g.integral(0.9)
         st._omega_integral(g, 0.5)
         inside = core_inside(g)
         assert len(calls) == (4 if inside else 1 if isinstance(g, ps.Uniform) else 2)
@@ -1255,7 +1284,7 @@ class TestStationaryDensity:
 
     def test_dirac_atomic(self):
         sd = ps.StationaryDensity(ps.Dirac(0.0), 1.0, 1.0, phi_star=0.4)
-        assert sd.g.is_discrete
+        assert isinstance(sd.g, ps.Discrete)
         assert sd.theta_plus(0.0) == pytest.approx(0.4)
 
     @pytest.mark.parametrize("g", [ps.Dirac(0.0), ps.Discrete((-0.3, 0.3), (0.5, 0.5))], ids=["dirac", "discrete"])
