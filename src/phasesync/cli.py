@@ -41,6 +41,9 @@ EXIT_HORIZON = 3
 
 SERIES_HEADER = ["t", "R", "phi", "U", "mean_phase", "H", "entropy_change"]
 
+# Most particle-steps to t_max a run may take, summed over a sweep's points: ~470 x the largest preset run
+MAX_PARTICLE_STEPS = 1e11
+
 
 class ConfigError(ValueError):
     pass
@@ -298,13 +301,22 @@ def _initial(cfg: dict, kind: str, k: float):
     return discretize(build_density_spec(cfg), m=cfg["model"]["m"], coupling=k), kinetic_simulate
 
 
+def _affordable(state, sim: SimConfig, points: int = 1) -> SimConfig:
+    """sim, once `points` runs of state to its t_max take at most MAX_PARTICLE_STEPS."""
+    n = state.n if isinstance(state, OscillatorEnsemble) else state.n_particles
+    cost = points * n * round(sim.t_max / sim.dt)
+    if cost > MAX_PARTICLE_STEPS:
+        raise ConfigError(f"the run would take {cost:.3g} particle-steps, over the bound of {MAX_PARTICLE_STEPS:.0e}")
+    return sim
+
+
 def run_simulation(kind: str, cfg: dict, out: Path):
     """The finite or the kinetic mode: the model of this kind run at its
     coupling and its final state classified; series.csv holds the kind's own
     columns besides the shared ones."""
     check_tolerances(**cfg["classify"])
     state, run = _initial(cfg, kind, cfg["model"]["coupling"])
-    traj = run(state, build_sim_config(cfg))
+    traj = run(state, _affordable(state, build_sim_config(cfg)))
     if kind == "finite":
         cls, columns = classify_finite(traj.final, cfg["classify"]["angle_tol"]), {"U": traj.u_series}
     else:
@@ -377,7 +389,7 @@ def run_sweep(cfg: dict, out: Path):
     # config the builders refuse, or a negative K, is refused before any worker starts
     sim = build_sim_config(cfg)
     state, run = _initial(cfg, cfg["model"]["kind"], min(ks))
-    point = functools.partial(_sweep_point, state, sim, run)
+    point = functools.partial(_sweep_point, state, _affordable(state, sim, len(ks)), run)
     workers = _workers(len(ks), _cpus())
     if workers == 1:
         results = list(map(point, ks))

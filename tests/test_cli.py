@@ -818,6 +818,41 @@ class TestSweepRejectedBeforeRunning:
         assert not (out / "sweep.csv").exists()
 
 
+class TestParticleStepBound:
+    """A run of more than cli.MAX_PARTICLE_STEPS particle-steps to t_max,
+    summed over a sweep's points, exits 2 before it starts; every preset run
+    is far below the bound."""
+
+    @staticmethod
+    def run(args, tmp_path):
+        # a process of its own, serial, with a timeout: a run the bound misses does not end
+        script = "import sys; import phasesync.cli as cli\ncli._cpus = lambda: 1\nsys.exit(cli.main(sys.argv[1:]))\n"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+        return subprocess.run([sys.executable, "-c", script, *args, "--out", str(tmp_path / "run")],
+                              capture_output=True, text=True, timeout=60, env=env)
+
+    def test_finite_run_of_1e15_steps_exits_2(self, tmp_path):
+        done = self.run(["finite", "--preset", "three-osc", "--set", "sim.dt=1e-9", "--set", "sim.t_max=1e6"], tmp_path)
+        assert done.returncode == 2 and "3e+15 particle-steps" in done.stderr, done.stderr
+        assert not (tmp_path / "run" / "manifest.json").exists()
+
+    def test_sweep_sums_its_points(self, tmp_path):
+        # 4 points of 3 particles x 1e10 steps: 1.2e11; 3 of them, 9e10, pass
+        sets = ["model.kind=finite", "sweep.k_min=0.5", "sweep.k_max=1", "sweep.k_steps=4", "sim.dt=1e-6",
+                "sim.t_max=1e4"]
+        done = self.run(["sweep", "--preset", "three-osc", *(x for s in sets for x in ("--set", s))], tmp_path)
+        assert done.returncode == 2 and "1.2e+11 particle-steps" in done.stderr, done.stderr
+        ens, sim = cli.build_ensemble(load_preset("three-osc")), phasesync.SimConfig(dt=1e-6, t_max=1e4)
+        assert cli._affordable(ens, sim, 3) is sim
+
+    @pytest.mark.parametrize("preset,mode", [pm for pm in PRESET_MODES if pm[1] in ("finite", "kinetic", "sweep")])
+    def test_preset_runs_are_under_a_hundredth_of_the_bound(self, preset, mode):
+        cfg = cli.resolve(load_preset(preset))
+        sim, points = cli.build_sim_config(cfg), cfg["sweep"]["k_steps"] if mode == "sweep" else 1
+        state, _ = cli._initial(cfg, cfg["model"]["kind"] if mode == "sweep" else mode, cfg["model"]["coupling"])
+        cli._affordable(state, sim, 100 * points)
+
+
 HOSTILE = ["nan", "inf", "-inf", "-1", "0", "1e308", "text", "", "0.5", "1e-300"]
 
 
