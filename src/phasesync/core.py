@@ -178,12 +178,13 @@ def potential_u(ens: OscillatorEnsemble) -> float:
 
 
 def mean_phase(ens: OscillatorEnsemble) -> float:
-    """(1/N) sum_i theta_i of the unwrapped phases.
+    """(1/N) sum_i theta_i of the unwrapped phases, bitwise the form a run
+    records: row 0 of the phases over a zero row, a 2-row dot with the weights.
 
     Constant along exact solutions with zero-mean frequencies; grows at the
     mean frequency otherwise.
     """
-    return float(np.mean(ens.phases))
+    return float(np.stack([ens.phases, np.zeros(ens.n)]).dot(np.full(ens.n, 1.0 / ens.n))[0])
 
 
 def zero_mean_frequencies(ens: OscillatorEnsemble) -> OscillatorEnsemble:

@@ -4,7 +4,7 @@ Tagged union of laws (uniform, discrete with Dirac as its one-atom case,
 truncated Gaussian), each exposing a pdf (or atoms), support bounds,
 quadrature nodes/weights, an expectation operator, and the self-consistency
 integral I(a) or its slope I'(a) / a (integral: a sum over atoms, a closed
-form for the uniform law, else adaptive quad of the t_kernel callback); a
+form for the uniform law, adaptive quad for the truncated Gaussian); a
 density also gives the core that adaptive quadrature splits at. Support is
 always compact. Uniform and TruncatedGaussian of half-width at most pi
 also serve as the phase law of a kinetic datum, on an arc of the circle
@@ -12,6 +12,8 @@ also serve as the phase law of a kinetic datum, on an arc of the circle
 """
 from __future__ import annotations
 
+import functools
+import importlib
 import math
 from dataclasses import dataclass, field, fields
 from typing import Callable, Optional, Tuple
@@ -30,16 +32,16 @@ __all__ = [
 # the largest |end| of a support or arc: any two of its points add and
 # subtract without overflow (linspace and the midpoints of its cells)
 _HALF_MAX = float(np.finfo(float).max) / 2.0
-_quad = None  # scipy.integrate.quad, once quad() has imported it
 
 
-def quad(*args, **kwargs):
-    """scipy.integrate.quad, imported at the first call: the simulating modes
-    never integrate, so they start without SciPy."""
-    global _quad
-    if _quad is None:
-        from scipy.integrate import quad as _quad
-    return _quad(*args, **kwargs)
+def _lazy(module: str, name: str) -> Callable:
+    """module.name, imported at the first call and kept: the simulating modes
+    never integrate or solve, so they start without SciPy."""
+    load = functools.cache(lambda: getattr(importlib.import_module(module), name))
+    return lambda *args, **kwargs: load()(*args, **kwargs)
+
+
+quad, brentq = _lazy("scipy.integrate", "quad"), _lazy("scipy.optimize", "brentq")
 
 
 class FrequencyDistribution:
@@ -54,6 +56,10 @@ class FrequencyDistribution:
     def quadrature(self, n: int) -> Tuple[np.ndarray, np.ndarray]:  # pragma: no cover
         raise NotImplementedError
 
+    def integral(self, a: float, cos2: bool = True) -> float:  # pragma: no cover - abstract
+        """I(a) at a >= max|omega|, or its slope J = I'(a) / a without cos2 (see stationary)."""
+        raise NotImplementedError
+
     def __reduce__(self):
         # rebuilt from the init fields, so __post_init__ remakes the cached constants
         return type(self), tuple(getattr(self, f.name) for f in fields(self) if f.init)
@@ -62,25 +68,6 @@ class FrequencyDistribution:
         """An interval outside which the density is negligible, or None; an end
         strictly inside the support is a break point for adaptive quadrature."""
         return None
-
-    def t_kernel(self, a: float, cos2: bool = True) -> Callable[[float], float]:
-        """The quad callback t -> cos(t)^2 g(a sin t) of integral (t -> g(a sin t)
-        without cos2). A law may inline pdf's float path here, bit for bit, so that
-        no pdf dispatch runs at each quad node."""
-        return lambda t: (math.cos(t) ** 2 if cos2 else 1.0) * self.pdf(a * math.sin(t))
-
-    def integral(self, a: float, cos2: bool = True) -> float:
-        """I(a) = a^2 int cos(t)^2 g(a sin t) dt over the t-interval of the support
-        at a >= max|omega| (J = I'(a) / a = int g(a sin t) dt without cos2), by
-        adaptive quad of t_kernel with the t-images of the ends of the core inside
-        the support as break points. np.arcsin, not math.asin: they differ in the
-        last bit."""
-        a = float(a)
-        lo, hi = self.support()
-        ends = [lo, hi, *(c for c in self.core() or () if lo < c < hi)]
-        t = np.arcsin([min(max(w / a, -1.0), 1.0) for w in ends]).tolist()
-        v = quad(self.t_kernel(a, cos2), t[0], t[1], epsabs=1e-15, epsrel=1e-13, limit=200, points=t[2:] or None)[0]
-        return a * a * v if cos2 else v
 
     def _cells(self, n: int) -> Tuple[np.ndarray, float]:
         """Midpoints of n equal cells of the support, and the cell width."""
@@ -267,6 +254,7 @@ class TruncatedGaussian(FrequencyDistribution):
         return out
 
     def t_kernel(self, a, cos2=True):
+        # integral's quad callback t -> cos(t)^2 g(a sin t) (g(a sin t) without cos2):
         # pdf's float path inlined, np.exp kept; a test pins the two bitwise
         lo, hi, mean, scale, height = self._lo, self._hi, self.mean, self._scale, self._height
         sin, cos, exp = math.sin, math.cos, np.exp
@@ -280,6 +268,16 @@ class TruncatedGaussian(FrequencyDistribution):
             return cos(t) ** 2 * g if cos2 else g
 
         return kernel
+
+    def integral(self, a, cos2=True):
+        # adaptive quad of t_kernel over the t-interval of the support, split at the t-images
+        # of the core's ends inside it; np.arcsin, not math.asin: they differ in the last bit
+        a = float(a)
+        lo, hi = self._lo, self._hi
+        ends = [lo, hi, *(c for c in self.core() if lo < c < hi)]
+        t = np.arcsin([min(max(w / a, -1.0), 1.0) for w in ends]).tolist()
+        v = quad(self.t_kernel(a, cos2), t[0], t[1], epsabs=1e-15, epsrel=1e-13, limit=200, points=t[2:] or None)[0]
+        return a * a * v if cos2 else v
 
     def core(self):
         return (self.mean - 8.0 * self.sigma, self.mean + 8.0 * self.sigma)

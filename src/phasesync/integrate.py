@@ -46,6 +46,11 @@ class SimConfig:
         if not 0 < self.stationarity_tol < np.inf:  # NaN fails too
             raise ValueError("stationarity_tol must be finite and > 0")
 
+    @property
+    def n_steps(self) -> int:
+        """The whole number of steps dt to t_max."""
+        return int(round(self.t_max / self.dt))
+
 
 # Stepper's buffer C: the cos row of stages 1-4 (the sin row follows) and pd's row; in D, each stage's (x, y)
 _COS_ROWS, _PD_ROW, _XY = (3, 0, 6, 8), 5, (3, 5, 12, 14)
@@ -192,8 +197,10 @@ def step_rk4(ens: OscillatorEnsemble, dt: float) -> OscillatorEnsemble:
 
 
 def detect_stationarity(ens: OscillatorEnsemble, tol: float = 1e-9) -> bool:
-    """True iff max_i |theta_dot_i| < tol."""
-    return bool(np.max(np.abs(finite_n_rhs(ens))) < tol)
+    """True iff max_i |theta_dot_i - W| < tol, W the mean frequency: a run's stop
+    rule (see _run)."""
+    w = np.full(ens.n, 1.0 / ens.n)
+    return bool(np.abs(finite_n_rhs(ens) - (w * ens.freqs).sum()).max() < tol)
 
 
 @dataclass
@@ -231,14 +238,17 @@ def _run(y, omegas, weights, coupling, cfg: SimConfig, final, time=0.0) -> Traje
     2-row gemv (a finite run's phases over a zero row: BLAS sends a 1-row
     product to a plain dot, whose sum differs in the last bit), so a finite
     run records bitwise what its equal-weight kinetic run records. It stops
-    at t_max, or at a row after the start with max|v| < stationarity_tol. NaN
+    at t_max, or at a row after the start that is stationary in the frame
+    co-rotating at the mean frequency W = sum w omega: max|v - W| <
+    stationarity_tol (sum w v = W, as sum w sin(phi - theta) = 0). NaN
     and inf spread, so each block of steps is tested once, at its end; a block
     that fails is replayed to raise NonFiniteStateError at its first bad step."""
     rows, kept, k = [], [], 0
     finite, wo = len(y) == 1, weights * omegas
+    mean_omega = wo.sum()
     two = np.zeros((2, y.shape[1]))  # a row's state, a finite run's phases over a zero row
     step = Stepper(omegas, weights, coupling, cfg.dt, log_jac=not finite)
-    dt, n_steps = cfg.dt, int(round(cfg.t_max / cfg.dt))
+    dt, n_steps = cfg.dt, cfg.n_steps
     zeros = np.zeros(y.shape)  # y . 0 is 0 iff y is finite: 0 * inf and 0 * nan are nan
     while True:
         v, x, z = step.observe(y)
@@ -249,7 +259,7 @@ def _run(y, omegas, weights, coupling, cfg: SimConfig, final, time=0.0) -> Traje
         mp, lj = two.dot(weights)
         rows.append((time + k * dt, op.r, op.phi, float(mp),
                      float(y[0].dot(wo)) + coupling * op.r**2 / 2.0, -float(lj)))
-        stationary = k > 0 and np.abs(v).max() < cfg.stationarity_tol
+        stationary = k > 0 and np.abs(v - mean_omega).max() < cfg.stationarity_tol
         if stationary or k == n_steps:
             break
         for k in range(k + 1, min(k + cfg.record_every, n_steps) + 1):

@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .freqdist import Discrete, FrequencyDistribution, quad
+from .freqdist import Discrete, FrequencyDistribution, brentq, quad
 from .kinetic import AtomList
 
 ROOT_TOL = 1e-10  # residual bound for every reported root
@@ -29,15 +29,6 @@ _SLACK = 1e-9  # of the edge certificate and of a root at an end; far above the 
 _EDGE_ULPS = 4  # a support end this close to +-a is a square-root end
 _A_MIN = math.sqrt(np.finfo(float).tiny)  # the least max|omega| whose square is a normal float
 _A_MAX = math.sqrt(np.finfo(float).max)  # the largest a whose square is finite
-_brentq = None  # scipy.optimize.brentq, once brentq() has imported it
-
-
-def brentq(*args, **kwargs):
-    """scipy.optimize.brentq, imported at the first call (as freqdist.quad)."""
-    global _brentq
-    if _brentq is None:
-        from scipy.optimize import brentq as _brentq
-    return _brentq(*args, **kwargs)
 
 
 @dataclass(frozen=True)

@@ -820,7 +820,8 @@ class TestSweepRejectedBeforeRunning:
 
 class TestParticleStepBound:
     """A run of more than cli.MAX_PARTICLE_STEPS particle-steps to t_max,
-    summed over a sweep's points, exits 2 before it starts; every preset run
+    summed over a sweep's points, or a finite run that would keep more than
+    cli.MAX_KEPT_FLOATS phases, exits 2 before it starts; every preset run
     is far below the bound."""
 
     @staticmethod
@@ -844,6 +845,21 @@ class TestParticleStepBound:
         assert done.returncode == 2 and "1.2e+11 particle-steps" in done.stderr, done.stderr
         ens, sim = cli.build_ensemble(load_preset("three-osc")), phasesync.SimConfig(dt=1e-6, t_max=1e4)
         assert cli._affordable(ens, sim, 3) is sim
+
+    @pytest.mark.parametrize("mode", ["finite", "sweep"])
+    def test_finite_run_that_keeps_800_gb_exits_2(self, tmp_path, capsys, monkeypatch, mode):
+        # N = 1000 and a row at each of 1e8 steps: at the particle-step bound, but
+        # it would keep 1e11 phases; a run that starts fails here at once
+        def never(*args):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(cli, "simulate", never)
+        sets = ["model.kind=finite", "model.n=1000", "sim.dt=0.001", "sim.t_max=1e5", "sim.record_every=1",
+                "sweep.k_min=1", "sweep.k_max=1", "sweep.k_steps=1"]
+        out = tmp_path / "run"
+        assert run_cli([mode, "--preset", "uniform-arc", *(x for s in sets for x in ("--set", s)), "--out", str(out)]) == 2
+        assert "keep 1e+11 phases (800 GB)" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
 
     @pytest.mark.parametrize("preset,mode", [pm for pm in PRESET_MODES if pm[1] in ("finite", "kinetic", "sweep")])
     def test_preset_runs_are_under_a_hundredth_of_the_bound(self, preset, mode):

@@ -163,6 +163,13 @@ class TestMeanPhase:
         ens = ps.OscillatorEnsemble([0.0, np.pi / 2, np.pi], np.zeros(3))
         assert ps.mean_phase(ens) == pytest.approx(np.pi / 2, abs=1e-15)
 
+    def test_is_what_a_run_records(self):
+        # the run's 2-row dot, not np.mean, which differed in the last bit on 158 of these
+        for seed in range(200):
+            traj = ps.simulate(ps.seeded_ensemble(37, seed=seed, freq_halfwidth=0.4),
+                               ps.SimConfig(dt=0.01, t_max=1, record_every=50))
+            assert ps.mean_phase(traj.final) == traj.mean_phase_series[-1], seed
+
     def test_conserved_along_zero_mean_runs(self):
         ens = ps.seeded_ensemble(10, seed=5, freq_halfwidth=0.3, zero_mean=True)
         traj = ps.simulate(ens, ps.SimConfig(dt=0.01, t_max=20, record_every=10))

@@ -235,6 +235,16 @@ class TestDetectStationarity:
         assert not ps.detect_stationarity(ens, 1e-9)
         assert np.abs(ps.finite_n_rhs(ens)[0]) == pytest.approx(np.sin(0.1) / 2, abs=1e-14)
 
+    def test_rotating_lock_stops_in_the_co_rotating_frame(self):
+        # three identical oscillators at omega = 0.5 lock while they turn at 0.5:
+        # the run stops on max|v - 0.5| < tol, and detect_stationarity agrees
+        ens = ps.OscillatorEnsemble([0.0, 0.3, 0.7], [0.5, 0.5, 0.5], 1.0)
+        traj = ps.simulate(ens, ps.SimConfig(dt=0.01, t_max=50, record_every=10))
+        assert traj.stopped_on == "stationary" and traj.times[-1] == 1980 * 0.01
+        v = ps.finite_n_rhs(traj.final)
+        assert np.abs(v - 0.5).max() < 1e-9 and np.abs(v).min() > 0.49  # locked, yet moving in the lab frame
+        assert ps.detect_stationarity(traj.final, 1e-9) and not ps.detect_stationarity(ens, 1e-9)
+
 
 class TestSeededEnsemble:
     def test_reproducible(self):

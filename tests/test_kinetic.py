@@ -248,12 +248,22 @@ class TestKineticStep:
 
 class TestKineticSimulate:
     def test_time_is_step_count_times_dt(self):
-        # a rotating arc is never stationary, so the run reaches t_max
-        meas = ps.discretize(ps.ProductSpec(ps.Uniform(0.0, 2.5), ps.Dirac(0.3)), 16)
+        # a rotating arc whose frequencies spread wider than K = 1 can lock
+        # (K_c = 4 / pi) is never stationary, so the run reaches t_max
+        meas = ps.discretize(ps.ProductSpec(ps.Uniform(0.0, 2.5), ps.Uniform(0.3, 1.0), n_freq=8), 16)
         traj = ps.kinetic_simulate(meas, ps.SimConfig(dt=0.01, t_max=60, record_every=1000))
         assert traj.stopped_on == "t_max"
         assert traj.times[-1] == 6000 * 0.01
         assert traj.final.time == 6000 * 0.01
+
+    def test_rotating_lock_stops_in_the_co_rotating_frame(self):
+        # frequencies of mean 0.25 lock at K = 1 and the locked arc turns at
+        # 0.25: the run stops on max|v - 0.25| < tol, long before t_max
+        meas = ps.discretize(ps.ProductSpec(ps.Uniform(0.0, 1.0), ps.Uniform(0.25, 0.1), n_freq=8), 32)
+        assert float(meas.weights.dot(meas.omegas)) == pytest.approx(0.25, abs=1e-15)
+        traj = ps.kinetic_simulate(meas, ps.SimConfig(dt=0.01, t_max=100, record_every=10))
+        assert traj.stopped_on == "stationary" and traj.times[-1] < 30
+        assert traj.r_series[-1] > 0.99
 
     def test_blow_up_is_numerical_abort(self):
         ens = ps.OscillatorEnsemble([0.0, 1.0], [1e308, -1e308])

@@ -1156,24 +1156,22 @@ class TestKernels:
             t += ends + [np.nextafter(x, 0.0) for x in ends]
             t += [np.nextafter(x, -x) for x in (-math.pi / 2, math.pi / 2)]
             assert len(t) == 200 and a * math.sin(math.pi / 2) == a  # at a = max|omega| one end is met exactly
-            # the law's kernel, the base class's pdf callback and v0.11.0's
-            kernel, generic = g.t_kernel(a, cos2), ps.FrequencyDistribution.t_kernel(g, a, cos2)
-            oracle = t_kernel_v0110(g, a, cos2)
+            # the law's kernel and v0.11.0's pdf callback
+            kernel, oracle = g.t_kernel(a, cos2), t_kernel_v0110(g, a, cos2)
             for x in t:
                 array = (math.cos(x) ** 2 if cos2 else 1.0) * g.pdf(np.array([a * math.sin(x)]))[0]
                 for arg in (x, np.float64(x)):
-                    assert kernel(arg) == generic(arg) == oracle(arg) == array, (a, x)
+                    assert kernel(arg) == oracle(arg) == array, (a, x)
             assert sum(kernel(x) > 0.0 for x in t) > 100
 
-    @pytest.mark.parametrize("g", [law for law in EDGE_LAWS if not core_inside(law)], ids=repr)
+    @pytest.mark.parametrize("g", [law for law in EDGE_LAWS if not (core_inside(law) or isinstance(law, ps.Uniform))],
+                             ids=repr)
     def test_integral_as_in_v0110(self, g):
-        # no break point enters the adaptive I on these laws. A uniform law's
-        # I is closed-form (TestUniformClosedForm); on it the base class's
-        # adaptive integral, the one a law without its own runs, is pinned
+        # no break point enters the adaptive I on these laws; a uniform law's
+        # I is closed-form (TestUniformClosedForm)
         wmax = g.max_abs_omega
-        integral = ps.FrequencyDistribution.integral if isinstance(g, ps.Uniform) else type(g).integral
         for a in np.linspace(wmax, 3.0 * wmax, 25).tolist() + [np.float64(1.2 * wmax)]:
-            assert integral(g, a) == integral_v0110(g, a), a
+            assert g.integral(a) == integral_v0110(g, a), a
 
 
 class TestUniformClosedForm:
