@@ -43,10 +43,10 @@ SERIES_HEADER = ["t", "R", "phi", "U", "mean_phase", "H", "entropy_change"]
 
 # Most particle-steps to t_max a run may take, summed over a sweep's points: ~470 x the largest preset run
 MAX_PARTICLE_STEPS = 1e11
-# Most phases, N x recorded rows, a finite run or each finite sweep point may keep, 8 bytes each: it refuses
-# the 1e11 (800 GB) of N = 1000 with a row at each of 1e8 steps, a run at the particle-step bound, and passes
-# the 3e10 of a sweep point of 3 particles with a row at each of 1e10 steps that a test accepts (presets: < 1e4)
-MAX_KEPT_FLOATS = 5e10
+# Most bytes a run or each sweep point may keep in its recorded rows: ROW_BYTES of Python objects a row (a
+# tracemalloc peak of 350 for a kinetic run, 472 besides the phases for a finite one), and a finite run's 8N
+# bytes of phases. N = 1000 with a row at each of 1e8 steps, at the particle-step bound, would keep 850 GB
+ROW_BYTES, MAX_KEPT_BYTES = 500, 2e10
 
 
 class ConfigError(ValueError):
@@ -307,16 +307,17 @@ def _initial(cfg: dict, kind: str, k: float):
 
 def _affordable(state, sim: SimConfig, points: int = 1) -> SimConfig:
     """sim, once `points` runs of state to its t_max take at most MAX_PARTICLE_STEPS
-    and, on a finite state, each keeps at most MAX_KEPT_FLOATS phases."""
+    and each keeps at most MAX_KEPT_BYTES in its recorded rows."""
     finite = isinstance(state, OscillatorEnsemble)
     n = state.n if finite else state.n_particles
     cost = points * n * sim.n_steps
     if cost > MAX_PARTICLE_STEPS:
         raise ConfigError(f"the run would take {cost:.3g} particle-steps, over the bound of {MAX_PARTICLE_STEPS:.0e}")
-    kept = n * (-(-sim.n_steps // sim.record_every) + 1)  # a row per record_every steps, and the last
-    if finite and kept > MAX_KEPT_FLOATS:
-        raise ConfigError(f"the run would keep {kept:.3g} phases ({8e-9 * kept:.3g} GB), "
-                          f"over the bound of {MAX_KEPT_FLOATS:.0e}")
+    rows = -(-sim.n_steps // sim.record_every) + 1  # a row per record_every steps, and the last
+    kept = rows * (ROW_BYTES + (8 * n if finite else 0))
+    if kept > MAX_KEPT_BYTES:
+        raise ConfigError(f"the run would keep {rows:.3g} recorded rows ({kept / 1e9:.3g} GB), "
+                          f"over the bound of {MAX_KEPT_BYTES / 1e9:.3g} GB")
     return sim
 
 

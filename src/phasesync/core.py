@@ -16,8 +16,9 @@ import numpy as np
 # numerically ill-conditioned; it is reported as None.
 R_MIN = 1e-8
 
-# From this particle count on, field takes cos and sin from numpy's SIMD tan
-# (AVX-512); below it, cos + sin cost less than the extra ufunc calls.
+# From this particle count on, field and the RK4 stages take cos and sin from
+# numpy's SIMD tan (AVX-512); below it, cos + sin cost less than the extra
+# ufunc calls, and RK4 stages 2-4 take both from one np.cos of (u, u - pi/2).
 HALF_ANGLE_MIN = 512
 
 # _trig's scalar operands: a ufunc takes a 0-d array faster than a Python float

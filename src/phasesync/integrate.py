@@ -52,29 +52,35 @@ class SimConfig:
         return int(round(self.t_max / self.dt))
 
 
-# Stepper's buffer C: the cos row of stages 1-4 (the sin row follows) and pd's row; in D, each stage's (x, y)
-_COS_ROWS, _PD_ROW, _XY = (3, 0, 6, 8), 5, (3, 5, 12, 14)
-
-
 class Stepper:
     """The RK4 step of weighted particles in their mean field, recomputed at
     every stage (4th order for the nonlocal system), in coefficient space.
 
     Stage s keeps only its cos and sin (a = trig_scale(n)), two rows of one
-    (10, n) buffer C laid out c2 s2 | ph | c1 s1 | pd | c3 s3 | c4 s4. With
-    its dots d_s = (x_s, y_s) with the weights, its velocity is omega plus
-    (K d_s G_v) . (cos, sin) and its log-Jacobian rate (K d_s G_j) . (cos,
-    sin), for the 2x2 maps G of _coefficients, so no stage rate is built. The
-    bases ph = a (theta + h omega) and pd = a (theta + dt omega), one add per
-    step, sit next to the rows they are added to, so the next stage input is
-    one 3-row dot with a window of D = (1 A1 B1 x1 y1 | x2 y2 A2 B2 | 1 A3 B3
-    x3 y3 | x4 y4), (A_s, B_s) = d_s (a h_s K G_v). Below HALF_ANGLE_MIN one
-    gemv of a (4, 2n) block of the weights with the flat cos/sin gives d_s
-    and (A_s, B_s); from there on, v0.19.0's weight dot and 2x2 map do. Both
-    new state rows are one gemm M . C (plus the old log-Jacobians), where M =
-    D . P (2, 10) holds the stages' RK4-weighted coefficients and 1/a on pd
-    (exact: a is 1 or 1/2, each entry one product). Without log_jac the
-    phase row of the same gemm is kept, bitwise as with it.
+    buffer C. With its dots d_s = (x_s, y_s) with the weights, its velocity
+    is omega plus (K d_s G_v) . (cos, sin) and its log-Jacobian rate (K d_s
+    G_j) . (cos, sin), for the 2x2 maps G of _coefficients, so no stage rate
+    is built. Stage s + 1's input is ph = a (theta + h omega), or pd = a
+    (theta + dt omega) for stage 4, plus (A_s, B_s) . (cos, sin), (A_s, B_s)
+    = d_s (a h_s K G_v): one product of windows of C and of a vector D of
+    dots, coefficients and 0s and 1s, as one call per step puts both bases
+    in C. From HALF_ANGLE_MIN on, that call is an add, C is c2 s2 | ph | c1
+    s1 | pd | c3 s3 | c4 s4 and D (1 A1 B1 x1 y1 | x2 y2 A2 B2 | 1 A3 B3 x3
+    y3 | x4 y4): an input is a 3-row dot and _trig, and v0.19.0's weight dot
+    and 2x2 map give d_s and (A_s, B_s). Below it, the call is a gemm of
+    ((1, h), (1, dt)) with the state's (theta, omega) (a state buffer holds
+    omega in its third row; an outside y's phases are first copied to a
+    third buffer), C is c2 s2 | c1 s1 | -pi/2 ph pd -pi/2 | c3 s3 | c4 s4 and
+    D (x1 y1 A1 A1 B1 B1 0 1 1 1 | x2 y2 A2 A2 B2 B2 0 0 0 0 0 1 1 1 | 1 1 0
+    1 A3 A3 B3 B3 x3 y3 | x4 y4). A (4, 2) window of D and 4 rows of C (6
+    for stage 3) give u and u - pi/2 in one gemm, whose np.cos is the
+    stage's cos and sin (stage 1 takes np.cos and np.sin, as field_into
+    does), and one gemv of a (6, 2n) block of the weights with stage s's
+    flat cos/sin gives d_s and (A_s, A_s, B_s, B_s). Both new state rows are
+    one gemm M . C (plus the old log-Jacobians), where M = D . P holds the
+    stages' RK4-weighted coefficients and 1/a on pd (exact: a is 1 or 1/2,
+    each entry one product). Without log_jac the phase row of the same gemm
+    is kept, bitwise as with it.
 
     Built once per run and keyed to its dt, it binds its buffers' views, its
     trig pass, its dt bases, blocks or maps, and P, and no reference to
@@ -86,49 +92,67 @@ class Stepper:
     def __init__(self, omegas, weights, coupling, dt, log_jac=False):
         n, a = omegas.size, trig_scale(omegas.size)
         self._omegas, self._w, self._coupling, self._a = omegas, weights, coupling, a
-        s0, s1 = self._states = np.empty((2, n)), np.empty((2, n))
-        self._outs = (s0, s1) if log_jac else (s0[:1], s1[:1])  # what a step returns
+        s0, s1 = np.empty((3 if a == 1.0 else 2, n)), np.empty((3 if a == 1.0 else 2, n))
+        self._states = s0[:2], s1[:2]  # what a step writes
+        self._outs = self._states if log_jac else (s0[:1], s1[:1])  # what a step returns
         self._rows = s0[0], s1[0]  # the phase row that a step of a returned state reads
-        C, D, M = self._C, self._D, self._M = np.empty((10, n)), np.empty(16), np.empty((2, 10))
-        self._u, self._au = np.empty(n), None if a == 1.0 else np.empty(n)
-        (mh, mdt), blocks, hd, self._P = _coefficients(dt, coupling, a)
-        D[0], D[9], self._seen = 1.0, 1.0, None
-        c2, s2, _, c1, s1, _, c3, s3, c4, s4 = C
-        self._cs1, self._d1, cs4 = C[3:5], D[3:5], C[8:10]
-        if a == 1.0:  # stage s = 1-3's x_s . y_s, its (4, 2n) block . flat cos/sin: d_s and (A_s, B_s)
-            rows, flat = (blocks * weights).reshape(8, 2 * n), C.reshape(-1)
-            x1, y1, q1, x2, y2, q2 = rows[4:], flat[3 * n:5 * n], D[1:5], rows[2:6], flat[:2 * n], D[5:9]
-            x3, y3, q3, self._maps = rows[:4], flat[6 * n:8 * n], D[10:14], ()
+        (mh, mdt), blocks, hd, d0, self._P = _coefficients(dt, coupling, a)
+        m = len(self._P.T) // 2  # C's rows
+        C, D, M = self._C, self._D, self._M = np.empty((m, n)), d0.copy(), np.empty((2, m))
+        self._u, self._au, self._seen = np.empty(n), None if a == 1.0 else np.empty(n), None
+        if a == 1.0:  # stage s = 1-3's (6, 2n) block . flat cos/sin: d_s and (A_s, A_s, B_s, B_s)
+            C[4:8:3], u, w2 = -np.pi / 2, np.empty((2, n)), D.reshape(-1, 2).T  # w2[:, k] is D[2k:2k + 2]
+            self._ext = np.empty((3, n))  # for an outside y's phases
+            s0[2] = s1[2] = self._ext[2] = omegas  # a state's (theta, omega): its rows 0 and 2
+            self._tw, self._maps, self._cs1, self._d1 = (s0[::2], s1[::2], self._ext[::2]), (), C[2:4], D[0:2]
+            rows, flat, bases, dws = (blocks * weights).reshape(10, 2 * n), C.reshape(-1), C[5:7], hd
+            x1, y1, q1, x2, y2, q2 = rows[4:], flat[2 * n:4 * n], D[0:6], rows[4:], flat[:2 * n], D[10:16]
+            x3, y3, q3 = rows[:6], flat[8 * n:10 * n], D[28:34]
+            # per stage s = 2-4: its window of D, the rows of C that takes, and its cos/sin pair (no own sin row)
+            stages = (w2[:, 1:5], C[2:6], C[0:2], None, w2[:, 6:12], C[0:6], C[8:10], None,
+                      w2[:, 12:16], C[6:10], C[10:12], None)
         else:  # stage s's x_s . y_s (its cos/sin, the weights) gives d_s; (map, window) then (A_s, B_s)
             x1, x2, x3, q1, q2, q3, (y1, y2, y3) = C[3:5], C[0:2], C[6:8], D[3:5], D[5:7], D[12:14], [weights] * 3
-            self._maps = ((mh, D[1:3]), (mh, D[7:9]), (mdt, D[10:12]))
+            u, self._maps, self._cs1, self._d1 = self._u, ((mh, D[1:3]), (mh, D[7:9]), (mdt, D[10:12])), C[3:5], D[3:5]
+            bases, dws, stages = C[2:6:3], hd * omegas, (D[0:3], C[2:5], C[0], C[1], D[7:10], C[0:3], C[6], C[7],
+                                                         D[9:12], C[5:8], C[8], C[9])
         self._fill1 = functools.partial(q1.dot, *self._maps[0]) if self._maps else functools.partial(x1.dot, y1, q1)
-        self._views = (_cos_sin if a == 1.0 else _trig, weights, self._u, self._maps, C[2:6:3], hd * omegas,
-                       D[0:3], C[2:5], D[7:10], C[0:3], D[9:12], C[5:8], c1, s1, x1, y1, q1, c2, s2, x2, y2, q2,
-                       c3, s3, x3, y3, q3, c4, s4, cs4, D[14:16], M.reshape(-1))
+        self._views = (_cos_sin if a == 1.0 else _trig, weights, u, self._maps, bases, dws, *self._cs1,
+                       x1, y1, q1, x2, y2, q2, x3, y3, q3, *stages, C[-2:], D[-2:], M.reshape(-1))
 
     def __call__(self, y):
-        (trig, w, u, maps, bases, dws, k2, in2, k3, in3, k4, in4, c1, s1, x1, y1, q1, c2, s2, x2, y2, q2,
-         c3, s3, x3, y3, q3, c4, s4, cs4, d4, m_flat) = self._views
+        (trig, w, u, maps, bases, dws, c1, s1, x1, y1, q1, x2, y2, q2, x3, y3, q3,
+         k2, in2, c2, s2, k3, in3, c3, s3, k4, in4, c4, s4, cs4, d4, m_flat) = self._views
         i = y is self._outs[0]  # a step writes the state buffer that y is not
-        row, out, ret = self._rows[not i] if y is self._outs[not i] else y[0], self._states[i], self._outs[i]
-        u1 = row if self._a == 1.0 else np.multiply(row, self._a, self._au)
-        np.add(u1, dws, bases)
+        mine, out, ret = y is self._outs[not i], self._states[i], self._outs[i]
+        u1 = self._rows[not i] if mine else y[0]
+        if maps:  # the bases: one add of (a h omega, a dt omega) to a theta
+            u1 = np.multiply(u1, self._a, self._au)
+            np.add(u1, dws, bases)
+        else:  # one gemm of ((1, h), (1, dt)) with (theta, omega) of y's buffer, or of a copy of y's phases
+            if not mine:
+                self._ext[0] = u1
+            dws.dot(self._tw[not i if mine else 2], bases)
         if y is not self._seen:
             trig(u1, c1, s1)
             x1.dot(y1, q1)
             if maps:
                 q1.dot(*maps[0])
         self._seen = None
-        trig(k2.dot(in2, u), c2, s2)
-        x2.dot(y2, q2)
         if maps:
+            trig(k2.dot(in2, u), c2, s2)
+            x2.dot(y2, q2)
             q2.dot(*maps[1])
-        trig(k3.dot(in3, u), c3, s3)
-        x3.dot(y3, q3)
-        if maps:
+            trig(k3.dot(in3, u), c3, s3)
+            x3.dot(y3, q3)
             q3.dot(*maps[2])
-        trig(k4.dot(in4, u), c4, s4)
+            trig(k4.dot(in4, u), c4, s4)
+        else:  # c_s holds both rows: np.cos of (u, u - pi/2)
+            np.cos(k2.dot(in2, u), c2)
+            x2.dot(y2, q2)
+            np.cos(k3.dot(in3, u), c3)
+            x3.dot(y3, q3)
+            np.cos(k4.dot(in4, u), c4)
         cs4.dot(w, d4)
         self._D.dot(self._P, m_flat)
         self._M.dot(self._C, out)
@@ -150,25 +174,35 @@ class Stepper:
 def _coefficients(dt, coupling, a):
     """For a stage's dots d = (x, y), K d G_v = (K y, -K x) are the velocity's
     coefficients on its (cos, sin) rows and K d G_j = (-K x, -K y) the
-    log-Jacobian rate's. Returns the stage-input maps (a h K G_v, a dt K G_v),
-    h = dt/2; the (8, 2, 1) blocks whose rows 4-7, 2-5 and 0-3 take stage 1,
-    2 and 3's (cos, sin) to its window of Stepper's D (times the weights, its
-    gemv block); the bases' factors (a h, a dt) of omega; and the (16, 20) P
-    with D . P = M: row r of M holds dt b_s times stage s's coefficients of
-    state row r (phase, log-Jacobian), b = (1, 2, 2, 1)/6, in the columns of
-    its rows in Stepper's C, and the phase row 1/a on pd. Read-only: every
-    stepper with these keys shares them."""
+    log-Jacobian rate's. Returns, for the layout of a (see Stepper): the
+    stage-input maps (a h K G_v, a dt K G_v), h = dt/2; the gemv blocks, which
+    times the weights take stage 1, 2 and 3's (cos, sin) to its window of D,
+    (10, 2, 1) below HALF_ANGLE_MIN (rows 4-9, 4-9 and 0-5: each map row
+    twice) and else (8, 2, 1) (rows 4-7, 2-5 and 0-3); the bases' factors,
+    ((1, h), (1, dt)) of (theta, omega) below HALF_ANGLE_MIN and (a h, a dt)
+    of omega else; D's constants; and P with D . P = M: row r of M holds dt
+    b_s times stage s's coefficients of state row r (phase, log-Jacobian), b
+    = (1, 2, 2, 1)/6, in the columns of its rows in C, and the phase row 1/a
+    on pd. Read-only: every stepper with these keys shares them."""
+    small = a == 1.0
     g = coupling * np.array([[[0.0, -1.0], [1.0, 0.0]], [[-1.0, 0.0], [0.0, -1.0]]])
-    p = np.zeros((16, 2, 10))
-    for b, col, xy in zip((1.0, 2.0, 2.0, 1.0), _COS_ROWS, _XY):
-        p[xy:xy + 2, :, col:col + 2] = (dt * b / 6.0) * g.transpose(1, 0, 2)
-    p[0, 0, _PD_ROW] = 1.0 / a
+    # in C, the cos row of stages 1-4 (the sin row follows), pd's row and the row count; in D, each stage's
+    # (x, y), the constant 1s (the first also scales pd) and the size
+    cols, pd, m = ((2, 0, 8, 10), 6, 12) if small else ((3, 0, 6, 8), 5, 10)
+    xy, ones, size = ((0, 10, 32, 34), [7, 8, 9, 21, 22, 23, 24, 25, 27], 36) if small else ((3, 5, 12, 14), [0, 9], 16)
+    d0, p, (s, i, r, j) = np.zeros(size), np.zeros((size, 2, m)), np.ix_(range(4), range(2), range(2), range(2))
+    p[np.array(xy)[s] + i, r, np.array(cols)[s] + j] = (dt * np.array([1.0, 2.0, 2.0, 1.0]) / 6.0)[s] * g[r, i, j]
+    p[ones[0], 0, pd], d0[ones] = 1.0 / a, 1.0
     hd, eye = np.array([[a * 0.5 * dt], [a * dt]]), np.eye(2)
     maps = hd[..., None] * g[0]
-    blocks = np.vstack([maps[1].T, eye, maps[0].T, eye])[..., None]
-    for arr in (maps, blocks, hd, p):
+    if small:  # each map row twice, (A, A, B, B); the bases' rows of (theta, omega)
+        dup = maps.transpose(0, 2, 1).repeat(2, axis=1)
+        blocks, hd = np.vstack([dup[1], eye, dup[0]]), np.hstack([np.ones((2, 1)), hd])
+    else:
+        blocks = np.vstack([maps[1].T, eye, maps[0].T, eye])
+    for arr in (maps, blocks, hd, d0, p):
         arr.flags.writeable = False
-    return maps, blocks, hd, p.reshape(16, 20)
+    return maps, blocks[..., None], hd, d0, p.reshape(size, -1)
 
 
 def _trusted(obj, **fields):

@@ -820,9 +820,9 @@ class TestSweepRejectedBeforeRunning:
 
 class TestParticleStepBound:
     """A run of more than cli.MAX_PARTICLE_STEPS particle-steps to t_max,
-    summed over a sweep's points, or a finite run that would keep more than
-    cli.MAX_KEPT_FLOATS phases, exits 2 before it starts; every preset run
-    is far below the bound."""
+    summed over a sweep's points, or a run or sweep point of either kind that
+    would keep more than cli.MAX_KEPT_BYTES in its recorded rows, exits 2
+    before it starts; every preset run is far below both bounds."""
 
     @staticmethod
     def run(args, tmp_path):
@@ -843,13 +843,15 @@ class TestParticleStepBound:
                 "sim.t_max=1e4"]
         done = self.run(["sweep", "--preset", "three-osc", *(x for s in sets for x in ("--set", s))], tmp_path)
         assert done.returncode == 2 and "1.2e+11 particle-steps" in done.stderr, done.stderr
-        ens, sim = cli.build_ensemble(load_preset("three-osc")), phasesync.SimConfig(dt=1e-6, t_max=1e4)
+        # a row at each of 1e6 steps: 1e4 rows, far below the kept-row bound
+        ens = cli.build_ensemble(load_preset("three-osc"))
+        sim = phasesync.SimConfig(dt=1e-6, t_max=1e4, record_every=10**6)
         assert cli._affordable(ens, sim, 3) is sim
 
     @pytest.mark.parametrize("mode", ["finite", "sweep"])
     def test_finite_run_that_keeps_800_gb_exits_2(self, tmp_path, capsys, monkeypatch, mode):
         # N = 1000 and a row at each of 1e8 steps: at the particle-step bound, but
-        # it would keep 1e11 phases; a run that starts fails here at once
+        # it would keep 1e11 phases in its rows; a run that starts fails here at once
         def never(*args):
             raise AssertionError("the run started")
 
@@ -858,11 +860,28 @@ class TestParticleStepBound:
                 "sweep.k_min=1", "sweep.k_max=1", "sweep.k_steps=1"]
         out = tmp_path / "run"
         assert run_cli([mode, "--preset", "uniform-arc", *(x for s in sets for x in ("--set", s)), "--out", str(out)]) == 2
-        assert "keep 1e+11 phases (800 GB)" in capsys.readouterr().err
+        assert "keep 1e+08 recorded rows (850 GB)" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("mode", ["kinetic", "sweep"])
+    def test_kinetic_run_that_keeps_25_tb_of_rows_exits_2(self, tmp_path, capsys, monkeypatch, mode):
+        # 2 particles and a row at each of 5e10 steps: at the particle-step bound, and
+        # no phases kept, but 5e10 rows of Python objects
+        def never(*args):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(cli, "kinetic_simulate", never)
+        sets = ["model.m=2", "sim.dt=0.001", "sim.t_max=5e7", "sim.record_every=1", "sweep.k_min=1",
+                "sweep.k_max=1", "sweep.k_steps=1"]
+        out = tmp_path / "run"
+        args = [mode, "--preset", "uniform-arc", *(x for s in sets for x in ("--set", s)), "--out", str(out)]
+        assert run_cli(args) == 2
+        assert "keep 5e+10 recorded rows (2.5e+04 GB)" in capsys.readouterr().err
         assert not (out / "manifest.json").exists()
 
     @pytest.mark.parametrize("preset,mode", [pm for pm in PRESET_MODES if pm[1] in ("finite", "kinetic", "sweep")])
-    def test_preset_runs_are_under_a_hundredth_of_the_bound(self, preset, mode):
+    def test_preset_runs_are_under_a_hundredth_of_the_bound(self, preset, mode, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_KEPT_BYTES", cli.MAX_KEPT_BYTES / 100)
         cfg = cli.resolve(load_preset(preset))
         sim, points = cli.build_sim_config(cfg), cfg["sweep"]["k_steps"] if mode == "sweep" else 1
         state, _ = cli._initial(cfg, cfg["model"]["kind"] if mode == "sweep" else mode, cfg["model"]["coupling"])

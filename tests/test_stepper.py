@@ -9,7 +9,9 @@ series match the oracle to TOL, while times, stop reasons and stop rows
 match exactly; public steps, runs and reruns still match each other bitwise.
 The second is v0.19.0's Stepper, kept here verbatim too: runs from
 HALF_ANGLE_MIN particles on are bitwise its runs, and smaller runs, whose
-stage dots v0.20.0 takes from one gemv each, match them to TOL.
+stage dots v0.20.0 takes from one gemv each, match them to TOL. The third
+is v0.21.0's Stepper, likewise: v0.22.0 takes the sin of stages 2-4 below
+HALF_ANGLE_MIN as cos(u - pi/2), so runs there match it to TOL.
 """
 import dataclasses
 import functools
@@ -200,6 +202,133 @@ def run_v0190(monkeypatch, simulate, state, cfg):
         return simulate(state, cfg)
 
 
+# v0.21.0's Stepper and _coefficients, verbatim but for their names. _COS_ROWS and _PD_ROW above hold for it
+# too; _XY is where its D keeps each stage's (x, y)
+_XY = (3, 5, 12, 14)
+
+
+class StepperV0210:
+    """The RK4 step of weighted particles in their mean field, recomputed at
+    every stage (4th order for the nonlocal system), in coefficient space.
+
+    Stage s keeps only its cos and sin (a = trig_scale(n)), two rows of one
+    (10, n) buffer C laid out c2 s2 | ph | c1 s1 | pd | c3 s3 | c4 s4. With
+    its dots d_s = (x_s, y_s) with the weights, its velocity is omega plus
+    (K d_s G_v) . (cos, sin) and its log-Jacobian rate (K d_s G_j) . (cos,
+    sin), for the 2x2 maps G of _coefficients, so no stage rate is built. The
+    bases ph = a (theta + h omega) and pd = a (theta + dt omega), one add per
+    step, sit next to the rows they are added to, so the next stage input is
+    one 3-row dot with a window of D = (1 A1 B1 x1 y1 | x2 y2 A2 B2 | 1 A3 B3
+    x3 y3 | x4 y4), (A_s, B_s) = d_s (a h_s K G_v). Below HALF_ANGLE_MIN one
+    gemv of a (4, 2n) block of the weights with the flat cos/sin gives d_s
+    and (A_s, B_s); from there on, v0.19.0's weight dot and 2x2 map do. Both
+    new state rows are one gemm M . C (plus the old log-Jacobians), where M =
+    D . P (2, 10) holds the stages' RK4-weighted coefficients and 1/a on pd
+    (exact: a is 1 or 1/2, each entry one product). Without log_jac the
+    phase row of the same gemm is kept, bitwise as with it.
+
+    Built once per run and keyed to its dt, it binds its buffers' views, its
+    trig pass, its dt bases, blocks or maps, and P, and no reference to
+    itself. y is (rows, n): the phases, and with log_jac their log-Jacobians.
+    A step returns the state buffer y is not, overwritten two steps later; a
+    step of the y observe last saw reuses the stage 1 it left.
+    """
+
+    def __init__(self, omegas, weights, coupling, dt, log_jac=False):
+        n, a = omegas.size, trig_scale(omegas.size)
+        self._omegas, self._w, self._coupling, self._a = omegas, weights, coupling, a
+        s0, s1 = self._states = np.empty((2, n)), np.empty((2, n))
+        self._outs = (s0, s1) if log_jac else (s0[:1], s1[:1])  # what a step returns
+        self._rows = s0[0], s1[0]  # the phase row that a step of a returned state reads
+        C, D, M = self._C, self._D, self._M = np.empty((10, n)), np.empty(16), np.empty((2, 10))
+        self._u, self._au = np.empty(n), None if a == 1.0 else np.empty(n)
+        (mh, mdt), blocks, hd, self._P = coefficients_v0210(dt, coupling, a)
+        D[0], D[9], self._seen = 1.0, 1.0, None
+        c2, s2, _, c1, s1, _, c3, s3, c4, s4 = C
+        self._cs1, self._d1, cs4 = C[3:5], D[3:5], C[8:10]
+        if a == 1.0:  # stage s = 1-3's x_s . y_s, its (4, 2n) block . flat cos/sin: d_s and (A_s, B_s)
+            rows, flat = (blocks * weights).reshape(8, 2 * n), C.reshape(-1)
+            x1, y1, q1, x2, y2, q2 = rows[4:], flat[3 * n:5 * n], D[1:5], rows[2:6], flat[:2 * n], D[5:9]
+            x3, y3, q3, self._maps = rows[:4], flat[6 * n:8 * n], D[10:14], ()
+        else:  # stage s's x_s . y_s (its cos/sin, the weights) gives d_s; (map, window) then (A_s, B_s)
+            x1, x2, x3, q1, q2, q3, (y1, y2, y3) = C[3:5], C[0:2], C[6:8], D[3:5], D[5:7], D[12:14], [weights] * 3
+            self._maps = ((mh, D[1:3]), (mh, D[7:9]), (mdt, D[10:12]))
+        self._fill1 = functools.partial(q1.dot, *self._maps[0]) if self._maps else functools.partial(x1.dot, y1, q1)
+        self._views = (_cos_sin if a == 1.0 else _trig, weights, self._u, self._maps, C[2:6:3], hd * omegas,
+                       D[0:3], C[2:5], D[7:10], C[0:3], D[9:12], C[5:8], c1, s1, x1, y1, q1, c2, s2, x2, y2, q2,
+                       c3, s3, x3, y3, q3, c4, s4, cs4, D[14:16], M.reshape(-1))
+
+    def __call__(self, y):
+        (trig, w, u, maps, bases, dws, k2, in2, k3, in3, k4, in4, c1, s1, x1, y1, q1, c2, s2, x2, y2, q2,
+         c3, s3, x3, y3, q3, c4, s4, cs4, d4, m_flat) = self._views
+        i = y is self._outs[0]  # a step writes the state buffer that y is not
+        row, out, ret = self._rows[not i] if y is self._outs[not i] else y[0], self._states[i], self._outs[i]
+        u1 = row if self._a == 1.0 else np.multiply(row, self._a, self._au)
+        np.add(u1, dws, bases)
+        if y is not self._seen:
+            trig(u1, c1, s1)
+            x1.dot(y1, q1)
+            if maps:
+                q1.dot(*maps[0])
+        self._seen = None
+        trig(k2.dot(in2, u), c2, s2)
+        x2.dot(y2, q2)
+        if maps:
+            q2.dot(*maps[1])
+        trig(k3.dot(in3, u), c3, s3)
+        x3.dot(y3, q3)
+        if maps:
+            q3.dot(*maps[2])
+        trig(k4.dot(in4, u), c4, s4)
+        cs4.dot(w, d4)
+        self._D.dot(self._P, m_flat)
+        self._M.dot(self._C, out)
+        if ret is out:  # the log-Jacobians add their old values
+            np.add(out[1], y[1], out[1])
+        return ret
+
+    def observe(self, y):
+        """field_into's (v, x, y) at the state y; its cos/sin and dots, with _fill1's (A1, B1), stay
+        as stage 1 of a next step of y (so y must not change in between)."""
+        ay = y[0] if self._a == 1.0 else np.multiply(y[0], self._a, self._au)
+        self._seen = y
+        vxy = field_into(ay, self._omegas, self._w, self._coupling, self._cs1, self._u, self._C[0], self._d1)
+        self._fill1()
+        return vxy
+
+
+@functools.lru_cache(maxsize=64)
+def coefficients_v0210(dt, coupling, a):
+    """For a stage's dots d = (x, y), K d G_v = (K y, -K x) are the velocity's
+    coefficients on its (cos, sin) rows and K d G_j = (-K x, -K y) the
+    log-Jacobian rate's. Returns the stage-input maps (a h K G_v, a dt K G_v),
+    h = dt/2; the (8, 2, 1) blocks whose rows 4-7, 2-5 and 0-3 take stage 1,
+    2 and 3's (cos, sin) to its window of Stepper's D (times the weights, its
+    gemv block); the bases' factors (a h, a dt) of omega; and the (16, 20) P
+    with D . P = M: row r of M holds dt b_s times stage s's coefficients of
+    state row r (phase, log-Jacobian), b = (1, 2, 2, 1)/6, in the columns of
+    its rows in Stepper's C, and the phase row 1/a on pd. Read-only: every
+    stepper with these keys shares them."""
+    g = coupling * np.array([[[0.0, -1.0], [1.0, 0.0]], [[-1.0, 0.0], [0.0, -1.0]]])
+    p = np.zeros((16, 2, 10))
+    for b, col, xy in zip((1.0, 2.0, 2.0, 1.0), _COS_ROWS, _XY):
+        p[xy:xy + 2, :, col:col + 2] = (dt * b / 6.0) * g.transpose(1, 0, 2)
+    p[0, 0, _PD_ROW] = 1.0 / a
+    hd, eye = np.array([[a * 0.5 * dt], [a * dt]]), np.eye(2)
+    maps = hd[..., None] * g[0]
+    blocks = np.vstack([maps[1].T, eye, maps[0].T, eye])[..., None]
+    for arr in (maps, blocks, hd, p):
+        arr.flags.writeable = False
+    return maps, blocks, hd, p.reshape(16, 20)
+
+
+def run_v0210(monkeypatch, simulate, state, cfg):
+    """simulate (or kinetic_simulate) of state by v0.21.0's Stepper."""
+    with monkeypatch.context() as m:
+        m.setattr(ps.integrate, "Stepper", StepperV0210)
+        return simulate(state, cfg)
+
+
 def ensemble(n, coupling, mean_freq, halfwidth=0.5, seed=5):
     ens = ps.seeded_ensemble(n, coupling=coupling, seed=seed, freq_halfwidth=halfwidth)
     return ps.OscillatorEnsemble(ens.phases, ens.freqs + mean_freq, coupling)
@@ -387,6 +516,58 @@ class TestMatchesV0190:
         assert got.stopped_on == want.stopped_on == "stationary"
         assert np.array_equal(got.times, want.times)
         assert_close(got.final.phases, want.final.phases)
+
+
+class TestMatchesV0210:
+    """Bitwise v0.21.0's runs from HALF_ANGLE_MIN particles on, and to TOL
+    below, where stages 2-4 take sin u as cos(u - pi/2), with the same times
+    and stop reasons in both."""
+
+    @pytest.mark.parametrize("n", [10, 100, 511, 512, 4096])
+    @pytest.mark.parametrize("k,mean", CASES)
+    def test_simulate(self, monkeypatch, n, k, mean):
+        ens = ensemble(n, k, mean)
+        cfg = ps.SimConfig(dt=0.05, t_max=3.0, record_every=7)
+        got, want = ps.simulate(ens, cfg), run_v0210(monkeypatch, ps.simulate, ens, cfg)
+        assert got.stopped_on == want.stopped_on and np.array_equal(got.times, want.times)
+        TestMatchesV0190.same([s.phases for s in got.states], [s.phases for s in want.states], n)
+        for name in ("r_series", "u_series", "mean_phase_series", "h_series", "phi_series"):
+            TestMatchesV0190.same(getattr(got, name), getattr(want, name), n)
+
+    @pytest.mark.parametrize("n", [10, 100, 511, 512, 4096])
+    @pytest.mark.parametrize("k,mean", CASES)
+    def test_kinetic_simulate(self, monkeypatch, n, k, mean):
+        meas = measure(n, k, mean)
+        cfg = ps.SimConfig(dt=0.05, t_max=3.0, record_every=7)
+        got, want = ps.kinetic_simulate(meas, cfg), run_v0210(monkeypatch, ps.kinetic_simulate, meas, cfg)
+        assert got.stopped_on == want.stopped_on and np.array_equal(got.times, want.times)
+        assert got.final.time == want.final.time
+        TestMatchesV0190.same([got.final.thetas, got.final.log_jacs], [want.final.thetas, want.final.log_jacs], n)
+        for name in ("r_series", "mean_phase_series", "h_series", "entropy_series"):
+            TestMatchesV0190.same(getattr(got, name), getattr(want, name), n)
+
+    @pytest.mark.parametrize("n", [10, 100])
+    def test_stationary_stop(self, monkeypatch, n):
+        ens = ps.seeded_ensemble(n, coupling=1.0, seed=2)
+        cfg = ps.SimConfig(dt=0.1, t_max=400.0, record_every=25)
+        got, want = ps.simulate(ens, cfg), run_v0210(monkeypatch, ps.simulate, ens, cfg)
+        assert got.stopped_on == want.stopped_on == "stationary"
+        assert np.array_equal(got.times, want.times)
+        assert_close(got.final.phases, want.final.phases)
+
+    def test_long_run_stays_at_rounding_and_replays_from_a_row(self, monkeypatch):
+        # 10^4 steps of 10 spread frequencies below K_c: every recorded state is within
+        # 4e-13 of v0.21.0's (measured: 2.2e-13), and a run from the state recorded 1000
+        # steps before the end ends bitwise where the long run does, so no step depends
+        # on the steps before it
+        ens = ps.seeded_ensemble(10, coupling=0.3, seed=5, freq_halfwidth=1.0)
+        cfg = ps.SimConfig(dt=0.02, t_max=200.0, record_every=1000)
+        got, want = ps.simulate(ens, cfg), run_v0210(monkeypatch, ps.simulate, ens, cfg)
+        assert got.stopped_on == want.stopped_on == "t_max" and len(got.times) == 11
+        gap = max(np.max(np.abs(g.phases - w.phases)) for g, w in zip(got.states, want.states, strict=True))
+        assert 0.0 < gap <= 4e-13
+        rest = ps.simulate(got.states[-2], ps.SimConfig(dt=0.02, t_max=20.0, record_every=1000))
+        assert np.array_equal(rest.final.phases, got.final.phases)
 
 
 class TestRK4Order:
