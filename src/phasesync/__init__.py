@@ -64,4 +64,4 @@ from .stationary import (
     self_consistency_roots,
 )
 
-__version__ = "0.22.0"
+__version__ = "0.23.0"

@@ -131,11 +131,6 @@ SCHEMA = {
     "run": {"out": (str, None)},
 }
 
-# keys that every v0.12.x manifest holds and no solver reads any more; a JSON
-# manifest that holds them still replays (an INI file that sets them does not)
-RETIRED = {"roots": "grid", "kc": "tol"}
-
-
 def resolve(cfg: dict) -> dict:
     """Every SCHEMA key of every section, parsed, with defaults filled in.
 
@@ -187,12 +182,6 @@ def load_config(path: str) -> dict:
         cfg = doc.get("config") if isinstance(doc, dict) else None
         if not (isinstance(cfg, dict) and all(isinstance(kv, dict) for kv in cfg.values())):
             raise ConfigError(f"{path} is not a phasesync manifest")
-        cfg = {sec: dict(kv) for sec, kv in cfg.items()}
-        for sec, key in RETIRED.items():  # and the sections they leave empty
-            if key in cfg.get(sec, {}):
-                del cfg[sec][key]
-                if not cfg[sec]:
-                    del cfg[sec]
         return cfg
     return _parse_ini(p.read_text(), path)
 
@@ -459,9 +448,9 @@ def main(argv=None) -> int:
         write_csv(out / "series.csv", SERIES_HEADER, rows)
         write_json(out / "summary.json", {"mode": args.mode, **summary})
         return EXIT_HORIZON if summary.get("stopped_on") == "t_max" else EXIT_OK
-    except ValueError as exc:
-        # ConfigError, and every input a constructor or solver rejects: the
-        # manifest of a run that never ran is not left behind
+    except (ValueError, MemoryError) as exc:
+        # ConfigError, every input a constructor or solver rejects, and a model or K
+        # grid too large to allocate: the manifest of a run that never ran is not left behind
         if manifest is not None:
             manifest.unlink(missing_ok=True)
         print(f"config error: {exc}", file=sys.stderr)

@@ -24,6 +24,7 @@ HALF_ANGLE_MIN = 512
 # _trig's scalar operands: a ufunc takes a 0-d array faster than a Python float
 _ONE, _TWO = np.array(1.0), np.array(2.0)
 _ONE.flags.writeable = _TWO.flags.writeable = False
+_BELOW_PI = math.nextafter(math.pi, 0.0)  # wrap_angle's top: an angle just below -pi wraps to pi, rounded
 
 
 class UndefinedPhaseError(ValueError):
@@ -78,11 +79,11 @@ class OrderParameter:
 
 def wrap_angle(x):
     """Reduce angle(s) to [-pi, pi)."""
-    return (np.asarray(x) + np.pi) % (2.0 * np.pi) - np.pi
+    return np.minimum((np.asarray(x) + np.pi) % (2.0 * np.pi) - np.pi, _BELOW_PI)
 
 
 def _wrap(a: float) -> float:  # wrap_angle of one float, bitwise: Python's float % takes numpy's rule
-    return (a + math.pi) % math.tau - math.pi
+    return min((a + math.pi) % math.tau - math.pi, _BELOW_PI)
 
 
 def circle_distance(a, b):

@@ -66,21 +66,22 @@ class Stepper:
     dots, coefficients and 0s and 1s, as one call per step puts both bases
     in C. From HALF_ANGLE_MIN on, that call is an add, C is c2 s2 | ph | c1
     s1 | pd | c3 s3 | c4 s4 and D (1 A1 B1 x1 y1 | x2 y2 A2 B2 | 1 A3 B3 x3
-    y3 | x4 y4): an input is a 3-row dot and _trig, and v0.19.0's weight dot
-    and 2x2 map give d_s and (A_s, B_s). Below it, the call is a gemm of
-    ((1, h), (1, dt)) with the state's (theta, omega) (a state buffer holds
-    omega in its third row; an outside y's phases are first copied to a
-    third buffer), C is c2 s2 | c1 s1 | -pi/2 ph pd -pi/2 | c3 s3 | c4 s4 and
-    D (x1 y1 A1 A1 B1 B1 0 1 1 1 | x2 y2 A2 A2 B2 B2 0 0 0 0 0 1 1 1 | 1 1 0
-    1 A3 A3 B3 B3 x3 y3 | x4 y4). A (4, 2) window of D and 4 rows of C (6
-    for stage 3) give u and u - pi/2 in one gemm, whose np.cos is the
-    stage's cos and sin (stage 1 takes np.cos and np.sin, as field_into
-    does), and one gemv of a (6, 2n) block of the weights with stage s's
-    flat cos/sin gives d_s and (A_s, A_s, B_s, B_s). Both new state rows are
-    one gemm M . C (plus the old log-Jacobians), where M = D . P holds the
-    stages' RK4-weighted coefficients and 1/a on pd (exact: a is 1 or 1/2,
-    each entry one product). Without log_jac the phase row of the same gemm
-    is kept, bitwise as with it.
+    y3 | x4 y4): an input is a 3-row dot and _trig, d_s a dot of its cos/sin
+    with the weights, and (A_s, B_s) d_s times a map. Below it, the call is
+    a gemm of ((1, h), (1, dt)) with the state's (theta, omega) (a state
+    buffer holds omega in its third row; an outside y's phases are first
+    copied to a third buffer), C is c2 s2 | c1 s1 | -pi/2 ph pd -pi/2 | c3
+    s3 | c4 s4 and D (x1 y1 A1 A1 B1 B1 0 1 1 1 | x2 y2 A2 A2 B2 B2 0 0 0 0
+    0 1 1 1 | 1 1 0 1 A3 A3 B3 B3 x3 y3 | x4 y4). A (4, 2) window of D and 4
+    rows of C (6 for stage 3) give u and u - pi/2 in one gemm, whose np.cos
+    is the stage's cos and sin (stage 1 takes np.cos and np.sin, as
+    field_into does), and one gemv of a (6, 2n) block of the gemv blocks
+    times the weights with stage s's flat cos/sin gives d_s and (A_s, A_s,
+    B_s, B_s). Both new state rows are one gemm M . C (plus the old
+    log-Jacobians), where M = D . P holds the stages' RK4-weighted
+    coefficients and 1/a on pd (exact: a is 1 or 1/2, each entry one
+    product). Without log_jac the phase row of the same gemm is kept,
+    bitwise as with it.
 
     Built once per run and keyed to its dt, it binds its buffers' views, its
     trig pass, its dt bases, blocks or maps, and P, and no reference to
@@ -175,15 +176,16 @@ def _coefficients(dt, coupling, a):
     """For a stage's dots d = (x, y), K d G_v = (K y, -K x) are the velocity's
     coefficients on its (cos, sin) rows and K d G_j = (-K x, -K y) the
     log-Jacobian rate's. Returns, for the layout of a (see Stepper): the
-    stage-input maps (a h K G_v, a dt K G_v), h = dt/2; the gemv blocks, which
-    times the weights take stage 1, 2 and 3's (cos, sin) to its window of D,
-    (10, 2, 1) below HALF_ANGLE_MIN (rows 4-9, 4-9 and 0-5: each map row
-    twice) and else (8, 2, 1) (rows 4-7, 2-5 and 0-3); the bases' factors,
-    ((1, h), (1, dt)) of (theta, omega) below HALF_ANGLE_MIN and (a h, a dt)
-    of omega else; D's constants; and P with D . P = M: row r of M holds dt
-    b_s times stage s's coefficients of state row r (phase, log-Jacobian), b
-    = (1, 2, 2, 1)/6, in the columns of its rows in C, and the phase row 1/a
-    on pd. Read-only: every stepper with these keys shares them."""
+    stage-input maps (a h K G_v, a dt K G_v), h = dt/2, which the layout from
+    HALF_ANGLE_MIN on reads; below it, the gemv blocks (10, 2, 1), read in
+    the maps' place, whose rows 4-9, 4-9 and 0-5 (each map row twice) times
+    the weights take stage 1, 2 and 3's (cos, sin) to its window of D, and
+    else None; the bases' factors, ((1, h), (1, dt)) of (theta, omega)
+    below HALF_ANGLE_MIN and (a h, a dt) of omega else; D's constants; and P
+    with D . P = M: row r of M holds dt b_s times stage s's coefficients of
+    state row r (phase, log-Jacobian), b = (1, 2, 2, 1)/6, in the columns of
+    its rows in C, and the phase row 1/a on pd. Read-only: every stepper with
+    these keys shares them."""
     small = a == 1.0
     g = coupling * np.array([[[0.0, -1.0], [1.0, 0.0]], [[-1.0, 0.0], [0.0, -1.0]]])
     # in C, the cos row of stages 1-4 (the sin row follows), pd's row and the row count; in D, each stage's
@@ -193,16 +195,15 @@ def _coefficients(dt, coupling, a):
     d0, p, (s, i, r, j) = np.zeros(size), np.zeros((size, 2, m)), np.ix_(range(4), range(2), range(2), range(2))
     p[np.array(xy)[s] + i, r, np.array(cols)[s] + j] = (dt * np.array([1.0, 2.0, 2.0, 1.0]) / 6.0)[s] * g[r, i, j]
     p[ones[0], 0, pd], d0[ones] = 1.0 / a, 1.0
-    hd, eye = np.array([[a * 0.5 * dt], [a * dt]]), np.eye(2)
+    hd, blocks = np.array([[a * 0.5 * dt], [a * dt]]), None
     maps = hd[..., None] * g[0]
     if small:  # each map row twice, (A, A, B, B); the bases' rows of (theta, omega)
         dup = maps.transpose(0, 2, 1).repeat(2, axis=1)
-        blocks, hd = np.vstack([dup[1], eye, dup[0]]), np.hstack([np.ones((2, 1)), hd])
-    else:
-        blocks = np.vstack([maps[1].T, eye, maps[0].T, eye])
-    for arr in (maps, blocks, hd, d0, p):
+        blocks, hd = np.vstack([dup[1], np.eye(2), dup[0]])[..., None], np.hstack([np.ones((2, 1)), hd])
+        blocks.flags.writeable = False
+    for arr in (maps, hd, d0, p):
         arr.flags.writeable = False
-    return maps, blocks[..., None], hd, d0, p.reshape(size, -1)
+    return maps, blocks, hd, d0, p.reshape(size, -1)
 
 
 def _trusted(obj, **fields):
@@ -345,6 +346,8 @@ def seeded_ensemble(
     from the stream seeded by the first output of that stream, so they are
     not the phases of seed + 1.
     """
+    if not freq_halfwidth >= 0:  # NaN fails too
+        raise ValueError("freq_halfwidth must be >= 0")
     phases = rng.uniform(seed, n, -np.pi, np.pi)
     if freq_halfwidth > 0:
         freqs = rng.uniform(int(rng.splitmix64(seed, 1)[0]), n, -freq_halfwidth, freq_halfwidth)

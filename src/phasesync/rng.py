@@ -5,6 +5,8 @@ platform and of any global RNG state.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 _MASK = (1 << 64) - 1
@@ -24,6 +26,9 @@ def splitmix64(seed: int, n: int) -> np.ndarray:
 
 
 def uniform(seed: int, n: int, low: float = 0.0, high: float = 1.0) -> np.ndarray:
-    """n uniform floats in [low, high) from the splitmix64 stream."""
+    """n uniform floats in [low, high) from the splitmix64 stream; a draw
+    that rounds up to high is the float below it."""
+    if not (low < high and math.isfinite(float(high) - float(low))):
+        raise ValueError("need low < high and a finite high - low")
     u = splitmix64(seed, n).astype(float) / 2.0**64
-    return low + (high - low) * u
+    return np.minimum(low + (high - low) * u, np.nextafter(high, low))

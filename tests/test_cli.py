@@ -323,31 +323,20 @@ class TestNarrowGaussian:
 
 class TestRetiredKeys:
     """[roots] grid and [kc] tol, which every v0.12.x manifest holds and no
-    solver reads any more: a JSON manifest drops them, nothing else does."""
+    solver reads any more: a config that names them, JSON manifest, INI file
+    or --set, exits 2 on the unknown section."""
 
-    @pytest.mark.parametrize("preset,mode", [("three-osc", "finite"), ("kuramoto-uniform-g", "kinetic"),
-                                             ("kuramoto-uniform-g", "roots"), ("kuramoto-uniform-g", "kc")])
-    def test_v0121_manifest_replays(self, tmp_path, preset, mode):
+    @pytest.mark.parametrize("section,key,value", [("roots", "grid", 4096), ("kc", "tol", 1e-6)])
+    def test_json_manifest_names_an_unknown_section(self, tmp_path, capsys, section, key, value):
         a, b = tmp_path / "a", tmp_path / "b"
-        code = run_cli([mode, "--preset", preset, *SHORT, "--out", str(a)])
-        doc = json.loads((a / "manifest.json").read_text())
-        doc["version"] = "0.12.1"
-        doc["config"].update(roots={"grid": 4096}, kc={"tol": 1e-6})
-        old = tmp_path / "old.json"
-        old.write_text(json.dumps(doc))
-        assert run_cli([mode, "--config", str(old), "--out", str(b)]) == code
-        for name in ("manifest.json", "series.csv", "summary.json"):
-            assert (a / name).read_bytes() == (b / name).read_bytes()
-
-    def test_only_the_retired_keys_are_dropped(self, tmp_path, capsys):
-        a = tmp_path / "a"
         assert run_cli(["kc", "--preset", "kuramoto-uniform-g", "--out", str(a)]) == 0
         doc = json.loads((a / "manifest.json").read_text())
-        doc["config"].update(roots={"grid": 4096, "gird": 1}, kc={"tol": 1e-6})
+        doc["config"][section] = {key: value}
         old = tmp_path / "old.json"
         old.write_text(json.dumps(doc))
-        assert run_cli(["kc", "--config", str(old), "--out", str(tmp_path / "b")]) == 2
-        assert "unknown section [roots]" in capsys.readouterr().err  # kept, with its other key
+        assert run_cli(["kc", "--config", str(old), "--out", str(b)]) == 2
+        assert f"unknown section [{section}]" in capsys.readouterr().err
+        assert not (b / "manifest.json").exists()
 
     @pytest.mark.parametrize("key", ["roots.grid=4096", "roots.grid=1", "kc.tol=1e-6", "kc.tol=nan"])
     def test_set_names_an_unknown_section(self, tmp_path, capsys, key):
@@ -624,6 +613,9 @@ class TestConfigHandling:
         *(["roots", "--preset", "kuramoto-uniform-g", "--set", "model.coupling=1.5", "--set", bad]
           for bad in ("model.coupling=nan", "model.coupling=inf",
                       "model.freq_halfwidth_g=nan", "model.freq_halfwidth_g=inf")),
+        # a seeded half-width below 0, or NaN, gave identical oscillators; 1e308 overflows the draw
+        *(["finite", "--preset", "uniform-arc", "--set", "model.n=10", "--set", f"model.freq_halfwidth={bad}"]
+          for bad in ("-0.5", "nan", "1e308")),
     ])
     def test_rejected_value_is_config_error(self, tmp_path, capsys, argv):
         assert run_cli(argv + ["--out", str(tmp_path)]) == 2
@@ -886,6 +878,30 @@ class TestParticleStepBound:
         sim, points = cli.build_sim_config(cfg), cfg["sweep"]["k_steps"] if mode == "sweep" else 1
         state, _ = cli._initial(cfg, cfg["model"]["kind"] if mode == "sweep" else mode, cfg["model"]["coupling"])
         cli._affordable(state, sim, 100 * points)
+
+
+class TestOversizedModel:
+    """A model or K grid too large to allocate exits 2 with a message and
+    leaves no manifest. Each run is a process of its own whose address space
+    is capped at 4 GB, so the outcome does not hang on the host's overcommit."""
+
+    @pytest.mark.parametrize("mode,preset,key", [
+        ("finite", "uniform-arc", "model.n=1000000000000"),
+        ("kinetic", "kuramoto-uniform-g", "model.m=100000000000"),
+        ("sweep", "kuramoto-uniform-g", "sweep.k_steps=100000000000"),
+    ])
+    def test_exits_2(self, tmp_path, mode, preset, key):
+        script = ("import resource, sys\n"
+                  "resource.setrlimit(resource.RLIMIT_AS, (4 * 10**9, 4 * 10**9))\n"
+                  "import phasesync.cli as cli\n"
+                  "sys.exit(cli.main(sys.argv[1:]))\n")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+        out = tmp_path / "run"
+        done = subprocess.run([sys.executable, "-c", script, mode, "--preset", preset, "--set", key,
+                               "--out", str(out)], capture_output=True, text=True, timeout=120, env=env)
+        assert done.returncode == 2 and "config error:" in done.stderr, done.stderr
+        assert "Traceback" not in done.stderr
+        assert not (out / "manifest.json").exists()
 
 
 HOSTILE = ["nan", "inf", "-inf", "-1", "0", "1e308", "text", "", "0.5", "1e-300"]

@@ -73,6 +73,13 @@ class TestScalarWrap:
         got = np.array([ps.core._wrap(float(x)) for x in xs])
         assert got.tobytes() == ps.wrap_angle(np.array(xs)).tobytes()
 
+    def test_just_below_an_odd_multiple_of_pi_wraps_below_pi(self):
+        # (x + pi) mod 2 pi is a hair below 2 pi there and rounds to it
+        xs = [np.nextafter((2 * k + 1) * np.pi, -np.inf) for k in range(-9, 9)]
+        got = ps.wrap_angle(np.array(xs))
+        assert np.all((-np.pi <= got) & (got < np.pi)) and got[8] == np.nextafter(np.pi, 0.0)  # k = -1: x below -pi
+        assert got.tobytes() == np.array([ps.core._wrap(float(x)) for x in xs]).tobytes()
+
     def test_recorded_phi_is_wrapped_atan2(self):
         for x, y in [(1.0, 0.0), (-1.0, 0.0), (-1.0, -0.0), (0.3, -0.2), (-0.5, 1e-300)]:
             phi = ps.OrderParameter.from_dots(x, y).phi

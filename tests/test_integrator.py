@@ -271,6 +271,29 @@ class TestSeededEnsemble:
             assert np.intersect1d(ens.freqs, ps.seeded_ensemble(64, seed=seed + 1).phases).size == 0
 
 
+class TestHalfOpenRanges:
+    # the seed whose first splitmix64 output, 2**64 - 1, rounds to 2**64 as a float
+    TOP = 3558559446808474027
+
+    def test_top_draw_is_below_high(self):
+        assert int(ps.rng.splitmix64(self.TOP, 1)[0]) == 2**64 - 1
+        assert ps.rng.uniform(self.TOP, 1, -np.pi, np.pi)[0] == np.nextafter(np.pi, 0.0)
+        assert ps.rng.uniform(self.TOP, 1)[0] == np.nextafter(1.0, 0.0)
+        assert ps.seeded_ensemble(3, seed=self.TOP).phases[0] == np.nextafter(np.pi, 0.0)
+
+    @pytest.mark.parametrize("low,high", [(1.0, 1.0), (1.0, 0.0), (np.nan, 1.0), (-1e308, 1e308), (-np.inf, 0.0)])
+    def test_empty_or_overflowing_range_is_refused(self, low, high):
+        # a span that overflows drew inf, which the clamp to below high would make finite
+        with pytest.raises(ValueError, match="low < high and a finite high - low"):
+            ps.rng.uniform(0, 3, low, high)
+
+    @pytest.mark.parametrize("halfwidth", [-0.5, -np.inf, np.nan])
+    def test_freq_halfwidth_below_zero_is_refused(self, halfwidth):
+        # it gave identical oscillators, as 0 does
+        with pytest.raises(ValueError, match="freq_halfwidth must be >= 0"):
+            ps.seeded_ensemble(10, freq_halfwidth=halfwidth)
+
+
 class TestSplitmix64:
     @pytest.mark.parametrize("seed", [0, 1, 12345, 2**63 + 7, 2**64 - 1])
     def test_matches_scalar_reference(self, seed):

@@ -1,5 +1,5 @@
 """The coefficient-space RK4 stepper against the v0.7.0 stepper it replaced,
-and against its own v0.19.0 form.
+and against its own v0.21.0 form.
 
 The first oracle is the v0.7.0 code path kept here verbatim: a closure over
 the allocating field, the classical rk4_step, and (kinetic) the log-Jacobian
@@ -7,10 +7,9 @@ stage rates combined with the same weights and stacked with np.stack. Since
 v0.9.0 the stepper sums each stage's terms in another order, so states and
 series match the oracle to TOL, while times, stop reasons and stop rows
 match exactly; public steps, runs and reruns still match each other bitwise.
-The second is v0.19.0's Stepper, kept here verbatim too: runs from
-HALF_ANGLE_MIN particles on are bitwise its runs, and smaller runs, whose
-stage dots v0.20.0 takes from one gemv each, match them to TOL. The third
-is v0.21.0's Stepper, likewise: v0.22.0 takes the sin of stages 2-4 below
+The second is v0.21.0's Stepper, kept here verbatim too: runs from
+HALF_ANGLE_MIN particles on are bitwise its runs (and v0.19.0's, whose path
+there it keeps); v0.22.0 takes the sin of stages 2-4 below
 HALF_ANGLE_MIN as cos(u - pi/2), so runs there match it to TOL.
 """
 import dataclasses
@@ -94,117 +93,9 @@ def drive_v070(step, velocity, y, cfg, time=0.0):
     return rows, "t_max"
 
 
-# Stepper's buffer C: the cos row of stages 1-4 (the sin row follows), and the rows of ph and pd
-_COS_ROWS, _PH_ROW, _PD_ROW = (3, 0, 6, 8), 2, 5
-
-
-class StepperV0190:
-    """The RK4 step of weighted particles in their mean field, recomputed at
-    every stage (4th order for the nonlocal system), in coefficient space.
-
-    Stage s keeps only its cos and sin (a = trig_scale(n)), two rows of one
-    (10, n) buffer C laid out c2 s2 | ph | c1 s1 | pd | c3 s3 | c4 s4, and
-    their dots d_s = (x_s, y_s) with the weights, in D[2s:2s + 2]. Its velocity
-    is omega plus (K d_s G_v) . (cos, sin) and its log-Jacobian rate (K d_s
-    G_j) . (cos, sin), for the 2x2 maps G of _coefficients, so no stage rate is
-    built. The bases ph = a (theta + h omega) and pd = a (theta + dt omega),
-    formed once per step, sit next to the rows they are added to, so the next
-    stage input is one 3-row dot with 1 on its base. Both new state rows are
-    one gemm M . C (plus the old log-Jacobians), where M = D . P (2, 10) holds
-    the stages' RK4-weighted coefficients and 1/a on pd (exact: a is 1 or 1/2).
-    Without log_jac the phase row of the same gemm is kept, bitwise as with it.
-
-    Built once per run and keyed to its dt, it binds its buffers' views, its
-    trig pass, its dt bases and maps and P, and no reference to itself. y is
-    (rows, n): the phases, and with log_jac their log-Jacobians. A step
-    returns the state buffer y is not, overwritten two steps later; a step of
-    the y observe last saw reuses the stage 1 it left.
-    """
-
-    def __init__(self, omegas, weights, coupling, dt, log_jac=False):
-        n, a = omegas.size, trig_scale(omegas.size)
-        self._omegas, self._w, self._coupling, self._a = omegas, weights, coupling, a
-        s0, s1 = self._states = np.empty((2, n)), np.empty((2, n))
-        self._outs = (s0, s1) if log_jac else (s0[:1], s1[:1])  # what a step returns
-        self._rows = s0[0], s1[0]  # the phase row that a step of a returned state reads
-        C, D, M = self._C, self._D, self._M = np.empty((10, n)), np.empty(9), np.empty((2, 10))
-        self._u, self._au = np.empty(n), None if a == 1.0 else np.empty(n)
-        self._ahw, self._adw = (a * 0.5 * dt) * omegas, (a * dt) * omegas
-        (mh, mdt), self._P = coefficients_v0190(dt, coupling, a)
-        coef, D[8], self._seen = np.array([1.0, 0.0, 0.0, 1.0]), 1.0, None
-        # per stage: cos, sin, their pair and dots; stage s + 1 dots a 3-row window: 1 on its base, coef[1:3] else
-        st = [(C[r], C[r + 1], C[r:r + 2], D[2 * s:2 * s + 2]) for s, r in enumerate(_COS_ROWS)]
-        self._cs1, self._d1 = st[0][2:]  # stage 1's, which observe fills
-        self._views = (_cos_sin if a == 1.0 else _trig, weights, self._u, coef[1:3], mh, mdt,
-                       C[_PH_ROW], C[_PD_ROW], coef[:3], coef[1:], *st[0], C[2:5], *st[1],
-                       C[0:3], *st[2], C[5:8], *st[3], M.reshape(-1))
-
-    def __call__(self, y):
-        (trig, w, u, mapped, mh, mdt, ph, pd, head, tail, c1, s1, cs1, d1, in2, c2, s2, cs2, d2, in3,
-         c3, s3, cs3, d3, in4, c4, s4, cs4, d4, m_flat) = self._views
-        i = y is self._outs[0]  # a step writes the state buffer that y is not
-        row, out, ret = self._rows[not i] if y is self._outs[not i] else y[0], self._states[i], self._outs[i]
-        u1 = row if self._a == 1.0 else np.multiply(row, self._a, self._au)
-        np.add(u1, self._ahw, ph)
-        np.add(u1, self._adw, pd)
-        if y is not self._seen:
-            trig(u1, c1, s1)
-            cs1.dot(w, d1)
-        self._seen = None
-        d1.dot(mh, mapped)
-        trig(head.dot(in2, u), c2, s2)
-        cs2.dot(w, d2)
-        d2.dot(mh, mapped)
-        trig(tail.dot(in3, u), c3, s3)
-        cs3.dot(w, d3)
-        d3.dot(mdt, mapped)
-        trig(head.dot(in4, u), c4, s4)
-        cs4.dot(w, d4)
-        self._D.dot(self._P, m_flat)
-        self._M.dot(self._C, out)
-        if ret is out:  # the log-Jacobians add their old values
-            np.add(out[1], y[1], out[1])
-        return ret
-
-    def observe(self, y):
-        """field_into's (v, x, y) at the state y, whose cos/sin and dots stay as
-        stage 1 of a next step of y (so y must not change in between)."""
-        ay = y[0] if self._a == 1.0 else np.multiply(y[0], self._a, self._au)
-        self._seen = y
-        return field_into(ay, self._omegas, self._w, self._coupling, self._cs1, self._u, self._C[0], self._d1)
-
-
-@functools.lru_cache(maxsize=64)
-def coefficients_v0190(dt, coupling, a):
-    """For a stage's dots d = (x, y), K d G_v = (K y, -K x) are the velocity's
-    coefficients on its (cos, sin) rows and K d G_j = (-K x, -K y) the
-    log-Jacobian rate's. Returns the stage-input maps (a h K G_v, a dt K G_v),
-    h = dt/2, and the (9, 20) matrix P with D . P = M, D = (d_1, .., d_4, 1):
-    row r of M holds dt b_s times stage s's coefficients of state row r (phase,
-    log-Jacobian), b = (1, 2, 2, 1)/6, in the columns of its rows in Stepper's
-    C, and the phase row 1/a on pd. Read-only: every stepper with these keys
-    shares them."""
-    g = coupling * np.array([[[0.0, -1.0], [1.0, 0.0]], [[-1.0, 0.0], [0.0, -1.0]]])
-    p = np.zeros((9, 2, 10))
-    for s, (b, col) in enumerate(zip((1.0, 2.0, 2.0, 1.0), _COS_ROWS)):
-        p[2 * s:2 * s + 2, :, col:col + 2] = (dt * b / 6.0) * g.transpose(1, 0, 2)
-    p[8, 0, _PD_ROW] = 1.0 / a
-    maps = np.stack([(a * 0.5 * dt) * g[0], (a * dt) * g[0]])
-    for arr in (maps, p):
-        arr.flags.writeable = False
-    return maps, p.reshape(9, 20)
-
-
-def run_v0190(monkeypatch, simulate, state, cfg):
-    """simulate (or kinetic_simulate) of state by v0.19.0's Stepper."""
-    with monkeypatch.context() as m:
-        m.setattr(ps.integrate, "Stepper", StepperV0190)
-        return simulate(state, cfg)
-
-
-# v0.21.0's Stepper and _coefficients, verbatim but for their names. _COS_ROWS and _PD_ROW above hold for it
-# too; _XY is where its D keeps each stage's (x, y)
-_XY = (3, 5, 12, 14)
+# v0.21.0's Stepper and _coefficients, verbatim but for their names. In its buffer C, the cos row of stages
+# 1-4 (the sin row follows) and the row of pd; in its D, each stage's (x, y)
+_COS_ROWS, _PD_ROW, _XY = (3, 0, 6, 8), 5, (3, 5, 12, 14)
 
 
 class StepperV0210:
@@ -361,6 +252,14 @@ def assert_close(got, want):
     assert np.max(np.abs(pairs[:, 0] - pairs[:, 1]), initial=0.0) <= TOL
 
 
+def same(got, want, n):
+    """Bitwise from HALF_ANGLE_MIN particles on, to TOL below."""
+    if n < ps.core.HALF_ANGLE_MIN:
+        assert_close(got, want)
+    else:
+        assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
+
+
 def recorded(cfg, n_rows):
     """The step numbers of the first n_rows recorded rows."""
     n_steps = int(round(cfg.t_max / cfg.dt))
@@ -469,82 +368,33 @@ class TestKineticMatchesV070:
         assert np.array_equal(cur.thetas, final.thetas) and np.array_equal(cur.log_jacs, final.log_jacs)
 
 
-class TestMatchesV0190:
-    """Bitwise v0.19.0's runs from HALF_ANGLE_MIN particles on, to TOL below,
-    with the same times and stop reasons in both."""
-
-    @staticmethod
-    def same(got, want, n):
-        if n < ps.core.HALF_ANGLE_MIN:
-            assert_close(got, want)
-        else:
-            assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
-
-    @pytest.mark.parametrize("n", [10, 100, 511, 512, 2000, 4096])
-    @pytest.mark.parametrize("k,mean", CASES)
-    def test_simulate(self, monkeypatch, n, k, mean):
-        ens = ensemble(n, k, mean)
-        cfg = ps.SimConfig(dt=0.05, t_max=3.0, record_every=7)
-        got, want = ps.simulate(ens, cfg), run_v0190(monkeypatch, ps.simulate, ens, cfg)
-        assert got.stopped_on == want.stopped_on and np.array_equal(got.times, want.times)
-        self.same([s.phases for s in got.states], [s.phases for s in want.states], n)
-        for name in ("r_series", "u_series", "mean_phase_series", "h_series"):
-            self.same(getattr(got, name), getattr(want, name), n)
-        if n < ps.core.HALF_ANGLE_MIN:
-            assert_close(got.phi_series, want.phi_series)
-        else:
-            assert got.phi_series == want.phi_series
-
-    @pytest.mark.parametrize("n", [10, 100, 511, 512, 2000, 4096])
-    @pytest.mark.parametrize("k,mean", CASES)
-    def test_kinetic_simulate(self, monkeypatch, n, k, mean):
-        meas = measure(n, k, mean)
-        cfg = ps.SimConfig(dt=0.05, t_max=3.0, record_every=7)
-        got, want = ps.kinetic_simulate(meas, cfg), run_v0190(monkeypatch, ps.kinetic_simulate, meas, cfg)
-        assert got.stopped_on == want.stopped_on and np.array_equal(got.times, want.times)
-        assert got.final.time == want.final.time and (np.max(np.abs(got.final.log_jacs)) > 0.0) == (k > 0.0)
-        self.same([got.final.thetas, got.final.log_jacs], [want.final.thetas, want.final.log_jacs], n)
-        for name in ("r_series", "mean_phase_series", "h_series", "entropy_series"):
-            self.same(getattr(got, name), getattr(want, name), n)
-
-    @pytest.mark.parametrize("n", [10, 100])
-    def test_stationary_stop(self, monkeypatch, n):
-        # identical oscillators: both stop on the same row
-        ens = ps.seeded_ensemble(n, coupling=1.0, seed=2)
-        cfg = ps.SimConfig(dt=0.1, t_max=400.0, record_every=25)
-        got, want = ps.simulate(ens, cfg), run_v0190(monkeypatch, ps.simulate, ens, cfg)
-        assert got.stopped_on == want.stopped_on == "stationary"
-        assert np.array_equal(got.times, want.times)
-        assert_close(got.final.phases, want.final.phases)
-
-
 class TestMatchesV0210:
     """Bitwise v0.21.0's runs from HALF_ANGLE_MIN particles on, and to TOL
     below, where stages 2-4 take sin u as cos(u - pi/2), with the same times
     and stop reasons in both."""
 
-    @pytest.mark.parametrize("n", [10, 100, 511, 512, 4096])
+    @pytest.mark.parametrize("n", [10, 100, 511, 512, 2000, 4096])
     @pytest.mark.parametrize("k,mean", CASES)
     def test_simulate(self, monkeypatch, n, k, mean):
         ens = ensemble(n, k, mean)
         cfg = ps.SimConfig(dt=0.05, t_max=3.0, record_every=7)
         got, want = ps.simulate(ens, cfg), run_v0210(monkeypatch, ps.simulate, ens, cfg)
         assert got.stopped_on == want.stopped_on and np.array_equal(got.times, want.times)
-        TestMatchesV0190.same([s.phases for s in got.states], [s.phases for s in want.states], n)
+        same([s.phases for s in got.states], [s.phases for s in want.states], n)
         for name in ("r_series", "u_series", "mean_phase_series", "h_series", "phi_series"):
-            TestMatchesV0190.same(getattr(got, name), getattr(want, name), n)
+            same(getattr(got, name), getattr(want, name), n)
 
-    @pytest.mark.parametrize("n", [10, 100, 511, 512, 4096])
+    @pytest.mark.parametrize("n", [10, 100, 511, 512, 2000, 4096])
     @pytest.mark.parametrize("k,mean", CASES)
     def test_kinetic_simulate(self, monkeypatch, n, k, mean):
         meas = measure(n, k, mean)
         cfg = ps.SimConfig(dt=0.05, t_max=3.0, record_every=7)
         got, want = ps.kinetic_simulate(meas, cfg), run_v0210(monkeypatch, ps.kinetic_simulate, meas, cfg)
         assert got.stopped_on == want.stopped_on and np.array_equal(got.times, want.times)
-        assert got.final.time == want.final.time
-        TestMatchesV0190.same([got.final.thetas, got.final.log_jacs], [want.final.thetas, want.final.log_jacs], n)
+        assert got.final.time == want.final.time and (np.max(np.abs(got.final.log_jacs)) > 0.0) == (k > 0.0)
+        same([got.final.thetas, got.final.log_jacs], [want.final.thetas, want.final.log_jacs], n)
         for name in ("r_series", "mean_phase_series", "h_series", "entropy_series"):
-            TestMatchesV0190.same(getattr(got, name), getattr(want, name), n)
+            same(getattr(got, name), getattr(want, name), n)
 
     @pytest.mark.parametrize("n", [10, 100])
     def test_stationary_stop(self, monkeypatch, n):

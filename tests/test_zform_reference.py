@@ -19,7 +19,7 @@ from reference import zform_phases
 T_MAX = 20.0
 SLACK = 1.5
 # v0.19.0's gap at dt = 0.02 and 0.01, per (N, spread frequencies)
-V0190_GAPS = {
+MEASURED_GAPS = {
     (3, False): (4.150e-10, 2.588e-11),
     (3, True): (5.787e-10, 3.621e-11),
     (12, False): (2.346e-09, 1.471e-10),
@@ -48,10 +48,10 @@ def test_reference_is_free_rotation_at_zero_coupling():
     assert np.max(np.abs(ps.wrap_angle(ref - exact))) <= 1e-11
 
 
-@pytest.mark.parametrize("n,spread", sorted(V0190_GAPS))
+@pytest.mark.parametrize("n,spread", sorted(MEASURED_GAPS))
 def test_gap_within_bound_and_fourth_order(n, spread):
     ens = start(n, spread)
     gaps = [gap(ens, dt) for dt in (0.02, 0.01)]
-    assert all(g <= SLACK * want for g, want in zip(gaps, V0190_GAPS[n, spread]))
+    assert all(g <= SLACK * want for g, want in zip(gaps, MEASURED_GAPS[n, spread]))
     if gaps[1] > FLOOR:  # halving dt divides an RK4 gap by 2^4 = 16, to 25 %
         assert 12.0 <= gaps[0] / gaps[1] <= 20.0
