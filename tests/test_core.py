@@ -80,6 +80,16 @@ class TestScalarWrap:
         assert np.all((-np.pi <= got) & (got < np.pi)) and got[8] == np.nextafter(np.pi, 0.0)  # k = -1: x below -pi
         assert got.tobytes() == np.array([ps.core._wrap(float(x)) for x in xs]).tobytes()
 
+    @pytest.mark.parametrize("x,want", [
+        (-np.pi, -np.pi), (np.pi, -np.pi), (np.nextafter(-np.pi, -np.inf), np.nextafter(np.pi, 0.0)),
+        (np.nextafter(np.pi, 0.0), -np.pi),  # x + pi rounds to 2 pi
+        (np.nextafter(-np.pi, 0.0), np.nextafter(-np.pi, 0.0)), (0.0, 0.0), (-0.0, 0.0),
+        (2 * np.pi, 0.0), (-2 * np.pi, 0.0), (3 * np.pi, -np.pi),
+    ], ids=["-pi", "pi", "below-pi", "below+pi", "above-pi", "zero", "minus-zero", "2pi", "-2pi", "3pi"])
+    def test_exact_values_at_the_ends(self, x, want):
+        for got in (ps.wrap_angle(np.array([x]))[0], ps.core._wrap(float(x))):
+            assert np.array(got).tobytes() == np.array(want).tobytes() and -np.pi <= got < np.pi
+
     def test_recorded_phi_is_wrapped_atan2(self):
         for x, y in [(1.0, 0.0), (-1.0, 0.0), (-1.0, -0.0), (0.3, -0.2), (-0.5, 1e-300)]:
             phi = ps.OrderParameter.from_dots(x, y).phi

@@ -274,12 +274,24 @@ class TestSeededEnsemble:
 class TestHalfOpenRanges:
     # the seed whose first splitmix64 output, 2**64 - 1, rounds to 2**64 as a float
     TOP = 3558559446808474027
+    RANGES = [(-np.pi, np.pi), (0.0, 1.0), (-0.5, 0.5), (2.0, 3.0), (-1e-300, 1e-300), (1e300, 1e301)]
 
     def test_top_draw_is_below_high(self):
         assert int(ps.rng.splitmix64(self.TOP, 1)[0]) == 2**64 - 1
         assert ps.rng.uniform(self.TOP, 1, -np.pi, np.pi)[0] == np.nextafter(np.pi, 0.0)
         assert ps.rng.uniform(self.TOP, 1)[0] == np.nextafter(1.0, 0.0)
         assert ps.seeded_ensemble(3, seed=self.TOP).phases[0] == np.nextafter(np.pi, 0.0)
+
+    @pytest.mark.parametrize("low,high", RANGES)
+    def test_top_draw_is_the_float_below_each_high(self, low, high):
+        u = ps.rng.splitmix64(self.TOP, 1).astype(float) / 2.0**64
+        assert low + (high - low) * u[0] >= high  # unclamped, it is high
+        assert ps.rng.uniform(self.TOP, 1, low, high)[0] == np.nextafter(high, low)
+
+    @pytest.mark.parametrize("low,high", RANGES)
+    def test_other_draws_are_unclamped(self, low, high):
+        u = ps.rng.splitmix64(7, 100_000).astype(float) / 2.0**64
+        assert ps.rng.uniform(7, 100_000, low, high).tobytes() == (low + (high - low) * u).tobytes()
 
     @pytest.mark.parametrize("low,high", [(1.0, 1.0), (1.0, 0.0), (np.nan, 1.0), (-1e308, 1e308), (-np.inf, 0.0)])
     def test_empty_or_overflowing_range_is_refused(self, low, high):
@@ -292,6 +304,17 @@ class TestHalfOpenRanges:
         # it gave identical oscillators, as 0 does
         with pytest.raises(ValueError, match="freq_halfwidth must be >= 0"):
             ps.seeded_ensemble(10, freq_halfwidth=halfwidth)
+
+    @pytest.mark.parametrize("halfwidth", [np.inf, 1e308])
+    def test_freq_halfwidth_whose_span_overflows_is_refused(self, halfwidth):
+        with pytest.raises(ValueError, match="finite high - low"):
+            ps.seeded_ensemble(10, freq_halfwidth=halfwidth)
+
+    @pytest.mark.parametrize("halfwidth", [0.0, 0.5, 2.0])
+    def test_freq_halfwidth_from_zero_on_is_accepted(self, halfwidth):
+        ens = ps.seeded_ensemble(64, seed=3, freq_halfwidth=halfwidth)
+        assert np.all((-halfwidth <= ens.freqs) & (ens.freqs <= halfwidth))
+        assert np.all(ens.freqs < halfwidth) if halfwidth > 0 else not np.any(ens.freqs)
 
 
 class TestSplitmix64:
