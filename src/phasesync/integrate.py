@@ -14,7 +14,7 @@ from typing import Any, List, Optional
 import numpy as np
 
 from . import rng
-from .core import OrderParameter, OscillatorEnsemble, _cos_sin, _trig, field_into, finite_n_rhs, trig_scale
+from .core import OrderParameter, OscillatorEnsemble, _trig, field_into, finite_n_rhs, trig_scale
 
 
 class NonFiniteStateError(RuntimeError):
@@ -83,89 +83,98 @@ class Stepper:
     product). Without log_jac the phase row of the same gemm is kept,
     bitwise as with it.
 
-    Built once per run and keyed to its dt, it binds its buffers' views, its
-    trig pass, its dt bases, blocks or maps, and P, and no reference to
-    itself. y is (rows, n): the phases, and with log_jac their log-Jacobians.
-    A step returns the state buffer y is not, overwritten two steps later; a
-    step of the y observe last saw reuses the stage 1 it left.
+    Built once per run and keyed to its dt, its step is one closure for its
+    layout, the calls above in a straight line over views bound once: per
+    state buffer a tuple (phase row and (theta, omega) read, buffers written
+    and returned) that one `is` test picks, and the 1-item list where observe
+    marks its y. The closure is the instance's __call__, which _run calls,
+    and holds no reference to the Stepper, so the Stepper is freed with its
+    last reference. y is (rows, n): the phases, and with log_jac their
+    log-Jacobians. A step returns the state buffer y is not, overwritten two
+    steps later; a step of the y observe last saw reuses the stage 1 it left.
     """
 
     def __init__(self, omegas, weights, coupling, dt, log_jac=False):
         n, a = omegas.size, trig_scale(omegas.size)
         self._omegas, self._w, self._coupling, self._a = omegas, weights, coupling, a
-        s0, s1 = np.empty((3 if a == 1.0 else 2, n)), np.empty((3 if a == 1.0 else 2, n))
-        self._states = s0[:2], s1[:2]  # what a step writes
-        self._outs = self._states if log_jac else (s0[:1], s1[:1])  # what a step returns
-        self._rows = s0[0], s1[0]  # the phase row that a step of a returned state reads
-        (mh, mdt), blocks, hd, d0, self._P = _coefficients(dt, coupling, a)
-        m = len(self._P.T) // 2  # C's rows
-        C, D, M = self._C, self._D, self._M = np.empty((m, n)), d0.copy(), np.empty((2, m))
-        self._u, self._au, self._seen = np.empty(n), None if a == 1.0 else np.empty(n), None
+        zs = np.empty((3, 3, n) if a == 1.0 else (2, 2, n))  # two state buffers; below the cut, a third for outside y
+        z0, z1 = zs[0], zs[1]
+        w0, w1, o0, o1 = z0[:2], z1[:2], z0[:2 if log_jac else 1], z1[:2 if log_jac else 1]  # written, returned
+        (mh, mdt), blocks, hd, d0, P = _coefficients(dt, coupling, a)
+        m = P.shape[1] // 2  # C's rows
+        C, D, M = np.empty((m, n)), d0.copy(), np.empty((2, m))
+        cs4, d4, m_flat, self._C = C[-2:], D[-2:], M.reshape(-1), C
+        self._u, self._au, self._seen = u, au, seen = np.empty(n), None if a == 1.0 else np.empty(n), [None]
         if a == 1.0:  # stage s = 1-3's (6, 2n) block . flat cos/sin: d_s and (A_s, A_s, B_s, B_s)
-            C[4:8:3], u, w2 = -np.pi / 2, np.empty((2, n)), D.reshape(-1, 2).T  # w2[:, k] is D[2k:2k + 2]
-            self._ext = np.empty((3, n))  # for an outside y's phases
-            s0[2] = s1[2] = self._ext[2] = omegas  # a state's (theta, omega): its rows 0 and 2
-            self._tw, self._maps, self._cs1, self._d1 = (s0[::2], s1[::2], self._ext[::2]), (), C[2:4], D[0:2]
-            rows, flat, bases, dws = (blocks * weights).reshape(10, 2 * n), C.reshape(-1), C[5:7], hd
-            x1, y1, q1, x2, y2, q2 = rows[4:], flat[2 * n:4 * n], D[0:6], rows[4:], flat[:2 * n], D[10:16]
+            C[4:8:3], zs[:, 2], ext = -np.pi / 2, omegas, zs[2]  # a buffer's (theta, omega): its rows 0 and 2
+            u, w2, tw = np.empty((2, n)), D.reshape(-1, 2).T, ext[::2]  # w2[:, k] is D[2k:2k + 2]
+            from0, from1 = (z0[0], z0[::2], w1, o1), (z1[0], z1[::2], w0, o0)
+            rows, flat, bases, c1, s1 = (blocks * weights).reshape(10, 2 * n), C.reshape(-1), C[5:7], C[2], C[3]
+            x1, y1, q1, y2, q2 = rows[4:], flat[2 * n:4 * n], D[0:6], flat[:2 * n], D[10:16]
             x3, y3, q3 = rows[:6], flat[8 * n:10 * n], D[28:34]
-            # per stage s = 2-4: its window of D, the rows of C that takes, and its cos/sin pair (no own sin row)
-            stages = (w2[:, 1:5], C[2:6], C[0:2], None, w2[:, 6:12], C[0:6], C[8:10], None,
-                      w2[:, 12:16], C[6:10], C[10:12], None)
-        else:  # stage s's x_s . y_s (its cos/sin, the weights) gives d_s; (map, window) then (A_s, B_s)
-            x1, x2, x3, q1, q2, q3, (y1, y2, y3) = C[3:5], C[0:2], C[6:8], D[3:5], D[5:7], D[12:14], [weights] * 3
-            u, self._maps, self._cs1, self._d1 = self._u, ((mh, D[1:3]), (mh, D[7:9]), (mdt, D[10:12])), C[3:5], D[3:5]
-            bases, dws, stages = C[2:6:3], hd * omegas, (D[0:3], C[2:5], C[0], C[1], D[7:10], C[0:3], C[6], C[7],
-                                                         D[9:12], C[5:8], C[8], C[9])
-        self._fill1 = functools.partial(q1.dot, *self._maps[0]) if self._maps else functools.partial(x1.dot, y1, q1)
-        self._views = (_cos_sin if a == 1.0 else _trig, weights, u, self._maps, bases, dws, *self._cs1,
-                       x1, y1, q1, x2, y2, q2, x3, y3, q3, *stages, C[-2:], D[-2:], M.reshape(-1))
+            # per stage s = 2-4: its window of D, the rows of C that takes, and its cos/sin pair (stage 4's is cs4)
+            k2, in2, c2, k3, in3, c3, k4, in4 = (w2[:, 1:5], C[2:6], C[0:2], w2[:, 6:12], C[0:6], C[8:10],
+                                                 w2[:, 12:16], C[6:10])
+            self._cs1, self._d1, self._fill1 = C[2:4], D[0:2], functools.partial(x1.dot, y1, q1)
+            def step(y):
+                u1, ty, out, ret = from0 if y is o0 else from1 if y is o1 else (y[0], tw, w0, o0)
+                if ty is tw:  # an outside y: its phases beside omega
+                    ext[0] = u1
+                hd.dot(ty, bases)  # the bases: one gemm of ((1, h), (1, dt)) with y's (theta, omega)
+                if y is not seen[0]:
+                    np.cos(u1, c1)
+                    np.sin(u1, s1)
+                    x1.dot(y1, q1)
+                seen[0] = None
+                np.cos(k2.dot(in2, u), c2)  # c_s holds both rows: np.cos of (u, u - pi/2)
+                x1.dot(y2, q2)
+                np.cos(k3.dot(in3, u), c3)
+                x3.dot(y3, q3)
+                np.cos(k4.dot(in4, u), cs4)
+                cs4.dot(weights, d4)
+                D.dot(P, m_flat)
+                M.dot(C, out)
+                if log_jac:  # the log-Jacobians add their old values
+                    np.add(out[1], y[1], out[1])
+                return ret
+        else:  # stage s's x_s . weights gives d_s, and d_s . its map (A_s, B_s); then as above, cos and sin rows
+            from0, from1, bases, dws = (z0[0], w1, o1), (z1[0], w0, o0), C[2:6:3], hd * omegas
+            c1, s1, x1, x2, x3, q1, q2, q3 = C[3], C[4], C[3:5], C[0:2], C[6:8], D[3:5], D[5:7], D[12:14]
+            A1, A2, A3 = D[1:3], D[7:9], D[10:12]
+            k2, in2, c2, s2, k3, in3, c3, s3, k4, in4, c4, s4 = (D[0:3], C[2:5], C[0], C[1], D[7:10], C[0:3], C[6],
+                                                                 C[7], D[9:12], C[5:8], C[8], C[9])
+            self._cs1, self._d1, self._fill1 = C[3:5], q1, functools.partial(q1.dot, mh, A1)
+            def step(y):
+                u1, out, ret = from0 if y is o0 else from1 if y is o1 else (y[0], w0, o0)
+                np.add(np.multiply(u1, a, au), dws, bases)  # the bases: one add of (a h omega, a dt omega) to a theta
+                if y is not seen[0]:
+                    _trig(au, c1, s1)
+                    x1.dot(weights, q1)
+                    q1.dot(mh, A1)
+                seen[0] = None
+                _trig(k2.dot(in2, u), c2, s2)
+                x2.dot(weights, q2)
+                q2.dot(mh, A2)
+                _trig(k3.dot(in3, u), c3, s3)
+                x3.dot(weights, q3)
+                q3.dot(mdt, A3)
+                _trig(k4.dot(in4, u), c4, s4)
+                cs4.dot(weights, d4)
+                D.dot(P, m_flat)
+                M.dot(C, out)
+                if log_jac:  # the log-Jacobians add their old values
+                    np.add(out[1], y[1], out[1])
+                return ret
+        self.__call__ = step  # read by _run; a call of the Stepper itself delegates to it
 
     def __call__(self, y):
-        (trig, w, u, maps, bases, dws, c1, s1, x1, y1, q1, x2, y2, q2, x3, y3, q3,
-         k2, in2, c2, s2, k3, in3, c3, s3, k4, in4, c4, s4, cs4, d4, m_flat) = self._views
-        i = y is self._outs[0]  # a step writes the state buffer that y is not
-        mine, out, ret = y is self._outs[not i], self._states[i], self._outs[i]
-        u1 = self._rows[not i] if mine else y[0]
-        if maps:  # the bases: one add of (a h omega, a dt omega) to a theta
-            u1 = np.multiply(u1, self._a, self._au)
-            np.add(u1, dws, bases)
-        else:  # one gemm of ((1, h), (1, dt)) with (theta, omega) of y's buffer, or of a copy of y's phases
-            if not mine:
-                self._ext[0] = u1
-            dws.dot(self._tw[not i if mine else 2], bases)
-        if y is not self._seen:
-            trig(u1, c1, s1)
-            x1.dot(y1, q1)
-            if maps:
-                q1.dot(*maps[0])
-        self._seen = None
-        if maps:
-            trig(k2.dot(in2, u), c2, s2)
-            x2.dot(y2, q2)
-            q2.dot(*maps[1])
-            trig(k3.dot(in3, u), c3, s3)
-            x3.dot(y3, q3)
-            q3.dot(*maps[2])
-            trig(k4.dot(in4, u), c4, s4)
-        else:  # c_s holds both rows: np.cos of (u, u - pi/2)
-            np.cos(k2.dot(in2, u), c2)
-            x2.dot(y2, q2)
-            np.cos(k3.dot(in3, u), c3)
-            x3.dot(y3, q3)
-            np.cos(k4.dot(in4, u), c4)
-        cs4.dot(w, d4)
-        self._D.dot(self._P, m_flat)
-        self._M.dot(self._C, out)
-        if ret is out:  # the log-Jacobians add their old values
-            np.add(out[1], y[1], out[1])
-        return ret
+        return self.__call__(y)  # the closure __init__ set on the instance, which shadows this method
 
     def observe(self, y):
         """field_into's (v, x, y) at the state y; its cos/sin and dots, with _fill1's (A1, B1), stay
         as stage 1 of a next step of y (so y must not change in between)."""
         ay = y[0] if self._a == 1.0 else np.multiply(y[0], self._a, self._au)
-        self._seen = y
+        self._seen[0] = y
         vxy = field_into(ay, self._omegas, self._w, self._coupling, self._cs1, self._u, self._C[0], self._d1)
         self._fill1()
         return vxy
@@ -283,6 +292,7 @@ def _run(y, omegas, weights, coupling, cfg: SimConfig, final, time=0.0) -> Traje
     mean_omega = wo.sum()
     two = np.zeros((2, y.shape[1]))  # a row's state, a finite run's phases over a zero row
     step = Stepper(omegas, weights, coupling, cfg.dt, log_jac=not finite)
+    advance = step.__call__  # its step closure
     dt, n_steps = cfg.dt, cfg.n_steps
     zeros = np.zeros(y.shape)  # y . 0 is 0 iff y is finite: 0 * inf and 0 * nan are nan
     while True:
@@ -298,11 +308,11 @@ def _run(y, omegas, weights, coupling, cfg: SimConfig, final, time=0.0) -> Traje
         if stationary or k == n_steps:
             break
         for k in range(k + 1, min(k + cfg.record_every, n_steps) + 1):
-            y = step(y)
+            y = advance(y)
         if np.vdot(y, zeros) != 0.0:
             y = two[:len(y)]
             for k in range(start + 1, k + 1):
-                y = step(y)
+                y = advance(y)
                 if np.vdot(y, zeros) != 0.0:
                     raise NonFiniteStateError(time + k * dt)
     times, r, phi, mp, h, s = zip(*rows)

@@ -908,6 +908,67 @@ class TestOversizedModel:
         assert not (out / "manifest.json").exists()
 
 
+class TestBoundsBeforeBuild:
+    """A run the bounds refuse exits 2 before it builds an N-sized array or a
+    sweep's K grid, where the config fixes the count (a finite model) or
+    gives a lower bound of it (N >= 1 for a sweep's grid): its peak RSS stays
+    within 20 MB of a run at N = 10. Each run is a process of its own."""
+
+    @staticmethod
+    def run(args, out):
+        script = ("import resource, sys\n"
+                  "import phasesync.cli as cli\n"
+                  "code = cli.main(sys.argv[1:])\n"
+                  "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+                  "sys.exit(code)\n")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", script, *args, "--out", str(out)], capture_output=True,
+                              text=True, timeout=120, env=env)
+        return done.returncode, done.stderr, int(done.stdout.split()[-1]) / 1024  # ru_maxrss is in KiB
+
+    @pytest.mark.parametrize("mode,preset,sets", [
+        ("finite", "uniform-arc", ["model.n=10000000", "sim.t_max=100000"]),
+        ("sweep", "uniform-arc", ["model.kind=finite", "model.n=10000000", "sim.t_max=100000", "sweep.k_min=0",
+                                  "sweep.k_max=1", "sweep.k_steps=1"]),
+        ("sweep", "kuramoto-uniform-g", ["sweep.k_steps=10000000", "sim.t_max=100000"]),
+    ])
+    def test_refused_run_stays_at_the_size_of_a_small_one(self, tmp_path, mode, preset, sets):
+        small = self.run(["finite", "--preset", "uniform-arc", "--set", "model.n=10", "--set", "sim.t_max=1"],
+                         tmp_path / "small")
+        code, err, peak_mb = self.run([mode, "--preset", preset, *(x for s in sets for x in ("--set", s))],
+                                      tmp_path / "big")
+        assert small[0] in (0, 3), small[1]
+        assert code == 2 and "particle-steps, over the bound" in err, err
+        assert peak_mb <= small[2] + 20, (peak_mb, small[2])
+        assert not (tmp_path / "big" / "manifest.json").exists()
+
+
+class TestKineticRefusesN:
+    """[model] n counts a finite model's oscillators; a kinetic run, or a sweep
+    of a kinetic model, that sets it exits 2 and leaves no manifest. Finite
+    runs still ignore the kinetic keys the shared presets carry."""
+
+    @pytest.mark.parametrize("mode,sets", [
+        ("kinetic", ["model.n=10"]),
+        ("sweep", ["model.n=1000000000000", "sweep.k_min=0", "sweep.k_max=1"]),
+    ])
+    def test_kinetic_run_that_sets_n_exits_2(self, tmp_path, capsys, mode, sets):
+        out = tmp_path / "run"
+        args = [mode, "--preset", "uniform-arc", *SHORT, *(x for s in sets for x in ("--set", s)), "--out", str(out)]
+        assert run_cli(args) == 2
+        assert "[model] n" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
+    def test_finite_sweep_of_a_kinetic_preset_runs(self, tmp_path):
+        # a finite mode run of the preset is TestFiniteMode's
+        out = tmp_path / "run"
+        sets = ["model.kind=finite", "model.n=10", "sweep.k_min=0", "sweep.k_max=1"]
+        assert run_cli(["sweep", "--preset", "uniform-arc", *SHORT, *(x for s in sets for x in ("--set", s)),
+                        "--out", str(out)]) in (0, 3)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["model"]["n"] == 10 and manifest["config"]["model"]["m"] == 32
+
+
 HOSTILE = ["nan", "inf", "-inf", "-1", "0", "1e308", "text", "", "0.5", "1e-300"]
 
 
