@@ -174,16 +174,17 @@ def _parse_ini(text: str, source: str) -> dict:
 
 def load_config(path: str) -> dict:
     """Load a config: INI file, or a previously emitted JSON manifest."""
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"config file not found: {path}")
-    if p.suffix == ".json":
-        doc = json.loads(p.read_text())
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:  # a missing file, a directory, ...
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror or exc}") from exc
+    if Path(path).suffix == ".json":
+        doc = json.loads(text)
         cfg = doc.get("config") if isinstance(doc, dict) else None
         if not (isinstance(cfg, dict) and all(isinstance(kv, dict) for kv in cfg.values())):
             raise ConfigError(f"{path} is not a phasesync manifest")
         return cfg
-    return _parse_ini(p.read_text(), path)
+    return _parse_ini(text, path)
 
 
 def load_preset(name: str) -> dict:
@@ -451,7 +452,10 @@ def main(argv=None) -> int:
         # manifest into a fresh directory reproduces every file bitwise
         run = cfg.pop("run")
         out = Path(args.out or run["out"] or os.environ.get("PHASESYNC_OUT") or "phasesync-out")
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:  # a file on the path
+            raise ConfigError(f"cannot make output directory {out}: {exc.strerror or exc}") from exc
         manifest = out / "manifest.json"
         write_json(manifest, {"artifact": "phasesync", "version": __version__,
                               "mode": args.mode, "seed": cfg["model"]["seed"], "config": cfg})

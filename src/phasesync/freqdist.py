@@ -152,7 +152,7 @@ class Uniform(FrequencyDistribution):
 
 @dataclass(frozen=True)
 class Discrete(FrequencyDistribution):
-    """Finitely many frequency atoms (omegas, probs)."""
+    """Finitely many frequency atoms (omegas, probs); the law is those of probability > 0."""
 
     omegas: tuple
     probs: tuple
@@ -168,15 +168,16 @@ class Discrete(FrequencyDistribution):
             raise ValueError("probs must be nonnegative and sum to 1")
         object.__setattr__(self, "omegas", tuple(float(x) for x in w))
         object.__setattr__(self, "probs", tuple(float(x) for x in p))
+        w, p = w[p > 0], p[p > 0]
         w2 = (w * w).reshape(1, -1)  # the squares integral takes at each a
         w.flags.writeable = p.flags.writeable = w2.flags.writeable = False
-        vars(self).update(_atoms=(w, p), _omega2=w2)
+        vars(self).update(_atoms=(w, p), _omega2=w2, _support=(float(w.min()), float(w.max())))
 
     def atoms(self):
         return self._atoms
 
     def support(self):
-        return (min(self.omegas), max(self.omegas))
+        return self._support
 
     def quadrature(self, n: int):
         return self.atoms()
@@ -188,7 +189,7 @@ class Discrete(FrequencyDistribution):
             return float((np.sqrt(np.maximum(a * a - self._omega2, 0.0)) @ p)[0])
         d = np.sqrt(np.maximum(a * a - self._omega2[0], 0.0))  # J is inf with mass at +-a
         with np.errstate(divide="ignore"):
-            return float(np.divide(p, d, out=np.zeros(p.size), where=p > 0).sum())
+            return float((p / d).sum())
 
     def expect(self, fn) -> float:
         w, p = self.atoms()

@@ -52,7 +52,7 @@ class SimConfig:
         return int(round(self.t_max / self.dt))
 
 
-class Stepper:
+def stepper(omegas, weights, coupling, dt, log_jac):
     """The RK4 step of weighted particles in their mean field, recomputed at
     every stage (4th order for the nonlocal system), in coefficient space.
 
@@ -80,111 +80,103 @@ class Stepper:
     B_s, B_s). Both new state rows are one gemm M . C (plus the old
     log-Jacobians), where M = D . P holds the stages' RK4-weighted
     coefficients and 1/a on pd (exact: a is 1 or 1/2, each entry one
-    product). Without log_jac the phase row of the same gemm is kept,
-    bitwise as with it.
+    product). Without log_jac its phase row is kept, bitwise as with it.
 
-    Built once per run and keyed to its dt, its step is one closure for its
-    layout, the calls above in a straight line over views bound once: per
-    state buffer a tuple (phase row and (theta, omega) read, buffers written
-    and returned) that one `is` test picks, and the 1-item list where observe
-    marks its y. The closure is the instance's __call__, which _run calls,
-    and holds no reference to the Stepper, so the Stepper is freed with its
-    last reference. y is (rows, n): the phases, and with log_jac their
-    log-Jacobians. A step returns the state buffer y is not, overwritten two
-    steps later; a step of the y observe last saw reuses the stage 1 it left.
+    Built once per run and keyed to its dt: (step, observe), closures over
+    one set of buffers. The step is the calls above in a straight line, one
+    `is` test picking the views of a state buffer. y is (rows, n): the
+    phases, and with log_jac their log-Jacobians. A step returns the state
+    buffer y is not, overwritten two steps later.
     """
+    n, a = omegas.size, trig_scale(omegas.size)
+    zs = np.empty((3, 3, n) if a == 1.0 else (2, 2, n))  # two state buffers; below the cut, a third for outside y
+    z0, z1 = zs[0], zs[1]
+    w0, w1, o0, o1 = z0[:2], z1[:2], z0[:2 if log_jac else 1], z1[:2 if log_jac else 1]  # written, returned
+    (mh, mdt), blocks, hd, d0, P = _coefficients(dt, coupling, a)
+    m = P.shape[1] // 2  # C's rows
+    C, D, M = np.empty((m, n)), d0.copy(), np.empty((2, m))
+    cs4, d4, m_flat = C[-2:], D[-2:], M.reshape(-1)
+    u, au, seen = np.empty(n), None if a == 1.0 else np.empty(n), None  # u: observe's v, from the cut on stage inputs
+    if a == 1.0:  # stage s = 1-3's (6, 2n) block . flat cos/sin: d_s and (A_s, A_s, B_s, B_s)
+        C[4:8:3], zs[:, 2], ext = -np.pi / 2, omegas, zs[2]  # a buffer's (theta, omega): its rows 0 and 2
+        u2, w2, tw = np.empty((2, n)), D.reshape(-1, 2).T, ext[::2]  # w2[:, k] is D[2k:2k + 2]
+        from0, from1 = (z0[0], z0[::2], w1, o1), (z1[0], z1[::2], w0, o0)
+        rows, flat, bases, c1, s1 = (blocks * weights).reshape(10, 2 * n), C.reshape(-1), C[5:7], C[2], C[3]
+        x1, y1, q1, y2, q2 = rows[4:], flat[2 * n:4 * n], D[0:6], flat[:2 * n], D[10:16]
+        x3, y3, q3 = rows[:6], flat[8 * n:10 * n], D[28:34]
+        # per stage s = 2-4: its window of D, the rows of C that takes, and its cos/sin pair (stage 4's is cs4)
+        k2, in2, c2, k3, in3, c3, k4, in4 = (w2[:, 1:5], C[2:6], C[0:2], w2[:, 6:12], C[0:6], C[8:10],
+                                             w2[:, 12:16], C[6:10])
+        cs1, d1, fill1 = C[2:4], D[0:2], functools.partial(x1.dot, y1, q1)
+        def step(y):
+            nonlocal seen
+            u1, ty, out, ret = from0 if y is o0 else from1 if y is o1 else (y[0], tw, w0, o0)
+            if ty is tw:  # an outside y: its phases beside omega
+                ext[0] = u1
+            hd.dot(ty, bases)  # the bases: one gemm of ((1, h), (1, dt)) with y's (theta, omega)
+            if y is not seen:
+                np.cos(u1, c1)
+                np.sin(u1, s1)
+                x1.dot(y1, q1)
+            seen = None
+            np.cos(k2.dot(in2, u2), c2)  # c_s holds both rows: np.cos of (u, u - pi/2)
+            x1.dot(y2, q2)
+            np.cos(k3.dot(in3, u2), c3)
+            x3.dot(y3, q3)
+            np.cos(k4.dot(in4, u2), cs4)
+            cs4.dot(weights, d4)
+            D.dot(P, m_flat)
+            M.dot(C, out)
+            if log_jac:  # the log-Jacobians add their old values
+                np.add(out[1], y[1], out[1])
+            return ret
+    else:  # stage s's x_s . weights gives d_s, and d_s . its map (A_s, B_s); then as above, cos and sin rows
+        from0, from1, bases, dws = (z0[0], w1, o1), (z1[0], w0, o0), C[2:6:3], hd * omegas
+        c1, s1, x1, x2, x3, q1, q2, q3 = C[3], C[4], C[3:5], C[0:2], C[6:8], D[3:5], D[5:7], D[12:14]
+        A1, A2, A3 = D[1:3], D[7:9], D[10:12]
+        k2, in2, c2, s2, k3, in3, c3, s3, k4, in4, c4, s4 = (D[0:3], C[2:5], C[0], C[1], D[7:10], C[0:3], C[6],
+                                                             C[7], D[9:12], C[5:8], C[8], C[9])
+        cs1, d1, fill1 = C[3:5], q1, functools.partial(q1.dot, mh, A1)
+        def step(y):
+            nonlocal seen
+            u1, out, ret = from0 if y is o0 else from1 if y is o1 else (y[0], w0, o0)
+            np.add(np.multiply(u1, a, au), dws, bases)  # the bases: one add of (a h omega, a dt omega) to a theta
+            if y is not seen:
+                _trig(au, c1, s1)
+                x1.dot(weights, q1)
+                q1.dot(mh, A1)
+            seen = None
+            _trig(k2.dot(in2, u), c2, s2)
+            x2.dot(weights, q2)
+            q2.dot(mh, A2)
+            _trig(k3.dot(in3, u), c3, s3)
+            x3.dot(weights, q3)
+            q3.dot(mdt, A3)
+            _trig(k4.dot(in4, u), c4, s4)
+            cs4.dot(weights, d4)
+            D.dot(P, m_flat)
+            M.dot(C, out)
+            if log_jac:  # the log-Jacobians add their old values
+                np.add(out[1], y[1], out[1])
+            return ret
 
-    def __init__(self, omegas, weights, coupling, dt, log_jac=False):
-        n, a = omegas.size, trig_scale(omegas.size)
-        self._omegas, self._w, self._coupling, self._a = omegas, weights, coupling, a
-        zs = np.empty((3, 3, n) if a == 1.0 else (2, 2, n))  # two state buffers; below the cut, a third for outside y
-        z0, z1 = zs[0], zs[1]
-        w0, w1, o0, o1 = z0[:2], z1[:2], z0[:2 if log_jac else 1], z1[:2 if log_jac else 1]  # written, returned
-        (mh, mdt), blocks, hd, d0, P = _coefficients(dt, coupling, a)
-        m = P.shape[1] // 2  # C's rows
-        C, D, M = np.empty((m, n)), d0.copy(), np.empty((2, m))
-        cs4, d4, m_flat, self._C = C[-2:], D[-2:], M.reshape(-1), C
-        self._u, self._au, self._seen = u, au, seen = np.empty(n), None if a == 1.0 else np.empty(n), [None]
-        if a == 1.0:  # stage s = 1-3's (6, 2n) block . flat cos/sin: d_s and (A_s, A_s, B_s, B_s)
-            C[4:8:3], zs[:, 2], ext = -np.pi / 2, omegas, zs[2]  # a buffer's (theta, omega): its rows 0 and 2
-            u, w2, tw = np.empty((2, n)), D.reshape(-1, 2).T, ext[::2]  # w2[:, k] is D[2k:2k + 2]
-            from0, from1 = (z0[0], z0[::2], w1, o1), (z1[0], z1[::2], w0, o0)
-            rows, flat, bases, c1, s1 = (blocks * weights).reshape(10, 2 * n), C.reshape(-1), C[5:7], C[2], C[3]
-            x1, y1, q1, y2, q2 = rows[4:], flat[2 * n:4 * n], D[0:6], flat[:2 * n], D[10:16]
-            x3, y3, q3 = rows[:6], flat[8 * n:10 * n], D[28:34]
-            # per stage s = 2-4: its window of D, the rows of C that takes, and its cos/sin pair (stage 4's is cs4)
-            k2, in2, c2, k3, in3, c3, k4, in4 = (w2[:, 1:5], C[2:6], C[0:2], w2[:, 6:12], C[0:6], C[8:10],
-                                                 w2[:, 12:16], C[6:10])
-            self._cs1, self._d1, self._fill1 = C[2:4], D[0:2], functools.partial(x1.dot, y1, q1)
-            def step(y):
-                u1, ty, out, ret = from0 if y is o0 else from1 if y is o1 else (y[0], tw, w0, o0)
-                if ty is tw:  # an outside y: its phases beside omega
-                    ext[0] = u1
-                hd.dot(ty, bases)  # the bases: one gemm of ((1, h), (1, dt)) with y's (theta, omega)
-                if y is not seen[0]:
-                    np.cos(u1, c1)
-                    np.sin(u1, s1)
-                    x1.dot(y1, q1)
-                seen[0] = None
-                np.cos(k2.dot(in2, u), c2)  # c_s holds both rows: np.cos of (u, u - pi/2)
-                x1.dot(y2, q2)
-                np.cos(k3.dot(in3, u), c3)
-                x3.dot(y3, q3)
-                np.cos(k4.dot(in4, u), cs4)
-                cs4.dot(weights, d4)
-                D.dot(P, m_flat)
-                M.dot(C, out)
-                if log_jac:  # the log-Jacobians add their old values
-                    np.add(out[1], y[1], out[1])
-                return ret
-        else:  # stage s's x_s . weights gives d_s, and d_s . its map (A_s, B_s); then as above, cos and sin rows
-            from0, from1, bases, dws = (z0[0], w1, o1), (z1[0], w0, o0), C[2:6:3], hd * omegas
-            c1, s1, x1, x2, x3, q1, q2, q3 = C[3], C[4], C[3:5], C[0:2], C[6:8], D[3:5], D[5:7], D[12:14]
-            A1, A2, A3 = D[1:3], D[7:9], D[10:12]
-            k2, in2, c2, s2, k3, in3, c3, s3, k4, in4, c4, s4 = (D[0:3], C[2:5], C[0], C[1], D[7:10], C[0:3], C[6],
-                                                                 C[7], D[9:12], C[5:8], C[8], C[9])
-            self._cs1, self._d1, self._fill1 = C[3:5], q1, functools.partial(q1.dot, mh, A1)
-            def step(y):
-                u1, out, ret = from0 if y is o0 else from1 if y is o1 else (y[0], w0, o0)
-                np.add(np.multiply(u1, a, au), dws, bases)  # the bases: one add of (a h omega, a dt omega) to a theta
-                if y is not seen[0]:
-                    _trig(au, c1, s1)
-                    x1.dot(weights, q1)
-                    q1.dot(mh, A1)
-                seen[0] = None
-                _trig(k2.dot(in2, u), c2, s2)
-                x2.dot(weights, q2)
-                q2.dot(mh, A2)
-                _trig(k3.dot(in3, u), c3, s3)
-                x3.dot(weights, q3)
-                q3.dot(mdt, A3)
-                _trig(k4.dot(in4, u), c4, s4)
-                cs4.dot(weights, d4)
-                D.dot(P, m_flat)
-                M.dot(C, out)
-                if log_jac:  # the log-Jacobians add their old values
-                    np.add(out[1], y[1], out[1])
-                return ret
-        self.__call__ = step  # read by _run; a call of the Stepper itself delegates to it
-
-    def __call__(self, y):
-        return self.__call__(y)  # the closure __init__ set on the instance, which shadows this method
-
-    def observe(self, y):
-        """field_into's (v, x, y) at the state y; its cos/sin and dots, with _fill1's (A1, B1), stay
-        as stage 1 of a next step of y (so y must not change in between)."""
-        ay = y[0] if self._a == 1.0 else np.multiply(y[0], self._a, self._au)
-        self._seen[0] = y
-        vxy = field_into(ay, self._omegas, self._w, self._coupling, self._cs1, self._u, self._C[0], self._d1)
-        self._fill1()
+    def observe(y):
+        """field_into's (v, x, y) at y, left as the stage 1 of a next step of y, which must not change in between."""
+        nonlocal seen
+        ay = y[0] if a == 1.0 else np.multiply(y[0], a, au)
+        seen = y
+        vxy = field_into(ay, omegas, weights, coupling, cs1, u, C[0], d1)
+        fill1()
         return vxy
+
+    return step, observe
 
 
 @functools.lru_cache(maxsize=64)
 def _coefficients(dt, coupling, a):
     """For a stage's dots d = (x, y), K d G_v = (K y, -K x) are the velocity's
     coefficients on its (cos, sin) rows and K d G_j = (-K x, -K y) the
-    log-Jacobian rate's. Returns, for the layout of a (see Stepper): the
+    log-Jacobian rate's. Returns, for the layout of a (see stepper): the
     stage-input maps (a h K G_v, a dt K G_v), h = dt/2, which the layout from
     HALF_ANGLE_MIN on reads; below it, the gemv blocks (10, 2, 1), read in
     the maps' place, whose rows 4-9, 4-9 and 0-5 (each map row twice) times
@@ -226,8 +218,8 @@ def _trusted(obj, **fields):
 
 def _step(y, omegas, weights, coupling, dt):
     """One RK4 step of y (phases, and with a second row their log-Jacobians)
-    by a fresh Stepper; None if the new state is not finite."""
-    y = Stepper(omegas, weights, coupling, dt, len(y) == 2)(y)
+    by a fresh stepper; None if the new state is not finite."""
+    y = stepper(omegas, weights, coupling, dt, len(y) == 2)[0](y)
     return y if np.isfinite(y).all() else None
 
 
@@ -278,7 +270,7 @@ def _run(y, omegas, weights, coupling, cfg: SimConfig, final, time=0.0) -> Traje
     """The run of both models: weighted particles with state y (phases, and in
     a kinetic run log-Jacobians) stepped from t = time; final(y, t) builds the
     last recorded state. A row, at the start and every record_every steps up
-    to the last, is one Stepper.observe plus the state's weighted dots in one
+    to the last, is one stepper observe plus the state's weighted dots in one
     2-row gemv (a finite run's phases over a zero row: BLAS sends a 1-row
     product to a plain dot, whose sum differs in the last bit), so a finite
     run records bitwise what its equal-weight kinetic run records. It stops
@@ -291,12 +283,11 @@ def _run(y, omegas, weights, coupling, cfg: SimConfig, final, time=0.0) -> Traje
     finite, wo = len(y) == 1, weights * omegas
     mean_omega = wo.sum()
     two = np.zeros((2, y.shape[1]))  # a row's state, a finite run's phases over a zero row
-    step = Stepper(omegas, weights, coupling, cfg.dt, log_jac=not finite)
-    advance = step.__call__  # its step closure
+    advance, observe = stepper(omegas, weights, coupling, cfg.dt, not finite)
     dt, n_steps = cfg.dt, cfg.n_steps
     zeros = np.zeros(y.shape)  # y . 0 is 0 iff y is finite: 0 * inf and 0 * nan are nan
     while True:
-        v, x, z = step.observe(y)
+        v, x, z = observe(y)
         op = OrderParameter.from_dots(x, z)
         if finite:
             kept.append(y[0].copy())
@@ -349,7 +340,7 @@ def seeded_ensemble(
     freq_halfwidth: float = 0.0,
     zero_mean: bool = False,
 ) -> OscillatorEnsemble:
-    """Reproducible random ensemble from a splitmix64 seed.
+    """Reproducible random ensemble from a splitmix64 seed in [-2**63, 2**64).
 
     Phases uniform on [-pi, pi) from the stream of seed; frequencies uniform
     on [-freq_halfwidth, freq_halfwidth), optionally shifted to zero mean,
@@ -358,6 +349,8 @@ def seeded_ensemble(
     """
     if not freq_halfwidth >= 0:  # NaN fails too
         raise ValueError("freq_halfwidth must be >= 0")
+    if not -2**63 <= seed < 2**64:  # splitmix64 keeps a seed's low 64 bits: a wider one repeats another
+        raise ValueError(f"seed {seed} is outside [-2**63, 2**64)")
     phases = rng.uniform(seed, n, -np.pi, np.pi)
     if freq_halfwidth > 0:
         freqs = rng.uniform(int(rng.splitmix64(seed, 1)[0]), n, -freq_halfwidth, freq_halfwidth)

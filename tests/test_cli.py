@@ -580,6 +580,30 @@ class TestConfigHandling:
     def test_missing_config_is_config_error(self):
         assert run_cli(["finite", "--config", "/nonexistent.ini"]) == 2
 
+    def test_config_naming_a_directory_is_config_error(self, tmp_path, capsys):
+        assert run_cli(["finite", "--config", str(tmp_path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("config error: cannot read config file")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("how", ["--out", "[run] out", "PHASESYNC_OUT"])
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+    def test_out_naming_a_file_is_config_error(self, tmp_path, capsys, monkeypatch, how, under):
+        taken = tmp_path / "taken"
+        taken.write_text("kept")
+        out = taken / "sub" if under else taken
+        argv = ["classify", "--preset", "two-antipodal"]
+        if how == "--out":
+            argv += ["--out", str(out)]
+        elif how == "[run] out":
+            argv += ["--set", f"run.out={out}"]
+        else:
+            monkeypatch.setenv("PHASESYNC_OUT", str(out))
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot make output directory") and err.count("\n") == 1
+        assert taken.read_text() == "kept" and sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+
     def test_no_config_or_preset(self):
         assert run_cli(["finite"]) == 2
 
@@ -619,6 +643,8 @@ class TestConfigHandling:
         # a seeded half-width below 0, or NaN, gave identical oscillators; 1e308 overflows the draw
         *(["finite", "--preset", "uniform-arc", "--set", "model.n=10", "--set", f"model.freq_halfwidth={bad}"]
           for bad in ("-0.5", "nan", "1e308")),
+        # a seed past 64 bits was seed 0
+        ["finite", "--preset", "uniform-arc", "--set", "model.n=10", "--set", "model.seed=18446744073709551616"],
     ])
     def test_rejected_value_is_config_error(self, tmp_path, capsys, argv):
         assert run_cli(argv + ["--out", str(tmp_path)]) == 2

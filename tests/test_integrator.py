@@ -270,6 +270,18 @@ class TestSeededEnsemble:
             assert np.array_equal(ens.phases, ps.rng.uniform(seed, 64, -np.pi, np.pi))
             assert np.intersect1d(ens.freqs, ps.seeded_ensemble(64, seed=seed + 1).phases).size == 0
 
+    @pytest.mark.parametrize("seed", [2**64, 2**70, -2**63 - 1, -2**64])
+    def test_seed_wider_than_64_bits_is_refused(self, seed):
+        # splitmix64 keeps a seed's low 64 bits: 2**64 and 2**70 gave seed 0's ensemble
+        with pytest.raises(ValueError, match=r"outside \[-2\*\*63, 2\*\*64\)"):
+            ps.seeded_ensemble(3, seed=seed)
+
+    @pytest.mark.parametrize("seed", [-1, -2**63, 2**64 - 1])
+    def test_negative_seed_is_its_64_bit_twin(self, seed):
+        a = ps.seeded_ensemble(5, seed=seed, freq_halfwidth=0.5)
+        b = ps.seeded_ensemble(5, seed=seed % 2**64, freq_halfwidth=0.5)
+        assert np.array_equal(a.phases, b.phases) and np.array_equal(a.freqs, b.freqs)
+
 
 class TestHalfOpenRanges:
     # the seed whose first splitmix64 output, 2**64 - 1, rounds to 2**64 as a float

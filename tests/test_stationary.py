@@ -753,10 +753,11 @@ class TestShapeOfH:
             assert g.integral(a, cos2=False) * a == pytest.approx(fd, rel=1e-6), a
 
     def test_slope_with_mass_at_the_edge(self):
-        # an atom at +-a makes h' = -inf there; a zero-mass one adds nothing
+        # an atom at +-a makes h' = -inf there; a zero-mass one adds nothing,
+        # not even to the support: all mass at 0 is Dirac(0)'s K_c = 0
         assert ps.Discrete((-0.3, 0.3), (0.5, 0.5)).integral(0.3, cos2=False) == math.inf
         assert ps.Discrete((0.0, 0.5), (1.0, 0.0)).integral(0.5, cos2=False) == 2.0
-        assert ps.critical_coupling(ps.Discrete((0.0, 0.5), (1.0, 0.0))) == 0.5  # h(a) = a
+        assert ps.critical_coupling(ps.Discrete((0.0, 0.5), (1.0, 0.0))) == 0.0
 
     @pytest.mark.parametrize("g", list(dict.fromkeys(BENCH_LAWS + GAUSS_LAWS + ONSET_LAWS + FALLING_EDGE_LAWS)),
                              ids=repr)
@@ -815,6 +816,17 @@ class TestCriticalCoupling:
         assert kc == pytest.approx(2 * abs(omega0), rel=1e-12)
         assert ps.self_consistency_roots(ps.Dirac(omega0), 0.99 * kc).roots == []
         assert ps.self_consistency_roots(ps.Dirac(omega0), 1.01 * kc).roots
+
+    def test_zero_probability_atoms_are_not_in_the_support(self):
+        # K_c = min h runs over the support of g, which an atom of probability 0
+        # is not in: the law is Dirac(0.1), bit for bit (it was 1.0050 and a
+        # "support of g too wide" error at K = 0.5)
+        g, dirac = ps.Discrete((-1.0, 0.1), (0.0, 1.0)), ps.Dirac(0.1)
+        assert g.support() == dirac.support() == (0.1, 0.1)
+        assert ps.critical_coupling(g) == ps.critical_coupling(dirac) == pytest.approx(0.2, rel=1e-15)
+        assert ps.self_consistency_roots(g, 0.5) == ps.self_consistency_roots(dirac, 0.5)
+        assert ps.self_consistency_roots(g, 0.5).roots
+        assert g.omegas == (-1.0, 0.1) and g.probs == (0.0, 1.0) and g != ps.Discrete((0.1,), (1.0,))
 
     def test_truncated_gaussian_within_an_ulp_of_fifty_digits(self):
         # K_c = h(0.6) on this certified law, I by mpmath in t at 50 digits on

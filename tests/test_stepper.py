@@ -18,6 +18,7 @@ import gc
 import os
 import subprocess
 import sys
+import types
 import weakref
 from pathlib import Path
 
@@ -214,9 +215,13 @@ def coefficients_v0210(dt, coupling, a):
 
 
 def run_v0210(monkeypatch, simulate, state, cfg):
-    """simulate (or kinetic_simulate) of state by v0.21.0's Stepper."""
+    """simulate (or kinetic_simulate) of state by v0.21.0's Stepper, as stepper's (step, observe)."""
+    def stepper_v0210(*args):
+        st = StepperV0210(*args)
+        return st.__call__, st.observe
+
     with monkeypatch.context() as m:
-        m.setattr(ps.integrate, "Stepper", StepperV0210)
+        m.setattr(ps.integrate, "stepper", stepper_v0210)
         return simulate(state, cfg)
 
 
@@ -607,20 +612,20 @@ class TestRecordedRowReuse:
             args, a = (meas.omegas, meas.weights, 1.3, 0.05, True), np.stack([meas.thetas, meas.log_jacs])
         else:
             ens = ensemble(n, 1.3, 0.25)
-            args, a = (ens.freqs, np.full(n, 1.0 / n), 1.3, 0.05), ens.phases[None].copy()
+            args, a = (ens.freqs, np.full(n, 1.0 / n), 1.3, 0.05, False), ens.phases[None].copy()
         b = 1.5 * a + 0.5  # not a rotation of a: that would keep its stage-1 velocity
-        fresh = ps.integrate.Stepper(*args)(b).copy()
-        st = ps.integrate.Stepper(*args)
-        st.observe(a)
-        assert np.array_equal(st(b), fresh)
+        fresh = ps.integrate.stepper(*args)[0](b).copy()
+        step, observe = ps.integrate.stepper(*args)
+        observe(a)
+        assert np.array_equal(step(b), fresh)
         # a step of the observed object reuses its stage 1 and clears the
         # mark, so a later step of that object with other contents does not
-        st.observe(b)
-        st(b)
+        observe(b)
+        step(b)
         b_again = b.copy()
         b[...] = a
-        assert np.array_equal(st(b), ps.integrate.Stepper(*args)(a))
-        assert np.array_equal(st(b_again), fresh)
+        assert np.array_equal(step(b), ps.integrate.stepper(*args)[0](a))
+        assert np.array_equal(step(b_again), fresh)
 
 
 class TestBlowUp:
@@ -671,8 +676,8 @@ class TestBlowUp:
 
 
 class TestNoReferenceCycle:
-    """A Stepper holds no reference to itself, so its buffers are freed with
-    its last reference, not at the next cyclic collection."""
+    """Neither of stepper's closures refers to itself, so their buffers are
+    freed with the last reference to them, not at the next cyclic collection."""
 
     @pytest.fixture(autouse=True)
     def no_cyclic_collector(self):
@@ -686,18 +691,19 @@ class TestNoReferenceCycle:
         y = np.linspace(0.0, 1.0, n)[None]
         if log_jac:
             y = np.vstack([y, np.zeros((1, n))])
-        st = ps.integrate.Stepper(np.linspace(-0.5, 0.5, n), np.full(n, 1.0 / n), 1.2, 0.05, log_jac)
-        st.observe(y)
-        st(st(st(y)))
-        ref = weakref.ref(st)
-        del st
-        assert ref() is None
+        step, observe = ps.integrate.stepper(np.linspace(-0.5, 0.5, n), np.full(n, 1.0 / n), 1.2, 0.05, log_jac)
+        observe(y)
+        step(step(step(y)))
+        refs = weakref.ref(step), weakref.ref(observe)
+        del step, observe
+        assert [ref() for ref in refs] == [None, None]
 
     def test_runs_leave_no_stepper(self):
         cfg = ps.SimConfig(dt=0.05, t_max=1.0, record_every=3)
         ps.simulate(ensemble(10, 1.2, 0.25), cfg)
         ps.kinetic_simulate(measure(64, 1.2, 0.25), cfg)
-        assert not [obj for obj in gc.get_objects() if isinstance(obj, ps.integrate.Stepper)]
+        assert not [obj for obj in gc.get_objects()
+                    if isinstance(obj, types.FunctionType) and obj.__qualname__.startswith("stepper.<locals>.")]
 
 
 class TestTrustedEnsembles:
