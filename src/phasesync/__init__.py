@@ -64,4 +64,4 @@ from .stationary import (
     self_consistency_roots,
 )
 
-__version__ = "0.25.0"
+__version__ = "0.26.0"

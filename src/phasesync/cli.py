@@ -295,21 +295,21 @@ def _initial(cfg: dict, kind: str, k: float):
     return discretize(build_density_spec(cfg), m=cfg["model"]["m"], coupling=k), kinetic_simulate
 
 
-def _least_size(cfg: dict, kind: str) -> tuple:
-    """(n, finite) of the config's model of this kind before it is built: the count a finite config fixes,
-    or 1, a lower bound (discretize drops zero-mass nodes); a kinetic config may not set a finite count."""
+def _affordable(cfg: dict, kind: str, sim: SimConfig, points: int = 1) -> SimConfig:
+    """sim, once `points` runs to its t_max of the config's model of this kind ("finite" or "kinetic") take at
+    most MAX_PARTICLE_STEPS and each keeps at most MAX_KEPT_BYTES in its recorded rows. The size comes from the
+    config alone: a finite model's N, or the grid discretize allocates before it drops zero-mass nodes."""
     model, finite = cfg["model"], kind == "finite"
-    if not finite and model["n"] is not None:
+    if finite:
+        n = 3 if model["three_osc_delta0"] is not None else model["n"] if model["phases"] is None else len(model["phases"])
+    elif model["n"] is not None:
         raise ConfigError("[model] n is the size of a finite model; a kinetic one has m x n_freq nodes")
-    n = 3 if model["three_osc_delta0"] is not None else model["n"] if model["phases"] is None else len(model["phases"])
-    return max(n or 1, 1) if finite else 1, finite
-
-
-def _affordable(state, sim: SimConfig, points: int = 1) -> SimConfig:
-    """sim, once `points` runs of state to its t_max take at most MAX_PARTICLE_STEPS and each keeps at most
-    MAX_KEPT_BYTES in its recorded rows; state is a model, or its _least_size, whose refusal holds for it."""
-    finite = isinstance(state, OscillatorEnsemble)
-    n, finite = state if isinstance(state, tuple) else (state.n if finite else state.n_particles, finite)
+    elif model["phase_spec"] == "atoms":
+        n = len(model["atoms"] or ())
+    else:  # m phase cells times the frequency law's nodes
+        nodes = {"discrete": len(model["freq_omegas"] or ()), "uniform": model["n_freq"], "tgauss": model["n_freq"]}
+        n = model["m"] * nodes.get(model["freq_dist"], 1)
+    n = max(n or 1, 1)  # an unset or bad count is the builders' to refuse
     cost = points * n * sim.n_steps
     if cost > MAX_PARTICLE_STEPS:
         raise ConfigError(f"the run would take {cost:.3g} particle-steps, over the bound of {MAX_PARTICLE_STEPS:.0e}")
@@ -326,9 +326,9 @@ def run_simulation(kind: str, cfg: dict, out: Path):
     coupling and its final state classified; series.csv holds the kind's own
     columns besides the shared ones."""
     check_tolerances(**cfg["classify"])
-    sim = _affordable(_least_size(cfg, kind), build_sim_config(cfg))
+    sim = _affordable(cfg, kind, build_sim_config(cfg))
     state, run = _initial(cfg, kind, cfg["model"]["coupling"])
-    traj = run(state, _affordable(state, sim))
+    traj = run(state, sim)
     if kind == "finite":
         cls, columns = classify_finite(traj.final, cfg["classify"]["angle_tol"]), {"U": traj.u_series}
     else:
@@ -396,12 +396,12 @@ def run_sweep(cfg: dict, out: Path):
     k_min, k_max = _need(sweep, "k_min"), _need(sweep, "k_max")
     if not math.isfinite(k_max - k_min):  # nan, +-inf, or a span that overflows
         raise ConfigError("[sweep] k_min, k_max and k_max - k_min must be finite")
-    sim = _affordable(_least_size(cfg, cfg["model"]["kind"]), build_sim_config(cfg), sweep["k_steps"])
+    sim = _affordable(cfg, cfg["model"]["kind"], build_sim_config(cfg), sweep["k_steps"])
     ks = [float(k) for k in np.linspace(k_min, k_max, sweep["k_steps"])]
     # built once, the model at the least K (model.coupling plays no part), so a
     # config the builders refuse, or a negative K, is refused before any worker starts
     state, run = _initial(cfg, cfg["model"]["kind"], min(ks))
-    point = functools.partial(_sweep_point, state, _affordable(state, sim, len(ks)), run)
+    point = functools.partial(_sweep_point, state, sim, run)
     workers = _workers(len(ks), _cpus())
     if workers == 1:
         results = list(map(point, ks))

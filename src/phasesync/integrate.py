@@ -41,7 +41,8 @@ class SimConfig:
         steps = self.t_max / self.dt  # past 2**53 (or inf) every float is whole: no check
         if not (steps <= 2.0**53 and min(steps % 1.0, -steps % 1.0) <= min(1e-9 * steps, 1e-3)):
             raise ValueError(f"t_max = {self.t_max!r} is not a whole number of steps dt = {self.dt!r} (<= 2**53)")
-        if not (isinstance(self.record_every, (int, np.integer)) and self.record_every >= 1):
+        if not (isinstance(self.record_every, (int, np.integer)) and not isinstance(self.record_every, bool)
+                and self.record_every >= 1):
             raise ValueError("record_every must be an integer >= 1")
         if not 0 < self.stationarity_tol < np.inf:  # NaN fails too
             raise ValueError("stationarity_tol must be finite and > 0")
@@ -340,7 +341,7 @@ def seeded_ensemble(
     freq_halfwidth: float = 0.0,
     zero_mean: bool = False,
 ) -> OscillatorEnsemble:
-    """Reproducible random ensemble from a splitmix64 seed in [-2**63, 2**64).
+    """Reproducible random ensemble from an integer splitmix64 seed in [-2**63, 2**64).
 
     Phases uniform on [-pi, pi) from the stream of seed; frequencies uniform
     on [-freq_halfwidth, freq_halfwidth), optionally shifted to zero mean,
@@ -349,6 +350,8 @@ def seeded_ensemble(
     """
     if not freq_halfwidth >= 0:  # NaN fails too
         raise ValueError("freq_halfwidth must be >= 0")
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):  # splitmix64 would truncate it
+        raise ValueError(f"seed must be an integer, not {seed!r}")
     if not -2**63 <= seed < 2**64:  # splitmix64 keeps a seed's low 64 bits: a wider one repeats another
         raise ValueError(f"seed {seed} is outside [-2**63, 2**64)")
     phases = rng.uniform(seed, n, -np.pi, np.pi)

@@ -153,7 +153,7 @@ def kinetic_step(meas: PhaseMeasure, dt: float) -> PhaseMeasure:
 
     Weights are untouched.
     """
-    if dt <= 0:
+    if not dt > 0:  # NaN fails too
         raise ValueError("dt must be > 0")
     y = _step(np.stack([meas.thetas, meas.log_jacs]), meas.omegas, meas.weights, meas.coupling, dt)
     if y is None:
@@ -219,8 +219,10 @@ def characteristic_targets(
     theta-(omega) = pi + phi* - arcsin(omega/(K R*)); "drifting" when
     |omega| > K R* (no locked branch exists); "unresolved" otherwise.
     """
-    labels = np.full(meas.n_particles, "unresolved", dtype=object)
     kr = coupling * r_star
+    if not kr > 0:  # NaN fails too; at 0 every omega = 0 particle would be 0/0
+        raise ValueError("coupling * r_star must be > 0")
+    labels = np.full(meas.n_particles, "unresolved", dtype=object)
     drifting = np.abs(meas.omegas) > kr
     labels[drifting] = "drifting"
     locked = ~drifting

@@ -865,9 +865,9 @@ class TestParticleStepBound:
         done = self.run(["sweep", "--preset", "three-osc", *(x for s in sets for x in ("--set", s))], tmp_path)
         assert done.returncode == 2 and "1.2e+11 particle-steps" in done.stderr, done.stderr
         # a row at each of 1e6 steps: 1e4 rows, far below the kept-row bound
-        ens = cli.build_ensemble(load_preset("three-osc"))
+        cfg = cli.resolve(load_preset("three-osc"))
         sim = phasesync.SimConfig(dt=1e-6, t_max=1e4, record_every=10**6)
-        assert cli._affordable(ens, sim, 3) is sim
+        assert cli._affordable(cfg, "finite", sim, 3) is sim
 
     @pytest.mark.parametrize("mode", ["finite", "sweep"])
     def test_finite_run_that_keeps_800_gb_exits_2(self, tmp_path, capsys, monkeypatch, mode):
@@ -905,8 +905,39 @@ class TestParticleStepBound:
         monkeypatch.setattr(cli, "MAX_KEPT_BYTES", cli.MAX_KEPT_BYTES / 100)
         cfg = cli.resolve(load_preset(preset))
         sim, points = cli.build_sim_config(cfg), cfg["sweep"]["k_steps"] if mode == "sweep" else 1
-        state, _ = cli._initial(cfg, cfg["model"]["kind"] if mode == "sweep" else mode, cfg["model"]["coupling"])
-        cli._affordable(state, sim, 100 * points)
+        cli._affordable(cfg, cfg["model"]["kind"] if mode == "sweep" else mode, sim, 100 * points)
+
+    @pytest.mark.parametrize("preset,sets,n", [
+        ("uniform-arc", [], 1024),
+        ("uniform-arc", ["model.phase_spec=atoms", "model.atoms=0.5:0;0:1;0.5:2"], 3),
+        ("kuramoto-uniform-g", [], 128 * 32),
+        ("kuramoto-uniform-g", ["model.freq_dist=tgauss", "model.freq_sigma=0.3", "model.freq_cut=1"], 128 * 32),
+        ("kuramoto-uniform-g", ["model.freq_dist=discrete", "model.freq_omegas=-1,0,1",
+                                "model.freq_probs=0,0.5,0.5"], 128 * 3),
+        ("kuramoto-uniform-g", ["model.freq_dist=dirac"], 128),
+    ])
+    def test_kinetic_count_is_the_grid_before_zero_mass_nodes_drop(self, preset, sets, n, monkeypatch):
+        # m phase cells times the frequency nodes, or the atoms, zero-mass ones included
+        cfg = cli.resolve(apply_overrides(load_preset(preset), sets))
+        sim = cli.build_sim_config(cfg)
+        monkeypatch.setattr(cli, "MAX_PARTICLE_STEPS", n * sim.n_steps)
+        assert cli._affordable(cfg, "kinetic", sim) is sim
+        monkeypatch.setattr(cli, "MAX_PARTICLE_STEPS", n * sim.n_steps - 1)
+        with pytest.raises(cli.ConfigError, match="particle-steps, over the bound"):
+            cli._affordable(cfg, "kinetic", sim)
+
+    def test_kinetic_grid_over_the_bound_exits_2_though_its_kept_nodes_are_under(self, tmp_path, capsys, monkeypatch):
+        # a phase Gaussian so narrow that all but a few of the 1024 cells get mass 0, 10 steps
+        monkeypatch.setattr(cli, "MAX_PARTICLE_STEPS", 1024 * 10 - 1)
+        cfg = cli.resolve(apply_overrides(load_preset("uniform-arc"), ["model.phase_spec=tgauss_arc",
+                                                                       "model.phase_sigma=1e-3"]))
+        assert cli._initial(cfg, "kinetic", 1.0)[0].n_particles < 100  # 14 kept, 140 particle-steps
+        out = tmp_path / "run"
+        args = ["kinetic", "--preset", "uniform-arc", "--set", "model.phase_spec=tgauss_arc",
+                "--set", "model.phase_sigma=1e-3", "--set", "sim.t_max=0.1", "--out", str(out)]
+        assert run_cli(args) == 2
+        assert "1.02e+04 particle-steps" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
 
 
 class TestOversizedModel:
@@ -936,18 +967,22 @@ class TestOversizedModel:
 
 class TestBoundsBeforeBuild:
     """A run the bounds refuse exits 2 before it builds an N-sized array or a
-    sweep's K grid, where the config fixes the count (a finite model) or
-    gives a lower bound of it (N >= 1 for a sweep's grid): its peak RSS stays
-    within 20 MB of a run at N = 10. Each run is a process of its own."""
+    sweep's K grid: both bounds are applied once, to the count the config
+    fixes (a finite model's N, or the m x frequency-node grid of a kinetic
+    one), so its peak RSS stays within 20 MB of a run at N = 10. Each run is
+    a process of its own, on one BLAS thread, whose address space is capped
+    at 1 GB: a build the bounds miss fails to allocate, not the host."""
 
     @staticmethod
     def run(args, out):
         script = ("import resource, sys\n"
+                  "resource.setrlimit(resource.RLIMIT_AS, (10**9, 10**9))\n"
                   "import phasesync.cli as cli\n"
                   "code = cli.main(sys.argv[1:])\n"
                   "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
                   "sys.exit(code)\n")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
         done = subprocess.run([sys.executable, "-c", script, *args, "--out", str(out)], capture_output=True,
                               text=True, timeout=120, env=env)
         return done.returncode, done.stderr, int(done.stdout.split()[-1]) / 1024  # ru_maxrss is in KiB
@@ -957,6 +992,10 @@ class TestBoundsBeforeBuild:
         ("sweep", "uniform-arc", ["model.kind=finite", "model.n=10000000", "sim.t_max=100000", "sweep.k_min=0",
                                   "sweep.k_max=1", "sweep.k_steps=1"]),
         ("sweep", "kuramoto-uniform-g", ["sweep.k_steps=10000000", "sim.t_max=100000"]),
+        ("kinetic", "uniform-arc", ["model.m=20000000", "sim.t_max=100000"]),
+        ("kinetic", "kuramoto-uniform-g", ["model.m=2000000", "sim.t_max=100000"]),
+        ("sweep", "kuramoto-uniform-g", ["model.m=2000000", "sim.t_max=1000"]),
+        ("sweep", "kuramoto-uniform-g", ["sweep.k_steps=100000000", "sim.t_max=1"]),
     ])
     def test_refused_run_stays_at_the_size_of_a_small_one(self, tmp_path, mode, preset, sets):
         small = self.run(["finite", "--preset", "uniform-arc", "--set", "model.n=10", "--set", "sim.t_max=1"],

@@ -276,6 +276,18 @@ class TestSeededEnsemble:
         with pytest.raises(ValueError, match=r"outside \[-2\*\*63, 2\*\*64\)"):
             ps.seeded_ensemble(3, seed=seed)
 
+    @pytest.mark.parametrize("seed", [1.5, 2.0, True, np.float64(2.7)])
+    def test_non_integer_seed_is_refused(self, seed):
+        # splitmix64 took int(seed): 1.5 and True gave seed 1's ensemble, 2.7 seed 2's
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            ps.seeded_ensemble(3, seed=seed)
+
+    @pytest.mark.parametrize("seed", [np.int64(5), np.uint64(5), np.int32(5)])
+    def test_numpy_integer_seed_is_its_int(self, seed):
+        a = ps.seeded_ensemble(5, seed=seed, freq_halfwidth=0.5)
+        b = ps.seeded_ensemble(5, seed=5, freq_halfwidth=0.5)
+        assert np.array_equal(a.phases, b.phases) and np.array_equal(a.freqs, b.freqs)
+
     @pytest.mark.parametrize("seed", [-1, -2**63, 2**64 - 1])
     def test_negative_seed_is_its_64_bit_twin(self, seed):
         a = ps.seeded_ensemble(5, seed=seed, freq_halfwidth=0.5)
@@ -354,9 +366,9 @@ class TestStationarityTolerance:
 
 
 class TestRecordEvery:
-    @pytest.mark.parametrize("every", [math.nan, 1.5, 2.0, math.inf, 0, -3])
+    @pytest.mark.parametrize("every", [math.nan, 1.5, 2.0, math.inf, 0, -3, True])
     def test_non_integer_or_non_positive_rejected(self, every):
-        # NaN recorded only t = 0 and t_max, and 1.5 every 3rd step
+        # NaN recorded only t = 0 and t_max, 1.5 every 3rd step, and True every step
         with pytest.raises(ValueError, match="record_every"):
             ps.SimConfig(record_every=every)
 

@@ -217,6 +217,12 @@ class TestKineticStep:
         with pytest.raises(ValueError):
             ps.kinetic_step(meas, 0.0)
 
+    def test_nan_dt_is_refused(self):
+        # it passed dt <= 0 and aborted as a non-finite state at t = nan
+        meas = ps.discretize(ps.Uniform(0, 1.0), 8)
+        with pytest.raises(ValueError, match="dt must be > 0"):
+            ps.kinetic_step(meas, float("nan"))
+
     def test_overflow_raises_at_the_step_time(self):
         # the exact step, theta + dt*omega = 2e308, overflows
         meas = ps.PhaseMeasure.initial([0.5, 0.5], [1e308, 1e308], [1e308, 1e308], has_atoms=True)
@@ -465,6 +471,13 @@ class TestCharacteristicTargets:
         meas = ps.PhaseMeasure.initial(w, thetas, np.tile(omegas, 2), has_atoms=True)
         labels = ps.characteristic_targets(meas, 1.0, 0.8, 0.1, tol=1e-6)
         assert list(labels) == ["plus"] * 3 + ["minus"] * 3
+
+    @pytest.mark.parametrize("coupling,r_star", [(1.0, 0.0), (0.0, 0.5), (-1.0, 0.5), (1.0, math.nan)])
+    def test_no_positive_locking_scale_is_refused(self, coupling, r_star):
+        # K R* = 0 took arcsin(0/0) and called the omega = 0 particles unresolved
+        meas = ps.PhaseMeasure.initial([0.5, 0.5], [0.0, 0.1], [0.0, 0.2], has_atoms=True)
+        with pytest.raises(ValueError, match=r"coupling \* r_star must be > 0"):
+            ps.characteristic_targets(meas, coupling, r_star, 0.0)
 
 
 class TestKineticInvariants:
